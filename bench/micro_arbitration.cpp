@@ -27,7 +27,6 @@
 #include "switch/observe.hpp"
 #include "sim/rng.hpp"
 #include "switch/crossbar.hpp"
-#include "switch/switch_batch.hpp"
 #include "traffic/workload.hpp"
 
 namespace {
@@ -231,82 +230,6 @@ void BM_SwitchStepSparse(benchmark::State& state, bool fast_forward) {
       static_cast<double>(sim.ff_idle_stepped_cycles());
 }
 
-// The same saturated stepping with the step pipeline selection toggled:
-// `specialized` runs the compile-time instantiation matching the (detached)
-// attachment state, `generic` forces the fully dynamic pipeline that
-// branches on every hook pointer each cycle (config.specialize = false).
-// The gap is exactly the per-cycle cost specialization removes; both
-// variants are byte-identical in behaviour (the determinism suites assert
-// it), so this is a pure execution-cost comparison.
-void BM_SwitchStepPipeline(benchmark::State& state, bool specialize) {
-  const std::vector<double> rates = {0.40, 0.20, 0.10, 0.10,
-                                     0.05, 0.05, 0.05, 0.05};
-  traffic::Workload w(8);
-  for (InputId i = 0; i < 8; ++i) {
-    w.add_flow(bench::make_gb_flow(i, 0, rates[i], 8, 0.9));
-  }
-  auto config = bench::paper_switch_config();
-  config.specialize = specialize;
-  sw::CrossbarSwitch sim(config, std::move(w));
-  sim.warmup(2000);
-
-  constexpr Cycle kChunk = 1000;
-  for (auto _ : state) {
-    sim.run(kChunk);
-    benchmark::DoNotOptimize(sim.now());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kChunk));
-}
-
-// B independent radix-64 hotspot switches stepped lock-step through
-// sw::SwitchBatch (the SoA batch plane behind `ssq_fuzz --batch` and the
-// batched shard runner). items_per_second counts simulated cycles SUMMED
-// over the batch, so B=1 is the plain serial rate and higher B shows the
-// scheduling overhead / cache-residency trade of the strided round-robin.
-void BM_SwitchBatchStep(benchmark::State& state) {
-  const auto width = static_cast<std::size_t>(state.range(0));
-  const std::uint32_t radix = 64;
-  const std::uint32_t gb = radix / 2;
-  std::vector<std::unique_ptr<sw::CrossbarSwitch>> sims;
-  std::vector<sw::CrossbarSwitch*> ptrs;
-  for (std::size_t b = 0; b < width; ++b) {
-    traffic::Workload w(radix);
-    for (InputId i = 0; i < gb; ++i) {
-      w.add_flow(bench::make_gb_flow(i, 0, 0.88 / gb, 8, 0.5));
-    }
-    for (InputId i = gb; i < radix; ++i) {
-      traffic::FlowSpec f;
-      f.src = i;
-      f.dst = 1 + (i % (radix - 1));
-      f.cls = TrafficClass::BestEffort;
-      f.len_min = f.len_max = 8;
-      f.inject = traffic::InjectKind::Bernoulli;
-      f.inject_rate = 0.3;
-      w.add_flow(f);
-    }
-    auto config = bench::paper_switch_config();
-    config.radix = radix;
-    config.ssvc.level_bits = 2;
-    config.ssvc.lsb_bits = 8;
-    config.seed += b;  // decorrelate the instances' injection draws
-    sims.push_back(
-        std::make_unique<sw::CrossbarSwitch>(config, std::move(w)));
-    sims.back()->warmup(2000);
-    ptrs.push_back(sims.back().get());
-  }
-  sw::SwitchBatch batch(ptrs);
-
-  constexpr Cycle kChunk = 1000;
-  for (auto _ : state) {
-    batch.run(kChunk);
-    benchmark::DoNotOptimize(sims.front()->now());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kChunk) *
-                          static_cast<std::int64_t>(width));
-}
-
 // Same stepping workload with the fault subsystem in its three states:
 // detached (the default null-pointer fast path — must be within noise of
 // BM_SwitchStep/obs_off), attached with an empty plan (outage checks only),
@@ -366,15 +289,12 @@ BENCHMARK_CAPTURE(BM_SwitchStepRadix, scalar, ssq::core::ArbKernel::Scalar)
     ->Arg(8)->Arg(64);
 BENCHMARK_CAPTURE(BM_SwitchStepRadix, simd, ssq::core::ArbKernel::Simd)
     ->Arg(8)->Arg(64);
-BENCHMARK(BM_SwitchBatchStep)->Arg(1)->Arg(4)->Arg(8);
 BENCHMARK_CAPTURE(BM_SwitchStepSparse, ff_on, true);
 BENCHMARK_CAPTURE(BM_SwitchStepSparse, ff_off, false);
 BENCHMARK_CAPTURE(BM_SwitchStep, obs_off, ObsMode::Off);
 BENCHMARK_CAPTURE(BM_SwitchStep, obs_metrics, ObsMode::Metrics);
 BENCHMARK_CAPTURE(BM_SwitchStep, obs_trace_null_sink, ObsMode::Trace);
 BENCHMARK_CAPTURE(BM_SwitchStep, obs_monitor, ObsMode::Monitor);
-BENCHMARK_CAPTURE(BM_SwitchStepPipeline, specialized, true);
-BENCHMARK_CAPTURE(BM_SwitchStepPipeline, generic, false);
 BENCHMARK_CAPTURE(BM_SwitchStepFaults, fault_detached, FaultMode::Detached);
 BENCHMARK_CAPTURE(BM_SwitchStepFaults, fault_empty_plan, FaultMode::EmptyPlan);
 BENCHMARK_CAPTURE(BM_SwitchStepFaults, fault_active_scrubbed,

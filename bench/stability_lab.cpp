@@ -9,7 +9,6 @@
 //
 // Exit codes: 0 ok, 2 bad usage/config.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -22,6 +21,8 @@
 #include "obs/json.hpp"
 #include "sim/error.hpp"
 #include "stats/table.hpp"
+
+#include "cli.hpp"
 
 namespace {
 
@@ -59,15 +60,8 @@ std::vector<std::string> split_csv(const std::string& list) {
   return out;
 }
 
-std::uint64_t parse_u64(const std::string& value, std::string_view option) {
-  char* end = nullptr;
-  const std::uint64_t x = std::strtoull(value.c_str(), &end, 10);
-  if (value.empty() || end != value.c_str() + value.size()) {
-    throw ConfigError("invalid value '" + value + "' for " +
-                      std::string(option));
-  }
-  return x;
-}
+using cli::opt_value;
+using cli::parse_uint;
 
 std::string fmt(double v, int precision) {
   char buf[64];
@@ -96,48 +90,38 @@ int main(int argc, char** argv) {
   try {
     for (int a = 1; a < argc; ++a) {
       const std::string_view arg = argv[a];
-      const auto value = [&](std::string_view key) -> std::string {
-        return std::string(arg.substr(key.size() + 1));
-      };
       if (arg == "--help") {
         std::cout << kHelp;
         return 0;
-      } else if (arg.substr(0, 8) == "--radix=") {
-        radix = static_cast<std::uint32_t>(parse_u64(value("--radix"),
-                                                     "--radix"));
-      } else if (arg.substr(0, 9) == "--cycles=") {
-        cycles = parse_u64(value("--cycles"), "--cycles");
-      } else if (arg.substr(0, 9) == "--warmup=") {
-        warmup = parse_u64(value("--warmup"), "--warmup");
-      } else if (arg.substr(0, 8) == "--iters=") {
-        iters = static_cast<std::uint32_t>(parse_u64(value("--iters"),
-                                                     "--iters"));
-      } else if (arg.substr(0, 7) == "--seed=") {
-        seed = parse_u64(value("--seed"), "--seed");
-      } else if (arg.substr(0, 10) == "--engines=") {
+      } else if (auto v = opt_value(arg, "--radix")) {
+        radix = parse_uint<std::uint32_t>(*v, "--radix");
+      } else if (auto v2 = opt_value(arg, "--cycles")) {
+        cycles = parse_uint<Cycle>(*v2, "--cycles");
+      } else if (auto v3 = opt_value(arg, "--warmup")) {
+        warmup = parse_uint<Cycle>(*v3, "--warmup");
+      } else if (auto v4 = opt_value(arg, "--iters")) {
+        iters = parse_uint<std::uint32_t>(*v4, "--iters");
+      } else if (auto v5 = opt_value(arg, "--seed")) {
+        seed = parse_uint<std::uint64_t>(*v5, "--seed");
+      } else if (auto v6 = opt_value(arg, "--engines")) {
         engines.clear();
-        for (const auto& e : split_csv(value("--engines"))) {
+        for (const auto& e : split_csv(*v6)) {
           engines.push_back(arb::parse_match_kind(e));
         }
-      } else if (arg.substr(0, 11) == "--patterns=") {
+      } else if (auto v7 = opt_value(arg, "--patterns")) {
         patterns.clear();
-        for (const auto& p : split_csv(value("--patterns"))) {
+        for (const auto& p : split_csv(*v7)) {
           patterns.push_back(check::parse_pattern(p));
         }
-      } else if (arg.substr(0, 8) == "--loads=") {
+      } else if (auto v8 = opt_value(arg, "--loads")) {
         loads.clear();
-        for (const auto& l : split_csv(value("--loads"))) {
-          char* end = nullptr;
-          const double x = std::strtod(l.c_str(), &end);
-          if (end == l.c_str() || *end != '\0') {
-            throw ConfigError("invalid load '" + l + "'");
-          }
-          loads.push_back(x);
+        for (const auto& l : split_csv(*v8)) {
+          loads.push_back(cli::parse_double(l, "--loads"));
         }
       } else if (arg == "--json") {
         json_path = "stability.json";
-      } else if (arg.substr(0, 7) == "--json=") {
-        json_path = value("--json");
+      } else if (auto v9 = opt_value(arg, "--json")) {
+        json_path = *v9;
       } else if (arg == "--csv") {
         csv = true;
       } else if (arg.substr(0, 7) == "--jobs=") {

@@ -40,13 +40,6 @@ struct RunnerHooks {
   std::function<bool()> drain;
   /// Overrides manifest.throttle_ms / fsync for in-process callers (bench).
   bool durable = true;
-  /// Work units run per lock-step batch (check::run_scenario_batch). A
-  /// runtime knob, not manifest identity: verdicts and repro files are
-  /// byte-identical at any width. Batches never span a grid point (its
-  /// CheckOptions are per-batch) or a planted unit. A crash mid-batch costs
-  /// one attempt for at most `batch` started-but-unfinished units, which
-  /// resume re-runs. 1 = the serial unit-at-a-time loop.
-  std::uint32_t batch = 8;
 };
 
 enum class ShardOutcome : std::uint8_t {

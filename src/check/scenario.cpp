@@ -161,7 +161,6 @@ sw::SwitchConfig Scenario::build_config() const {
   config.seed = seed;
   config.kernel = kernel;
   config.fast_forward = fast_forward;
-  config.specialize = specialize;
   config.validate();
   return config;
 }
@@ -635,187 +634,87 @@ void apply_engine_starve(Scenario& s, CheckOptions& opts) {
   opts.bug = PlantedBug::None;
 }
 
-/// One in-flight scenario: the rig, checker and monitor plumbing of
-/// run_scenario, advanced one run-loop iteration at a time so a batch can
-/// interleave many of them. Not movable once prepared (the checker holds
-/// the switch's address and the probe holds the tee's).
-struct ScenarioExec {
-  ScenarioRun rig;
-  std::unique_ptr<DifferentialChecker> checker;
+}  // namespace
+
+RunResult run_scenario(const Scenario& s, const CheckOptions& opts) {
+  Scenario sc = s;
+  CheckOptions o = opts;
+  apply_engine_starve(sc, o);
+  ScenarioRun rig = instantiate(sc);
+  DifferentialChecker checker(*rig.sim, o);
   RunResult result;
   std::unique_ptr<obs::FlightRecorder> recorder;
   std::unique_ptr<obs::ConformanceMonitor> monitor;
   obs::TeeSink tee;
-  Cycle end = 0;
-  bool done = false;
+  if (o.flight_recorder > 0) {
+    // Added first so the ring already holds the triggering event when a
+    // monitor callback captures the dump.
+    recorder = std::make_unique<obs::FlightRecorder>(o.flight_recorder);
+    tee.add(recorder.get());
+  }
+  if (o.monitor) {
+    obs::ConformanceConfig cfg = sw::make_conformance_config(
+        rig.sim->config(), rig.sim->workload(), o.monitor_window);
+    // Eq. (1) presumes the policer keeps GL arrivals inside the reserved
+    // envelope — only Stall enforces that (and the monitor's stall-skip
+    // removes the policer's own delays from the judged waits). GB share
+    // under CounterPolicy::None is not judged either: unbounded counters
+    // stop differentiating flows by design once they clamp.
+    // A matching engine bypasses the QoS arbiters entirely, so the
+    // GB-share and GL-latency guarantees the monitor judges do not apply.
+    cfg.check_gl = sc.gl_policing == core::GlPolicing::Stall &&
+                   sc.matching_engine == arb::MatchKind::None;
+    cfg.check_gb = sc.ssvc.policy != core::CounterPolicy::None &&
+                   sc.matching_engine == arb::MatchKind::None;
+    monitor = std::make_unique<obs::ConformanceMonitor>(std::move(cfg));
+    if (recorder != nullptr) {
+      obs::FlightRecorder* rec = recorder.get();
+      RunResult* res = &result;
+      monitor->set_on_violation([rec, res](const obs::Violation& v) {
+        if (res->flight_dump.empty()) {
+          res->flight_dump = rec->dump_string(
+              "violation:" + std::string(obs::to_string(v.kind)), v.cycle);
+        }
+      });
+      monitor->set_on_fault([rec, res](const obs::Event& e) {
+        if (res->flight_dump.empty()) {
+          res->flight_dump = rec->dump_string("fault", e.cycle);
+        }
+      });
+    }
+    tee.add(monitor.get());
+  }
+  if (tee.size() > 0) checker.probe().set_extra_sink(&tee);
 
-  void prepare(const Scenario& s, const CheckOptions& opts) {
-    rig = instantiate(s);
-    checker = std::make_unique<DifferentialChecker>(*rig.sim, opts);
-    if (opts.flight_recorder > 0) {
-      // Added first so the ring already holds the triggering event when a
-      // monitor callback captures the dump.
-      recorder = std::make_unique<obs::FlightRecorder>(opts.flight_recorder);
-      tee.add(recorder.get());
-    }
-    if (opts.monitor) {
-      obs::ConformanceConfig cfg = sw::make_conformance_config(
-          rig.sim->config(), rig.sim->workload(), opts.monitor_window);
-      // Eq. (1) presumes the policer keeps GL arrivals inside the reserved
-      // envelope — only Stall enforces that (and the monitor's stall-skip
-      // removes the policer's own delays from the judged waits). GB share
-      // under CounterPolicy::None is not judged either: unbounded counters
-      // stop differentiating flows by design once they clamp.
-      // A matching engine bypasses the QoS arbiters entirely, so the
-      // GB-share and GL-latency guarantees the monitor judges do not apply.
-      cfg.check_gl = s.gl_policing == core::GlPolicing::Stall &&
-                     s.matching_engine == arb::MatchKind::None;
-      cfg.check_gb = s.ssvc.policy != core::CounterPolicy::None &&
-                     s.matching_engine == arb::MatchKind::None;
-      monitor = std::make_unique<obs::ConformanceMonitor>(std::move(cfg));
-      if (recorder != nullptr) {
-        obs::FlightRecorder* rec = recorder.get();
-        RunResult* res = &result;
-        monitor->set_on_violation([rec, res](const obs::Violation& v) {
-          if (res->flight_dump.empty()) {
-            res->flight_dump = rec->dump_string(
-                "violation:" + std::string(obs::to_string(v.kind)), v.cycle);
-          }
-        });
-        monitor->set_on_fault([rec, res](const obs::Event& e) {
-          if (res->flight_dump.empty()) {
-            res->flight_dump = rec->dump_string("fault", e.cycle);
-          }
-        });
-      }
-      tee.add(monitor.get());
-    }
-    if (tee.size() > 0) checker->probe().set_extra_sink(&tee);
-    end = rig.sim->now() + s.cycles;
-  }
+  (void)checker.run(sc.cycles);
 
-  /// One iteration of the serial DifferentialChecker::run() loop. Returns
-  /// false once the horizon is reached or a divergence stopped the run.
-  bool round() {
-    if (done) return false;
-    sw::CrossbarSwitch& sim = *rig.sim;
-    if (sim.now() >= end) {
-      done = true;
-      return false;
-    }
-    if (!checker->divergence().has_value() && sim.fast_forward_eligible() &&
-        sim.quiescent()) {
-      const Cycle from = sim.now();
-      sim.fast_forward(end);
-      if (sim.now() > from) checker->on_fast_forward();
-      if (sim.now() >= end) {
-        done = true;
-        return false;
-      }
-    }
-    if (!checker->step()) {
-      done = true;
-      return false;
-    }
-    return true;
+  result.grants_checked = checker.grants_checked();
+  for (FlowId f = 0; f < rig.sim->workload().num_flows(); ++f) {
+    result.delivered += rig.sim->delivered_packets(f);
   }
-
-  void finish() {
-    result.grants_checked = checker->grants_checked();
-    for (FlowId f = 0; f < rig.sim->workload().num_flows(); ++f) {
-      result.delivered += rig.sim->delivered_packets(f);
-    }
-    if (monitor != nullptr) {
-      monitor->finalize(rig.sim->now());
-      result.violations_gb = monitor->violations(obs::ViolationKind::GbShare);
-      result.violations_gl =
-          monitor->violations(obs::ViolationKind::GlLatency);
-      result.violations_be =
-          monitor->violations(obs::ViolationKind::BeStarvation);
-      result.windows_checked = monitor->windows_total();
-    }
-    if (checker->divergence().has_value()) {
-      const Divergence& d = *checker->divergence();
-      result.failed = true;
-      result.fail_cycle = d.cycle;
-      result.output = d.output;
-      result.kind = d.kind;
-      result.detail = d.detail;
-      if (recorder != nullptr) {
-        // The divergence moment is THE incident; it supersedes any earlier
-        // violation/fault snapshot.
-        result.flight_dump =
-            recorder->dump_string("divergence:" + d.kind, d.cycle);
-      }
+  if (monitor != nullptr) {
+    monitor->finalize(rig.sim->now());
+    result.violations_gb = monitor->violations(obs::ViolationKind::GbShare);
+    result.violations_gl = monitor->violations(obs::ViolationKind::GlLatency);
+    result.violations_be =
+        monitor->violations(obs::ViolationKind::BeStarvation);
+    result.windows_checked = monitor->windows_total();
+  }
+  if (checker.divergence().has_value()) {
+    const Divergence& d = *checker.divergence();
+    result.failed = true;
+    result.fail_cycle = d.cycle;
+    result.output = d.output;
+    result.kind = d.kind;
+    result.detail = d.detail;
+    if (recorder != nullptr) {
+      // The divergence moment is THE incident; it supersedes any earlier
+      // violation/fault snapshot.
+      result.flight_dump =
+          recorder->dump_string("divergence:" + d.kind, d.cycle);
     }
   }
-};
-
-}  // namespace
-
-RunResult run_scenario(const Scenario& s, const CheckOptions& opts) {
-  Scenario run = s;
-  CheckOptions o = opts;
-  apply_engine_starve(run, o);
-  ScenarioExec exec;
-  exec.prepare(run, o);
-  while (exec.round()) {
-  }
-  exec.finish();
-  return std::move(exec.result);
-}
-
-std::vector<RunResult> run_scenario_batch(std::span<const Scenario> scenarios,
-                                          const CheckOptions& opts) {
-  const std::size_t n = scenarios.size();
-  // unique_ptr: a prepared exec is address-pinned (see ScenarioExec).
-  std::vector<std::unique_ptr<ScenarioExec>> execs;
-  execs.reserve(n);
-  for (const Scenario& s : scenarios) {
-    Scenario run = s;
-    CheckOptions o = opts;
-    apply_engine_starve(run, o);
-    execs.push_back(std::make_unique<ScenarioExec>());
-    execs.back()->prepare(run, o);
-  }
-  // Lock-step round-robin with fast-forward parking, exactly as
-  // sw::SwitchBatch schedules bare switches: each round advances the
-  // instances sitting at the batch-minimum clock; instances that jumped
-  // ahead park until the clock catches up. Each visit advances its instance
-  // by a stride of cycles, not a single step: instances share no state, so
-  // ANY interleaving granularity hands every instance the exact serial call
-  // sequence — a coarser grain just keeps the instance's working set hot in
-  // cache while the stride bound keeps the batch skew from growing without
-  // limit.
-  constexpr Cycle kStride = 256;
-  std::vector<std::size_t> hot;
-  for (std::size_t i = 0; i < n; ++i) hot.push_back(i);
-  while (!hot.empty()) {
-    Cycle clock = kNoCycle;
-    for (const std::size_t i : hot) {
-      if (execs[i]->rig.sim->now() < clock) clock = execs[i]->rig.sim->now();
-    }
-    const Cycle horizon = clock + kStride;
-    std::size_t w = 0;
-    for (const std::size_t i : hot) {
-      ScenarioExec& e = *execs[i];
-      if (e.rig.sim->now() > horizon) {
-        hot[w++] = i;  // parked (fast-forward jumped it ahead of the pack)
-        continue;
-      }
-      bool alive = true;
-      while (alive && e.rig.sim->now() <= horizon) alive = e.round();
-      if (alive) hot[w++] = i;
-    }
-    hot.resize(w);
-  }
-  std::vector<RunResult> results;
-  results.reserve(n);
-  for (auto& e : execs) {
-    e->finish();
-    results.push_back(std::move(e->result));
-  }
-  return results;
+  return result;
 }
 
 }  // namespace ssq::check

@@ -100,14 +100,6 @@ struct SwitchConfig {
   /// baseline mode, whose arbiters tick on_idle() every cycle.
   bool fast_forward = true;
 
-  /// Compile-time specialized step pipelines: select the step() loop
-  /// instantiation matching the attachment state {probe, fault/scrub, GSF}
-  /// once per attach instead of branching on the hook pointers every cycle.
-  /// Semantically identical — the determinism suites assert byte-identical
-  /// traces across both — so this is a performance knob (off = always run
-  /// the fully dynamic pipeline, mainly for differential testing).
-  bool specialize = true;
-
   ArbitrationMode mode = ArbitrationMode::SsvcQos;
   /// Baseline arbiter kind when mode == Baseline. Rate-parameterised kinds
   /// (WRR/DWRR/WFQ/VirtualClock) receive each output's GB reservations.

@@ -111,30 +111,6 @@ CrossbarSwitch::CrossbarSwitch(const SwitchConfig& config,
   // observable; every other per-cycle consumer participates in the
   // event-horizon protocol, so SSVC-mode configs are always eligible.
   ff_eligible_ = config_.fast_forward && config_.mode == ArbitrationMode::SsvcQos;
-  select_pipeline();
-}
-
-void CrossbarSwitch::select_pipeline() noexcept {
-  if (!config_.specialize) {
-    step_fn_ = &CrossbarSwitch::step_impl<DynPolicy>;
-    return;
-  }
-  // Index bits: probe | fault-or-scrub | gsf. The table pins all eight
-  // static instantiations (plus DynPolicy above) into this TU.
-  static constexpr void (CrossbarSwitch::*kPipelines[8])() = {
-      &CrossbarSwitch::step_impl<StaticPolicy<false, false, false>>,
-      &CrossbarSwitch::step_impl<StaticPolicy<false, false, true>>,
-      &CrossbarSwitch::step_impl<StaticPolicy<false, true, false>>,
-      &CrossbarSwitch::step_impl<StaticPolicy<false, true, true>>,
-      &CrossbarSwitch::step_impl<StaticPolicy<true, false, false>>,
-      &CrossbarSwitch::step_impl<StaticPolicy<true, false, true>>,
-      &CrossbarSwitch::step_impl<StaticPolicy<true, true, false>>,
-      &CrossbarSwitch::step_impl<StaticPolicy<true, true, true>>,
-  };
-  const unsigned idx = (obs_ != nullptr ? 4u : 0u) |
-                       ((fault_ != nullptr || scrub_ != nullptr) ? 2u : 0u) |
-                       (config_.gsf.enabled ? 1u : 0u);
-  step_fn_ = kPipelines[idx];
 }
 
 const InputPort& CrossbarSwitch::input(InputId i) const {
@@ -151,12 +127,10 @@ void CrossbarSwitch::attach_probe(obs::SwitchProbe* probe) {
     qos_[o]->set_probe(probe, o);
   }
   if (fault_ != nullptr) fault_->set_probe(probe);
-  select_pipeline();
 }
 
 void CrossbarSwitch::attach_fault_injector(fault::FaultInjector* injector) {
   fault_ = injector;
-  select_pipeline();
   if (injector == nullptr) return;
   std::vector<core::OutputQosArbiter*> arbs;
   arbs.reserve(qos_.size());
@@ -170,7 +144,6 @@ void CrossbarSwitch::attach_fault_injector(fault::FaultInjector* injector) {
 
 void CrossbarSwitch::attach_scrubber(fault::StateScrubber* scrubber) {
   scrub_ = scrubber;
-  select_pipeline();
   if (scrubber == nullptr) return;
   std::vector<core::OutputQosArbiter*> arbs;
   arbs.reserve(qos_.size());
@@ -272,7 +245,6 @@ std::size_t CrossbarSwitch::max_source_backlog(FlowId f) const {
   return max_backlog_[f];
 }
 
-template <class P>
 void CrossbarSwitch::inject_create() {
   // One lock-step trial for every banked Bernoulli stream; packets_at()
   // below reads the latched outcomes.
@@ -290,9 +262,9 @@ void CrossbarSwitch::inject_create() {
       p.cls = inj.spec().cls;
       p.length = inj.draw_length();
       p.created = now_;
-      if (obs::SwitchProbe* pr = p_probe<P>(); pr != nullptr) {
-        pr->packet_created(now_, f, p.id, p.src, p.dst, p.cls, p.length,
-                           source_q_[f].size() + 1);
+      if (obs_ != nullptr) {
+        obs_->packet_created(now_, f, p.id, p.src, p.dst, p.cls, p.length,
+                             source_q_[f].size() + 1);
       }
       source_q_[f].push_back(std::move(p));
       note_source_push(f, inj.spec().src);
@@ -307,12 +279,11 @@ void CrossbarSwitch::inject_create() {
   }
 }
 
-template <class P>
 void CrossbarSwitch::inject_admit() {
   // GSF frame bookkeeping: reset quotas at frame boundaries; injection of
   // regulated flows pauses during the barrier window.
   bool gsf_barrier = false;
-  if (p_gsf<P>()) {
+  if (config_.gsf.enabled) {
     if (now_ - gsf_frame_start_ >= config_.gsf.frame_cycles) {
       // Catch up whole frames — one in stepped runs, possibly many after a
       // fast-forward jump — keeping the boundary grid aligned to cycle 0.
@@ -334,7 +305,7 @@ void CrossbarSwitch::inject_admit() {
   // visited (admit_mask_); skipped inputs would fall straight through every
   // source_q_ empty-check, so the walk order (still ascending) and outcome
   // are unchanged.
-  fault::FaultInjector* const fi = p_fault<P>();
+  fault::FaultInjector* const fi = fault_;
   for (std::uint64_t mw = admit_mask_; mw != 0; mw &= mw - 1) {
     const auto i = static_cast<InputId>(std::countr_zero(mw));
     const auto& flows = input_flows_[i];
@@ -353,17 +324,17 @@ void CrossbarSwitch::inject_admit() {
         continue;  // GSF: out of frame quota, or inside the barrier window
       }
       if (!inputs_[i].can_accept(source_q_[f].front())) {
-        if (obs::SwitchProbe* pr = p_probe<P>(); pr != nullptr) {
+        if (obs_ != nullptr) {
           const Packet& blocked = source_q_[f].front();
-          pr->admit_blocked(now_, f, blocked.src, blocked.dst, blocked.cls,
-                            blocked.length);
+          obs_->admit_blocked(now_, f, blocked.src, blocked.dst, blocked.cls,
+                              blocked.length);
         }
         continue;
       }
-      if (obs::SwitchProbe* pr = p_probe<P>(); pr != nullptr) {
+      if (obs_ != nullptr) {
         const Packet& head = source_q_[f].front();
-        pr->packet_buffered(now_, f, head.id, head.src, head.dst, head.cls,
-                            head.length);
+        obs_->packet_buffered(now_, f, head.id, head.src, head.dst, head.cls,
+                              head.length);
       }
       inputs_[i].accept(std::move(source_q_[f].front()), now_);
       source_q_[f].pop_front();
@@ -375,7 +346,6 @@ void CrossbarSwitch::inject_admit() {
   }
 }
 
-template <class P>
 void CrossbarSwitch::transfer() {
   for (std::uint64_t w = active_out_; w != 0; w &= w - 1) {
     const auto o = static_cast<OutputId>(std::countr_zero(w));
@@ -384,11 +354,10 @@ void CrossbarSwitch::transfer() {
     SSQ_ENSURE(now_ <= t.last_flit);
     throughput_.record_flit(t.pkt.flow, now_);
     inputs_[t.pkt.src].drain_flit(t.pkt.cls, t.pkt.dst);
-    if (now_ == t.last_flit) complete<P>(t, o);
+    if (now_ == t.last_flit) complete(t, o);
   }
 }
 
-template <class P>
 void CrossbarSwitch::complete(Transmission& t, OutputId o) {
   t.pkt.delivered = now_;
   if (measuring_) {
@@ -400,11 +369,11 @@ void CrossbarSwitch::complete(Transmission& t, OutputId o) {
   ++delivered_[t.pkt.flow];
   SSQ_ENSURE(live_packets_ >= 1);
   --live_packets_;
-  if (obs::SwitchProbe* pr = p_probe<P>(); pr != nullptr) {
+  if (obs_ != nullptr) {
     const Cycle from =
         config_.latency_from_creation ? t.pkt.created : t.pkt.buffered;
-    pr->delivered(now_, t.pkt.src, o, t.pkt.cls, t.pkt.flow, t.pkt.id,
-                  t.pkt.length, now_ - from);
+    obs_->delivered(now_, t.pkt.src, o, t.pkt.cls, t.pkt.flow, t.pkt.id,
+                    t.pkt.length, now_ - from);
   }
 
   const InputId src = t.pkt.src;
@@ -419,8 +388,8 @@ void CrossbarSwitch::complete(Transmission& t, OutputId o) {
   // broken whenever any input holds a GL packet for this output.
   if (config_.packet_chaining) {
     // A dead port or crosspoint cannot chain either.
-    if (fault::FaultInjector* const fi = p_fault<P>();
-        fi != nullptr && (fi->port_dead(src) || !fi->link_alive(src, o))) {
+    if (fault_ != nullptr &&
+        (fault_->port_dead(src) || !fault_->link_alive(src, o))) {
       return;
     }
     for (InputId i = 0; i < config_.radix; ++i) {
@@ -454,11 +423,11 @@ void CrossbarSwitch::complete(Transmission& t, OutputId o) {
         pkt.granted = now_;
         if (measuring_) usage_[o].transfer_cycles += pkt.length;  // no arb
         qos_[o]->on_grant(src, cls, pkt.length, now_);
-        if (obs::SwitchProbe* pr = p_probe<P>(); pr != nullptr) {
-          pr->grant(now_, src, o, cls, pkt.flow, pkt.id, pkt.length,
-                    now_ - pkt.buffered, /*chained=*/true);
-          pr->transfer_start(now_ + 1, src, o, cls, pkt.flow, pkt.id,
-                             pkt.length);
+        if (obs_ != nullptr) {
+          obs_->grant(now_, src, o, cls, pkt.flow, pkt.id, pkt.length,
+                      now_ - pkt.buffered, /*chained=*/true);
+          obs_->transfer_start(now_ + 1, src, o, cls, pkt.flow, pkt.id,
+                               pkt.length);
         }
         start_transmission(std::move(pkt), o, now_ + 1);
         if (cls == TrafficClass::GuaranteedBandwidth) {
@@ -502,7 +471,6 @@ void CrossbarSwitch::start_transmission(Packet&& pkt, OutputId o,
   active_out_ |= 1ULL << o;
 }
 
-template <class P>
 void CrossbarSwitch::select_requests(
     std::vector<PendingRequest>& pending) const {
   pending.assign(inputs_.size(), PendingRequest{});
@@ -513,7 +481,7 @@ void CrossbarSwitch::select_requests(
   for (std::size_t o = 0; o < output_free_at_.size(); ++o) {
     if (output_free_at_[o] <= now_) idle |= 1ULL << o;
   }
-  fault::FaultInjector* const fi = p_fault<P>();
+  fault::FaultInjector* const fi = fault_;
   for (InputId i = 0; i < inputs_.size(); ++i) {
     const auto& port = inputs_[i];
     if (port.busy(now_)) continue;
@@ -561,14 +529,13 @@ void CrossbarSwitch::select_requests(
   }
 }
 
-template <class P>
 void CrossbarSwitch::arbitrate() {
   StepScratch& s = scratch_;
-  select_requests<P>(s.pending);
-  if (obs::SwitchProbe* pr = p_probe<P>(); pr != nullptr) {
+  select_requests(s.pending);
+  if (obs_ != nullptr) {
     for (InputId i = 0; i < s.pending.size(); ++i) {
       if (s.pending[i].out != kNoPort) {
-        pr->request(now_, i, s.pending[i].out, s.pending[i].cls);
+        obs_->request(now_, i, s.pending[i].out, s.pending[i].cls);
       }
     }
   }
@@ -576,7 +543,7 @@ void CrossbarSwitch::arbitrate() {
   const std::uint32_t radix = config_.radix;
   const bool ssvc = config_.mode == ArbitrationMode::SsvcQos;
   if (ssvc && config_.kernel != core::ArbKernel::Scalar) {
-    arbitrate_masked<P>();
+    arbitrate_masked();
     return;
   }
 
@@ -648,11 +615,10 @@ void CrossbarSwitch::arbitrate() {
       arbiter.on_grant(winner, s.pending[winner].length, now_);
     }
 
-    commit_grant<P>(winner, o, win_cls);
+    commit_grant(winner, o, win_cls);
   }
 }
 
-template <class P>
 void CrossbarSwitch::arbitrate_masked() {
   // Bit-sliced single-request allocation: one O(radix) pass packs every
   // asserted request into per-output class masks, and each live output
@@ -691,11 +657,10 @@ void CrossbarSwitch::arbitrate_masked() {
     const TrafficClass win_cls = arbiter.picked_class();
     SSQ_ENSURE(win_cls == s.pending[winner].cls);
     arbiter.on_grant(winner, win_cls, s.pending[winner].length, now_);
-    commit_grant<P>(winner, o, win_cls);
+    commit_grant(winner, o, win_cls);
   }
 }
 
-template <class P>
 void CrossbarSwitch::commit_grant(InputId winner, OutputId o,
                                   TrafficClass cls) {
   Packet pkt = pop_for(winner, cls, o);
@@ -704,11 +669,11 @@ void CrossbarSwitch::commit_grant(InputId winner, OutputId o,
     usage_[o].arbitration_cycles += config_.arbitration_cycles;
     usage_[o].transfer_cycles += pkt.length;
   }
-  if (obs::SwitchProbe* pr = p_probe<P>(); pr != nullptr) {
-    pr->grant(now_, winner, o, cls, pkt.flow, pkt.id, pkt.length,
-              now_ - pkt.buffered, /*chained=*/false);
-    pr->transfer_start(now_ + config_.arbitration_cycles, winner, o, cls,
-                       pkt.flow, pkt.id, pkt.length);
+  if (obs_ != nullptr) {
+    obs_->grant(now_, winner, o, cls, pkt.flow, pkt.id, pkt.length,
+                now_ - pkt.buffered, /*chained=*/false);
+    obs_->transfer_start(now_ + config_.arbitration_cycles, winner, o, cls,
+                         pkt.flow, pkt.id, pkt.length);
   }
   // Arbitration occupies arbitration_cycles (1 for SSVC, 2 for the legacy
   // 4-level design [14]); flits flow once it completes.
@@ -726,7 +691,6 @@ const Packet* CrossbarSwitch::candidate_for(InputId i, OutputId o) const {
   return nullptr;
 }
 
-template <class P>
 void CrossbarSwitch::arbitrate_matched() {
   // iSLIP-style request/grant/accept over the idle ports. Every iteration:
   // each unmatched idle output runs its (QoS or baseline) arbitration over
@@ -744,7 +708,7 @@ void CrossbarSwitch::arbitrate_matched() {
   for (OutputId o = 0; o < radix; ++o) {
     if (!output_idle(o)) out_done |= 1ULL << o;
   }
-  fault::FaultInjector* const fi = p_fault<P>();
+  fault::FaultInjector* const fi = fault_;
   for (InputId i = 0; i < radix; ++i) {
     if (inputs_[i].busy(now_)) in_matched |= 1ULL << i;
     if (fi != nullptr && fi->port_dead(i)) in_matched |= 1ULL << i;
@@ -768,8 +732,8 @@ void CrossbarSwitch::arbitrate_matched() {
         if (h == nullptr) continue;
         // Matched mode exposes every ready head; report each (input, output)
         // candidacy once, on the first matching round.
-        if (obs::SwitchProbe* pr = p_probe<P>(); iter == 0 && pr != nullptr) {
-          pr->request(now_, i, o, h->cls);
+        if (iter == 0 && obs_ != nullptr) {
+          obs_->request(now_, i, o, h->cls);
         }
         if (config_.mode == ArbitrationMode::SsvcQos) {
           qos_reqs.push_back({i, h->cls, h->length});
@@ -831,7 +795,7 @@ void CrossbarSwitch::arbitrate_matched() {
         SSQ_ENSURE(confirm == i);
         baseline_[best]->on_grant(i, length, now_);
       }
-      commit_grant<P>(i, best, cls);
+      commit_grant(i, best, cls);
       in_matched |= 1ULL << i;
       out_done |= 1ULL << best;
       accept_out_ptr_[i] = (best + 1) % radix;
@@ -839,7 +803,6 @@ void CrossbarSwitch::arbitrate_matched() {
   }
 }
 
-template <class P>
 void CrossbarSwitch::arbitrate_engine() {
   // Matching-engine allocation: build the switch-wide eligibility/backlog
   // view once, hand it to the engine, commit the returned partial
@@ -855,7 +818,7 @@ void CrossbarSwitch::arbitrate_engine() {
   }
 
   bool any_candidate = false;
-  fault::FaultInjector* const fi = p_fault<P>();
+  fault::FaultInjector* const fi = fault_;
   for (InputId i = 0; i < radix; ++i) {
     const InputPort& port = inputs_[i];
     std::uint64_t cand = 0;
@@ -892,12 +855,12 @@ void CrossbarSwitch::arbitrate_engine() {
       }
       s.eng_voq[static_cast<std::size_t>(i) * radix + o] = backlog;
     }
-    if (obs::SwitchProbe* pr = p_probe<P>(); pr != nullptr) {
+    if (obs_ != nullptr) {
       for (std::uint64_t w = elig; w != 0; w &= w - 1) {
         const auto o = static_cast<OutputId>(std::countr_zero(w));
         const Packet* h = candidate_for(i, o);
         SSQ_ENSURE(h != nullptr);
-        pr->request(now_, i, o, h->cls);
+        obs_->request(now_, i, o, h->cls);
       }
     }
   }
@@ -927,35 +890,30 @@ void CrossbarSwitch::arbitrate_engine() {
     in_used |= 1ULL << i;
     const Packet* h = candidate_for(i, o);
     SSQ_ENSURE(h != nullptr);
-    commit_grant<P>(i, o, h->cls);
+    commit_grant(i, o, h->cls);
     ++engine_stats_.matches;
   }
 }
 
-template <class P>
-void CrossbarSwitch::step_impl() {
-  if (fault::FaultInjector* const fi = p_fault<P>(); fi != nullptr) {
-    fi->on_cycle(now_);
-  }
-  if (fault::StateScrubber* const sc = p_scrub<P>(); sc != nullptr) {
-    sc->on_cycle(now_);
-  }
+void CrossbarSwitch::step() {
+  if (fault_ != nullptr) fault_->on_cycle(now_);
+  if (scrub_ != nullptr) scrub_->on_cycle(now_);
   if (create_pending_) {
     create_pending_ = false;  // fast_forward() already created at now_
   } else {
-    inject_create<P>();
+    inject_create();
   }
-  inject_admit<P>();
-  transfer<P>();
+  inject_admit();
+  transfer();
   if (config_.pvc.preemption) preempt_scan();
   if (config_.allocation == AllocationMode::IterativeMatching) {
     if (engine_ != nullptr) {
-      arbitrate_engine<P>();
+      arbitrate_engine();
     } else {
-      arbitrate_matched<P>();
+      arbitrate_matched();
     }
   } else {
-    arbitrate<P>();
+    arbitrate();
   }
   ++now_;
 }
@@ -1010,7 +968,7 @@ void CrossbarSwitch::fast_forward(Cycle end) {
       break;
     }
     // Only injector work is due at now_: run creation alone.
-    inject_create<DynPolicy>();
+    inject_create();
     if (live_packets_ != 0) {
       // Created at now_ — the next step() admits and arbitrates this same
       // cycle, skipping its own (already run) creation pass.

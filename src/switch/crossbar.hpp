@@ -54,9 +54,8 @@ class CrossbarSwitch {
  public:
   CrossbarSwitch(const SwitchConfig& config, traffic::Workload workload);
 
-  /// Advances one cycle, through the pipeline selected for the current
-  /// attachment state (see select_pipeline()).
-  void step() { (this->*step_fn_)(); }
+  /// Advances one cycle.
+  void step();
 
   /// Advances `cycles` cycles. When fast_forward_eligible() and the switch
   /// is quiescent, idle stretches are skipped (exactly — see
@@ -204,100 +203,26 @@ class CrossbarSwitch {
     std::uint32_t granted_level = 0;  // PVC level at grant time
   };
 
-  // ---- compile-time specialized step pipelines ----
-  // The per-cycle hooks sprinkled through the pipeline (probe, fault
-  // injector + scrubber, GSF frame bookkeeping) are selected once per
-  // attachment change instead of branched on every cycle: the whole step
-  // pipeline is a member template over a policy whose constexpr flags fold
-  // detached hooks away entirely. DynPolicy keeps every runtime check (the
-  // pre-refactor behaviour; also what config.specialize = false forces);
-  // StaticPolicy<false, false, false> is the common detached configuration
-  // with zero hook branches. select_pipeline() maps the current attachment
-  // state to one of the nine instantiations via step_fn_.
-  struct DynPolicy {
-    static constexpr bool kDyn = true;
-    static constexpr bool kProbe = true;
-    static constexpr bool kFaultScrub = true;
-    static constexpr bool kGsf = true;
-  };
-  template <bool Probe, bool FaultScrub, bool Gsf>
-  struct StaticPolicy {
-    static constexpr bool kDyn = false;
-    static constexpr bool kProbe = Probe;
-    static constexpr bool kFaultScrub = FaultScrub;
-    static constexpr bool kGsf = Gsf;
-  };
-  // Policy accessors: a false static flag folds to a compile-time constant
-  // (hook code eliminated); a true flag keeps the runtime pointer check so
-  // one FaultScrub flag covers injector-only / scrubber-only attachments.
-  template <class P>
-  [[nodiscard]] obs::SwitchProbe* p_probe() const noexcept {
-    if constexpr (!P::kDyn && !P::kProbe) {
-      return nullptr;
-    } else {
-      return obs_;
-    }
-  }
-  template <class P>
-  [[nodiscard]] fault::FaultInjector* p_fault() const noexcept {
-    if constexpr (!P::kDyn && !P::kFaultScrub) {
-      return nullptr;
-    } else {
-      return fault_;
-    }
-  }
-  template <class P>
-  [[nodiscard]] fault::StateScrubber* p_scrub() const noexcept {
-    if constexpr (!P::kDyn && !P::kFaultScrub) {
-      return nullptr;
-    } else {
-      return scrub_;
-    }
-  }
-  template <class P>
-  [[nodiscard]] bool p_gsf() const noexcept {
-    if constexpr (P::kDyn) {
-      return config_.gsf.enabled;
-    } else {
-      return P::kGsf;
-    }
-  }
-  /// Recomputes step_fn_ from config.specialize and the attachment state.
-  /// Called at construction and from every attach_*().
-  void select_pipeline() noexcept;
-
-  template <class P>
-  void step_impl();
   /// Packet creation into source queues (injector RNG rolls live here).
-  template <class P>
   void inject_create();
   /// GSF bookkeeping + per-input admission of created packets into buffers.
-  template <class P>
   void inject_admit();
-  template <class P>
   void transfer();
-  template <class P>
   void select_requests(std::vector<PendingRequest>& pending) const;
-  template <class P>
   void arbitrate();
   /// SSVC + bit-sliced kernel: per-output packed request masks straight to
   /// pick_masked(), skipping the counting sort.
-  template <class P>
   void arbitrate_masked();
-  template <class P>
   void arbitrate_matched();
   /// Matching-engine allocation (config.engine != None): build the
   /// eligibility/backlog view, let the engine compute a matching, commit it.
-  template <class P>
   void arbitrate_engine();
   void preempt_scan();
   /// Pops the winner's packet, charges usage, seizes the channel.
-  template <class P>
   void commit_grant(InputId winner, OutputId o, TrafficClass cls);
   /// Highest-priority ready head of input i for output o, or nullptr.
   [[nodiscard]] const Packet* candidate_for(InputId i, OutputId o) const;
   void start_transmission(Packet&& pkt, OutputId o, Cycle first_flit);
-  template <class P>
   void complete(Transmission& t, OutputId o);
   Packet pop_for(InputId i, TrafficClass cls, OutputId o);
 
@@ -331,11 +256,9 @@ class CrossbarSwitch {
   std::uint64_t ff_skipped_cycles_ = 0;
   std::uint64_t ff_idle_stepped_cycles_ = 0;
   // Eligibility depends only on the (immutable) config; computed once in
-  // the constructor so run loops and SwitchBatch read one flag per run
-  // instead of re-deriving it per iteration.
+  // the constructor so run loops read one flag instead of re-deriving it
+  // per iteration.
   bool ff_eligible_ = false;
-  // The step pipeline selected for the current attachment state.
-  void (CrossbarSwitch::*step_fn_)() = nullptr;
 
   std::vector<InputPort> inputs_;
   std::vector<Cycle> output_free_at_;

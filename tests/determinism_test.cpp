@@ -128,11 +128,9 @@ TEST(Determinism, GoldenTraceMatchesItselfAndDiffersAcrossSeeds) {
 /// Like jsonl_trace() but drives the switch through run(), the only entry
 /// point where fast-forward engages. Reports the cycles actually skipped.
 std::string jsonl_trace_run(Scenario s, core::ArbKernel kernel,
-                            bool fast_forward, Cycle* skipped = nullptr,
-                            bool specialize = true) {
+                            bool fast_forward, Cycle* skipped = nullptr) {
   s.kernel = kernel;
   s.fast_forward = fast_forward;
-  s.specialize = specialize;
   ScenarioRun rig = instantiate(s);
   std::ostringstream out;
   obs::JsonlSink sink(out);
@@ -161,19 +159,11 @@ void expect_trace_invariant(const Scenario& base) {
           << " fast_forward=" << ff;
     }
   }
-  // The fully dynamic step pipeline (specialize=false) against the same
-  // reference: the compile-time specialized pipelines above and the generic
-  // one must be indistinguishable event for event.
-  for (const bool ff : {false, true}) {
-    EXPECT_EQ(ref, jsonl_trace_run(base, core::ArbKernel::Bitsliced, ff,
-                                   nullptr, /*specialize=*/false))
-        << base.name << " generic pipeline fast_forward=" << ff;
-  }
 }
 
 /// sim_scenario() under GSF source regulation: the frame/barrier/quota
-/// bookkeeping must survive kernel swaps, fast-forward's retroactive frame
-/// catch-up, and both step pipelines.
+/// bookkeeping must survive kernel swaps and fast-forward's retroactive
+/// frame catch-up.
 Scenario gsf_scenario() {
   Scenario s = sim_scenario();
   s.name = "determinism-gsf";
@@ -275,7 +265,7 @@ TEST(KernelInvariance, FastForwardEngagesOnFaultedSparseScenario) {
   // fast-forward this configuration was flatly ineligible; now the clock
   // must genuinely jump between the plan's events (skipped > 0) while the
   // trace — faults, repairs and quarantines included — stays byte-identical
-  // to the fully stepped run, on both step pipelines.
+  // to the fully stepped run.
   Scenario s = sparse_scenario();
   s.name = "determinism-faulted-sparse";
   s.cycles = 6000;
@@ -290,15 +280,12 @@ TEST(KernelInvariance, FastForwardEngagesOnFaultedSparseScenario) {
   const std::string ref = jsonl_trace(stepped);
   EXPECT_NE(ref.find("\"fault\""), std::string::npos)
       << "no faults fired — the invariance check is vacuous";
-  for (const bool specialize : {false, true}) {
-    Cycle skipped = 0;
-    const std::string ff_trace = jsonl_trace_run(
-        s, core::ArbKernel::Bitsliced, true, &skipped, specialize);
-    EXPECT_GT(skipped, 0u)
-        << "fast-forward never engaged on the faulted sparse scenario "
-           "(specialize=" << specialize << ")";
-    EXPECT_EQ(ref, ff_trace) << "specialize=" << specialize;
-  }
+  Cycle skipped = 0;
+  const std::string ff_trace =
+      jsonl_trace_run(s, core::ArbKernel::Bitsliced, true, &skipped);
+  EXPECT_GT(skipped, 0u)
+      << "fast-forward never engaged on the faulted sparse scenario";
+  EXPECT_EQ(ref, ff_trace);
   Cycle noff_skipped = 0;
   EXPECT_EQ(ref, jsonl_trace_run(s, core::ArbKernel::Bitsliced, false,
                                  &noff_skipped));
@@ -310,7 +297,7 @@ TEST(KernelInvariance, FastForwardEngagesUnderConformanceMonitor) {
   // (the --monitor plane): the monitor's on_clock_jump coalesces whole
   // skipped windows, so fast-forward stays engaged and every verdict —
   // window counts, violation counts, the full event trace — matches the
-  // stepped run on both pipelines.
+  // stepped run.
   const Scenario base = sparse_scenario();
   struct MonRun {
     std::string trace;
@@ -318,10 +305,9 @@ TEST(KernelInvariance, FastForwardEngagesUnderConformanceMonitor) {
     std::uint64_t violations = 0;
     Cycle skipped = 0;
   };
-  const auto run_monitored = [&](bool ff, bool specialize) {
+  const auto run_monitored = [&](bool ff) {
     Scenario v = base;
     v.fast_forward = ff;
-    v.specialize = specialize;
     ScenarioRun rig = instantiate(v);
     std::ostringstream out;
     obs::JsonlSink sink(out);
@@ -345,18 +331,14 @@ TEST(KernelInvariance, FastForwardEngagesUnderConformanceMonitor) {
     r.skipped = rig.sim->ff_skipped_cycles();
     return r;
   };
-  const MonRun ref = run_monitored(false, true);
+  const MonRun ref = run_monitored(false);
   ASSERT_GT(ref.windows, 0u) << "monitor judged no windows — vacuous";
   EXPECT_EQ(ref.skipped, 0u);
-  for (const bool specialize : {false, true}) {
-    const MonRun ff = run_monitored(true, specialize);
-    EXPECT_GT(ff.skipped, 0u)
-        << "fast-forward never engaged under the monitor (specialize="
-        << specialize << ")";
-    EXPECT_EQ(ref.trace, ff.trace) << "specialize=" << specialize;
-    EXPECT_EQ(ref.windows, ff.windows) << "specialize=" << specialize;
-    EXPECT_EQ(ref.violations, ff.violations) << "specialize=" << specialize;
-  }
+  const MonRun ff = run_monitored(true);
+  EXPECT_GT(ff.skipped, 0u) << "fast-forward never engaged under the monitor";
+  EXPECT_EQ(ref.trace, ff.trace);
+  EXPECT_EQ(ref.windows, ff.windows);
+  EXPECT_EQ(ref.violations, ff.violations);
 }
 
 // -- Determinism under parallelism -----------------------------------------
@@ -383,13 +365,12 @@ struct Verdict {
 std::vector<Verdict> run_campaign(
     unsigned threads, std::uint64_t count, std::uint64_t base_seed,
     core::ArbKernel kernel = core::ArbKernel::Bitsliced,
-    bool fast_forward = true, bool specialize = true, bool monitor = false) {
+    bool fast_forward = true, bool monitor = false) {
   exec::ThreadPool pool(threads);
   return exec::run_batch<Verdict>(pool, count, [&](std::size_t i) {
     Scenario s = generate_scenario(i, base_seed);
     s.kernel = kernel;
     s.fast_forward = fast_forward;
-    s.specialize = specialize;
     CheckOptions opts;
     opts.monitor = monitor;
     const RunResult r = run_scenario(s, opts);
@@ -438,36 +419,20 @@ TEST(DeterminismParallel, HundredScenarioCampaignIdenticalAcrossKernelAndFF) {
   }
 }
 
-TEST(DeterminismParallel, TwoHundredScenarioCampaignIdenticalAcrossPipelines) {
-  // {generic, specialized} step pipelines × {fast-forward, fully stepped},
-  // with the conformance monitor attached to every scenario: the verdicts —
-  // failure sites, grant and delivery counts, judged windows, violation
-  // totals — must agree scenario for scenario across all four executions.
-  const auto spec_ff =
-      run_campaign(4, 200, 424242, core::ArbKernel::Bitsliced,
-                   /*fast_forward=*/true, /*specialize=*/true, /*monitor=*/true);
-  const auto spec_noff =
-      run_campaign(4, 200, 424242, core::ArbKernel::Bitsliced,
-                   /*fast_forward=*/false, /*specialize=*/true,
-                   /*monitor=*/true);
-  const auto dyn_ff =
-      run_campaign(4, 200, 424242, core::ArbKernel::Bitsliced,
-                   /*fast_forward=*/true, /*specialize=*/false,
-                   /*monitor=*/true);
-  const auto dyn_noff =
-      run_campaign(4, 200, 424242, core::ArbKernel::Bitsliced,
-                   /*fast_forward=*/false, /*specialize=*/false,
-                   /*monitor=*/true);
-  ASSERT_EQ(spec_ff.size(), 200u);
+TEST(DeterminismParallel, TwoHundredMonitoredScenarioCampaignIdenticalAcrossFF) {
+  // Fast-forward vs fully stepped with the conformance monitor attached to
+  // every scenario: the verdicts — failure sites, grant and delivery counts,
+  // judged windows, violation totals — must agree scenario for scenario.
+  const auto ff = run_campaign(4, 200, 424242, core::ArbKernel::Bitsliced,
+                               /*fast_forward=*/true, /*monitor=*/true);
+  const auto noff = run_campaign(4, 200, 424242, core::ArbKernel::Bitsliced,
+                                 /*fast_forward=*/false, /*monitor=*/true);
+  ASSERT_EQ(ff.size(), 200u);
   std::uint64_t windows = 0;
-  for (std::size_t i = 0; i < spec_ff.size(); ++i) {
-    EXPECT_EQ(spec_ff[i], spec_noff[i]) << "scenario " << i << " (ff vs noff)";
-    EXPECT_EQ(spec_ff[i], dyn_ff[i]) << "scenario " << i << " (generic ff)";
-    EXPECT_EQ(spec_ff[i], dyn_noff[i]) << "scenario " << i
-                                       << " (generic noff)";
-    EXPECT_FALSE(spec_ff[i].failed)
-        << "scenario " << i << ": " << spec_ff[i].kind;
-    windows += spec_ff[i].windows_checked;
+  for (std::size_t i = 0; i < ff.size(); ++i) {
+    EXPECT_EQ(ff[i], noff[i]) << "scenario " << i;
+    EXPECT_FALSE(ff[i].failed) << "scenario " << i << ": " << ff[i].kind;
+    windows += ff[i].windows_checked;
   }
   EXPECT_GT(windows, 0u) << "no conformance windows judged — the monitored "
                             "leg of this sweep is vacuous";

@@ -107,10 +107,9 @@ TEST(Golden, TracesReplayByteExactly) {
 }
 
 TEST(Golden, TracesInvariantAcrossKernelAndFastForward) {
-  // The committed traces are the ground truth for ALL arbitration kernels,
-  // for idle-cycle fast-forward on/off, AND for both step pipelines
-  // (compile-time specialized vs fully dynamic): a bug in any of them that
-  // shifts a single grant or event timestamp shows up as a corpus diff.
+  // The committed traces are the ground truth for ALL arbitration kernels
+  // AND for idle-cycle fast-forward on/off: a bug in any of them that shifts
+  // a single grant or event timestamp shows up as a corpus diff.
   for (const auto& file : corpus()) {
     Scenario s = load_scenario(file.string());
     fs::path trace_file = file;
@@ -120,14 +119,11 @@ TEST(Golden, TracesInvariantAcrossKernelAndFastForward) {
          {core::ArbKernel::Scalar, core::ArbKernel::Bitsliced,
           core::ArbKernel::Simd}) {
       for (const bool ff : {false, true}) {
-        for (const bool specialize : {false, true}) {
-          s.kernel = kernel;
-          s.fast_forward = ff;
-          s.specialize = specialize;
-          EXPECT_EQ(golden_trace(s), expected)
-              << s.name << " kernel=" << core::to_string(kernel)
-              << " fast_forward=" << ff << " specialize=" << specialize;
-        }
+        s.kernel = kernel;
+        s.fast_forward = ff;
+        EXPECT_EQ(golden_trace(s), expected)
+            << s.name << " kernel=" << core::to_string(kernel)
+            << " fast_forward=" << ff;
       }
     }
   }

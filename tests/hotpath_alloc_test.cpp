@@ -176,6 +176,17 @@ TEST(HotPathAllocations, SsvcSingleRequestRadix8IsAllocationFree) {
   expect_zero_alloc_steady_state(base_config(8), "ssvc/single radix 8");
 }
 
+TEST(HotPathAllocations, SsvcGsfRadix64IsAllocationFree) {
+  // GSF frame bookkeeping runs inside the shared step pipeline. Each GB
+  // flow's quota is 1 packet per 128-cycle frame against ~0.35 offered, so
+  // the regulated source queues stay bounded.
+  auto config = base_config(64);
+  config.gsf.enabled = true;
+  config.gsf.frame_cycles = 128;
+  config.gsf.barrier_cycles = 8;
+  expect_zero_alloc_steady_state(config, "ssvc/gsf radix 64");
+}
+
 TEST(HotPathAllocations, IterativeMatchingIsAllocationFree) {
   auto config = base_config(16);
   config.allocation = sw::AllocationMode::IterativeMatching;

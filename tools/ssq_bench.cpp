@@ -18,13 +18,12 @@
 //   * iSLIP matching throughput on the stability-lab cell model (radix 64,
 //     0.9 uniform load) — the hot loop behind bench/stability_lab,
 //   * fuzz-campaign scenario throughput at 1 thread (plain and with the
-//     QoS conformance monitor attached to every scenario), through the
-//     lock-step batch plane (check::run_scenario_batch at width 8), and at
-//     --jobs threads (the parallel point is skipped honestly on single-CPU
-//     hosts),
-//   * the same serial campaign run through the ssq_campaign shard runner
-//     with its checkpoint journal attached — the per-scenario cost of
-//     crash-safe resume (docs/CAMPAIGN.md), gated like any throughput.
+//     QoS conformance monitor attached to every scenario) and at --jobs
+//     threads (the parallel point is skipped honestly on single-CPU hosts),
+//   * the same serial campaign run through the ssq_campaign shard runner,
+//     one unit at a time with its checkpoint journal attached (fsync off) —
+//     the per-scenario cost of crash-safe resume (docs/CAMPAIGN.md), gated
+//     like any throughput.
 //
 // `--check[=PATH]` re-reads a committed baseline report and fails (exit 1)
 // if any throughput metric regressed by more than --tolerance (default
@@ -39,7 +38,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -74,6 +72,8 @@
 #include "switch/observe.hpp"
 #include "traffic/workload.hpp"
 
+#include "cli.hpp"
+
 namespace {
 
 using namespace ssq;
@@ -103,23 +103,9 @@ Measures the hot-path metrics gated in CI and writes BENCH_hotpath.json.
   --help              print this message and exit
 )";
 
-std::optional<std::string> opt_value(std::string_view arg,
-                                     std::string_view key) {
-  if (arg.substr(0, key.size()) != key) return std::nullopt;
-  if (arg.size() == key.size()) return std::string{};
-  if (arg[key.size()] != '=') return std::nullopt;
-  return std::string(arg.substr(key.size() + 1));
-}
-
-std::uint64_t parse_u64(const std::string& value, std::string_view option) {
-  char* end = nullptr;
-  const std::uint64_t x = std::strtoull(value.c_str(), &end, 10);
-  if (value.empty() || end != value.c_str() + value.size()) {
-    throw ConfigError("invalid value '" + value + "' for " +
-                      std::string(option) + " (expected an unsigned integer)");
-  }
-  return x;
-}
+using cli::opt_value;
+using cli::parse_double;
+using cli::parse_uint;
 
 /// The measurement configuration: the paper's SSVC parameters at the
 /// radix-64 bus budget (4 GB lanes), hotspot reservations on output 0 plus
@@ -333,12 +319,12 @@ double measure_matchings(Cycle cycles) {
   return best;
 }
 
-/// Same scenario set as measure_campaign, but run through the campaign
-/// service's shard runner with its checkpoint journal attached (one start +
-/// one done record per scenario, encode + CRC + flush; fsync off, since
-/// fsync latency is storage noise, not code cost). The gap vs the plain
-/// 1-thread point is the per-scenario resume-ability tax — what a
-/// `ssq_campaign` run pays over `ssq_fuzz` for being `kill -9`-proof.
+/// Same scenario set as measure_campaign, but run serially through the
+/// campaign service's shard runner with its checkpoint journal attached
+/// (one start + one done record per scenario, encode + CRC + flush; fsync
+/// off, since fsync latency is storage noise, not code cost). The gap vs
+/// the plain 1-thread point is the per-scenario resume-ability tax — what
+/// a `ssq_campaign` run pays over `ssq_fuzz` for being `kill -9`-proof.
 double measure_campaign_ckpt(std::uint64_t scenarios) {
   namespace fs = std::filesystem;
   campaign::Manifest m;
@@ -362,31 +348,6 @@ double measure_campaign_ckpt(std::uint64_t scenarios) {
   if (outcome != campaign::ShardOutcome::Completed) {
     throw ConfigError("checkpointed campaign shard did not complete");
   }
-  return static_cast<double>(scenarios) /
-         std::chrono::duration<double>(t1 - t0).count();
-}
-
-/// Same scenario set, run in lock-step blocks of `width` through the SoA
-/// batch plane (check::run_scenario_batch) — the throughput `ssq_fuzz
-/// --batch` and the batched shard runner see. Verdict-identical to the
-/// serial point by construction; only wall clock differs.
-double measure_campaign_batched(std::uint64_t scenarios, std::uint64_t width) {
-  check::CheckOptions opts;
-  std::vector<check::Scenario> block;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t start = 0; start < scenarios; start += width) {
-    const std::uint64_t count = std::min(width, scenarios - start);
-    block.clear();
-    for (std::uint64_t k = 0; k < count; ++k) {
-      block.push_back(check::generate_scenario(start + k, 1));
-    }
-    const std::vector<check::RunResult> results =
-        check::run_scenario_batch(block, opts);
-    for (const check::RunResult& r : results) {
-      if (r.failed) throw ConfigError("campaign scenario failed: " + r.kind);
-    }
-  }
-  const auto t1 = std::chrono::steady_clock::now();
   return static_cast<double>(scenarios) /
          std::chrono::duration<double>(t1 - t0).count();
 }
@@ -483,11 +444,16 @@ std::vector<std::pair<std::string, double>> read_metrics(
     if (q1 == std::string::npos || q1 >= end) break;
     const std::size_t colon = text.find(':', q1);
     if (colon == std::string::npos || colon >= end) break;
-    out.emplace_back(text.substr(q0 + 1, q1 - q0 - 1),
-                     std::strtod(text.c_str() + colon + 1, nullptr));
-    pos = text.find(',', colon);
-    if (pos == std::string::npos) break;
-    ++pos;
+    std::size_t stop = text.find(',', colon);
+    if (stop == std::string::npos || stop > end) stop = end;
+    std::string name = text.substr(q0 + 1, q1 - q0 - 1);
+    // Strict: a value that does not parse must fail the check, not read as
+    // 0 and disarm that metric's gate.
+    const double value = parse_double(
+        std::string_view(text).substr(colon + 1, stop - colon - 1),
+        "baseline metric '" + name + "' in '" + path + "'");
+    out.emplace_back(std::move(name), value);
+    pos = stop + 1;
   }
   return out;
 }
@@ -532,13 +498,13 @@ int main(int argc, char** argv) {
         std::cout << kHelp;
         return 0;
       } else if (auto v = opt_value(arg, "--cycles")) {
-        cycles = parse_u64(*v, "--cycles");
+        cycles = parse_uint<std::uint64_t>(*v, "--cycles");
         if (cycles == 0) throw ConfigError("--cycles must be positive");
       } else if (auto v2 = opt_value(arg, "--scenarios")) {
-        scenarios = parse_u64(*v2, "--scenarios");
+        scenarios = parse_uint<std::uint64_t>(*v2, "--scenarios");
         if (scenarios == 0) throw ConfigError("--scenarios must be positive");
       } else if (auto v3 = opt_value(arg, "--jobs")) {
-        jobs = static_cast<unsigned>(parse_u64(*v3, "--jobs"));
+        jobs = parse_uint<unsigned>(*v3, "--jobs");
       } else if (auto vk = opt_value(arg, "--kernel")) {
         if (*vk == "bitsliced") {
           kernel = core::ArbKernel::Bitsliced;
@@ -557,10 +523,8 @@ int main(int argc, char** argv) {
       } else if (auto v5 = opt_value(arg, "--check")) {
         check_path = *v5;
       } else if (auto v6 = opt_value(arg, "--tolerance")) {
-        char* end = nullptr;
-        tolerance = std::strtod(v6->c_str(), &end);
-        if (v6->empty() || end != v6->c_str() + v6->size() ||
-            tolerance < 0.0 || tolerance >= 1.0) {
+        tolerance = parse_double(*v6, "--tolerance");
+        if (tolerance < 0.0 || tolerance >= 1.0) {
           throw ConfigError("--tolerance expects a fraction in [0, 1)");
         }
       } else if (arg == "--write-baseline") {
@@ -696,10 +660,6 @@ int main(int argc, char** argv) {
     std::cout << "campaign at 1 thread with monitor: " << sps_mon
               << " scenarios/s\n";
     metrics.emplace_back("campaign_scenarios_per_sec_monitor", sps_mon);
-    const double sps_batch = measure_campaign_batched(scenarios, 8);
-    std::cout << "campaign batched (width 8): " << sps_batch
-              << " scenarios/s (x" << sps_batch / sps1 << " vs serial)\n";
-    metrics.emplace_back("campaign_scenarios_per_sec_batched", sps_batch);
     const double sps_ckpt = measure_campaign_ckpt(scenarios);
     std::cout << "campaign with checkpoint journal: " << sps_ckpt
               << " scenarios/s (resume overhead x" << sps1 / sps_ckpt

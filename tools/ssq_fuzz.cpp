@@ -12,7 +12,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -33,6 +32,8 @@
 #include "stats/ascii_plot.hpp"
 #include "stats/streaming.hpp"
 #include "stats/table.hpp"
+
+#include "cli.hpp"
 
 namespace {
 
@@ -56,12 +57,6 @@ Campaign:
                           verdicts and repros are byte-identical at any N
   --time-budget=SECONDS   stop starting new scenarios after this much wall
                           clock (default 0 = no budget)
-  --batch=B               with --jobs=1: run B scenarios lock-step through
-                          one batched loop (check::run_scenario_batch,
-                          default 8; 1 = the classic serial loop). Verdicts,
-                          stdout and repros are byte-identical at any B;
-                          cancel/time-budget checks coarsen to batch
-                          boundaries. Ignored when --jobs > 1
 
   SIGINT/SIGTERM cancel cooperatively: no new scenarios are dispatched, the
   completed index-prefix is reported, and the exit code is 130.
@@ -133,23 +128,8 @@ void install_cancel_handlers() {
   ::sigaction(SIGTERM, &sa, nullptr);
 }
 
-std::optional<std::string> opt_value(std::string_view arg,
-                                     std::string_view key) {
-  if (arg.substr(0, key.size()) != key) return std::nullopt;
-  if (arg.size() == key.size()) return std::string{};
-  if (arg[key.size()] != '=') return std::nullopt;
-  return std::string(arg.substr(key.size() + 1));
-}
-
-std::uint64_t parse_u64(const std::string& value, std::string_view option) {
-  char* end = nullptr;
-  const std::uint64_t x = std::strtoull(value.c_str(), &end, 10);
-  if (value.empty() || end != value.c_str() + value.size()) {
-    throw ConfigError("invalid value '" + value + "' for " +
-                      std::string(option) + " (expected an unsigned integer)");
-  }
-  return x;
-}
+using cli::opt_value;
+using cli::parse_uint;
 
 check::PlantedBug parse_bug(const std::string& value) {
   for (const auto b :
@@ -313,7 +293,6 @@ int main(int argc, char** argv) {
   std::uint64_t time_budget_s = 0;
   std::uint64_t heartbeat_s = 0;  // 0 = no heartbeat telemetry
   std::uint64_t jobs = 1;
-  std::uint64_t batch = 8;
   check::CheckOptions opts;
   std::optional<arb::MatchKind> engine_override;
   bool fast_forward = true;
@@ -333,20 +312,15 @@ int main(int argc, char** argv) {
         std::cout << kHelp;
         return 0;
       } else if (auto v = opt_value(arg, "--scenarios")) {
-        scenarios = parse_u64(*v, "--scenarios");
+        scenarios = parse_uint<std::uint64_t>(*v, "--scenarios");
       } else if (auto v2 = opt_value(arg, "--seed")) {
-        base_seed = parse_u64(*v2, "--seed");
+        base_seed = parse_uint<std::uint64_t>(*v2, "--seed");
       } else if (auto v3 = opt_value(arg, "--time-budget")) {
-        time_budget_s = parse_u64(*v3, "--time-budget");
+        time_budget_s = parse_uint<std::uint64_t>(*v3, "--time-budget");
       } else if (auto vj = opt_value(arg, "--jobs")) {
-        jobs = parse_u64(*vj, "--jobs");
+        jobs = parse_uint<std::uint64_t>(*vj, "--jobs");
         if (jobs == 0) jobs = exec::ThreadPool::hardware_threads();
         if (jobs > 512) throw ConfigError("--jobs too large (max 512)");
-      } else if (auto vb = opt_value(arg, "--batch")) {
-        batch = parse_u64(*vb, "--batch");
-        if (batch == 0 || batch > 64) {
-          throw ConfigError("--batch must be in [1, 64]");
-        }
       } else if (arg == "--no-circuit") {
         opts.circuit = false;
       } else if (arg == "--no-state") {
@@ -359,7 +333,7 @@ int main(int argc, char** argv) {
         opts.monitor = true;
         opts.flight_recorder = 256;
       } else if (auto vh = opt_value(arg, "--heartbeat")) {
-        heartbeat_s = parse_u64(*vh, "--heartbeat");
+        heartbeat_s = parse_uint<std::uint64_t>(*vh, "--heartbeat");
         if (heartbeat_s == 0) throw ConfigError("--heartbeat must be >= 1");
       } else if (auto ve = opt_value(arg, "--engine")) {
         engine_override = arb::parse_match_kind(*ve);
@@ -379,7 +353,7 @@ int main(int argc, char** argv) {
       } else if (auto v7 = opt_value(arg, "--trace")) {
         trace_path = *v7;
       } else if (auto v8 = opt_value(arg, "--emit")) {
-        emit_index = parse_u64(*v8, "--emit");
+        emit_index = parse_uint<std::uint64_t>(*v8, "--emit");
       } else if (auto v9 = opt_value(arg, "--write")) {
         write_path = *v9;
       } else if (arg == "--quiet") {
@@ -471,17 +445,16 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    // Campaign mode. Scenarios are processed in index-ordered blocks
-    // (`--batch` scenarios per block when serial, run lock-step through
-    // check::run_scenario_batch; jobs*4 when parallel). Scenario generation
-    // and execution depend only on (index, base_seed), results are reported
-    // in index order and a failing campaign acts on the LOWEST failing
-    // index, so verdicts, stdout, and repro files are byte-identical at any
-    // --jobs and any --batch value.
+    // Campaign mode. Scenarios are processed in index-ordered blocks of
+    // jobs*4 on the pool (inline on this thread at --jobs=1). Scenario
+    // generation and execution depend only on (index, base_seed), results
+    // are reported in index order and a failing campaign acts on the LOWEST
+    // failing index, so verdicts, stdout, and repro files are byte-identical
+    // at any --jobs value.
     const auto t0 = std::chrono::steady_clock::now();
     install_cancel_handlers();
     exec::ThreadPool pool(static_cast<unsigned>(jobs));
-    const std::uint64_t block = jobs <= 1 ? batch : jobs * 4;
+    const std::uint64_t block = jobs * 4;
     std::uint64_t ran = 0;
     bool interrupted = false;
     CampaignStats campaign;
@@ -515,53 +488,23 @@ int main(int argc, char** argv) {
       // completed set is always the index prefix [0, done), so partial
       // totals stay deterministic in index order.
       std::size_t done = 0;
-      std::vector<Outcome> outcomes;
-      if (jobs <= 1) {
-        // Serial batch plane: the block's scenarios advance round-robin
-        // through one lock-step loop. results[k] is byte-identical to
-        // run_scenario(scenarios[k], opts) — see check::run_scenario_batch.
-        std::vector<check::Scenario> block_scenarios;
-        block_scenarios.reserve(static_cast<std::size_t>(count));
-        for (std::uint64_t k = 0; k < count; ++k) {
-          block_scenarios.push_back(make_scenario(start + k));
-        }
-        std::vector<check::RunResult> results =
-            check::run_scenario_batch(block_scenarios, opts);
-        outcomes.resize(static_cast<std::size_t>(count));
-        for (std::uint64_t k = 0; k < count; ++k) {
-          const check::Scenario& s = block_scenarios[k];
-          Outcome& o = outcomes[k];
-          o.has_faults = s.has_faults();
-          o.result = std::move(results[k]);
-          if (!o.result.failed && !quiet) {
-            std::ostringstream os;
-            os << "ok " << s.name << " radix=" << s.radix
-               << " cycles=" << s.cycles
-               << " grants=" << o.result.grants_checked << "\n";
-            o.line = os.str();
-          }
-        }
-        done = static_cast<std::size_t>(count);
-      } else {
-        outcomes = exec::run_batch<Outcome>(
-            pool, static_cast<std::size_t>(count),
-            [&](std::size_t k) {
-              const std::uint64_t i = start + k;
-              const check::Scenario s = make_scenario(i);
-              Outcome o;
-              o.has_faults = s.has_faults();
-              o.result = check::run_scenario(s, opts);
-              if (!o.result.failed && !quiet) {
-                std::ostringstream os;
-                os << "ok " << s.name << " radix=" << s.radix
-                   << " cycles=" << s.cycles
-                   << " grants=" << o.result.grants_checked << "\n";
-                o.line = os.str();
-              }
-              return o;
-            },
-            &g_cancel, &done);
-      }
+      const std::vector<Outcome> outcomes = exec::run_batch<Outcome>(
+          pool, static_cast<std::size_t>(count),
+          [&](std::size_t k) {
+            const check::Scenario s = make_scenario(start + k);
+            Outcome o;
+            o.has_faults = s.has_faults();
+            o.result = check::run_scenario(s, opts);
+            if (!o.result.failed && !quiet) {
+              std::ostringstream os;
+              os << "ok " << s.name << " radix=" << s.radix
+                 << " cycles=" << s.cycles
+                 << " grants=" << o.result.grants_checked << "\n";
+              o.line = os.str();
+            }
+            return o;
+          },
+          &g_cancel, &done);
       if (done < count) interrupted = true;
       for (std::uint64_t k = 0; k < done; ++k) {
         const std::uint64_t i = start + k;

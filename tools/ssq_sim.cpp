@@ -5,7 +5,6 @@
 // metrics and JSON-summary outputs.
 #include <sys/resource.h>
 
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -16,7 +15,6 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <vector>
 
 #include "fault/injector.hpp"
@@ -33,6 +31,8 @@
 #include "switch/observe.hpp"
 #include "switch/simulator.hpp"
 #include "traffic/workload_io.hpp"
+
+#include "cli.hpp"
 
 namespace {
 
@@ -118,44 +118,9 @@ Fault injection and recovery (see docs/FAULTS.md; SSVC mode only):
   std::exit(2);
 }
 
-/// Returns the value of `--key=value`, or nullopt if `arg` is a different
-/// option.
-std::optional<std::string> opt_value(std::string_view arg,
-                                     std::string_view key) {
-  if (arg.substr(0, key.size()) != key) return std::nullopt;
-  if (arg.size() == key.size()) return std::string{};
-  if (arg[key.size()] != '=') return std::nullopt;
-  return std::string(arg.substr(key.size() + 1));
-}
-
-/// Strict unsigned-integer parse: the whole value must be digits. atoi-style
-/// silent truncation ("--warmup=abc" -> 0) is exactly what this forbids.
-template <typename T>
-T parse_uint(const std::string& value, std::string_view option) {
-  T out{};
-  const char* first = value.data();
-  const char* last = first + value.size();
-  const auto [ptr, ec] = std::from_chars(first, last, out);
-  if (value.empty() || ec != std::errc{} || ptr != last) {
-    throw ssq::ConfigError("invalid value '" + value + "' for " +
-                           std::string(option) +
-                           " (expected an unsigned integer)");
-  }
-  return out;
-}
-
-/// Strict rate parse into [0, 1].
-double parse_rate(const std::string& value, std::string_view option) {
-  char* end = nullptr;
-  const double x = std::strtod(value.c_str(), &end);
-  if (value.empty() || end != value.c_str() + value.size() || x < 0.0 ||
-      x > 1.0) {
-    throw ssq::ConfigError("invalid value '" + value + "' for " +
-                           std::string(option) +
-                           " (expected a rate in [0,1])");
-  }
-  return x;
-}
+using cli::opt_value;
+using cli::parse_rate;
+using cli::parse_uint;
 
 std::vector<std::string> split_commas(const std::string& s) {
   std::vector<std::string> parts;
