@@ -203,10 +203,9 @@ ShardState load_checkpoint(const std::string& path) {
 
 CheckpointWriter::~CheckpointWriter() { close(); }
 
-bool CheckpointWriter::open(const std::string& path, std::uint64_t truncate_to,
-                            bool durable) {
+bool CheckpointWriter::open(const std::string& path,
+                            std::uint64_t truncate_to) {
   close();
-  durable_ = durable;
   std::error_code ec;
   const auto size = std::filesystem::file_size(path, ec);
   if (!ec && size > truncate_to) {
@@ -222,7 +221,7 @@ bool CheckpointWriter::append(const Record& r) {
   const std::string line = r.encode();
   bool ok = std::fwrite(line.data(), 1, line.size(), file_) == line.size();
   ok = ok && std::fflush(file_) == 0;
-  if (ok && durable_) ok = ::fsync(::fileno(file_)) == 0;
+  ok = ok && ::fsync(::fileno(file_)) == 0;
   if (!ok) close();
   return ok;
 }

@@ -94,7 +94,7 @@ struct ShardState {
 
 /// Append-side handle. open() truncates a torn tail (as reported by
 /// load_checkpoint) so appends always extend a valid prefix, then opens in
-/// append mode. Every append is flushed, and fsync'd when `durable`.
+/// append mode. Every append is flushed and fsync'd.
 class CheckpointWriter {
  public:
   CheckpointWriter() = default;
@@ -103,15 +103,13 @@ class CheckpointWriter {
   CheckpointWriter& operator=(const CheckpointWriter&) = delete;
 
   /// Returns false (with the handle closed) on I/O failure.
-  bool open(const std::string& path, std::uint64_t truncate_to,
-            bool durable = true);
+  bool open(const std::string& path, std::uint64_t truncate_to);
   bool append(const Record& r);
   void close();
   [[nodiscard]] bool is_open() const noexcept { return file_ != nullptr; }
 
  private:
   std::FILE* file_ = nullptr;
-  bool durable_ = true;
 };
 
 /// Campaign-directory layout helpers (shard files are zero-padded so a

@@ -1,9 +1,11 @@
 #include "campaign/manifest.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "obs/json.hpp"
 #include "sim/atomic_file.hpp"
@@ -35,15 +37,22 @@ GridPoint parse_grid_point(const std::string& label) {
       p.kernel = core::ArbKernel::Simd;
     } else if (tok == "noff") {
       p.fast_forward = false;
+    } else if (tok == "sparse") {
+      p.sparse = true;
     } else if (tok.rfind("engine=", 0) == 0) {
       // Overrides every scenario's matching engine: the sweep then exercises
       // that engine's invariants-only checking across the whole corpus.
       p.engine = arb::parse_match_kind(tok.substr(7));
+      if (*p.engine == arb::MatchKind::Starve) {
+        throw ConfigError(
+            "engine=starve would fail every scenario; use ssq_fuzz "
+            "--plant=engine_starve for the progress-guard self-test");
+      }
     } else {
       throw ConfigError("unknown grid token '" + tok + "' in '" + label +
                         "' (expected default, monitor, no-circuit, no-state, "
-                        "scalar, simd, noff or engine=<name>, joined with "
-                        "'+')");
+                        "scalar, simd, noff, sparse or engine=<name>, joined "
+                        "with '+')");
     }
   }
   return p;
@@ -123,18 +132,23 @@ std::string Manifest::serialize() const {
 
 namespace {
 
-/// Extracts the integer value of `"key":N` from our own serialised form.
-std::uint64_t find_u64(const std::string& text, const std::string& key) {
+/// Extracts the integer value of `"key":N` from our own serialised form:
+/// digits only (no sign, space or trailing junk) and at most `max`.
+std::uint64_t find_u64(std::string_view text, const std::string& key,
+                       std::uint64_t max = UINT64_MAX) {
   const std::string needle = "\"" + key + "\":";
   const std::size_t at = text.find(needle);
-  if (at == std::string::npos) {
+  if (at == std::string_view::npos) {
     throw ConfigError("manifest: missing field '" + key + "'");
   }
-  const char* start = text.c_str() + at + needle.size();
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(start, &end, 10);
-  if (end == start) {
-    throw ConfigError("manifest: field '" + key + "' is not an integer");
+  const char* const last = text.data() + text.size();
+  std::uint64_t v = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data() + at + needle.size(), last, v);
+  if (ec != std::errc{} || v > max ||
+      (end != last && *end != ',' && *end != '}')) {
+    throw ConfigError("manifest: field '" + key +
+                      "' is not an unsigned integer <= " + std::to_string(max));
   }
   return v;
 }
@@ -166,7 +180,8 @@ Manifest parse_manifest(const std::string& text) {
   m.base_seed = find_u64(text, "base_seed");
   m.scenarios = find_u64(text, "scenarios");
   m.shards = find_u64(text, "shards");
-  m.max_attempts = static_cast<std::uint32_t>(find_u64(text, "max_attempts"));
+  m.max_attempts = static_cast<std::uint32_t>(
+      find_u64(text, "max_attempts", UINT32_MAX));
   m.scenario_timeout_ms = find_u64(text, "scenario_timeout_ms");
   m.throttle_ms = find_u64(text, "throttle_ms");
   m.grid.clear();
@@ -197,12 +212,7 @@ Manifest parse_manifest(const std::string& text) {
     } else {
       throw ConfigError("manifest: unknown planted kind '" + kind + "'");
     }
-    const std::string idx_key = "\"index\":";
-    const std::size_t i0 = planted.find(idx_key, k1);
-    if (i0 == std::string::npos) {
-      throw ConfigError("manifest: planted entry missing index");
-    }
-    p.index = std::strtoull(planted.c_str() + i0 + idx_key.size(), nullptr, 10);
+    p.index = find_u64(std::string_view(planted).substr(k1), "index");
     m.planted.push_back(p);
     pos = k1 + 1;
   }

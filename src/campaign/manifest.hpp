@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,18 +30,23 @@ struct GridPoint {
   std::string label = "default";
   check::CheckOptions opts;
   core::ArbKernel kernel = core::ArbKernel::Bitsliced;
-  /// Matching engine override (None = keep each scenario's own engine; the
-  /// classic differential path). Set by an "engine=<name>" token.
-  arb::MatchKind engine = arb::MatchKind::None;
+  /// Matching engine override, set by an "engine=<name>" token. Absent keeps
+  /// each scenario's generated engine; engine=none forces the classic
+  /// differential path.
+  std::optional<arb::MatchKind> engine;
   /// Idle-cycle fast-forward; a "noff" token turns it off so a grid can pit
   /// a fast-forwarded point against its fully-stepped twin (byte-identical
   /// verdicts by construction — the event-horizon regression sweep).
   bool fast_forward = true;
+  /// A "sparse" token derates every generated scenario into its sparse
+  /// long-horizon twin (8x the cycles, 1/20th the injection rates), so idle
+  /// stretches dominate and fast-forward has something to skip.
+  bool sparse = false;
 };
 
 /// Parses a grid label; throws ssq::ConfigError on an unknown token.
 /// Recognised tokens: default (no-op), monitor, no-circuit, no-state,
-/// scalar, simd, noff, engine=<islip|qps|swqps|ssvc>.
+/// scalar, simd, noff, sparse, engine=<islip|qps|swqps|ssvc|none>.
 [[nodiscard]] GridPoint parse_grid_point(const std::string& label);
 
 /// Test-only planted harness defects: the robustness teeth. A "hang" makes

@@ -11,7 +11,6 @@
 #include <sys/file.h>
 #include <unistd.h>
 
-#include "check/scenario.hpp"
 #include "sim/atomic_file.hpp"
 
 namespace ssq::campaign {
@@ -83,6 +82,58 @@ std::uint64_t count_done_shards(const std::string& dir, const Manifest& m) {
   return n;
 }
 
+check::Scenario unit_scenario(const GridPoint& g, std::uint64_t seed,
+                              std::uint64_t i) {
+  check::Scenario s = check::generate_scenario(i, seed);
+  if (g.sparse) {
+    // Deterministic derate: same draws, same faults, same checks — only the
+    // offered load shrinks and the horizon stretches. Rates only go down,
+    // so admissibility is preserved.
+    s.cycles *= 8;
+    for (auto& f : s.flows) f.inject_rate *= 0.05;
+  }
+  s.kernel = g.kernel;
+  s.fast_forward = g.fast_forward;
+  if (g.engine.has_value()) {
+    s.matching_engine = *g.engine;
+    if (*g.engine != arb::MatchKind::None) s.packet_chaining = false;
+  }
+  return s;
+}
+
+check::RunResult run_unit(const GridPoint& g, const check::Scenario& s) {
+  check::RunResult res;
+  try {
+    res = check::run_scenario(s, g.opts);
+  } catch (const ConfigError& e) {
+    res.failed = true;
+    res.kind = "config_error";
+    res.detail = e.what();
+    return res;
+  }
+  if (!res.failed && !s.has_faults() && g.opts.monitor &&
+      res.violations_gb + res.violations_gl > 0) {
+    res.failed = true;
+    res.kind = "qos_violation";
+    res.detail = "gb=" + std::to_string(res.violations_gb) +
+                 " gl=" + std::to_string(res.violations_gl) + " over " +
+                 std::to_string(res.windows_checked) +
+                 " windows, no faults injected";
+  }
+  return res;
+}
+
+bool write_repro(const std::string& stem, const check::Scenario& s,
+                 const check::RunResult& r) {
+  std::ostringstream body;
+  check::write_scenario(body, s);
+  bool ok = write_file_atomic(stem + ".scenario", body.str());
+  if (!r.flight_dump.empty()) {
+    ok = write_file_atomic(stem + ".flight.jsonl", r.flight_dump) && ok;
+  }
+  return ok;
+}
+
 namespace {
 
 /// Writes the quarantined unit's repro next to the checkpoints so a human
@@ -91,17 +142,11 @@ namespace {
 void write_poisoned_repro(const std::string& dir, const Manifest& m,
                           std::uint64_t j, const std::string& reason,
                           std::uint32_t attempts) {
-  const std::uint64_t g = m.grid_of(j);
-  const std::uint64_t i = m.scenario_of(j);
+  const GridPoint& g = m.grid[m.grid_of(j)];
   std::ostringstream body;
-  try {
-    const check::Scenario s = check::generate_scenario(i, m.base_seed);
-    check::write_scenario(body, s);
-  } catch (const ConfigError&) {
-    body << "# scenario generation itself failed\n";
-  }
+  check::write_scenario(body, unit_scenario(g, m.base_seed, m.scenario_of(j)));
   body << "# quarantined: reason=" << reason << " attempts=" << attempts
-       << " grid=" << m.grid[g].label << " index=" << j << "\n";
+       << " grid=" << g.label << " index=" << j << "\n";
   const std::string path = dir + "/poisoned-" + std::to_string(m.base_seed) +
                            "-" + std::to_string(j) + ".scenario";
   (void)write_file_atomic(path, body.str());
@@ -133,7 +178,7 @@ ShardOutcome run_shard(const std::string& dir, const Manifest& m,
   const std::string path = ckpt_path(dir, k);
   ShardState state = load_checkpoint(path);
   CheckpointWriter journal;
-  if (!journal.open(path, state.valid_bytes, hooks.durable)) {
+  if (!journal.open(path, state.valid_bytes)) {
     return ShardOutcome::IoError;
   }
 
@@ -142,8 +187,6 @@ ShardOutcome run_shard(const std::string& dir, const Manifest& m,
     if (hooks.drain && hooks.drain()) return ShardOutcome::Drained;
     if (hooks.beat) hooks.beat();
 
-    const std::uint64_t g = m.grid_of(j);
-    const std::uint64_t i = m.scenario_of(j);
     const std::uint32_t attempts = state.attempts(j);
 
     if (attempts >= m.max_attempts) {
@@ -186,50 +229,20 @@ ShardOutcome run_shard(const std::string& dir, const Manifest& m,
       std::this_thread::sleep_for(std::chrono::milliseconds(m.throttle_ms));
     }
 
-    check::RunResult res;
-    bool faulted = false;
-    try {
-      check::Scenario run = check::generate_scenario(i, m.base_seed);
-      run.kernel = m.grid[g].kernel;
-      run.fast_forward = m.grid[g].fast_forward;
-      if (m.grid[g].engine != arb::MatchKind::None) {
-        run.matching_engine = m.grid[g].engine;
-        run.packet_chaining = false;  // invalid under an engine
-      }
-      faulted = run.has_faults();
-      res = check::run_scenario(run, m.grid[g].opts);
-      // A QoS violation in a fault-free monitored scenario is a finding in
-      // its own right even when every grant matched the reference.
-      if (!res.failed && !faulted && m.grid[g].opts.monitor &&
-          res.violations_gb + res.violations_gl > 0) {
-        res.failed = true;
-        res.kind = "qos_violation";
-      }
-    } catch (const ConfigError& e) {
-      res.failed = true;
-      res.kind = "config_error";
-      res.detail = e.what();
-    }
+    // A failure ships its repro (and incident snapshot when one was
+    // recorded) immediately — the journal records the verdict, the files
+    // carry the evidence. The campaign keeps running: one divergence must
+    // not cost the other 999,999 scenarios of a nightly sweep.
+    const GridPoint& point = m.grid[m.grid_of(j)];
+    const check::Scenario run =
+        unit_scenario(point, m.base_seed, m.scenario_of(j));
+    const check::RunResult res = run_unit(point, run);
     if (res.failed) {
-      // Ship the repro (and incident snapshot when one was recorded)
-      // immediately — the journal records the verdict, the files carry the
-      // evidence. The campaign keeps running: one divergence must not cost
-      // the other 999,999 scenarios of a nightly sweep.
-      std::ostringstream body;
-      try {
-        check::write_scenario(body, check::generate_scenario(i, m.base_seed));
-        const std::string stem = dir + "/repro-" +
-                                 std::to_string(m.base_seed) + "-" +
-                                 std::to_string(j);
-        (void)write_file_atomic(stem + ".scenario", body.str());
-        if (!res.flight_dump.empty()) {
-          (void)write_file_atomic(stem + ".flight.jsonl", res.flight_dump);
-        }
-      } catch (const ConfigError&) {
-        // generation failed above; nothing to serialise
-      }
+      (void)write_repro(dir + "/repro-" + std::to_string(m.base_seed) + "-" +
+                            std::to_string(j),
+                        run, res);
     }
-    if (!journal.append(done_record(j, attempts + 1, res, faulted))) {
+    if (!journal.append(done_record(j, attempts + 1, res, run.has_faults()))) {
       return ShardOutcome::IoError;
     }
     state.units[j].done = Record{};  // only is_done() is consulted below

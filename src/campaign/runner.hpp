@@ -27,8 +27,31 @@
 
 #include "campaign/checkpoint.hpp"
 #include "campaign/manifest.hpp"
+#include "check/scenario.hpp"
 
 namespace ssq::campaign {
+
+/// The work unit, shared with ssq_fuzz: scenario `i` of seed `seed` as grid
+/// point `g` runs it — generated, then the sparse derate, kernel,
+/// fast-forward and engine override applied (a forced engine strips packet
+/// chaining, which is invalid under one).
+[[nodiscard]] check::Scenario unit_scenario(const GridPoint& g,
+                                            std::uint64_t seed,
+                                            std::uint64_t i);
+
+/// Runs `s` under the differential checker with g's options and judges it.
+/// A ConfigError becomes a failure of kind config_error. A GB or GL
+/// violation in a fault-free monitored run fails as qos_violation even when
+/// every grant matched the reference: the generator only emits admissible
+/// reservations, so a clean scenario must be conformant.
+[[nodiscard]] check::RunResult run_unit(const GridPoint& g,
+                                        const check::Scenario& s);
+
+/// Writes `stem`.scenario and, when the run recorded one, the incident
+/// snapshot `stem`.flight.jsonl, each atomically (temp file + rename), so a
+/// crash mid-write never leaves a truncated file. False if a write failed.
+bool write_repro(const std::string& stem, const check::Scenario& s,
+                 const check::RunResult& r);
 
 /// Hooks the runner calls on the way; all optional.
 struct RunnerHooks {
@@ -38,8 +61,6 @@ struct RunnerHooks {
   /// Checked between units; true = graceful drain (finish nothing new,
   /// leave the shard claimable and return).
   std::function<bool()> drain;
-  /// Overrides manifest.throttle_ms / fsync for in-process callers (bench).
-  bool durable = true;
 };
 
 enum class ShardOutcome : std::uint8_t {

@@ -18,6 +18,7 @@
 #include "campaign/manifest.hpp"
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
+#include "check/scenario.hpp"
 #include "sim/atomic_file.hpp"
 #include "sim/error.hpp"
 
@@ -184,7 +185,7 @@ TEST_F(CampaignTest, WriterTruncatesTornTailBeforeAppending) {
   }
   const ShardState before = load_checkpoint(path);
   CheckpointWriter w;
-  ASSERT_TRUE(w.open(path, before.valid_bytes, /*durable=*/false));
+  ASSERT_TRUE(w.open(path, before.valid_bytes));
   Record d;
   d.type = Record::Type::Done;
   d.j = 0;
@@ -229,7 +230,7 @@ TEST_F(CampaignTest, MissingJournalIsEmptyState) {
 TEST_F(CampaignTest, FirstDoneRecordWinsAndAttemptsAccumulate) {
   const std::string path = dir() + "/shard.jsonl";
   CheckpointWriter w;
-  ASSERT_TRUE(w.open(path, 0, /*durable=*/false));
+  ASSERT_TRUE(w.open(path, 0));
   Record s1;
   s1.j = 4;
   s1.attempt = 1;
@@ -388,6 +389,31 @@ TEST(Manifest, SimdAndEngineGridTokensParse) {
   EXPECT_EQ(back.grid.at(0).kernel, core::ArbKernel::Simd);
   EXPECT_EQ(back.grid.at(0).engine, arb::MatchKind::Qps);
   EXPECT_THROW(parse_grid_point("engine=warp"), ConfigError);
+  // A starving engine fails every unit by design; it is only a plant.
+  EXPECT_THROW(parse_grid_point("engine=starve"), ConfigError);
+  EXPECT_TRUE(parse_grid_point("monitor+sparse").sparse);
+}
+
+TEST(WorkUnit, EngineNoneForcesTheClassicPathAndDefaultKeepsTheGenerated) {
+  // Scenarios 1, 3 and 6 of seed 1 are generated onto a matching engine.
+  const GridPoint keep = parse_grid_point("default");
+  const GridPoint none = parse_grid_point("engine=none");
+  ASSERT_TRUE(none.engine.has_value());
+  for (const std::uint64_t i : {1ull, 3ull, 6ull}) {
+    const check::Scenario gen = check::generate_scenario(i, 1);
+    ASSERT_NE(gen.matching_engine, arb::MatchKind::None) << "scenario " << i;
+    EXPECT_EQ(unit_scenario(keep, 1, i).matching_engine, gen.matching_engine);
+    EXPECT_EQ(unit_scenario(none, 1, i).matching_engine, arb::MatchKind::None);
+  }
+}
+
+TEST(WorkUnit, ConfigErrorIsAFailedVerdictNotAnException) {
+  check::Scenario s = check::generate_scenario(1, 1);  // generated on an engine
+  s.packet_chaining = true;  // invalid under a matching engine
+  const check::RunResult r = run_unit(parse_grid_point("default"), s);
+  EXPECT_TRUE(r.failed);
+  EXPECT_EQ(r.kind, "config_error");
+  EXPECT_FALSE(r.detail.empty());
 }
 
 TEST(Manifest, UnitToGridAndScenarioMapping) {
@@ -421,6 +447,25 @@ TEST(Manifest, ValidationRejectsNonsense) {
   m = tiny_manifest();
   m.planted = {{Plant::Kind::Hang, m.total_units()}};  // out of range
   EXPECT_THROW(m.validate(), ConfigError);
+  // Manifest integers are strict: no sign, space or junk, and in range.
+  m = tiny_manifest();
+  m.planted = {{Plant::Kind::Hang, 3}};
+  const std::string good = m.serialize();
+  ASSERT_NO_THROW((void)parse_manifest(good));
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string text = good;
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return text.replace(at, from.size(), to);
+  };
+  EXPECT_THROW((void)parse_manifest(with("\"index\":3", "\"index\":x")),
+               ConfigError);  // would plant a hang at unit 0
+  EXPECT_THROW((void)parse_manifest(with("\"max_attempts\":2",
+                                         "\"max_attempts\":4294967297")),
+               ConfigError);  // would wrap to 1
+  EXPECT_THROW((void)parse_manifest(with("\"scenarios\":6",
+                                         "\"scenarios\": -4")),
+               ConfigError);  // would wrap to ~2^64 units
 }
 
 TEST_F(CampaignTest, InitRefusesToReuseACampaignDirectory) {
@@ -457,10 +502,8 @@ TEST_F(CampaignTest, RunShardCompletesAndMergeAccountsEveryUnit) {
   const Manifest m = tiny_manifest();
   const std::string d = dir() + "/c";
   init_campaign_dir(d, m);
-  RunnerHooks hooks;
-  hooks.durable = false;
   for (std::uint64_t k = 0; k < m.shards; ++k) {
-    EXPECT_EQ(run_shard(d, m, k, hooks), ShardOutcome::Completed);
+    EXPECT_EQ(run_shard(d, m, k), ShardOutcome::Completed);
   }
   EXPECT_TRUE(all_shards_done(d, m));
   const Report r = merge_checkpoints(d, m);
@@ -482,10 +525,8 @@ TEST_F(CampaignTest, EngineGridPointsRunChainingScenariosClean) {
   m.grid = {parse_grid_point("simd+engine=qps")};
   const std::string d = dir() + "/engine";
   init_campaign_dir(d, m);
-  RunnerHooks hooks;
-  hooks.durable = false;
   for (std::uint64_t k = 0; k < m.shards; ++k) {
-    ASSERT_EQ(run_shard(d, m, k, hooks), ShardOutcome::Completed);
+    ASSERT_EQ(run_shard(d, m, k), ShardOutcome::Completed);
   }
   const Report r = merge_checkpoints(d, m);
   EXPECT_EQ(r.completed, m.total_units());
@@ -500,15 +541,12 @@ TEST_F(CampaignTest, DrainedShardResumesToByteIdenticalReport) {
   const std::string res = dir() + "/res";
   init_campaign_dir(ref, m);
   init_campaign_dir(res, m);
-  RunnerHooks plain;
-  plain.durable = false;
   for (std::uint64_t k = 0; k < m.shards; ++k) {
-    ASSERT_EQ(run_shard(ref, m, k, plain), ShardOutcome::Completed);
+    ASSERT_EQ(run_shard(ref, m, k), ShardOutcome::Completed);
   }
   // Drain the other campaign after two units, mid-shard.
   int beats = 0;
   RunnerHooks draining;
-  draining.durable = false;
   draining.beat = [&] { ++beats; };
   draining.drain = [&] { return beats >= 2; };
   ASSERT_EQ(run_shard(res, m, 0, draining), ShardOutcome::Drained);
@@ -518,7 +556,7 @@ TEST_F(CampaignTest, DrainedShardResumesToByteIdenticalReport) {
   // Resume: only unfinished units run (done-record count ends exactly at
   // total — a re-run of a finished unit would append a duplicate).
   for (std::uint64_t k = 0; k < m.shards; ++k) {
-    ASSERT_EQ(run_shard(res, m, k, plain), ShardOutcome::Completed);
+    ASSERT_EQ(run_shard(res, m, k), ShardOutcome::Completed);
   }
   std::uint64_t done_records = 0;
   for (std::uint64_t k = 0; k < m.shards; ++k) {
@@ -540,7 +578,7 @@ TEST_F(CampaignTest, ExhaustedAttemptsQuarantineWithReproAndCampaignGoesOn) {
   // no done record, exactly what a watchdog kill or SIGKILL leaves behind.
   const ShardState fresh = load_checkpoint(ckpt_path(d, 0));
   CheckpointWriter w;
-  ASSERT_TRUE(w.open(ckpt_path(d, 0), fresh.valid_bytes, /*durable=*/false));
+  ASSERT_TRUE(w.open(ckpt_path(d, 0), fresh.valid_bytes));
   for (std::uint32_t attempt = 1; attempt <= m.max_attempts; ++attempt) {
     Record s;
     s.j = 1;
@@ -548,9 +586,7 @@ TEST_F(CampaignTest, ExhaustedAttemptsQuarantineWithReproAndCampaignGoesOn) {
     ASSERT_TRUE(w.append(s));
   }
   w.close();
-  RunnerHooks hooks;
-  hooks.durable = false;
-  ASSERT_EQ(run_shard(d, m, 0, hooks), ShardOutcome::Completed);
+  ASSERT_EQ(run_shard(d, m, 0), ShardOutcome::Completed);
   const ShardState s = load_checkpoint(ckpt_path(d, 0));
   ASSERT_TRUE(s.is_done(1));
   EXPECT_EQ(s.units.at(1).done->verdict, Verdict::Quarantined);
@@ -571,14 +607,44 @@ TEST_F(CampaignTest, ExhaustedAttemptsQuarantineWithReproAndCampaignGoesOn) {
   EXPECT_EQ(r.quarantines[0].kind, "unresponsive");
 }
 
+TEST_F(CampaignTest, PoisonedReproCarriesTheGridPointOverrides) {
+  // The quarantine repro must be the program the unit ran, so that
+  // `ssq_fuzz --replay` of it runs the same thing: the engine override (and
+  // its chaining strip) and the sparse derate are part of the scenario.
+  Manifest m = tiny_manifest();  // max_attempts = 2
+  m.grid = {parse_grid_point("engine=islip+sparse")};
+  const std::string d = dir() + "/c";
+  init_campaign_dir(d, m);
+  const ShardState fresh = load_checkpoint(ckpt_path(d, 0));
+  CheckpointWriter w;
+  ASSERT_TRUE(w.open(ckpt_path(d, 0), fresh.valid_bytes));
+  for (std::uint32_t attempt = 1; attempt <= m.max_attempts; ++attempt) {
+    Record s;
+    s.j = 1;
+    s.attempt = attempt;
+    ASSERT_TRUE(w.append(s));
+  }
+  w.close();
+  ASSERT_EQ(run_shard(d, m, 0), ShardOutcome::Completed);
+  ASSERT_EQ(merge_checkpoints(d, m).quarantined, 1u);
+  const check::Scenario poisoned = check::load_scenario(
+      d + "/poisoned-" + std::to_string(m.base_seed) + "-1.scenario");
+  EXPECT_EQ(poisoned.matching_engine, arb::MatchKind::Islip);
+  EXPECT_FALSE(poisoned.packet_chaining);
+  const check::Scenario gen = check::generate_scenario(1, m.base_seed);
+  EXPECT_EQ(poisoned.cycles, gen.cycles * 8);
+  ASSERT_EQ(poisoned.flows.size(), gen.flows.size());
+  for (std::size_t f = 0; f < gen.flows.size(); ++f) {
+    EXPECT_EQ(poisoned.flows[f].inject_rate, gen.flows[f].inject_rate * 0.05);
+  }
+}
+
 TEST_F(CampaignTest, RenderReportIsDeterministic) {
   const Manifest m = tiny_manifest();
   const std::string d = dir() + "/c";
   init_campaign_dir(d, m);
-  RunnerHooks hooks;
-  hooks.durable = false;
   for (std::uint64_t k = 0; k < m.shards; ++k) {
-    ASSERT_EQ(run_shard(d, m, k, hooks), ShardOutcome::Completed);
+    ASSERT_EQ(run_shard(d, m, k), ShardOutcome::Completed);
   }
   const std::string once = render_report(merge_checkpoints(d, m), m);
   const std::string twice = render_report(merge_checkpoints(d, m), m);

@@ -21,7 +21,7 @@
 //     QoS conformance monitor attached to every scenario) and at --jobs
 //     threads (the parallel point is skipped honestly on single-CPU hosts),
 //   * the same serial campaign run through the ssq_campaign shard runner,
-//     one unit at a time with its checkpoint journal attached (fsync off) —
+//     one unit at a time with its fsync'd checkpoint journal attached —
 //     the per-scenario cost of crash-safe resume (docs/CAMPAIGN.md), gated
 //     like any throughput.
 //
@@ -321,10 +321,10 @@ double measure_matchings(Cycle cycles) {
 
 /// Same scenario set as measure_campaign, but run serially through the
 /// campaign service's shard runner with its checkpoint journal attached
-/// (one start + one done record per scenario, encode + CRC + flush; fsync
-/// off, since fsync latency is storage noise, not code cost). The gap vs
-/// the plain 1-thread point is the per-scenario resume-ability tax — what
-/// a `ssq_campaign` run pays over `ssq_fuzz` for being `kill -9`-proof.
+/// (one start + one done record per scenario, encode + CRC + flush + fsync,
+/// exactly as a real campaign journals). The gap vs the plain 1-thread
+/// point is the per-scenario resume-ability tax — what a `ssq_campaign` run
+/// pays over `ssq_fuzz` for being `kill -9`-proof, storage latency included.
 double measure_campaign_ckpt(std::uint64_t scenarios) {
   namespace fs = std::filesystem;
   campaign::Manifest m;
@@ -337,11 +337,8 @@ double measure_campaign_ckpt(std::uint64_t scenarios) {
       ("ssq_bench_ckpt_" + std::to_string(static_cast<long>(::getpid())));
   fs::remove_all(dir);
   campaign::init_campaign_dir(dir.string(), m);
-  campaign::RunnerHooks hooks;
-  hooks.durable = false;
   const auto t0 = std::chrono::steady_clock::now();
-  const campaign::ShardOutcome outcome = campaign::run_shard(dir.string(), m,
-                                                             0, hooks);
+  const campaign::ShardOutcome outcome = campaign::run_shard(dir.string(), m, 0);
   const auto t1 = std::chrono::steady_clock::now();
   std::error_code ec;
   fs::remove_all(dir, ec);

@@ -50,8 +50,10 @@ Manifest (with --new; immutable afterwards):
   --grid=A,B,...          checking configurations; each label combines
                           tokens with '+': default, monitor, no-circuit,
                           no-state, scalar, simd, noff (fully stepped — no
-                          idle-cycle fast-forward), engine=<islip|qps|swqps|
-                          ssvc> (default "default")
+                          idle-cycle fast-forward), sparse (8x cycles, 1/20th
+                          injection), engine=<islip|qps|swqps|ssvc|none>
+                          (default "default"). ssq_fuzz runs the same unit:
+                          its checking flags are these tokens
   --max-attempts=N        attempts before a crashing/hanging scenario is
                           quarantined (default 3)
   --scenario-timeout-ms=N watchdog: a worker silent this long is killed and

@@ -6,6 +6,10 @@
 // shrinks any failure to a minimal repro file, and exits nonzero. Replay a
 // repro with --replay=FILE; docs/TESTING.md walks through the workflow.
 //
+// The work unit (scenario construction, verdict, repro files) is
+// ssq_campaign's, reached through the grid token each checking flag maps to;
+// this file owns only the fuzzer's policy around it, without the journal.
+//
 // Exit codes: 0 all scenarios passed, 1 divergence found, 2 bad usage/config,
 // 130 interrupted by SIGINT/SIGTERM (partial totals reported; no repro).
 #include <algorithm>
@@ -21,8 +25,8 @@
 #include <string_view>
 #include <vector>
 
-#include "arb/matching.hpp"
-#include "check/differential.hpp"
+#include "campaign/manifest.hpp"
+#include "campaign/runner.hpp"
 #include "check/scenario.hpp"
 #include "check/shrink.hpp"
 #include "check/trace.hpp"
@@ -61,7 +65,8 @@ Campaign:
   SIGINT/SIGTERM cancel cooperatively: no new scenarios are dispatched, the
   completed index-prefix is reported, and the exit code is 130.
 
-Checking:
+Checking (every flag but --plant is an ssq_campaign --grid token; see
+docs/CAMPAIGN.md):
   --no-circuit            skip the bit-level circuit arbitration leg
   --no-state              skip the deep per-cycle arbiter state comparison
   --monitor               attach the online QoS conformance monitor to every
@@ -143,39 +148,9 @@ check::PlantedBug parse_bug(const std::string& value) {
 
 void report_failure(const check::Scenario& s, const check::RunResult& r) {
   std::cout << "FAIL " << s.name << ": " << r.kind << " at cycle "
-            << r.fail_cycle << " output " << r.output << "\n"
-            << r.detail << "\n";
-}
-
-/// A fault-free scenario must be conformant: the generator only emits
-/// admissible reservations, so a GB or GL violation under --monitor is a
-/// finding in its own right, even when every grant matched the reference.
-bool unexpected_violation(bool has_faults, const check::RunResult& r) {
-  return !r.failed && !has_faults && r.violations_gb + r.violations_gl > 0;
-}
-
-/// Writes `dump` (a bounded flight-recorder JSONL snapshot) next to a repro.
-/// Atomic (tmp + rename): a crash or SIGKILL mid-write never leaves a
-/// half-written dump behind — the file either exists complete or not at all.
-void write_flight_dump(const std::string& path, const std::string& dump) {
-  if (dump.empty()) return;
-  if (!write_file_atomic(path, dump)) {
-    std::cerr << "warning: could not write flight dump to '" << path << "'\n";
-  } else {
-    std::cout << "flight dump written to " << path << "\n";
-  }
-}
-
-/// Serialises and atomically writes a repro scenario. Returns false (after a
-/// warning) on I/O failure; the campaign still exits 1 either way.
-bool write_repro(const std::string& path, const check::Scenario& s) {
-  std::ostringstream body;
-  check::write_scenario(body, s);
-  if (!write_file_atomic(path, body.str())) {
-    std::cerr << "warning: could not write repro to '" << path << "'\n";
-    return false;
-  }
-  return true;
+            << r.fail_cycle;
+  if (r.output != kNoPort) std::cout << " output " << r.output;
+  std::cout << "\n" << r.detail << "\n";
 }
 
 /// Running campaign totals; per-scenario Streaming accumulators are merged
@@ -293,10 +268,8 @@ int main(int argc, char** argv) {
   std::uint64_t time_budget_s = 0;
   std::uint64_t heartbeat_s = 0;  // 0 = no heartbeat telemetry
   std::uint64_t jobs = 1;
-  check::CheckOptions opts;
-  std::optional<arb::MatchKind> engine_override;
-  bool fast_forward = true;
-  bool sparse = false;
+  std::string grid;  // the grid tokens the checking flags map to, '+'-joined
+  check::PlantedBug bug = check::PlantedBug::None;
   bool do_shrink = true;
   bool quiet = false;
   std::string repro_dir = ".";
@@ -322,28 +295,22 @@ int main(int argc, char** argv) {
         if (jobs == 0) jobs = exec::ThreadPool::hardware_threads();
         if (jobs > 512) throw ConfigError("--jobs too large (max 512)");
       } else if (arg == "--no-circuit") {
-        opts.circuit = false;
+        grid += "+no-circuit";
       } else if (arg == "--no-state") {
-        opts.state_compare = false;
+        grid += "+no-state";
       } else if (arg == "--no-fast-forward") {
-        fast_forward = false;
+        grid += "+noff";
       } else if (arg == "--sparse") {
-        sparse = true;
+        grid += "+sparse";
       } else if (arg == "--monitor") {
-        opts.monitor = true;
-        opts.flight_recorder = 256;
+        grid += "+monitor";
       } else if (auto vh = opt_value(arg, "--heartbeat")) {
         heartbeat_s = parse_uint<std::uint64_t>(*vh, "--heartbeat");
         if (heartbeat_s == 0) throw ConfigError("--heartbeat must be >= 1");
       } else if (auto ve = opt_value(arg, "--engine")) {
-        engine_override = arb::parse_match_kind(*ve);
-        if (*engine_override == arb::MatchKind::Starve) {
-          throw ConfigError(
-              "--engine=starve would fail every scenario; use "
-              "--plant=engine_starve for the guard self-test");
-        }
+        grid += "+engine=" + std::string(*ve);
       } else if (auto v4 = opt_value(arg, "--plant")) {
-        opts.bug = parse_bug(*v4);
+        bug = parse_bug(*v4);
       } else if (auto v5 = opt_value(arg, "--repro-dir")) {
         repro_dir = *v5;
       } else if (arg == "--no-shrink") {
@@ -364,39 +331,20 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Scenario source for campaign/emit modes: generated by index, then the
-    // --engine override (if any) is applied on top. The override composes
-    // with the generated config — the same traffic/fault draw runs on the
-    // requested engine, so sweeping --engine across seeds is a differential
-    // sweep of the engines themselves.
-    const auto make_scenario = [&](std::uint64_t index) {
-      check::Scenario s = check::generate_scenario(index, base_seed);
-      if (sparse) {
-        // Deterministic derate: same draws, same faults, same checks — only
-        // the offered load shrinks and the horizon stretches, so idle
-        // stretches dominate and fast-forward gets something to skip.
-        // Rates only go down, so admissibility is preserved.
-        s.cycles *= 8;
-        for (auto& f : s.flows) f.inject_rate *= 0.05;
-      }
-      s.fast_forward = fast_forward;
-      if (engine_override.has_value()) {
-        s.matching_engine = *engine_override;
-        if (*engine_override != arb::MatchKind::None) {
-          s.packet_chaining = false;  // invalid under an engine
-        }
-      }
-      return s;
-    };
+    // The unit every mode runs: exactly what an ssq_campaign grid point
+    // with this label runs, so parse_grid_point is the one validator.
+    campaign::GridPoint point =
+        campaign::parse_grid_point(grid.empty() ? "default" : grid.substr(1));
+    point.opts.bug = bug;
 
     // Corpus authoring: serialise one generated scenario and exit.
     if (emit_index.has_value()) {
       if (write_path.empty()) {
         throw ConfigError("--emit needs --write=FILE");
       }
-      const check::Scenario s = make_scenario(*emit_index);
       std::ostringstream body;
-      check::write_scenario(body, s);
+      check::write_scenario(
+          body, campaign::unit_scenario(point, base_seed, *emit_index));
       if (!write_file_atomic(write_path, body.str())) {
         throw ConfigError("cannot write '" + write_path + "'");
       }
@@ -406,7 +354,7 @@ int main(int argc, char** argv) {
     // Replay mode: one scenario file, optionally just dumping its trace.
     if (!replay_path.empty()) {
       check::Scenario s = check::load_scenario(replay_path);
-      s.fast_forward = fast_forward;
+      s.fast_forward = point.fast_forward;
       if (!trace_path.empty()) {
         const std::string trace = check::golden_trace(s);
         if (trace_path == "-") {
@@ -417,25 +365,20 @@ int main(int argc, char** argv) {
         }
         return 0;
       }
-      const check::RunResult r = check::run_scenario(s, opts);
+      const check::RunResult r = campaign::run_unit(point, s);
       if (r.failed) {
         report_failure(s, r);
-        write_flight_dump(replay_path + ".flight.jsonl", r.flight_dump);
-        return 1;
-      }
-      if (unexpected_violation(s.has_faults(), r)) {
-        std::cout << "FAIL " << s.name << ": qos_violation (gb="
-                  << r.violations_gb << " gl=" << r.violations_gl
-                  << " over " << r.windows_checked
-                  << " windows, no faults injected)\n";
-        write_flight_dump(replay_path + ".flight.jsonl", r.flight_dump);
+        const std::string dump = replay_path + ".flight.jsonl";
+        if (!r.flight_dump.empty() && write_file_atomic(dump, r.flight_dump)) {
+          std::cout << "flight dump written to " << dump << "\n";
+        }
         return 1;
       }
       if (!quiet) {
         std::cout << "ok " << s.name << ": " << r.grants_checked
                   << " grants checked, " << r.delivered
                   << " packets delivered";
-        if (opts.monitor) {
+        if (point.opts.monitor) {
           std::cout << ", " << r.windows_checked << " windows ("
                     << r.violations_gb + r.violations_gl + r.violations_be
                     << " violations)";
@@ -491,10 +434,11 @@ int main(int argc, char** argv) {
       const std::vector<Outcome> outcomes = exec::run_batch<Outcome>(
           pool, static_cast<std::size_t>(count),
           [&](std::size_t k) {
-            const check::Scenario s = make_scenario(start + k);
+            const check::Scenario s =
+                campaign::unit_scenario(point, base_seed, start + k);
             Outcome o;
             o.has_faults = s.has_faults();
-            o.result = check::run_scenario(s, opts);
+            o.result = campaign::run_unit(point, s);
             if (!o.result.failed && !quiet) {
               std::ostringstream os;
               os << "ok " << s.name << " radix=" << s.radix
@@ -512,39 +456,21 @@ int main(int argc, char** argv) {
         ++ran;
         campaign.absorb(outcomes[k].has_faults, r);
         grants_profile.push_back(static_cast<double>(r.grants_checked));
-        if (unexpected_violation(outcomes[k].has_faults, r)) {
-          // A conformance finding, not a divergence: the differential
-          // oracle passed, so the shrinker (whose predicate is "run_scenario
-          // fails") cannot reproduce it — keep the scenario as generated.
-          const check::Scenario s = make_scenario(i);
-          std::cout << "FAIL " << s.name << ": qos_violation (gb="
-                    << r.violations_gb << " gl=" << r.violations_gl
-                    << " over " << r.windows_checked
-                    << " windows, no faults injected)\n";
-          const std::string stem = repro_dir + "/repro-" +
-                                   std::to_string(base_seed) + "-" +
-                                   std::to_string(i);
-          std::error_code ec;  // best-effort; the write below reports failure
-          std::filesystem::create_directories(repro_dir, ec);
-          if (write_repro(stem + ".scenario", s)) {
-            std::cout << "repro written to " << stem << ".scenario (replay: "
-                      << "ssq_fuzz --monitor --replay=" << stem
-                      << ".scenario)\n";
-          }
-          write_flight_dump(stem + ".flight.jsonl", r.flight_dump);
-          return 1;
-        }
         if (!r.failed) {
           if (!quiet) std::cout << outcomes[k].line;
           continue;
         }
         // Lowest failing index: regenerate the scenario and shrink serially,
-        // exactly as the serial campaign would have.
-        const check::Scenario s = make_scenario(i);
+        // exactly as the serial campaign would have. A qos_violation or
+        // config_error is the unit's verdict, not run_scenario's, so the
+        // shrinker (whose predicate is "run_scenario fails") cannot
+        // reproduce it — that scenario ships as generated.
+        const check::Scenario s = campaign::unit_scenario(point, base_seed, i);
         report_failure(s, r);
         check::Scenario repro = s;
-        if (do_shrink) {
-          const check::ShrinkResult sh = check::shrink(s, opts);
+        if (do_shrink && r.kind != "qos_violation" &&
+            r.kind != "config_error") {
+          const check::ShrinkResult sh = check::shrink(s, point.opts);
           repro = sh.scenario;
           std::cout << "shrunk to " << repro.cycles << " cycles, "
                     << repro.flows.size() << " flows ("
@@ -553,18 +479,24 @@ int main(int argc, char** argv) {
                     << sh.failure.kind << " at cycle "
                     << sh.failure.fail_cycle << "\n";
         }
-        const std::string path = repro_dir + "/repro-" +
+        // The incident snapshot comes from the *original* failing run (a
+        // shrunk repro re-fails on replay and produces its own).
+        const std::string stem = repro_dir + "/repro-" +
                                  std::to_string(base_seed) + "-" +
-                                 std::to_string(i) + ".scenario";
+                                 std::to_string(i);
         std::error_code ec;  // best-effort; the write below reports failure
         std::filesystem::create_directories(repro_dir, ec);
-        if (write_repro(path, repro)) {
-          std::cout << "repro written to " << path
-                    << " (replay: ssq_fuzz --replay=" << path << ")\n";
+        if (campaign::write_repro(stem, repro, r)) {
+          std::cout << "repro written to " << stem << ".scenario (replay: "
+                    << "ssq_fuzz" << (point.opts.monitor ? " --monitor" : "")
+                    << " --replay=" << stem << ".scenario)\n";
+          if (!r.flight_dump.empty()) {
+            std::cout << "flight dump written to " << stem << ".flight.jsonl\n";
+          }
+        } else {
+          std::cerr << "warning: could not write repro to '" << stem
+                    << ".scenario'\n";
         }
-        // Incident snapshot from the *original* failing run (the shrunk
-        // repro re-fails on replay and produces its own).
-        write_flight_dump(path + ".flight.jsonl", r.flight_dump);
         return 1;
       }
       if (heartbeat_s != 0) {
@@ -594,14 +526,15 @@ int main(int argc, char** argv) {
       return 130;
     }
     if (!quiet) {
-      render_campaign_summary(campaign, ran, opts.monitor, grants_profile);
+      render_campaign_summary(campaign, ran, point.opts.monitor,
+                              grants_profile);
     }
     std::cout << "all " << ran << " scenarios passed: "
               << static_cast<std::uint64_t>(campaign.grants.sum())
               << " grants checked, "
               << static_cast<std::uint64_t>(campaign.delivered.sum())
               << " packets delivered";
-    if (opts.monitor) {
+    if (point.opts.monitor) {
       std::cout << ", " << campaign.windows << " windows ("
                 << campaign.violations_gb + campaign.violations_gl +
                        campaign.violations_be
