@@ -17,6 +17,8 @@
 
 #include "exec/thread_pool.hpp"
 #include "obs/json.hpp"
+#include "sim/error.hpp"
+#include "sim/parse.hpp"
 #include "stats/table.hpp"
 #include "switch/config.hpp"
 #include "traffic/flow.hpp"
@@ -26,16 +28,20 @@ namespace ssq::bench {
 /// Parses `--jobs=N` from argv (default 1 = serial; 0 = all hardware
 /// threads). Sweep benches use this to farm independent configuration
 /// points out to a thread pool; each point seeds its own RNG from the
-/// switch config, so results are identical at any job count.
+/// switch config, so results are identical at any job count. A value that
+/// is not an unsigned integer prints one line on stderr and exits 2.
 inline unsigned parse_jobs(int argc, char** argv) {
   unsigned jobs = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg.substr(0, 7) == "--jobs=") {
-      jobs = static_cast<unsigned>(
-          std::strtoul(std::string(arg.substr(7)).c_str(), nullptr, 10));
-      if (jobs == 0) jobs = exec::ThreadPool::hardware_threads();
+    if (arg.substr(0, 7) != "--jobs=") continue;
+    try {
+      jobs = parse_uint<unsigned>(arg.substr(7), "--jobs");
+    } catch (const ConfigError& e) {
+      std::cerr << argv[0] << ": " << e.what() << "\n";
+      std::exit(2);
     }
+    if (jobs == 0) jobs = exec::ThreadPool::hardware_threads();
   }
   return jobs;
 }

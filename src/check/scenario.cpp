@@ -1,13 +1,10 @@
 #include "check/scenario.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <istream>
 #include <limits>
-#include <optional>
 #include <ostream>
-#include <sstream>
 
 #include "obs/conformance.hpp"
 #include "obs/flight_recorder.hpp"
@@ -15,129 +12,27 @@
 #include "sim/error.hpp"
 #include "sim/rng.hpp"
 #include "switch/observe.hpp"
+#include "traffic/workload_io.hpp"
 
 namespace ssq::check {
 
 namespace {
 
-[[noreturn]] void parse_fail(const std::string& name, int line,
-                             const std::string& what) {
-  throw ssq::ConfigError("scenario parse error at " + name + ":" +
-                         std::to_string(line) + ": " + what);
-}
-
-struct FieldMap {
-  std::vector<std::pair<std::string, std::string>> kv;
-  const std::string& file;
-  int line;
-
-  [[nodiscard]] std::optional<std::string> get(std::string_view key) const {
-    for (const auto& [k, v] : kv) {
-      if (k == key) return v;
-    }
-    return std::nullopt;
-  }
-
-  [[nodiscard]] std::string require(std::string_view key) const {
-    auto v = get(key);
-    if (!v) parse_fail(file, line, "missing field '" + std::string(key) + "'");
-    return *v;
-  }
-
-  [[nodiscard]] double number(std::string_view key, double fallback) const {
-    auto v = get(key);
-    if (!v) return fallback;
-    char* end = nullptr;
-    const double x = std::strtod(v->c_str(), &end);
-    if (end == v->c_str() || *end != '\0') {
-      parse_fail(file, line,
-                 "field '" + std::string(key) + "' is not a number: " + *v);
-    }
-    return x;
-  }
-
-  /// Exact 64-bit parse — seeds do not survive a double round-trip.
-  [[nodiscard]] std::uint64_t u64(std::string_view key,
-                                  std::uint64_t fallback) const {
-    auto v = get(key);
-    if (!v) return fallback;
-    char* end = nullptr;
-    const std::uint64_t x = std::strtoull(v->c_str(), &end, 10);
-    if (end == v->c_str() || *end != '\0') {
-      parse_fail(file, line,
-                 "field '" + std::string(key) + "' is not an integer: " + *v);
-    }
-    return x;
-  }
-};
-
-FieldMap parse_fields(const std::vector<std::string>& tokens,
-                      const std::string& file, int line) {
-  FieldMap map{.kv = {}, .file = file, .line = line};
-  for (std::size_t t = 1; t < tokens.size(); ++t) {
-    const auto eq = tokens[t].find('=');
-    if (eq == std::string::npos || eq == 0) {
-      parse_fail(file, line, "expected key=value, got '" + tokens[t] + "'");
-    }
-    map.kv.push_back({tokens[t].substr(0, eq), tokens[t].substr(eq + 1)});
-  }
-  return map;
-}
-
-TrafficClass parse_class(const std::string& s, const std::string& file,
-                         int line) {
-  if (s == "be") return TrafficClass::BestEffort;
-  if (s == "gb") return TrafficClass::GuaranteedBandwidth;
-  if (s == "gl") return TrafficClass::GuaranteedLatency;
-  parse_fail(file, line, "unknown class '" + s + "' (be|gb|gl)");
-}
-
-traffic::InjectKind parse_inject(const std::string& s, const std::string& file,
-                                 int line) {
-  if (s == "bernoulli") return traffic::InjectKind::Bernoulli;
-  if (s == "onoff") return traffic::InjectKind::OnOff;
-  if (s == "periodic") return traffic::InjectKind::Periodic;
-  if (s == "burst") return traffic::InjectKind::BurstOnce;
-  parse_fail(file, line,
-             "unknown inject '" + s + "' (bernoulli|onoff|periodic|burst)");
-}
-
-core::CounterPolicy parse_policy(const std::string& s, const std::string& file,
-                                 int line) {
+core::CounterPolicy parse_policy(const traffic::FieldMap& f,
+                                 const std::string& s) {
   if (s == "subtract_real_clock") return core::CounterPolicy::SubtractRealClock;
   if (s == "halve") return core::CounterPolicy::Halve;
   if (s == "reset") return core::CounterPolicy::Reset;
   if (s == "none") return core::CounterPolicy::None;
-  parse_fail(file, line, "unknown policy '" + s +
-                             "' (subtract_real_clock|halve|reset|none)");
+  f.fail("unknown policy '" + s + "' (subtract_real_clock|halve|reset|none)");
 }
 
-core::GlPolicing parse_policing(const std::string& s, const std::string& file,
-                                int line) {
+core::GlPolicing parse_policing(const traffic::FieldMap& f,
+                                const std::string& s) {
   if (s == "stall") return core::GlPolicing::Stall;
   if (s == "demote") return core::GlPolicing::Demote;
   if (s == "none") return core::GlPolicing::None;
-  parse_fail(file, line, "unknown policing '" + s + "' (stall|demote|none)");
-}
-
-const char* class_name(TrafficClass c) {
-  switch (c) {
-    case TrafficClass::BestEffort: return "be";
-    case TrafficClass::GuaranteedBandwidth: return "gb";
-    case TrafficClass::GuaranteedLatency: return "gl";
-  }
-  return "?";
-}
-
-const char* inject_name(traffic::InjectKind k) {
-  switch (k) {
-    case traffic::InjectKind::Bernoulli: return "bernoulli";
-    case traffic::InjectKind::OnOff: return "onoff";
-    case traffic::InjectKind::Periodic: return "periodic";
-    case traffic::InjectKind::BurstOnce: return "burst";
-    case traffic::InjectKind::Trace: return "trace";
-  }
-  return "?";
+  f.fail("unknown policing '" + s + "' (stall|demote|none)");
 }
 
 }  // namespace
@@ -366,142 +261,85 @@ Scenario parse_scenario(std::istream& in, const std::string& name) {
   Scenario s;
   bool seen_scenario = false;
   bool seen_radix = false;
-  std::string line;
-  int line_no = 0;
-
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
-      line.erase(hash);
-    }
-    std::istringstream ls(line);
-    std::vector<std::string> tokens;
-    for (std::string tok; ls >> tok;) tokens.push_back(tok);
-    if (tokens.empty()) continue;
-    const std::string& head = tokens[0];
+  traffic::LineReader r(in, "scenario", name);
+  while (r.next()) {
+    const std::string& head = r.directive();
     if (head == "radix") {
-      // Positional form (`radix 8`), matching the workload-file idiom —
-      // handled before the key=value FieldMap is built.
-      if (tokens.size() != 2) parse_fail(name, line_no, "radix <N>");
-      const long radix = std::atol(tokens[1].c_str());
-      if (radix < 2 || radix > 64) {
-        parse_fail(name, line_no, "radix out of range [2,64]");
-      }
-      s.radix = static_cast<std::uint32_t>(radix);
+      s.radix = r.radix();
       seen_radix = true;
       continue;
     }
-    const FieldMap f = parse_fields(tokens, name, line_no);
+    traffic::FieldMap f = r.parse_fields();
 
     if (head == "scenario") {
       seen_scenario = true;
       s.name = f.get("name").value_or(s.name);
-      s.seed = f.u64("seed", s.seed);
-      s.cycles = f.u64("cycles", s.cycles);
+      s.seed = f.integer("seed", s.seed);
+      s.cycles = f.integer("cycles", s.cycles);
     } else if (head == "ssvc") {
-      s.ssvc.level_bits = static_cast<std::uint32_t>(
-          f.u64("level_bits", s.ssvc.level_bits));
-      s.ssvc.lsb_bits =
-          static_cast<std::uint32_t>(f.u64("lsb_bits", s.ssvc.lsb_bits));
-      s.ssvc.vtick_bits =
-          static_cast<std::uint32_t>(f.u64("vtick_bits", s.ssvc.vtick_bits));
-      s.ssvc.vtick_shift =
-          static_cast<std::uint32_t>(f.u64("vtick_shift", s.ssvc.vtick_shift));
-      if (auto p = f.get("policy")) {
-        s.ssvc.policy = parse_policy(*p, name, line_no);
-      }
+      s.ssvc.level_bits = f.integer("level_bits", s.ssvc.level_bits);
+      s.ssvc.lsb_bits = f.integer("lsb_bits", s.ssvc.lsb_bits);
+      s.ssvc.vtick_bits = f.integer("vtick_bits", s.ssvc.vtick_bits);
+      s.ssvc.vtick_shift = f.integer("vtick_shift", s.ssvc.vtick_shift);
+      if (auto p = f.get("policy")) s.ssvc.policy = parse_policy(f, *p);
     } else if (head == "switch") {
-      if (auto p = f.get("policing")) {
-        s.gl_policing = parse_policing(*p, name, line_no);
-      }
-      s.gl_allowance =
-          static_cast<std::uint32_t>(f.u64("allowance", s.gl_allowance));
-      s.packet_chaining = f.u64("chaining", s.packet_chaining ? 1 : 0) != 0;
-      s.arbitration_cycles = static_cast<std::uint32_t>(
-          f.u64("arb_cycles", s.arbitration_cycles));
+      if (auto p = f.get("policing")) s.gl_policing = parse_policing(f, *p);
+      s.gl_allowance = f.integer("allowance", s.gl_allowance);
+      s.packet_chaining =
+          f.integer<std::uint32_t>("chaining", s.packet_chaining) != 0;
+      s.arbitration_cycles = f.integer("arb_cycles", s.arbitration_cycles);
     } else if (head == "match") {
       const std::string eng = f.require("engine");
       try {
         s.matching_engine = arb::parse_match_kind(eng);
       } catch (const ssq::ConfigError&) {
-        parse_fail(name, line_no,
-                   "unknown engine '" + eng +
-                       "' (islip|qps|swqps|ssvc|starve|none)");
+        f.fail("unknown engine '" + eng +
+               "' (islip|qps|swqps|ssvc|starve|none)");
       }
-      s.match_iterations =
-          static_cast<std::uint32_t>(f.u64("iters", s.match_iterations));
+      s.match_iterations = f.integer("iters", s.match_iterations);
     } else if (head == "gsf") {
       s.gsf.enabled = true;
-      s.gsf.frame_cycles = f.u64("frame", s.gsf.frame_cycles);
-      s.gsf.barrier_cycles = f.u64("barrier", s.gsf.barrier_cycles);
+      s.gsf.frame_cycles = f.integer("frame", s.gsf.frame_cycles);
+      s.gsf.barrier_cycles = f.integer("barrier", s.gsf.barrier_cycles);
     } else if (head == "buffers") {
-      s.buffers.be_flits =
-          static_cast<std::uint32_t>(f.u64("be", s.buffers.be_flits));
-      s.buffers.gb_flits_per_output = static_cast<std::uint32_t>(
-          f.u64("gb", s.buffers.gb_flits_per_output));
-      s.buffers.gl_flits =
-          static_cast<std::uint32_t>(f.u64("gl", s.buffers.gl_flits));
+      s.buffers.be_flits = f.integer("be", s.buffers.be_flits);
+      s.buffers.gb_flits_per_output =
+          f.integer("gb", s.buffers.gb_flits_per_output);
+      s.buffers.gl_flits = f.integer("gl", s.buffers.gl_flits);
     } else if (head == "flow") {
-      if (!seen_radix) {
-        parse_fail(name, line_no, "'radix' must come before 'flow'");
-      }
-      traffic::FlowSpec spec;
-      spec.src = static_cast<InputId>(f.u64("src", kNoPort));
-      spec.dst = static_cast<OutputId>(f.u64("dst", kNoPort));
-      if (spec.src == kNoPort || spec.dst == kNoPort) {
-        parse_fail(name, line_no, "flow needs src= and dst=");
-      }
-      spec.cls = parse_class(f.get("class").value_or("be"), name, line_no);
-      spec.reserved_rate = f.number("rate", 0.0);
-      const auto len = static_cast<std::uint32_t>(f.u64("len", 1));
-      spec.len_min = static_cast<std::uint32_t>(f.u64("len_min", len));
-      spec.len_max = static_cast<std::uint32_t>(f.u64("len_max", len));
-      spec.inject =
-          parse_inject(f.get("inject").value_or("bernoulli"), name, line_no);
-      spec.inject_rate = f.number("load", 0.0);
-      spec.mean_on_cycles = f.number("on", 64.0);
-      spec.mean_off_cycles = f.number("off", 64.0);
-      spec.burst_start = f.u64("burst_start", 0);
-      spec.burst_packets =
-          static_cast<std::uint32_t>(f.u64("burst_packets", 0));
-      spec.start_cycle = f.u64("start", 0);
-      s.flows.push_back(spec);
+      if (!seen_radix) r.fail("'radix' must come before 'flow'");
+      s.flows.push_back(traffic::read_flow(f));
     } else if (head == "glres") {
-      s.gl_reservations.push_back(
-          {static_cast<OutputId>(f.u64("dst", 0)),
-           f.number("rate", 0.0),
-           static_cast<std::uint32_t>(f.u64("len", 1))});
+      s.gl_reservations.push_back(traffic::read_gl_reservation(f));
       if (s.gl_reservations.back().rate <= 0.0) {
-        parse_fail(name, line_no, "glres needs rate > 0");
+        r.fail("glres needs rate > 0");
       }
     } else if (head == "fault") {
-      s.faults.seed = f.u64("seed", s.faults.seed);
+      s.faults.seed = f.integer("seed", s.faults.seed);
       s.faults.bitflip_rate = f.number("bitflip", s.faults.bitflip_rate);
     } else if (head == "fault_stuck") {
-      s.faults.stuck_lanes.push_back(
-          {static_cast<OutputId>(f.u64("output", 0)),
-           static_cast<std::uint32_t>(f.u64("lane", 0)),
-           f.u64("high", 1) != 0, f.u64("at", 0)});
+      s.faults.stuck_lanes.push_back({f.integer<OutputId>("output", 0),
+                                      f.integer<std::uint32_t>("lane", 0),
+                                      f.integer<std::uint32_t>("high", 1) != 0,
+                                      f.integer<Cycle>("at", 0)});
     } else if (head == "fault_killport") {
-      s.faults.port_kills.push_back({static_cast<InputId>(f.u64("input", 0)),
-                                     f.u64("at", 0),
-                                     f.u64("restore", kNoCycle)});
+      s.faults.port_kills.push_back({f.integer<InputId>("input", 0),
+                                     f.integer<Cycle>("at", 0),
+                                     f.integer("restore", kNoCycle)});
     } else if (head == "fault_killxp") {
       s.faults.crosspoint_kills.push_back(
-          {static_cast<InputId>(f.u64("input", 0)),
-           static_cast<OutputId>(f.u64("output", 0)), f.u64("at", 0),
-           f.u64("restore", kNoCycle)});
+          {f.integer<InputId>("input", 0), f.integer<OutputId>("output", 0),
+           f.integer<Cycle>("at", 0), f.integer("restore", kNoCycle)});
     } else if (head == "scrub") {
-      s.scrub_interval = f.u64("interval", 0);
-      if (s.scrub_interval == 0) {
-        parse_fail(name, line_no, "scrub needs interval >= 1");
-      }
+      s.scrub_interval = f.integer<Cycle>("interval", 0);
+      if (s.scrub_interval == 0) r.fail("scrub needs interval >= 1");
     } else {
-      parse_fail(name, line_no, "unknown directive '" + head + "'");
+      r.fail("unknown directive '" + head + "'");
     }
+    f.done();
   }
-  if (!seen_scenario) parse_fail(name, line_no, "missing 'scenario' line");
-  if (!seen_radix) parse_fail(name, line_no, "missing 'radix' line");
+  if (!seen_scenario) r.fail("missing 'scenario' line");
+  if (!seen_radix) r.fail("missing 'radix' line");
   // Surface config errors with the file name attached.
   try {
     s.validate();
@@ -546,36 +384,9 @@ void write_scenario(std::ostream& out, const Scenario& s) {
   out << "buffers be=" << s.buffers.be_flits
       << " gb=" << s.buffers.gb_flits_per_output
       << " gl=" << s.buffers.gl_flits << "\n";
-  for (const auto& fl : s.flows) {
-    out << "flow src=" << fl.src << " dst=" << fl.dst
-        << " class=" << class_name(fl.cls);
-    if (fl.cls == TrafficClass::GuaranteedBandwidth) {
-      out << " rate=" << fl.reserved_rate;
-    }
-    out << " len_min=" << fl.len_min << " len_max=" << fl.len_max
-        << " inject=" << inject_name(fl.inject);
-    switch (fl.inject) {
-      case traffic::InjectKind::Bernoulli:
-      case traffic::InjectKind::Periodic:
-        out << " load=" << fl.inject_rate;
-        break;
-      case traffic::InjectKind::OnOff:
-        out << " load=" << fl.inject_rate << " on=" << fl.mean_on_cycles
-            << " off=" << fl.mean_off_cycles;
-        break;
-      case traffic::InjectKind::BurstOnce:
-        out << " burst_start=" << fl.burst_start
-            << " burst_packets=" << fl.burst_packets;
-        break;
-      case traffic::InjectKind::Trace:
-        break;  // not serialised (the fuzzer never generates traces)
-    }
-    if (fl.start_cycle != 0) out << " start=" << fl.start_cycle;
-    out << "\n";
-  }
+  for (const auto& fl : s.flows) traffic::write_flow(out, fl);
   for (const auto& g : s.gl_reservations) {
-    out << "glres dst=" << g.dst << " rate=" << g.rate
-        << " len=" << g.packet_len << "\n";
+    traffic::write_gl_reservation(out, "glres", g);
   }
   if (s.has_faults()) {
     out << "fault seed=" << s.faults.seed;

@@ -2,9 +2,15 @@
 // description that can be generated from a seed, serialised to a small text
 // file, replayed deterministically, and shrunk.
 //
-// The text format extends the workload format (traffic/workload_io) with
-// switch-geometry, fault-plan and scrubber directives, so one file is a
-// complete repro: `ssq_fuzz --replay=FILE` re-runs the exact failing run.
+// One file is a complete repro: `ssq_fuzz --replay=FILE` re-runs the exact
+// failing run. The text format shares with the workload format
+// (traffic/workload_io) its reader — `#` comments, the positional
+// `radix <N>` line, key=value fields and their strict rules (unknown or
+// repeated keys, signed, fractional or overflowing integers and non-finite
+// numbers are errors) — and its `flow` line. GL reservations use the
+// workload's fields under the directive name `glres`. The rest is this
+// format's own: `scenario`, `ssvc`, `switch`, `match`, `gsf`, `buffers`,
+// `fault`, `fault_stuck`, `fault_killport`, `fault_killxp` and `scrub`.
 // Parse errors throw ssq::ConfigError with file:line context.
 #pragma once
 
@@ -22,6 +28,7 @@
 #include "switch/crossbar.hpp"
 #include "traffic/flow.hpp"
 #include "traffic/workload.hpp"
+#include "traffic/workload_io.hpp"
 
 namespace ssq::check {
 
@@ -47,11 +54,7 @@ struct Scenario {
   sw::BufferConfig buffers{};
 
   std::vector<traffic::FlowSpec> flows;
-  struct GlReservation {
-    OutputId dst = 0;
-    double rate = 0.0;
-    std::uint32_t packet_len = 1;
-  };
+  using GlReservation = traffic::GlReservation;
   std::vector<GlReservation> gl_reservations;
 
   fault::FaultPlan faults{};

@@ -7,87 +7,118 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
-#include "sim/contracts.hpp"
 #include "sim/error.hpp"
 
 namespace ssq::traffic {
 
-namespace {
-
-[[noreturn]] void parse_fail(const std::string& name, int line,
-                             const std::string& what) {
-  throw ssq::ConfigError("workload parse error at " + name + ":" +
-                         std::to_string(line) + ": " + what);
-}
-
-struct FieldMap {
-  std::vector<std::pair<std::string, std::string>> kv;
-  const std::string& file;
-  int line;
-
-  [[nodiscard]] std::optional<std::string> get(std::string_view key) const {
-    for (const auto& [k, v] : kv) {
-      if (k == key) return v;
-    }
-    return std::nullopt;
-  }
-
-  [[nodiscard]] std::string require(std::string_view key) const {
-    auto v = get(key);
-    if (!v) parse_fail(file, line, "missing field '" + std::string(key) + "'");
-    return *v;
-  }
-
-  [[nodiscard]] double number(std::string_view key, double fallback) const {
-    auto v = get(key);
-    if (!v) return fallback;
-    char* end = nullptr;
-    const double x = std::strtod(v->c_str(), &end);
-    if (end == v->c_str() || *end != '\0') {
-      parse_fail(file, line, "field '" + std::string(key) +
-                                 "' is not a number: " + *v);
-    }
-    return x;
-  }
-
-  [[nodiscard]] double require_number(std::string_view key) const {
-    const std::string raw = require(key);
-    (void)raw;
-    return number(key, 0.0);
-  }
-};
-
-FieldMap parse_fields(const std::vector<std::string>& tokens,
-                      const std::string& file, int line) {
-  FieldMap map{.kv = {}, .file = file, .line = line};
+FieldMap::FieldMap(const std::vector<std::string>& tokens,
+                   const std::string& where)
+    : where_(where) {
   for (std::size_t t = 1; t < tokens.size(); ++t) {
     const auto eq = tokens[t].find('=');
     if (eq == std::string::npos || eq == 0) {
-      parse_fail(file, line, "expected key=value, got '" + tokens[t] + "'");
+      fail("expected key=value, got '" + tokens[t] + "'");
     }
-    map.kv.push_back({tokens[t].substr(0, eq), tokens[t].substr(eq + 1)});
+    std::string key = tokens[t].substr(0, eq);
+    for (const Field& f : fields_) {
+      if (f.key == key) fail("field '" + key + "' given twice");
+    }
+    fields_.push_back({std::move(key), tokens[t].substr(eq + 1)});
   }
-  return map;
 }
 
-TrafficClass parse_class(const std::string& s, const std::string& file,
-                         int line) {
+void FieldMap::fail(const std::string& what) const {
+  throw ssq::ConfigError(where_ + ": " + what);
+}
+
+std::optional<std::string> FieldMap::get(std::string_view key) {
+  for (Field& f : fields_) {
+    if (f.key == key) {
+      f.read = true;
+      return f.value;
+    }
+  }
+  return std::nullopt;
+}
+
+std::string FieldMap::require(std::string_view key) {
+  auto v = get(key);
+  if (!v) fail("missing field '" + std::string(key) + "'");
+  return *v;
+}
+
+double FieldMap::number(std::string_view key, double fallback) {
+  const std::optional<std::string> v = get(key);
+  if (!v) return fallback;
+  if (const auto x = to_double(*v)) return *x;
+  fail("field '" + std::string(key) + "' is not a number: " + *v);
+}
+
+double FieldMap::require_number(std::string_view key) {
+  (void)require(key);
+  return number(key, 0.0);
+}
+
+void FieldMap::done() const {
+  for (const Field& f : fields_) {
+    if (!f.read) fail("unknown field '" + f.key + "'");
+  }
+}
+
+LineReader::LineReader(std::istream& in, std::string format, std::string file)
+    : in_(in), format_(std::move(format)), file_(std::move(file)) {}
+
+bool LineReader::next() {
+  std::string line;
+  while (std::getline(in_, line)) {
+    ++line_;
+    if (const auto hash = line.find('#'); hash != std::string::npos) {
+      line.erase(hash);
+    }
+    std::istringstream ls(line);
+    tokens_.clear();
+    for (std::string tok; ls >> tok;) tokens_.push_back(std::move(tok));
+    if (!tokens_.empty()) return true;
+  }
+  return false;
+}
+
+std::uint32_t LineReader::radix() const {
+  if (tokens_.size() != 2) fail("radix <N>");
+  const auto radix = to_uint<std::uint32_t>(tokens_[1]);
+  if (!radix) fail("radix '" + tokens_[1] + "' is not an unsigned integer");
+  if (*radix < 2 || *radix > 64) fail("radix out of range [2,64]");
+  return *radix;
+}
+
+FieldMap LineReader::parse_fields() const { return {tokens_, where()}; }
+
+void LineReader::fail(const std::string& what) const {
+  throw ssq::ConfigError(where() + ": " + what);
+}
+
+std::string LineReader::where() const {
+  return format_ + " parse error at " + file_ + ":" + std::to_string(line_);
+}
+
+namespace {
+
+TrafficClass parse_class(const FieldMap& f, const std::string& s) {
   if (s == "be") return TrafficClass::BestEffort;
   if (s == "gb") return TrafficClass::GuaranteedBandwidth;
   if (s == "gl") return TrafficClass::GuaranteedLatency;
-  parse_fail(file, line, "unknown class '" + s + "' (be|gb|gl)");
+  f.fail("unknown class '" + s + "' (be|gb|gl)");
 }
 
-InjectKind parse_inject(const std::string& s, const std::string& file,
-                        int line) {
+InjectKind parse_inject(const FieldMap& f, const std::string& s) {
   if (s == "bernoulli") return InjectKind::Bernoulli;
   if (s == "onoff") return InjectKind::OnOff;
   if (s == "periodic") return InjectKind::Periodic;
   if (s == "burst") return InjectKind::BurstOnce;
-  parse_fail(file, line,
-             "unknown inject '" + s + "' (bernoulli|onoff|periodic|burst)");
+  f.fail("unknown inject '" + s + "' (bernoulli|onoff|periodic|burst)");
 }
 
 const char* class_name(TrafficClass c) {
@@ -112,67 +143,94 @@ const char* inject_name(InjectKind k) {
 
 }  // namespace
 
+FlowSpec read_flow(FieldMap& f) {
+  FlowSpec spec;
+  spec.src = f.require_integer<InputId>("src");
+  spec.dst = f.require_integer<OutputId>("dst");
+  spec.cls = parse_class(f, f.get("class").value_or("be"));
+  spec.reserved_rate = f.number("rate", 0.0);
+  const auto len = f.integer<std::uint32_t>("len", 1);
+  spec.len_min = f.integer("len_min", len);
+  spec.len_max = f.integer("len_max", len);
+  spec.inject = parse_inject(f, f.get("inject").value_or("bernoulli"));
+  spec.inject_rate = f.number("load", 0.0);
+  spec.mean_on_cycles = f.number("on", 64.0);
+  spec.mean_off_cycles = f.number("off", 64.0);
+  spec.burst_start = f.integer<Cycle>("burst_start", 0);
+  spec.burst_packets = f.integer<std::uint32_t>("burst_packets", 0);
+  spec.start_cycle = f.integer<Cycle>("start", 0);
+  spec.legacy_priority = f.integer<std::uint32_t>("prio", 0);
+  f.done();
+  return spec;
+}
+
+void write_flow(std::ostream& out, const FlowSpec& f) {
+  out << "flow src=" << f.src << " dst=" << f.dst
+      << " class=" << class_name(f.cls);
+  if (f.cls == TrafficClass::GuaranteedBandwidth) {
+    out << " rate=" << f.reserved_rate;
+  }
+  out << " len_min=" << f.len_min << " len_max=" << f.len_max
+      << " inject=" << inject_name(f.inject);
+  switch (f.inject) {
+    case InjectKind::Bernoulli:
+    case InjectKind::Periodic:
+      out << " load=" << f.inject_rate;
+      break;
+    case InjectKind::OnOff:
+      out << " load=" << f.inject_rate << " on=" << f.mean_on_cycles
+          << " off=" << f.mean_off_cycles;
+      break;
+    case InjectKind::BurstOnce:
+      out << " burst_start=" << f.burst_start
+          << " burst_packets=" << f.burst_packets;
+      break;
+    case InjectKind::Trace:
+      break;  // traces are not serialised by the text format
+  }
+  if (f.start_cycle != 0) out << " start=" << f.start_cycle;
+  if (f.legacy_priority != 0) out << " prio=" << f.legacy_priority;
+  out << "\n";
+}
+
+GlReservation read_gl_reservation(FieldMap& f) {
+  GlReservation g;
+  g.dst = f.require_integer<OutputId>("dst");
+  g.rate = f.require_number("rate");
+  g.packet_len = f.integer("len", g.packet_len);
+  f.done();
+  return g;
+}
+
+void write_gl_reservation(std::ostream& out, std::string_view directive,
+                          const GlReservation& g) {
+  out << directive << " dst=" << g.dst << " rate=" << g.rate
+      << " len=" << g.packet_len << "\n";
+}
+
 Workload parse_workload(std::istream& in, const std::string& name) {
   std::optional<Workload> workload;
-  std::string line;
-  int line_no = 0;
-
-  while (std::getline(in, line)) {
-    ++line_no;
-    // Strip comments.
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
-      line.erase(hash);
-    }
-    std::istringstream ls(line);
-    std::vector<std::string> tokens;
-    for (std::string tok; ls >> tok;) tokens.push_back(tok);
-    if (tokens.empty()) continue;
-
-    if (tokens[0] == "radix") {
-      if (tokens.size() != 2) parse_fail(name, line_no, "radix <N>");
-      const int radix = std::atoi(tokens[1].c_str());
-      if (radix < 2 || radix > 64) {
-        parse_fail(name, line_no, "radix out of range [2,64]");
-      }
-      if (workload) parse_fail(name, line_no, "duplicate radix line");
-      workload.emplace(static_cast<std::uint32_t>(radix));
+  LineReader r(in, "workload", name);
+  while (r.next()) {
+    if (r.directive() == "radix") {
+      const std::uint32_t radix = r.radix();
+      if (workload) r.fail("duplicate radix line");
+      workload.emplace(radix);
       continue;
     }
-    if (!workload) {
-      parse_fail(name, line_no, "the first directive must be 'radix <N>'");
-    }
+    if (!workload) r.fail("the first directive must be 'radix <N>'");
 
-    const FieldMap f = parse_fields(tokens, name, line_no);
-    if (tokens[0] == "flow") {
-      FlowSpec spec;
-      spec.src = static_cast<InputId>(f.require_number("src"));
-      spec.dst = static_cast<OutputId>(f.require_number("dst"));
-      spec.cls = parse_class(f.get("class").value_or("be"), name, line_no);
-      spec.reserved_rate = f.number("rate", 0.0);
-      const auto len = static_cast<std::uint32_t>(f.number("len", 1.0));
-      spec.len_min = static_cast<std::uint32_t>(f.number("len_min", len));
-      spec.len_max = static_cast<std::uint32_t>(f.number("len_max", len));
-      spec.inject =
-          parse_inject(f.get("inject").value_or("bernoulli"), name, line_no);
-      spec.inject_rate = f.number("load", 0.0);
-      spec.mean_on_cycles = f.number("on", 64.0);
-      spec.mean_off_cycles = f.number("off", 64.0);
-      spec.burst_start = static_cast<Cycle>(f.number("burst_start", 0.0));
-      spec.burst_packets =
-          static_cast<std::uint32_t>(f.number("burst_packets", 0.0));
-      spec.start_cycle = static_cast<Cycle>(f.number("start", 0.0));
-      spec.legacy_priority = static_cast<std::uint32_t>(f.number("prio", 0.0));
-      workload->add_flow(spec);
-    } else if (tokens[0] == "gl_reservation") {
-      workload->set_gl_reservation(
-          static_cast<OutputId>(f.require_number("dst")),
-          f.require_number("rate"),
-          static_cast<std::uint32_t>(f.number("len", 1.0)));
+    FieldMap f = r.parse_fields();
+    if (r.directive() == "flow") {
+      workload->add_flow(read_flow(f));
+    } else if (r.directive() == "gl_reservation") {
+      const GlReservation g = read_gl_reservation(f);
+      workload->set_gl_reservation(g.dst, g.rate, g.packet_len);
     } else {
-      parse_fail(name, line_no, "unknown directive '" + tokens[0] + "'");
+      r.fail("unknown directive '" + r.directive() + "'");
     }
   }
-  if (!workload) parse_fail(name, line_no, "empty workload (no 'radix' line)");
+  if (!workload) r.fail("empty workload (no 'radix' line)");
   workload->validate();
   return std::move(*workload);
 }
@@ -187,39 +245,13 @@ Workload load_workload(const std::string& path) {
 
 void write_workload(std::ostream& out, const Workload& workload) {
   out << "radix " << workload.radix() << "\n";
-  for (const auto& f : workload.flows()) {
-    out << "flow src=" << f.src << " dst=" << f.dst
-        << " class=" << class_name(f.cls);
-    if (f.cls == TrafficClass::GuaranteedBandwidth) {
-      out << " rate=" << f.reserved_rate;
-    }
-    out << " len_min=" << f.len_min << " len_max=" << f.len_max
-        << " inject=" << inject_name(f.inject);
-    switch (f.inject) {
-      case InjectKind::Bernoulli:
-      case InjectKind::Periodic:
-        out << " load=" << f.inject_rate;
-        break;
-      case InjectKind::OnOff:
-        out << " load=" << f.inject_rate << " on=" << f.mean_on_cycles
-            << " off=" << f.mean_off_cycles;
-        break;
-      case InjectKind::BurstOnce:
-        out << " burst_start=" << f.burst_start
-            << " burst_packets=" << f.burst_packets;
-        break;
-      case InjectKind::Trace:
-        break;  // traces are not serialised by the text format
-    }
-    if (f.start_cycle != 0) out << " start=" << f.start_cycle;
-    if (f.legacy_priority != 0) out << " prio=" << f.legacy_priority;
-    out << "\n";
-  }
+  for (const auto& f : workload.flows()) write_flow(out, f);
   for (OutputId d = 0; d < workload.radix(); ++d) {
     if (workload.gl_reservation_rate(d) > 0.0) {
-      out << "gl_reservation dst=" << d
-          << " rate=" << workload.gl_reservation_rate(d)
-          << " len=" << workload.gl_reservation_packet_len(d) << "\n";
+      write_gl_reservation(
+          out, "gl_reservation",
+          {d, workload.gl_reservation_rate(d),
+           workload.gl_reservation_packet_len(d)});
     }
   }
 }

@@ -181,6 +181,25 @@ TEST(Scenario, ParserRejectsGarbageWithContext) {
   std::istringstream junk("wibble a=1\n");
   EXPECT_THROW({ [[maybe_unused]] auto s = parse_scenario(junk, "junk"); },
                ConfigError);
+
+  // Each malformed line must be rejected, naming the field, not wrapped,
+  // truncated or ignored.
+  const auto rejects = [](const std::string& text, const std::string& needle) {
+    std::istringstream in(text);
+    try {
+      [[maybe_unused]] auto s = parse_scenario(in, "bad");
+      ADD_FAILURE() << "accepted; expected an error naming " << needle;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << "message was: " << e.what();
+    }
+  };
+  const std::string head = "scenario name=x seed=1 cycles=10\nradix 8\n";
+  rejects("scenario name=x seed=1 cycles=-5\nradix 8\n", "'cycles'");
+  rejects(head + "ssvc level_bits=4294967299\n", "'level_bits'");
+  rejects("scenario name=x seed=1 cycles=10\nradix 8x\n", "radix '8x'");
+  rejects(head + "flow src=0 dst=3 load=0.1 strat=300\n", "'strat'");
+  rejects(head + "flow src=0 dst=3 load=0.1 src=6\n", "'src' given twice");
 }
 
 TEST(Reference, LrgStartsInPortOrderAndMovesToBack) {

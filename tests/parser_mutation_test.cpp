@@ -1,0 +1,173 @@
+// Deterministic mutational fuzzing of the two line-format readers,
+// check::parse_scenario and traffic::parse_workload. Every committed golden
+// scenario and example workload is mutated line by line and byte by byte;
+// each mutant must either parse or throw ssq::ConfigError — never crash,
+// hang, abort on a contract or trip a sanitizer (the ASan+UBSan CI job runs
+// this binary too). Mutants are parsed, never run.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <exception>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "check/scenario.hpp"
+#include "sim/error.hpp"
+#include "sim/rng.hpp"
+#include "traffic/workload_io.hpp"
+
+namespace ssq {
+namespace {
+
+namespace fs = std::filesystem;
+
+struct Seed {
+  std::string name;
+  std::string text;
+  bool scenario;
+};
+
+std::vector<Seed> corpus() {
+  std::vector<Seed> seeds;
+  const auto add = [&](const char* dir, const char* ext, bool scenario) {
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      if (entry.path().extension() != ext) continue;
+      std::ifstream in(entry.path());
+      std::ostringstream text;
+      text << in.rdbuf();
+      seeds.push_back({entry.path().filename().string(), text.str(), scenario});
+    }
+  };
+  add(SSQ_GOLDEN_DIR, ".scenario", true);
+  add(SSQ_EXAMPLES_DIR, ".workload", false);
+  std::sort(seeds.begin(), seeds.end(),
+            [](const Seed& a, const Seed& b) { return a.name < b.name; });
+  return seeds;
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+std::vector<std::string> split_tokens(const std::string& line) {
+  std::vector<std::string> tokens;
+  std::istringstream in(line);
+  for (std::string tok; in >> tok;) tokens.push_back(tok);
+  return tokens;
+}
+
+std::string join(const std::vector<std::string>& parts, char sep) {
+  std::string out;
+  for (const auto& p : parts) out += p + sep;
+  return out;
+}
+
+struct Tally {
+  std::uint64_t mutants = 0;
+  std::uint64_t rejected = 0;
+};
+
+/// Parses `text` with the seed's reader: true if it parsed, false on
+/// ConfigError. Any other outcome fails the test, naming the mutant.
+bool parses(const Seed& seed, const std::string& text, const std::string& how,
+            Tally& tally) {
+  ++tally.mutants;
+  std::istringstream in(text);
+  try {
+    if (seed.scenario) {
+      (void)check::parse_scenario(in, seed.name);
+    } else {
+      (void)traffic::parse_workload(in, seed.name);
+    }
+    return true;
+  } catch (const ConfigError&) {
+    ++tally.rejected;
+    return false;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << seed.name << " (" << how << ") threw " << e.what()
+                  << ":\n"
+                  << text;
+    return false;
+  }
+}
+
+/// The seed with line `l` replaced by `tokens` re-joined.
+std::string with_line(const std::vector<std::string>& lines, std::size_t l,
+                      const std::vector<std::string>& tokens) {
+  std::vector<std::string> out = lines;
+  out[l] = join(tokens, ' ');
+  return join(out, '\n');
+}
+
+TEST(ParserMutation, EveryMutantParsesOrThrowsConfigError) {
+  const std::vector<Seed> seeds = corpus();
+  ASSERT_GE(seeds.size(), 12u);
+  const char* const kBadValues[] = {
+      "",    "-1",   "4294967296", "18446744073709551616", "1e30",
+      "nan", "0x10", "1.5",        "x"};
+  Tally tally;
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    const Seed& seed = seeds[i];
+    ASSERT_TRUE(parses(seed, seed.text, "unmutated", tally)) << seed.name;
+    const std::vector<std::string> lines = split_lines(seed.text);
+
+    // Truncated after each line.
+    std::string prefix;
+    for (const auto& line : lines) {
+      prefix += line + "\n";
+      (void)parses(seed, prefix, "truncated", tally);
+    }
+
+    for (std::size_t l = 0; l < lines.size(); ++l) {
+      const std::vector<std::string> tokens = split_tokens(lines[l]);
+      for (std::size_t t = 1; t < tokens.size(); ++t) {
+        const std::string& tok = tokens[t];
+        const auto eq = tok.find('=');
+        // Each value replaced (the whole token for the positional radix).
+        for (const char* bad : kBadValues) {
+          std::vector<std::string> m = tokens;
+          m[t] = eq == std::string::npos ? bad : tok.substr(0, eq + 1) + bad;
+          (void)parses(seed, with_line(lines, l, m), "value " + m[t], tally);
+        }
+        // The token repeated.
+        std::vector<std::string> repeated = tokens;
+        repeated.insert(repeated.begin() + static_cast<std::ptrdiff_t>(t),
+                        tok);
+        (void)parses(seed, with_line(lines, l, repeated), "repeat " + tok,
+                     tally);
+        // Its '=' dropped.
+        if (eq != std::string::npos) {
+          std::vector<std::string> m = tokens;
+          m[t].erase(eq, 1);
+          (void)parses(seed, with_line(lines, l, m), "no '=' " + tok, tally);
+        }
+      }
+    }
+
+    // Seeded byte flips: 1-4 random bytes of the file, each XORed with a
+    // random nonzero byte.
+    Rng rng(0xb17f11b5ULL + i);
+    for (int round = 0; round < 300; ++round) {
+      std::string m = seed.text;
+      const std::uint64_t flips = 1 + rng.below(4);
+      for (std::uint64_t k = 0; k < flips; ++k) {
+        m[rng.below(m.size())] ^= static_cast<char>(1 + rng.below(255));
+      }
+      (void)parses(seed, m, "byte flip round " + std::to_string(round), tally);
+    }
+  }
+  // Teeth: the bad values must actually be refused somewhere.
+  EXPECT_GT(tally.mutants, 5000u);
+  EXPECT_GT(tally.rejected, tally.mutants / 2);
+}
+
+}  // namespace
+}  // namespace ssq

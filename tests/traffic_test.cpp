@@ -369,6 +369,14 @@ TEST(WorkloadIoErrorTest, RejectsGarbage) {
   expect_config_error(parse("radix 8\nblah x=1\n"), "unknown directive");
   expect_config_error(parse("radix 99\n"), "out of range");
   expect_config_error(parse(""), "empty workload");
+  expect_config_error(parse("radix 8x\n"), "radix '8x'");
+  expect_config_error(parse("radix 8\nflow src=1.9 dst=2 load=0.1\n"), "'src'");
+  expect_config_error(parse("radix 8\nflow src=0 dst=1 len=1e30\n"),
+                      "'len'");
+  expect_config_error(
+      parse("radix 8\ngl_reservation dst=1 rate=0.05 lne=4\n"), "'lne'");
+  expect_config_error(parse("radix 8\nflow src=0 dst=1 load=0.1 load=0.2\n"),
+                      "'load' given twice");
 }
 
 TEST(WorkloadErrorTest, OverSubscriptionThrows) {
