@@ -32,7 +32,7 @@ class LrgArbiter final : public Arbiter {
   [[nodiscard]] bool beats(InputId i, InputId j) const;
 
   /// Row of the beats matrix for input `i` (bit j set == i beats j).
-  /// (Inline: the differential checker reads every row every cycle.)
+  /// (Inline: read per input by the kernels' LRG resolution.)
   [[nodiscard]] std::uint64_t row(InputId i) const {
     SSQ_EXPECT(i < radix());
     return rows_[i];

@@ -1,6 +1,8 @@
 #include "check/differential.hpp"
 
+#include <limits>
 #include <sstream>
+#include <utility>
 
 #include "sim/contracts.hpp"
 
@@ -42,12 +44,15 @@ DifferentialChecker::DifferentialChecker(sw::CrossbarSwitch& sim,
                          cfg.gl_policing, cfg.gl_allowance_packets, opts_.bug);
       // The two sides must start from identical derived configuration; a
       // mismatch here is a harness bug, not a semantic divergence.
-      auto& arb = sim_.qos_arbiter(o);
+      const auto& arb = std::as_const(sim_).qos_arbiter(o);
       for (InputId i = 0; i < radix; ++i) {
         SSQ_ENSURE(refs_[o].vtick(i) == arb.aux_vc(i).vtick());
       }
       SSQ_ENSURE(refs_[o].gl_vtick() == arb.gl_tracker().vtick());
     }
+    // Sentinel versions: the first compare of every output walks its inputs.
+    constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+    compared_.assign(radix, ComparedVersions{kNever, kNever});
     const std::uint32_t gb_lanes = cfg.ssvc.gb_levels();
     // The bit-level model caps the bus at 1024 wires; a 64-port bus with 16
     // GB lanes (plus GL and BE) would need 1152, so the circuit leg bows out
@@ -62,6 +67,7 @@ DifferentialChecker::DifferentialChecker(sw::CrossbarSwitch& sim,
       circuit_.emplace(layout);
       circuit_lrg_.emplace(radix);
       creqs_.reserve(radix);
+      crows_.resize(radix);
       ctrace_.emplace(layout.bus_width);
     } else {
       opts_.circuit = false;
@@ -266,7 +272,8 @@ void DifferentialChecker::check_circuit(const obs::Event& e,
              dump_requests(e.output) + dump_output_state(e.output));
     return;
   }
-  circuit_lrg_->set_matrix(ref.lrg_rows());
+  ref.lrg_rows(crows_);
+  circuit_lrg_->set_matrix(crows_);
   circuit_->arbitrate_into(creqs, *circuit_lrg_, *ctrace_);
   const circuit::ArbitrationTrace& trace = *ctrace_;
   if (trace.winner != e.input) {
@@ -349,8 +356,9 @@ void DifferentialChecker::end_cycle(Cycle t) {
 void DifferentialChecker::compare_state(Cycle t) {
   const std::uint32_t radix = sim_.config().radix;
   for (OutputId o = 0; o < radix; ++o) {
-    auto& arb = sim_.qos_arbiter(o);
-    arb.advance_to(t);
+    sim_.qos_arbiter(o).advance_to(t);
+    // Read-only from here: the mutable accessors count as writes.
+    const core::OutputQosArbiter& arb = std::as_const(sim_).qos_arbiter(o);
     const ReferenceOutput& ref = refs_[o];
     const auto mismatch = [&](const std::string& what) {
       fail(t, o, "state_mismatch", what + '\n' + dump_output_state(o));
@@ -369,6 +377,11 @@ void DifferentialChecker::compare_state(Cycle t) {
       mismatch("GL clock violates the Stall policing bound");
       return;
     }
+    // The per-input state changes only through a versioned write on either
+    // side. If neither side wrote this output since its last passing
+    // compare, both still hold the states found equal then.
+    const ComparedVersions versions{arb.state_version(), ref.version()};
+    if (versions == compared_[o]) continue;
     for (InputId i = 0; i < radix; ++i) {
       const auto& vc = arb.aux_vc(i);
       if (vc.value() > vc.cap()) {
@@ -397,6 +410,7 @@ void DifferentialChecker::compare_state(Cycle t) {
         return;
       }
     }
+    compared_[o] = versions;
   }
 }
 
@@ -424,7 +438,7 @@ std::string DifferentialChecker::dump_output_state(OutputId o) const {
     os << "  (no differential state)\n";
     return os.str();
   }
-  auto& arb = sim_.qos_arbiter(o);
+  const auto& arb = std::as_const(sim_).qos_arbiter(o);
   const ReferenceOutput& ref = refs_[o];
   os << "  rt " << arb.epoch_rt() << '|' << ref.rt() << "  gl_clock "
      << arb.gl_tracker().clock() << '|' << ref.gl_clock() << "  gl_vtick "

@@ -14,9 +14,14 @@
 // plus per-cycle invariants that hold in every mode, faults included:
 // at most one grant per output and per input per cycle, and conservation of
 // packets (delivered <= buffered <= created, per flow). In differential mode
-// it additionally deep-compares arbiter state every cycle (auxVC values,
-// thermometer levels — stored and sensed —, LRG ranks, GL clock, epoch
-// real time) and enforces the GL policing bound and counter-cap safety.
+// it additionally deep-compares arbiter state (auxVC values, thermometer
+// levels — stored and sensed —, LRG ranks, GL clock, epoch real time) and
+// enforces the GL policing bound and counter-cap safety. The O(1) parts run
+// for every output every cycle; an output's per-input state is re-walked in
+// the cycles where either side's mutation counter moved
+// (OutputQosArbiter::state_version, ReferenceOutput::version). An output
+// neither side wrote still holds the state its last passing compare found
+// equal, so the gate skips only comparisons that cannot fail.
 //
 // The first mismatch is captured as a Divergence with a full state dump of
 // both sides; checking stops there so the dump describes the *first* broken
@@ -100,6 +105,11 @@ class DifferentialChecker {
     return grants_checked_;
   }
   [[nodiscard]] const CheckOptions& options() const noexcept { return opts_; }
+  /// Reference model of output `o` (differential mode only).
+  [[nodiscard]] const ReferenceOutput& reference(OutputId o) const {
+    SSQ_EXPECT(o < refs_.size());
+    return refs_[o];
+  }
   [[nodiscard]] obs::SwitchProbe& probe() noexcept { return probe_; }
 
  private:
@@ -143,12 +153,22 @@ class DifferentialChecker {
   // Packet conservation, per flow.
   std::vector<std::uint64_t> created_, buffered_, delivered_;
 
-  // Circuit leg (constructed only when enabled). The request vector and
-  // arbitration trace are reused across every grant check so the per-grant
-  // circuit leg stays allocation-free at steady state.
+  // Per output, the (simulator, reference) state versions at its last
+  // passing per-input compare (sentinel-initialised: never compared).
+  struct ComparedVersions {
+    std::uint64_t sim = 0;
+    std::uint64_t ref = 0;
+    bool operator==(const ComparedVersions&) const = default;
+  };
+  std::vector<ComparedVersions> compared_;
+
+  // Circuit leg (constructed only when enabled). The request vector, LRG
+  // rows and arbitration trace are reused across every grant check so the
+  // per-grant circuit leg stays allocation-free at steady state.
   std::optional<circuit::CircuitArbiter> circuit_;
   std::optional<arb::LrgArbiter> circuit_lrg_;
   std::vector<circuit::CrosspointRequest> creqs_;
+  std::vector<std::uint64_t> crows_;
   std::optional<circuit::ArbitrationTrace> ctrace_;
 
   std::optional<Divergence> divergence_;

@@ -61,6 +61,7 @@ void ReferenceOutput::advance_to(Cycle now) {
   if (params_.policy == core::CounterPolicy::None) return;
   const std::uint64_t epoch = params_.epoch_cycles();
   while (rt_ >= epoch) {
+    ++version_;
     if (bug_ != PlantedBug::SkipEpochWrap) {
       for (auto& v : value_) v = v >= epoch ? v - epoch : 0;
     }
@@ -147,6 +148,7 @@ void ReferenceOutput::on_grant(InputId input, TrafficClass cls, Cycle now) {
   SSQ_EXPECT(now >= epoch_base_ && now - epoch_base_ == rt_ &&
              "call advance_to(now) before on_grant()");
 
+  ++version_;
   if (bug_ != PlantedBug::LrgNoMoveToBack) {
     // Move to back, shifting the tail down and keeping pos_ (the inverse
     // permutation lrg_rank reads) in step — one pass, no linear search.
@@ -201,16 +203,15 @@ void ReferenceOutput::on_grant(InputId input, TrafficClass cls, Cycle now) {
   }
 }
 
-std::vector<std::uint64_t> ReferenceOutput::lrg_rows() const {
-  // order_[k] beats everything at positions > k.
-  std::vector<std::uint64_t> rows(radix_, 0);
+void ReferenceOutput::lrg_rows(std::vector<std::uint64_t>& rows) const {
+  // order_[k] beats everything at positions > k; every row is written.
+  rows.resize(radix_);
   std::uint64_t remaining = 0;
   for (InputId i = 0; i < radix_; ++i) remaining |= 1ULL << i;
   for (const InputId who : order_) {
     remaining &= ~(1ULL << who);
     rows[who] = remaining;
   }
-  return rows;
 }
 
 }  // namespace ssq::check

@@ -85,9 +85,8 @@ class ReferenceOutput {
   [[nodiscard]] const core::SsvcParams& params() const noexcept {
     return params_;
   }
-  // (Inline: the differential checker reads these for every input of every
-  // output every cycle — together with lrg_rank they dominate campaign time
-  // when out-of-line.)
+  // (Inline: the differential checker reads these for every input of an
+  // output whenever either side wrote that output.)
   [[nodiscard]] std::uint64_t value(InputId i) const {
     SSQ_EXPECT(i < radix_);
     return value_[i];
@@ -122,9 +121,15 @@ class ReferenceOutput {
     SSQ_EXPECT(i < radix_);
     return pos_[i];
   }
-  /// Beats-matrix rows equivalent to the order vector, for seeding
-  /// arb::LrgArbiter::set_matrix in the bit-level circuit leg.
-  [[nodiscard]] std::vector<std::uint64_t> lrg_rows() const;
+  /// Fills `rows` with the beats-matrix rows equivalent to the order
+  /// vector, for seeding arb::LrgArbiter::set_matrix in the bit-level
+  /// circuit leg. Reuses the caller's buffer: no allocation once it holds
+  /// radix() words.
+  void lrg_rows(std::vector<std::uint64_t>& rows) const;
+  /// Mutation counter, bumped by on_grant and by every epoch wrap of
+  /// advance_to, never reset: an unchanged version means unchanged values,
+  /// LRG order and GL clock (OutputQosArbiter::state_version's twin).
+  [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
 
  private:
   /// First requester in LRG order among `bucket` (bit i = input i requests).
@@ -151,6 +156,7 @@ class ReferenceOutput {
   std::uint64_t gl_clock_ = 0;
   Cycle epoch_base_ = 0;
   std::uint64_t rt_ = 0;
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace ssq::check

@@ -58,6 +58,7 @@ AuxVc& OutputQosArbiter::aux_vc_mut(InputId i) {
   // the counter out from under the incremental lane-mask mirror: mark the
   // input stale so the next masked pick re-reads its level.
   dirty_ |= 1ULL << i;
+  ++version_;
   return gb_vc_[i];
 }
 
@@ -94,6 +95,7 @@ void OutputQosArbiter::advance_to(Cycle now) {
   if (params_.policy != CounterPolicy::None) {
     const std::uint64_t epoch = params_.epoch_cycles();
     while (rt_ >= epoch) {
+      ++version_;
       for (auto& vc : gb_vc_) vc.epoch_wrap();
       circuit::lane_masks_shift_down(lane_mask_);
       epoch_base_ += epoch;
@@ -409,6 +411,7 @@ void OutputQosArbiter::on_grant(InputId input, TrafficClass cls,
   SSQ_EXPECT(length >= 1);
   SSQ_EXPECT(now == last_now_ && "call advance_to(now) before on_grant()");
 
+  ++version_;  // covers on_saturation's halve/reset of every counter
   lrg_.on_grant(input, length, now);
   switch (cls) {
     case TrafficClass::GuaranteedBandwidth: {
@@ -437,6 +440,7 @@ void OutputQosArbiter::quarantine_lane(std::uint32_t lane) {
   SSQ_EXPECT(lane < params_.gb_levels());
   if ((quarantined_ >> lane) & 1ULL) return;
   quarantined_ |= 1ULL << lane;
+  ++version_;
   // Remap each level to its rank among the healthy lanes below it: the
   // quarantined lane's occupants land on the nearest healthy lane beneath,
   // compressing the code to fewer distinct levels.
@@ -451,6 +455,7 @@ void OutputQosArbiter::quarantine_lane(std::uint32_t lane) {
 
 std::uint32_t OutputQosArbiter::scrub(Cycle now) {
   advance_to(now);
+  ++version_;
   std::uint32_t repairs = 0;
   for (InputId i = 0; i < radix_; ++i) {
     const auto outcome = gb_vc_[i].scrub(rt_);
@@ -481,6 +486,7 @@ std::uint32_t OutputQosArbiter::scrub(Cycle now) {
 }
 
 void OutputQosArbiter::reset() {
+  ++version_;
   lrg_.reset();
   for (InputId i = 0; i < radix_; ++i) {
     gb_vc_[i] = AuxVc(params_, gb_vtick(params_, alloc_, i));

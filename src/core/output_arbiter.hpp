@@ -105,7 +105,7 @@ class OutputQosArbiter {
     return alloc_;
   }
   // (Inline: the differential checker compares every input's counter state
-  // against the reference every cycle — these are its hottest reads.)
+  // against the reference whenever either side wrote this output.)
   [[nodiscard]] const AuxVc& aux_vc(InputId i) const {
     SSQ_EXPECT(i < radix_);
     return gb_vc_[i];
@@ -115,11 +115,27 @@ class OutputQosArbiter {
     return gb_vc_[i].level();
   }
   [[nodiscard]] const arb::LrgArbiter& lrg() const noexcept { return lrg_; }
-  [[nodiscard]] arb::LrgArbiter& lrg() noexcept { return lrg_; }
+  /// Mutable LRG matrix, for the fault injector and tests; counts as a write
+  /// (see state_version()).
+  [[nodiscard]] arb::LrgArbiter& lrg() noexcept {
+    ++version_;
+    return lrg_;
+  }
   [[nodiscard]] const GlTracker& gl_tracker() const noexcept { return gl_; }
   /// Epoch-relative real time at the last advance_to().
   [[nodiscard]] std::uint64_t epoch_rt() const noexcept { return rt_; }
   [[nodiscard]] ArbKernel kernel() const noexcept { return kernel_; }
+  /// Mutation counter over every piece of state the differential checker
+  /// compares: auxVC registers and codes, the quarantine remap, the LRG
+  /// matrix and the GL clock. Every path that can write that state bumps it
+  /// (the epoch-wrap loop of advance_to, on_grant, reset, scrub,
+  /// quarantine_lane, and handing out aux_vc_mut, gl_tracker_mut or the
+  /// mutable lrg()); nothing resets it. So an unchanged version means
+  /// unchanged state. A mutable reference counts once, when it is taken:
+  /// write through it before the next compare, never hold it across one.
+  [[nodiscard]] std::uint64_t state_version() const noexcept {
+    return version_;
+  }
 
   // ---- packed lane-mask mirrors (bit-sliced kernel state) ----
   //
@@ -144,8 +160,12 @@ class OutputQosArbiter {
   // ---- fault injection / recovery (driven by src/fault) ----
 
   /// Mutable crosspoint state, for the fault injector and scrubber only.
+  /// Each call counts as a write (see state_version()).
   [[nodiscard]] AuxVc& aux_vc_mut(InputId i);
-  [[nodiscard]] GlTracker& gl_tracker_mut() noexcept { return gl_; }
+  [[nodiscard]] GlTracker& gl_tracker_mut() noexcept {
+    ++version_;
+    return gl_;
+  }
 
   /// GB level arbitration actually senses for input `i`: the (possibly
   /// corrupted) thermometer read, then the quarantine remap. Equals
@@ -200,6 +220,7 @@ class OutputQosArbiter {
   std::uint64_t dirty_ = 0;       // inputs whose lane slot may be stale
   std::uint64_t gb_capable_ = 0;  // inputs with a GB reservation
   std::vector<ClassRequest> bucket_;     // pick() scratch; reserved to radix
+  std::uint64_t version_ = 0;  // state_version(); monotone, never reset
   obs::SwitchProbe* probe_ = nullptr;  // null = observability off
   OutputId self_ = kNoPort;
 };

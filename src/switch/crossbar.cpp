@@ -157,6 +157,12 @@ core::OutputQosArbiter& CrossbarSwitch::qos_arbiter(OutputId o) {
   return *qos_[o];
 }
 
+const core::OutputQosArbiter& CrossbarSwitch::qos_arbiter(OutputId o) const {
+  SSQ_EXPECT(config_.mode == ArbitrationMode::SsvcQos);
+  SSQ_EXPECT(o < qos_.size());
+  return *qos_[o];
+}
+
 bool CrossbarSwitch::output_idle(OutputId o) const {
   SSQ_EXPECT(o < output_free_at_.size());
   return output_free_at_[o] <= now_;

@@ -164,6 +164,7 @@ class CrossbarSwitch {
   // ---- introspection ----
   [[nodiscard]] const InputPort& input(InputId i) const;
   [[nodiscard]] core::OutputQosArbiter& qos_arbiter(OutputId o);
+  [[nodiscard]] const core::OutputQosArbiter& qos_arbiter(OutputId o) const;
   [[nodiscard]] bool output_idle(OutputId o) const;
 
   // ---- observability ----

@@ -4,8 +4,12 @@
 // checker that never fires is worse than none.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "arb/matching.hpp"
 #include "check/differential.hpp"
@@ -14,6 +18,7 @@
 #include "check/shrink.hpp"
 #include "check/trace.hpp"
 #include "sim/error.hpp"
+#include "traffic/workload.hpp"
 
 namespace ssq::check {
 namespace {
@@ -213,6 +218,165 @@ TEST(Reference, LrgStartsInPortOrderAndMovesToBack) {
   ref.on_grant(1, TrafficClass::BestEffort, 0);
   EXPECT_EQ(ref.pick(reqs, 0).winner, 2u);  // 1 moved to the back
   EXPECT_EQ(ref.lrg_rank(1), 3u);
+}
+
+// -- Version-gated state compare ------------------------------------------
+//
+// compare_state re-walks an output's per-input state only when
+// OutputQosArbiter::state_version() or ReferenceOutput::version() moved.
+// That is exact only if every write to compared state bumps the counter;
+// these tests pin that, and that a write the gate must see is caught.
+
+/// Everything the deep compare reads from one simulator output, flattened
+/// into `out`: per input the counter value, logical and sensed level and
+/// LRG row, then the GL clock and the epoch base. Taken after a checker
+/// step at cycle `t`, which advanced every arbiter to t, so the epoch base
+/// is t - epoch_rt.
+void capture(const core::OutputQosArbiter& arb, Cycle t,
+             std::vector<std::uint64_t>& out) {
+  const std::uint32_t n = arb.radix();
+  out.resize(4 * n + 2);
+  for (InputId i = 0; i < n; ++i) {
+    out[4 * i] = arb.aux_vc(i).value();
+    out[4 * i + 1] = arb.gb_level(i);
+    out[4 * i + 2] = arb.sensed_gb_level(i);
+    out[4 * i + 3] = arb.lrg().row(i);
+  }
+  out[4 * n] = arb.gl_tracker().clock();
+  out[4 * n + 1] = t - arb.epoch_rt();
+}
+
+/// Everything the deep compare reads from one reference output: per input
+/// the counter value, then the LRG order and the GL clock.
+void capture(const ReferenceOutput& ref, std::vector<std::uint64_t>& out) {
+  out.clear();
+  for (InputId i = 0; i < ref.radix(); ++i) out.push_back(ref.value(i));
+  out.insert(out.end(), ref.lrg_order().begin(), ref.lrg_order().end());
+  out.push_back(ref.gl_clock());
+}
+
+TEST(VersionGate, UnchangedVersionImpliesUnchangedState) {
+  // Steps a differential subset of the generated campaign one cycle at a
+  // time. Whenever an output's version stands still across a cycle, its
+  // compared state must too, on both sides.
+  std::uint64_t scenarios = 0;
+  std::uint64_t held = 0;   // output-cycles where neither version moved
+  std::uint64_t moved = 0;  // output-cycles where a version moved
+  std::vector<std::uint64_t> now;
+  for (std::uint64_t i = 0; scenarios < 150; ++i) {
+    ASSERT_LT(i, 1000u) << "too few differential scenarios generated";
+    const Scenario s = generate_scenario(i, kCampaignSeed);
+    if (s.has_faults() || s.matching_engine != arb::MatchKind::None) continue;
+    ++scenarios;
+    ScenarioRun rig = instantiate(s);
+    const sw::CrossbarSwitch& sim = *rig.sim;
+    DifferentialChecker checker(*rig.sim);
+    ASSERT_TRUE(checker.options().differential) << s.name;
+
+    std::vector<std::vector<std::uint64_t>> sim_prev(s.radix);
+    std::vector<std::vector<std::uint64_t>> ref_prev(s.radix);
+    std::vector<std::uint64_t> sim_ver(s.radix);
+    std::vector<std::uint64_t> ref_ver(s.radix);
+    for (Cycle c = 0; c < s.cycles; ++c) {
+      const Cycle t = sim.now();
+      ASSERT_TRUE(checker.step())
+          << s.name << ": " << checker.divergence()->kind << "\n"
+          << checker.divergence()->detail;
+      for (OutputId o = 0; o < s.radix; ++o) {
+        const core::OutputQosArbiter& arb = sim.qos_arbiter(o);
+        const ReferenceOutput& ref = checker.reference(o);
+        const bool sim_held = c > 0 && arb.state_version() == sim_ver[o];
+        const bool ref_held = c > 0 && ref.version() == ref_ver[o];
+        capture(arb, t, now);
+        if (sim_held) {
+          ASSERT_EQ(now, sim_prev[o])
+              << s.name << " output " << o << " cycle " << t
+              << ": simulator state changed under an unchanged version";
+        }
+        std::swap(now, sim_prev[o]);
+        capture(ref, now);
+        if (ref_held) {
+          ASSERT_EQ(now, ref_prev[o])
+              << s.name << " output " << o << " cycle " << t
+              << ": reference state changed under an unchanged version";
+        }
+        std::swap(now, ref_prev[o]);
+        if (c > 0) ++(sim_held && ref_held ? held : moved);
+        sim_ver[o] = arb.state_version();
+        ref_ver[o] = ref.version();
+      }
+    }
+  }
+  // Both branches of the gate must be exercised for the property to bite.
+  EXPECT_GT(held, 0u);
+  EXPECT_GT(moved, 0u);
+}
+
+/// Radix-8 SSVC switch whose traffic all goes to output 0: output 7 is
+/// never requested or granted, so only epoch wraps write its state.
+sw::CrossbarSwitch idle_output_switch() {
+  sw::SwitchConfig config;
+  config.radix = 8;
+  traffic::Workload w(8);
+  for (InputId i = 0; i < 4; ++i) {
+    traffic::FlowSpec f;
+    f.src = i;
+    f.dst = 0;
+    f.cls = i < 2 ? TrafficClass::GuaranteedBandwidth
+                  : TrafficClass::BestEffort;
+    f.reserved_rate = i < 2 ? 0.3 : 0.0;
+    f.len_min = f.len_max = 4;
+    f.inject_rate = 0.05;
+    w.add_flow(f);
+  }
+  return sw::CrossbarSwitch(config, std::move(w));
+}
+
+/// Steps a checked idle_output_switch 100 cycles, applies `tamper` to output
+/// 7, and expects the very next step to report a state mismatch there.
+void expect_tamper_caught(
+    const std::function<void(core::OutputQosArbiter&)>& tamper,
+    const std::string& what) {
+  sw::CrossbarSwitch sim = idle_output_switch();
+  DifferentialChecker checker(sim);
+  ASSERT_TRUE(checker.options().differential);
+  ASSERT_TRUE(checker.run(100));
+  const Cycle t = sim.now();
+  // No epoch wrap at t: only the tamper itself can move output 7's version.
+  ASSERT_NE(t % sim.config().ssvc.epoch_cycles(), 0u);
+  tamper(sim.qos_arbiter(7));
+  EXPECT_FALSE(checker.step());
+  ASSERT_TRUE(checker.divergence().has_value()) << what << " went unnoticed";
+  EXPECT_EQ(checker.divergence()->kind, "state_mismatch");
+  EXPECT_EQ(checker.divergence()->cycle, t);
+  EXPECT_EQ(checker.divergence()->output, 7u);
+  EXPECT_NE(checker.divergence()->detail.find(what), std::string::npos)
+      << checker.divergence()->detail;
+}
+
+TEST(VersionGate, CatchesARegisterBitFlipOnAnUngrantedOutput) {
+  expect_tamper_caught(
+      [](core::OutputQosArbiter& arb) { arb.aux_vc_mut(3).fault_flip_value(2); },
+      "auxVC[3] value");
+}
+
+TEST(VersionGate, CatchesAnLrgRankSwapOnAnUngrantedOutput) {
+  // Never granted, output 7's LRG order is still 0, 1, ..., 7; flipping
+  // both flops of the (2, 3) pair swaps two adjacent ranks and keeps a
+  // total order, so only the deep compare can see it.
+  expect_tamper_caught(
+      [](core::OutputQosArbiter& arb) {
+        arb.lrg().fault_flip(2, 3);
+        arb.lrg().fault_flip(3, 2);
+        ASSERT_TRUE(std::as_const(arb).lrg().is_total_order());
+      },
+      "LRG rank[2]");
+}
+
+TEST(VersionGate, CatchesAGlClockWriteOnAnUngrantedOutput) {
+  expect_tamper_caught(
+      [](core::OutputQosArbiter& arb) { arb.gl_tracker_mut().fault_flip(4); },
+      "GL clock");
 }
 
 }  // namespace

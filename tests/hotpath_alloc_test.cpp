@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <string>
 
+#include "check/differential.hpp"
 #include "sim/alloc_hook.hpp"
 #include "sim/ring_queue.hpp"
 #include "switch/crossbar.hpp"
@@ -199,6 +200,25 @@ TEST(HotPathAllocations, BaselineLrgIsAllocationFree) {
   config.mode = sw::ArbitrationMode::Baseline;
   config.baseline = arb::Kind::Lrg;
   expect_zero_alloc_steady_state(config, "baseline/lrg radix 16");
+}
+
+TEST(HotPathAllocations, DifferentialCheckerWithCircuitLegIsAllocationFree) {
+  // The checker rides along on every checked scenario: once its per-output
+  // request lists have grown to their steady size, a checked step (probe
+  // events, reference pick and grant, bit-level circuit leg, state compare)
+  // must allocate nothing either. The reference models start from reset
+  // state, so the checker is attached at cycle 0 and does the warm-up.
+  sw::CrossbarSwitch sim(base_config(8), stable_workload(8));
+  check::DifferentialChecker checker(sim);
+  ASSERT_TRUE(checker.options().differential);
+  ASSERT_TRUE(checker.options().circuit);
+  for (Cycle t = 0; t < 20000; ++t) ASSERT_TRUE(checker.step());
+  const std::uint64_t grants = checker.grants_checked();
+  alloc_hook::reset();
+  for (Cycle t = 0; t < 2000; ++t) ASSERT_TRUE(checker.step());
+  EXPECT_EQ(alloc_hook::allocations(), 0u)
+      << "the checked steady-state cycle loop allocated";
+  EXPECT_GT(checker.grants_checked(), grants);
 }
 
 }  // namespace
