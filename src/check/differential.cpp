@@ -1,5 +1,7 @@
 #include "check/differential.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <limits>
 #include <sstream>
 #include <utility>
@@ -22,17 +24,16 @@ constexpr Cycle kEngineStallThreshold = 128;
 
 DifferentialChecker::DifferentialChecker(sw::CrossbarSwitch& sim,
                                          CheckOptions opts)
-    : sim_(sim), opts_(opts), tracer_(sink_), probe_(sim.config().radix) {
-  sink_.self = this;
+    : sim_(sim), opts_(opts) {
   const auto& cfg = sim_.config();
   const std::uint32_t radix = cfg.radix;
-  single_request_ = cfg.allocation == sw::AllocationMode::SingleRequest;
   progress_guard_ = cfg.engine != arb::MatchKind::None;
 
   // The differential legs predict SSVC state exactly; anything else (baseline
   // arbiters, iterative matching, fault injection) falls back to
   // invariants-only checking.
-  if (cfg.mode != sw::ArbitrationMode::SsvcQos || !single_request_ ||
+  if (cfg.mode != sw::ArbitrationMode::SsvcQos ||
+      cfg.allocation != sw::AllocationMode::SingleRequest ||
       sim_.fault_injector() != nullptr) {
     opts_.differential = false;
   }
@@ -50,6 +51,7 @@ DifferentialChecker::DifferentialChecker(sw::CrossbarSwitch& sim,
       }
       SSQ_ENSURE(refs_[o].gl_vtick() == arb.gl_tracker().vtick());
     }
+    reqs_.reserve(radix);
     // Sentinel versions: the first compare of every output walks its inputs.
     constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
     compared_.assign(radix, ComparedVersions{kNever, kNever});
@@ -73,21 +75,20 @@ DifferentialChecker::DifferentialChecker(sw::CrossbarSwitch& sim,
       opts_.circuit = false;
     }
   }
-
-  reqs_.resize(radix);
-  granted_.assign(radix, kNoPort);
-  input_granted_.assign(radix, 0);
-  const std::size_t flows = sim_.workload().num_flows();
-  created_.assign(flows, 0);
-  buffered_.assign(flows, 0);
-  delivered_.assign(flows, 0);
-
-  probe_.set_tracer(&tracer_);
-  sim_.attach_probe(&probe_);
 }
 
 DifferentialChecker::~DifferentialChecker() {
-  if (sim_.probe() == &probe_) sim_.attach_probe(nullptr);
+  if (probe_.has_value() && sim_.probe() == &*probe_) {
+    sim_.attach_probe(nullptr);
+  }
+}
+
+obs::SwitchProbe& DifferentialChecker::probe() {
+  if (!probe_.has_value()) {
+    probe_.emplace(sim_.config().radix);
+    sim_.attach_probe(&*probe_);
+  }
+  return *probe_;
 }
 
 bool DifferentialChecker::step() {
@@ -97,9 +98,8 @@ bool DifferentialChecker::step() {
   if (opts_.differential && sim_.fault_injector() != nullptr) {
     opts_.differential = false;
   }
-  const Cycle t = sim_.now();
   sim_.step();
-  if (!divergence_.has_value()) end_cycle(t);
+  check_cycle(sim_.last_cycle());
   return !divergence_.has_value();
 }
 
@@ -108,7 +108,7 @@ bool DifferentialChecker::run(Cycle cycles) {
   while (sim_.now() < end) {
     if (!divergence_.has_value() && sim_.fast_forward_eligible() &&
         sim_.quiescent()) {
-      // A quiescent eligible stretch emits no events and mutates no state
+      // A quiescent eligible stretch grants nothing and mutates no state
       // either model predicts from, so the checker skips it exactly as the
       // bare switch does — per-cycle checks on it would compare two
       // untouched states.
@@ -122,127 +122,169 @@ bool DifferentialChecker::run(Cycle cycles) {
   return true;
 }
 
-void DifferentialChecker::handle(const obs::Event& e) {
+void DifferentialChecker::check_cycle(const sw::CycleRecord& rec) {
   if (divergence_.has_value()) return;
-  switch (e.kind) {
-    case obs::EventKind::PacketCreated:
-      ++created_[static_cast<std::size_t>(e.flow)];
-      break;
-    case obs::EventKind::PacketBuffered:
-      ++buffered_[static_cast<std::size_t>(e.flow)];
-      break;
-    case obs::EventKind::Request: {
-      if (single_request_ && ((requesting_inputs_ >> e.input) & 1ULL) != 0) {
-        fail(e.cycle, e.output, "duplicate_request",
-             "input " + std::to_string(e.input) +
-                 " asserted two requests in one cycle (single-request mode)");
+  const Cycle t = rec.cycle;
+
+  std::uint64_t requested = 0;  // outputs with >= 1 request
+  for (const sw::PendingRequest& p : rec.pending) {
+    if (p.out != kNoPort) requested |= 1ULL << p.out;
+  }
+  for (const std::uint64_t e : rec.eligible) requested |= e;
+
+  granted_out_ = 0;
+  granted_in_ = 0;
+  for (const sw::GrantRecord& g : rec.grants) {
+    check_grant(rec, g);
+    if (divergence_.has_value()) return;
+  }
+
+  if (opts_.differential) {
+    for (std::uint64_t w = requested & ~granted_out_; w != 0; w &= w - 1) {
+      const auto o = static_cast<OutputId>(std::countr_zero(w));
+      // The simulator serviced nothing at this output; the reference must
+      // agree (only policer-stalled GL requests present).
+      ReferenceOutput& ref = refs_[o];
+      ref.advance_to(t);
+      gather_requests(rec, o);
+      const ReferenceOutput::Decision d = ref.pick(reqs_, t);
+      if (d.winner != kNoPort) {
+        fail(t, o, "missed_grant",
+             "simulator granted nothing, reference picked input " +
+                 std::to_string(d.winner) + " (" + class_name(d.cls) + ")\n" +
+                 dump_requests(rec, o) + dump_output_state(o));
         return;
       }
-      requesting_inputs_ |= 1ULL << e.input;
-      reqs_[e.output].push_back(
-          core::ClassRequest{e.input, e.cls, e.length != 0 ? e.length : 1});
-      break;
     }
-    case obs::EventKind::Grant:
-      check_grant(e, /*chained=*/false);
-      break;
-    case obs::EventKind::ChainGrant:
-      check_grant(e, /*chained=*/true);
-      break;
-    case obs::EventKind::Delivered:
-      ++delivered_[static_cast<std::size_t>(e.flow)];
-      break;
-    default:
-      break;  // arbitration internals, faults, repairs: not checked here
+    if (opts_.state_compare) {
+      compare_state(t);
+      if (divergence_.has_value()) return;
+    }
+  }
+
+  // Packet conservation: a flow can never deliver more than it buffered nor
+  // buffer more than it created. Holds in every mode, faults included.
+  SSQ_EXPECT(rec.admitted.size() == rec.created.size() &&
+             rec.delivered.size() == rec.created.size());
+  for (std::size_t f = 0; f < rec.created.size(); ++f) {
+    if (rec.admitted[f] > rec.created[f] ||
+        rec.delivered[f] > rec.admitted[f]) {
+      fail(t, kNoPort, "conservation",
+           "flow " + std::to_string(f) + ": created " +
+               std::to_string(rec.created[f]) + ", buffered " +
+               std::to_string(rec.admitted[f]) + ", delivered " +
+               std::to_string(rec.delivered[f]));
+      return;
+    }
+  }
+
+  if (progress_guard_) {
+    // Work conservation under a matching engine: requests pending but zero
+    // grants switch-wide, sustained past the threshold, is starvation.
+    if (!rec.grants.empty() || requested == 0) {
+      stall_streak_ = 0;
+    } else if (++stall_streak_ >= kEngineStallThreshold) {
+      fail(t, kNoPort, "starvation",
+           "matching engine granted nothing for " +
+               std::to_string(stall_streak_) +
+               " consecutive cycles with requests pending");
+      return;
+    }
   }
 }
 
-void DifferentialChecker::check_grant(const obs::Event& e, bool chained) {
+void DifferentialChecker::check_grant(const sw::CycleRecord& rec,
+                                      const sw::GrantRecord& g) {
   ++grants_checked_;
-  const OutputId o = e.output;
-  const InputId i = e.input;
+  const Cycle t = rec.cycle;
+  const OutputId o = g.output;
+  const InputId i = g.input;
 
   // Invariants that hold in every mode: one grant per output channel and per
   // input bus per cycle (the crossbar's physical exclusivity).
-  if (granted_[o] != kNoPort) {
-    fail(e.cycle, o, "double_grant_output",
+  if (((granted_out_ >> o) & 1ULL) != 0) {
+    const InputId first =
+        std::ranges::find(rec.grants, o, &sw::GrantRecord::output)->input;
+    fail(t, o, "double_grant_output",
          "output granted twice in one cycle: first to input " +
-             std::to_string(granted_[o]) + ", then to input " +
-             std::to_string(i));
+             std::to_string(first) + ", then to input " + std::to_string(i));
     return;
   }
-  if (input_granted_[i] != 0) {
-    fail(e.cycle, o, "double_grant_input",
+  if (((granted_in_ >> i) & 1ULL) != 0) {
+    fail(t, o, "double_grant_input",
          "input " + std::to_string(i) +
              " granted twice in one cycle (second grant by output " +
              std::to_string(o) + ")");
     return;
   }
-  granted_[o] = i;
-  input_granted_[i] = 1;
+  granted_out_ |= 1ULL << o;
+  granted_in_ |= 1ULL << i;
 
-  if (progress_guard_ && !chained) {
-    // Engine mode reports every eligible (input, output) pair as a Request;
-    // a grant outside that set means the engine matched an ineligible pair.
-    bool requested = false;
-    for (const auto& r : reqs_[o]) {
-      if (r.input == i) {
-        requested = true;
-        break;
-      }
-    }
-    if (!requested) {
-      fail(e.cycle, o, "unrequested_grant",
+  if (progress_guard_ && !g.chained) {
+    // Engine mode records every eligible (input, output) pair; a grant
+    // outside that set means the engine matched an ineligible pair.
+    if (i >= rec.eligible.size() || ((rec.eligible[i] >> o) & 1ULL) == 0) {
+      fail(t, o, "unrequested_grant",
            "engine granted input " + std::to_string(i) +
-               " at an output it never requested\n" + dump_requests(o));
+               " at an output it never requested\n" + dump_requests(rec, o));
       return;
     }
   }
 
   if (!opts_.differential) return;
   ReferenceOutput& ref = refs_[o];
-  ref.advance_to(e.cycle);
-  const bool gl_ok = ref.gl_eligible(e.cycle);
-  if (chained) {
+  ref.advance_to(t);
+  const bool gl_ok = ref.gl_eligible(t);
+  if (g.chained) {
     // No arbitration ran; only the policer gates a chained GL grant.
-    if (e.cls == TrafficClass::GuaranteedLatency && !gl_ok) {
-      fail(e.cycle, o, "chain_gl_ineligible",
+    if (g.cls == TrafficClass::GuaranteedLatency && !gl_ok) {
+      fail(t, o, "chain_gl_ineligible",
            "simulator chained a GL packet the reference policer stalls\n" +
                dump_output_state(o));
       return;
     }
   } else {
-    const ReferenceOutput::Decision d = ref.pick(reqs_[o], e.cycle);
-    if (d.winner != i || d.cls != e.cls) {
+    gather_requests(rec, o);
+    const ReferenceOutput::Decision d = ref.pick(reqs_, t);
+    if (d.winner != i || d.cls != g.cls) {
       std::ostringstream os;
-      os << "simulator granted input " << i << " (" << class_name(e.cls)
+      os << "simulator granted input " << i << " (" << class_name(g.cls)
          << "), reference picked ";
       if (d.winner == kNoPort) {
         os << "no winner";
       } else {
         os << "input " << d.winner << " (" << class_name(d.cls) << ")";
       }
-      os << '\n' << dump_requests(o) << dump_output_state(o);
-      fail(e.cycle, o, "winner_mismatch", os.str());
+      os << '\n' << dump_requests(rec, o) << dump_output_state(o);
+      fail(t, o, "winner_mismatch", os.str());
       return;
     }
     if (opts_.circuit) {
-      check_circuit(e, ref, gl_ok);
+      check_circuit(rec, g, ref, gl_ok);
       if (divergence_.has_value()) return;
     }
   }
-  ref.on_grant(i, e.cls, e.cycle);
+  ref.on_grant(i, g.cls, t);
 }
 
-void DifferentialChecker::check_circuit(const obs::Event& e,
+void DifferentialChecker::gather_requests(const sw::CycleRecord& rec,
+                                          OutputId o) {
+  reqs_.clear();
+  for (InputId i = 0; i < rec.pending.size(); ++i) {
+    const sw::PendingRequest& p = rec.pending[i];
+    if (p.out == o) reqs_.push_back({i, p.cls, p.length});
+  }
+}
+
+void DifferentialChecker::check_circuit(const sw::CycleRecord& rec,
+                                        const sw::GrantRecord& g,
                                         const ReferenceOutput& ref,
                                         bool gl_ok) {
   // Build the crosspoint request vector the wires would see, from the
   // reference model's view of the state (levels + LRG order), so the circuit
   // leg is independent of the production arbiter.
-  std::vector<circuit::CrosspointRequest>& creqs = creqs_;
-  creqs.clear();
-  for (const auto& r : reqs_[e.output]) {
+  creqs_.clear();
+  for (const auto& r : reqs_) {
     circuit::CrosspointRequest cr;
     cr.input = r.input;
     switch (r.cls) {
@@ -263,100 +305,37 @@ void DifferentialChecker::check_circuit(const obs::Event& e,
         }
         break;
     }
-    creqs.push_back(cr);
+    creqs_.push_back(cr);
   }
-  if (creqs.empty()) {
-    fail(e.cycle, e.output, "circuit_no_request",
-         "simulator granted input " + std::to_string(e.input) +
+  if (creqs_.empty()) {
+    fail(rec.cycle, g.output, "circuit_no_request",
+         "simulator granted input " + std::to_string(g.input) +
              " but no crosspoint would assert a request\n" +
-             dump_requests(e.output) + dump_output_state(e.output));
+             dump_requests(rec, g.output) + dump_output_state(g.output));
     return;
   }
   ref.lrg_rows(crows_);
   circuit_lrg_->set_matrix(crows_);
-  circuit_->arbitrate_into(creqs, *circuit_lrg_, *ctrace_);
-  const circuit::ArbitrationTrace& trace = *ctrace_;
-  if (trace.winner != e.input) {
+  circuit_->arbitrate_into(creqs_, *circuit_lrg_, *ctrace_);
+  if (ctrace_->winner != g.input) {
     std::ostringstream os;
     os << "bit-level circuit elected ";
-    if (trace.winner == kNoPort) {
+    if (ctrace_->winner == kNoPort) {
       os << "no winner";
     } else {
-      os << "input " << trace.winner;
+      os << "input " << ctrace_->winner;
     }
-    os << ", simulator granted input " << e.input << '\n'
-       << dump_requests(e.output) << dump_output_state(e.output);
-    fail(e.cycle, e.output, "circuit_mismatch", os.str());
+    os << ", simulator granted input " << g.input << '\n'
+       << dump_requests(rec, g.output) << dump_output_state(g.output);
+    fail(rec.cycle, g.output, "circuit_mismatch", os.str());
   }
-}
-
-void DifferentialChecker::end_cycle(Cycle t) {
-  if (opts_.differential) {
-    for (OutputId o = 0; o < sim_.config().radix; ++o) {
-      refs_[o].advance_to(t);
-      if (!reqs_[o].empty() && granted_[o] == kNoPort) {
-        // The simulator serviced nothing at this output; the reference must
-        // agree (only policer-stalled GL requests present).
-        const ReferenceOutput::Decision d = refs_[o].pick(reqs_[o], t);
-        if (d.winner != kNoPort) {
-          fail(t, o, "missed_grant",
-               "simulator granted nothing, reference picked input " +
-                   std::to_string(d.winner) + " (" + class_name(d.cls) +
-                   ")\n" + dump_requests(o) + dump_output_state(o));
-          return;
-        }
-      }
-    }
-    if (opts_.state_compare) {
-      compare_state(t);
-      if (divergence_.has_value()) return;
-    }
-  }
-
-  // Packet conservation: a flow can never deliver more than it buffered nor
-  // buffer more than it created. Holds in every mode, faults included.
-  for (std::size_t f = 0; f < created_.size(); ++f) {
-    if (buffered_[f] > created_[f] || delivered_[f] > buffered_[f]) {
-      fail(t, kNoPort, "conservation",
-           "flow " + std::to_string(f) + ": created " +
-               std::to_string(created_[f]) + ", buffered " +
-               std::to_string(buffered_[f]) + ", delivered " +
-               std::to_string(delivered_[f]));
-      return;
-    }
-  }
-
-  if (progress_guard_) {
-    // Work conservation under a matching engine: requests pending but zero
-    // grants switch-wide, sustained past the threshold, is starvation.
-    bool any_grant = false;
-    for (const InputId g : granted_) {
-      if (g != kNoPort) {
-        any_grant = true;
-        break;
-      }
-    }
-    if (any_grant || requesting_inputs_ == 0) {
-      stall_streak_ = 0;
-    } else if (++stall_streak_ >= kEngineStallThreshold) {
-      fail(t, kNoPort, "starvation",
-           "matching engine granted nothing for " +
-               std::to_string(stall_streak_) +
-               " consecutive cycles with requests pending");
-      return;
-    }
-  }
-
-  for (auto& r : reqs_) r.clear();
-  granted_.assign(granted_.size(), kNoPort);
-  input_granted_.assign(input_granted_.size(), 0);
-  requesting_inputs_ = 0;
 }
 
 void DifferentialChecker::compare_state(Cycle t) {
   const std::uint32_t radix = sim_.config().radix;
   for (OutputId o = 0; o < radix; ++o) {
     sim_.qos_arbiter(o).advance_to(t);
+    refs_[o].advance_to(t);
     // Read-only from here: the mutable accessors count as writes.
     const core::OutputQosArbiter& arb = std::as_const(sim_).qos_arbiter(o);
     const ReferenceOutput& ref = refs_[o];
@@ -420,13 +399,23 @@ void DifferentialChecker::fail(Cycle t, OutputId o, std::string kind,
   divergence_ = Divergence{t, o, std::move(kind), std::move(detail)};
 }
 
-std::string DifferentialChecker::dump_requests(OutputId o) const {
+std::string DifferentialChecker::dump_requests(const sw::CycleRecord& rec,
+                                               OutputId o) {
   std::ostringstream os;
   os << "requests:";
-  if (reqs_[o].empty()) os << " (none)";
-  for (const auto& r : reqs_[o]) {
-    os << " [in=" << r.input << ' ' << class_name(r.cls) << ']';
+  bool any = false;
+  for (InputId i = 0; i < rec.pending.size(); ++i) {
+    if (rec.pending[i].out != o) continue;
+    os << " [in=" << i << ' ' << class_name(rec.pending[i].cls) << ']';
+    any = true;
   }
+  // An engine's eligible pair names no class.
+  for (InputId i = 0; i < rec.eligible.size(); ++i) {
+    if (((rec.eligible[i] >> o) & 1ULL) == 0) continue;
+    os << " [in=" << i << ']';
+    any = true;
+  }
+  if (!any) os << " (none)";
   os << '\n';
   return os.str();
 }

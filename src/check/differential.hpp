@@ -1,7 +1,9 @@
 // DifferentialChecker — lock-step three-way oracle for a running switch.
 //
-// Attaches an observability probe to a CrossbarSwitch and, from the event
-// stream alone, replays every arbitration against two independent models:
+// After every step() it reads the cycle record the switch keeps
+// (CrossbarSwitch::last_cycle(): the asserted requests, the committed
+// grants and the per-flow packet counts) and replays every arbitration
+// against two independent models:
 //
 //   1. ReferenceOutput — the obviously-correct SSVC semantics (per grant:
 //      the reference must pick the same winner and class; per output-cycle
@@ -37,7 +39,6 @@
 #include "check/reference.hpp"
 #include "circuit/circuit_arbiter.hpp"
 #include "obs/probe.hpp"
-#include "obs/trace.hpp"
 #include "switch/crossbar.hpp"
 
 namespace ssq::check {
@@ -77,8 +78,8 @@ struct Divergence {
 
 class DifferentialChecker {
  public:
-  /// Attaches to `sim` (which must outlive the checker). The checker owns
-  /// the probe; attaching replaces any probe already on the switch.
+  /// Checks `sim`, which must outlive the checker. Attaches nothing: a probe
+  /// already on the switch keeps receiving events.
   explicit DifferentialChecker(sw::CrossbarSwitch& sim, CheckOptions opts = {});
   ~DifferentialChecker();
   DifferentialChecker(const DifferentialChecker&) = delete;
@@ -90,6 +91,12 @@ class DifferentialChecker {
 
   /// step() up to `cycles` times; returns false if a divergence stopped it.
   bool run(Cycle cycles);
+
+  /// Checks one cycle record (step() feeds it sim.last_cycle(); tests may
+  /// forge one). Visits only the outputs with a request or a grant, in this
+  /// order: each grant, missed grants, state compare, conservation (lowest
+  /// violating flow first), the progress guard. No-op after a divergence.
+  void check_cycle(const sw::CycleRecord& rec);
 
   /// For drivers that call sim.fast_forward() themselves instead of going
   /// through run(): the skipped cycles carried no requests, so a stepped run
@@ -110,36 +117,32 @@ class DifferentialChecker {
     SSQ_EXPECT(o < refs_.size());
     return refs_[o];
   }
-  [[nodiscard]] obs::SwitchProbe& probe() noexcept { return probe_; }
+  /// A probe for event consumers (conformance monitor, flight recorder):
+  /// the first call attaches the checker's own probe to the switch,
+  /// replacing any other. The checks never need it.
+  [[nodiscard]] obs::SwitchProbe& probe();
 
  private:
-  struct ForwardSink final : obs::TraceSink {
-    DifferentialChecker* self = nullptr;
-    void on_event(const obs::Event& e) override { self->handle(e); }
-  };
-
-  void handle(const obs::Event& e);
-  void check_grant(const obs::Event& e, bool chained);
-  void check_circuit(const obs::Event& e, const ReferenceOutput& ref,
-                     bool gl_ok);
-  void end_cycle(Cycle t);
+  void check_grant(const sw::CycleRecord& rec, const sw::GrantRecord& g);
+  void check_circuit(const sw::CycleRecord& rec, const sw::GrantRecord& g,
+                     const ReferenceOutput& ref, bool gl_ok);
+  /// Fills reqs_ with output o's single-request-mode requests, input order.
+  void gather_requests(const sw::CycleRecord& rec, OutputId o);
   void compare_state(Cycle t);
   void fail(Cycle t, OutputId o, std::string kind, std::string detail);
   [[nodiscard]] std::string dump_output_state(OutputId o) const;
-  [[nodiscard]] std::string dump_requests(OutputId o) const;
+  [[nodiscard]] static std::string dump_requests(const sw::CycleRecord& rec,
+                                                 OutputId o);
 
   sw::CrossbarSwitch& sim_;
   CheckOptions opts_;
-  ForwardSink sink_;
-  obs::Tracer tracer_;
-  obs::SwitchProbe probe_;
+  std::optional<obs::SwitchProbe> probe_;  // attached by probe() only
 
-  std::vector<ReferenceOutput> refs_;             // per output
-  std::vector<std::vector<core::ClassRequest>> reqs_;  // per output, this cycle
-  std::vector<InputId> granted_;                  // per output, this cycle
-  std::vector<std::uint8_t> input_granted_;       // per input, this cycle
-  bool single_request_ = false;
-  std::uint64_t requesting_inputs_ = 0;           // this cycle (SingleRequest)
+  std::vector<ReferenceOutput> refs_;  // per output
+  // This cycle's outputs and inputs granted so far (bit per port).
+  std::uint64_t granted_out_ = 0;
+  std::uint64_t granted_in_ = 0;
+  std::vector<core::ClassRequest> reqs_;  // gather_requests' output
   // Progress guard, armed only for matching-engine configs (config.engine):
   // consecutive cycles with >= 1 request but zero grants switch-wide. An
   // honest engine matches at least one eligible pair per cycle (SW-QPS's
@@ -149,9 +152,6 @@ class DifferentialChecker {
   // output for thousands of cycles.
   bool progress_guard_ = false;
   Cycle stall_streak_ = 0;
-
-  // Packet conservation, per flow.
-  std::vector<std::uint64_t> created_, buffered_, delivered_;
 
   // Per output, the (simulator, reference) state versions at its last
   // passing per-input compare (sentinel-initialised: never compared).

@@ -99,10 +99,6 @@ class ReferenceOutput {
     SSQ_EXPECT(i < radix_);
     return vtick_[i];
   }
-  [[nodiscard]] bool has_gb_reservation(InputId i) const {
-    SSQ_EXPECT(i < radix_);
-    return reserved_[i];
-  }
   [[nodiscard]] std::uint64_t gl_clock() const noexcept { return gl_clock_; }
   [[nodiscard]] std::uint64_t gl_vtick() const noexcept { return gl_vtick_; }
   [[nodiscard]] bool gl_eligible(Cycle now) const;

@@ -67,12 +67,6 @@ class MetricsRegistry {
   [[nodiscard]] std::size_t num_counters() const noexcept {
     return counters_.size();
   }
-  [[nodiscard]] std::size_t num_gauges() const noexcept {
-    return gauges_.size();
-  }
-  [[nodiscard]] std::size_t num_histograms() const noexcept {
-    return histograms_.size();
-  }
 
   /// Folds `other` into this registry, matching metrics by name: counters
   /// add, gauges take the other's latest value, histograms merge bin-wise

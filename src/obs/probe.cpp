@@ -12,12 +12,8 @@ std::string out_name(const char* stem, OutputId o) {
 
 }  // namespace
 
-SwitchProbe::SwitchProbe(std::uint32_t radix, Cycle grant_window_cycles)
-    : radix_(radix) {
+SwitchProbe::SwitchProbe(std::uint32_t radix) : radix_(radix) {
   SSQ_EXPECT(radix >= 1 && radix <= 64);
-  if (grant_window_cycles > 0) {
-    delivered_series_.emplace_back(radix, grant_window_cycles);
-  }
   created_ = metrics_.counter("switch.packets.created");
   buffered_ = metrics_.counter("switch.packets.buffered");
   blocked_ = metrics_.counter("switch.admit.blocked");
@@ -112,9 +108,6 @@ void SwitchProbe::delivered(Cycle now, InputId input, OutputId output,
   metrics_.add(delivered_pkts_);
   metrics_.add(delivered_flits_, len);
   metrics_.observe(latency_hist_, static_cast<double>(latency));
-  if (!delivered_series_.empty()) {
-    delivered_series_.front().record_flits(output, now, len);
-  }
   emit({now, EventKind::Delivered, cls, input, output, flow, pkt, len, latency,
         0});
 }

@@ -19,15 +19,12 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/types.hpp"
-#include "stats/timeseries.hpp"
 
 namespace ssq::obs {
 
 class SwitchProbe {
  public:
-  /// `grant_window_cycles` sizes the per-output delivered-flit RateSeries
-  /// used by snapshot sampling (0 disables the series).
-  explicit SwitchProbe(std::uint32_t radix, Cycle grant_window_cycles = 0);
+  explicit SwitchProbe(std::uint32_t radix);
 
   void set_tracer(Tracer* tracer) noexcept { tracer_ = tracer; }
   [[nodiscard]] Tracer* tracer() const noexcept { return tracer_; }
@@ -36,7 +33,6 @@ class SwitchProbe {
   /// monitor, flight recorder; compose several with a TeeSink) attach here
   /// so a --trace-limit can never starve them.
   void set_extra_sink(TraceSink* sink) noexcept { extra_ = sink; }
-  [[nodiscard]] TraceSink* extra_sink() const noexcept { return extra_; }
 
   /// Fast-forward notification from the switch: the clock jumped from
   /// `from` to `to` across provably event-free cycles. Forwarded to the
@@ -60,25 +56,6 @@ class SwitchProbe {
   }
   [[nodiscard]] std::uint64_t gl_stalls(OutputId o) const {
     return metrics_.value(gl_stall_out_[o]);
-  }
-  [[nodiscard]] std::uint64_t faults_injected() const {
-    return metrics_.value(faults_injected_);
-  }
-  [[nodiscard]] std::uint64_t scrub_repairs() const {
-    return metrics_.value(scrub_repairs_);
-  }
-  [[nodiscard]] std::uint64_t scrub_repairs_for_output(OutputId o) const {
-    return metrics_.value(scrub_repairs_out_[o]);
-  }
-  [[nodiscard]] std::uint64_t lane_quarantines() const {
-    return metrics_.value(quarantines_);
-  }
-  /// Per-output delivered-flit rate series (empty when disabled).
-  [[nodiscard]] const stats::RateSeries* delivered_series() const noexcept {
-    return delivered_series_.empty() ? nullptr : &delivered_series_.front();
-  }
-  void roll_series_to(Cycle now) {
-    if (!delivered_series_.empty()) delivered_series_.front().roll_to(now);
   }
 
   // ---- packet lifecycle hooks (called by CrossbarSwitch) ----
@@ -129,9 +106,6 @@ class SwitchProbe {
   MetricsRegistry metrics_;
   Tracer* tracer_ = nullptr;
   TraceSink* extra_ = nullptr;
-  // Holds 0 or 1 series; a vector sidesteps RateSeries's lack of a default
-  // constructor while keeping the disabled path allocation-free.
-  std::vector<stats::RateSeries> delivered_series_;
 
   // Pre-interned handles: global counters...
   CounterId created_, buffered_, blocked_, requests_, grants_, chain_grants_,

@@ -82,6 +82,8 @@ CrossbarSwitch::CrossbarSwitch(const SwitchConfig& config,
   injectors_.reserve(flows.size());
   source_q_.resize(flows.size());
   max_backlog_.assign(flows.size(), 0);
+  created_.assign(flows.size(), 0);
+  admitted_.assign(flows.size(), 0);
   delivered_.assign(flows.size(), 0);
   throughput_.resize(flows.size());
   gsf_quota_.assign(flows.size(), 0);
@@ -242,8 +244,8 @@ std::uint64_t CrossbarSwitch::delivered_packets(FlowId f) const {
 }
 
 std::uint64_t CrossbarSwitch::created_packets(FlowId f) const {
-  SSQ_EXPECT(f < injectors_.size());
-  return injectors_[f].created();
+  SSQ_EXPECT(f < created_.size());
+  return created_[f];
 }
 
 std::size_t CrossbarSwitch::max_source_backlog(FlowId f) const {
@@ -279,6 +281,7 @@ void CrossbarSwitch::inject_create() {
       // The backlog only grows at a push, so sampling after pushes (here and
       // at the preempt re-queue) sees the same running maximum as sampling
       // every cycle did.
+      created_[f] += n;
       live_packets_ += n;
       max_backlog_[f] = std::max(max_backlog_[f], source_q_[f].size());
     }
@@ -343,6 +346,7 @@ void CrossbarSwitch::inject_admit() {
                               head.length);
       }
       inputs_[i].accept(std::move(source_q_[f].front()), now_);
+      ++admitted_[f];
       source_q_[f].pop_front();
       note_source_pop(f, i);
       if (gsf_quota_[f] > 0) ++gsf_used_[f];
@@ -429,6 +433,7 @@ void CrossbarSwitch::complete(Transmission& t, OutputId o) {
         pkt.granted = now_;
         if (measuring_) usage_[o].transfer_cycles += pkt.length;  // no arb
         qos_[o]->on_grant(src, cls, pkt.length, now_);
+        scratch_.grants.push_back({src, o, cls, /*chained=*/true});
         if (obs_ != nullptr) {
           obs_->grant(now_, src, o, cls, pkt.flow, pkt.id, pkt.length,
                       now_ - pkt.buffered, /*chained=*/true);
@@ -671,6 +676,7 @@ void CrossbarSwitch::commit_grant(InputId winner, OutputId o,
                                   TrafficClass cls) {
   Packet pkt = pop_for(winner, cls, o);
   pkt.granted = now_;
+  scratch_.grants.push_back({winner, o, cls, /*chained=*/false});
   if (measuring_) {
     usage_[o].arbitration_cycles += config_.arbitration_cycles;
     usage_[o].transfer_cycles += pkt.length;
@@ -902,6 +908,8 @@ void CrossbarSwitch::arbitrate_engine() {
 }
 
 void CrossbarSwitch::step() {
+  scratch_.cycle = now_;
+  scratch_.grants.clear();
   if (fault_ != nullptr) fault_->on_cycle(now_);
   if (scrub_ != nullptr) scrub_->on_cycle(now_);
   if (create_pending_) {
@@ -922,6 +930,17 @@ void CrossbarSwitch::step() {
     arbitrate();
   }
   ++now_;
+}
+
+CycleRecord CrossbarSwitch::last_cycle() const noexcept {
+  CycleRecord r{scratch_.cycle, {}, {}, scratch_.grants, created_, admitted_,
+                delivered_};
+  if (config_.allocation == AllocationMode::SingleRequest) {
+    r.pending = scratch_.pending;
+  } else if (engine_ != nullptr) {
+    r.eligible = scratch_.eng_eligible;
+  }
+  return r;
 }
 
 void CrossbarSwitch::fast_forward(Cycle end) {

@@ -57,6 +57,10 @@ class CrossbarSwitch {
   /// Advances one cycle.
   void step();
 
+  /// The cycle the last step() ran: its requests, grants and per-flow
+  /// packet counts. A fast_forward() moves the clock, not the record.
+  [[nodiscard]] CycleRecord last_cycle() const noexcept;
+
   /// Advances `cycles` cycles. When fast_forward_eligible() and the switch
   /// is quiescent, idle stretches are skipped (exactly — see
   /// SwitchConfig::fast_forward) instead of stepped.
@@ -284,6 +288,10 @@ class CrossbarSwitch {
   std::unique_ptr<traffic::BernoulliBank> bern_bank_;
   std::vector<RingQueue<Packet>> source_q_;
   std::vector<std::size_t> max_backlog_;
+  // Per-flow packet counts (a preempted packet retransmitted from its source
+  // is admitted again).
+  std::vector<std::uint64_t> created_;
+  std::vector<std::uint64_t> admitted_;
   std::vector<std::uint64_t> delivered_;
   // Per-input list of its flows + acceptance round-robin pointer.
   std::vector<std::vector<FlowId>> input_flows_;

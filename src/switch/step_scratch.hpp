@@ -3,9 +3,12 @@
 // Every container the cycle loop needs is owned here, sized once at switch
 // construction, and reused every cycle, so the steady-state step() performs
 // no heap allocation (asserted by tests/hotpath_alloc_test.cpp). Ownership
-// rule: the arena belongs to exactly one CrossbarSwitch and is touched only
-// from inside its step(); nothing escapes the call — spans handed to the
-// arbiters are dead once pick()/on_grant() return.
+// rule: the arena belongs to exactly one CrossbarSwitch and only its step()
+// writes it. The part that describes the cycle — the asserted requests, the
+// engine's eligible pairs and the committed grants — is also the cycle
+// record (CrossbarSwitch::last_cycle()): read-only from the end of one
+// step() until the start of the next. Everything else is dead once
+// pick()/on_grant() return.
 //
 // The matching masks are single uint64_t words: the Swizzle Switch tops out
 // at radix 64 (config.validate() enforces it), so one word replaces the
@@ -13,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "arb/arbiter.hpp"
@@ -29,6 +33,27 @@ struct PendingRequest {
   std::uint32_t length = 0;
   Cycle buffered = 0;
   std::uint32_t prio = 0;  // legacy 4-level message priority
+};
+
+/// One grant of a cycle, chained grants (Packet Chaining) included.
+struct GrantRecord {
+  InputId input = kNoPort;
+  OutputId output = kNoPort;
+  TrafficClass cls = TrafficClass::BestEffort;
+  bool chained = false;
+};
+
+/// What one step() did (CrossbarSwitch::last_cycle()). The spans point into
+/// the switch and stay valid until its next step().
+struct CycleRecord {
+  Cycle cycle = 0;
+  /// Single-request mode only: pending[i] = input i's asserted request.
+  std::span<const PendingRequest> pending;
+  /// Matching engines only: bit o of eligible[i] = input i may match o.
+  std::span<const std::uint64_t> eligible;
+  std::span<const GrantRecord> grants;  // commit order
+  /// Per-flow packet counts since construction.
+  std::span<const std::uint64_t> created, admitted, delivered;
 };
 
 struct StepScratch {
@@ -52,7 +77,14 @@ struct StepScratch {
     eng_candidates.resize(radix);
     eng_voq.resize(static_cast<std::size_t>(radix) * radix);
     eng_match.resize(radix);
+    grants.reserve(radix);
   }
+
+  // ---- the cycle record (see CycleRecord) ----
+  Cycle cycle = 0;  // the cycle the last step() ran
+  // At most one grant per output per cycle (a grant seizes its channel), so
+  // the reserved radix slots never regrow.
+  std::vector<GrantRecord> grants;
 
   // ---- single-request mode (arbitrate) ----
   /// pending[i] = input i's asserted request (out == kNoPort: none).

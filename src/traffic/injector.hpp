@@ -69,7 +69,6 @@ class Injector {
         }
         break;
     }
-    created_ += n;
     return n;
   }
 
@@ -95,9 +94,6 @@ class Injector {
 
   [[nodiscard]] const FlowSpec& spec() const noexcept { return spec_; }
 
-  /// Total packets created so far.
-  [[nodiscard]] std::uint64_t created() const noexcept { return created_; }
-
  private:
   /// One local Bernoulli trial by precomputed integer threshold — exactly
   /// Rng::bernoulli(p) including the no-draw clamp branches.
@@ -109,7 +105,6 @@ class Injector {
 
   FlowSpec spec_;
   Rng rng_;
-  std::uint64_t created_ = 0;
 
   // Bernoulli / OnOff: per-cycle trial thresholds (bernoulli_threshold of
   // the packet / burst-exit / burst-entry probabilities while active).

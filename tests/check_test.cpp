@@ -379,5 +379,120 @@ TEST(VersionGate, CatchesAGlClockWriteOnAnUngrantedOutput) {
       "GL clock");
 }
 
+// ---- Forged cycle records: invariants no generated scenario trips ------
+
+constexpr Cycle kForgedCycle = 42;
+
+/// Feeds `rec` to the checker's per-cycle entry point and expects `kind` at
+/// kForgedCycle on `output`; returns the divergence detail.
+std::string expect_forged(DifferentialChecker& checker,
+                          const sw::CycleRecord& rec, const std::string& kind,
+                          OutputId output) {
+  checker.check_cycle(rec);
+  if (!checker.divergence().has_value()) {
+    ADD_FAILURE() << kind << " went unnoticed";
+    return {};
+  }
+  EXPECT_EQ(checker.divergence()->kind, kind);
+  EXPECT_EQ(checker.divergence()->cycle, kForgedCycle);
+  EXPECT_EQ(checker.divergence()->output, output);
+  return checker.divergence()->detail;
+}
+
+/// Invariants-only: a forged grant must not first trip the reference.
+CheckOptions invariants_only() {
+  CheckOptions opts;
+  opts.differential = false;
+  return opts;
+}
+
+TEST(ForgedCycle, TwoGrantsOnOneOutputAreADoubleGrant) {
+  sw::CrossbarSwitch sim = idle_output_switch();
+  DifferentialChecker checker(sim, invariants_only());
+  const std::vector<sw::GrantRecord> grants = {
+      {0, 2, TrafficClass::BestEffort, false},
+      {1, 2, TrafficClass::BestEffort, true}};
+  sw::CycleRecord rec;
+  rec.cycle = kForgedCycle;
+  rec.grants = grants;
+  EXPECT_EQ(expect_forged(checker, rec, "double_grant_output", 2),
+            "output granted twice in one cycle: first to input 0, then to "
+            "input 1");
+}
+
+TEST(ForgedCycle, TwoGrantsToOneInputAreADoubleGrant) {
+  sw::CrossbarSwitch sim = idle_output_switch();
+  DifferentialChecker checker(sim, invariants_only());
+  const std::vector<sw::GrantRecord> grants = {
+      {3, 1, TrafficClass::GuaranteedBandwidth, false},
+      {3, 5, TrafficClass::BestEffort, false}};
+  sw::CycleRecord rec;
+  rec.cycle = kForgedCycle;
+  rec.grants = grants;
+  EXPECT_EQ(expect_forged(checker, rec, "double_grant_input", 5),
+            "input 3 granted twice in one cycle (second grant by output 5)");
+}
+
+TEST(ForgedCycle, AnEngineGrantOutsideTheEligiblePairsIsUnrequested) {
+  sw::SwitchConfig config;
+  config.radix = 4;
+  config.allocation = sw::AllocationMode::IterativeMatching;
+  config.engine = arb::MatchKind::Islip;
+  sw::CrossbarSwitch sim(config, traffic::Workload(4));
+  DifferentialChecker checker(sim);
+  // Input 0 may go to output 1 only; input 1 to output 2.
+  const std::vector<std::uint64_t> eligible = {0b0010, 0b0100, 0, 0};
+  sw::CycleRecord rec;
+  rec.cycle = kForgedCycle;
+  rec.eligible = eligible;
+
+  const std::vector<sw::GrantRecord> legal = {
+      {0, 1, TrafficClass::BestEffort, false}};
+  rec.grants = legal;
+  checker.check_cycle(rec);
+  ASSERT_FALSE(checker.divergence().has_value())
+      << checker.divergence()->kind;
+
+  const std::vector<sw::GrantRecord> stolen = {
+      {0, 2, TrafficClass::BestEffort, false}};
+  rec.grants = stolen;
+  EXPECT_EQ(expect_forged(checker, rec, "unrequested_grant", 2),
+            "engine granted input 0 at an output it never requested\n"
+            "requests: [in=1]\n");
+}
+
+TEST(ForgedCycle, BufferingMoreThanCreatedBreaksConservation) {
+  sw::CrossbarSwitch sim = idle_output_switch();
+  DifferentialChecker checker(sim, invariants_only());
+  // Flow 1 buffered more than it created, flow 3 delivered more than it
+  // buffered: the lowest violating flow is the one reported.
+  const std::vector<std::uint64_t> created = {4, 4, 4, 4};
+  const std::vector<std::uint64_t> admitted = {4, 5, 4, 4};
+  const std::vector<std::uint64_t> delivered = {4, 4, 4, 5};
+  sw::CycleRecord rec;
+  rec.cycle = kForgedCycle;
+  rec.created = created;
+  rec.admitted = admitted;
+  rec.delivered = delivered;
+  EXPECT_EQ(expect_forged(checker, rec, "conservation", kNoPort),
+            "flow 1: created 4, buffered 5, delivered 4");
+}
+
+TEST(ForgedCycle, DeliveringMoreThanBufferedBreaksConservation) {
+  sw::CrossbarSwitch sim = idle_output_switch();
+  DifferentialChecker checker(sim, invariants_only());
+  // Flows 1 and 2 both delivered more than they buffered.
+  const std::vector<std::uint64_t> created = {4, 4, 4, 4};
+  const std::vector<std::uint64_t> admitted = {4, 3, 2, 4};
+  const std::vector<std::uint64_t> delivered = {4, 4, 4, 4};
+  sw::CycleRecord rec;
+  rec.cycle = kForgedCycle;
+  rec.created = created;
+  rec.admitted = admitted;
+  rec.delivered = delivered;
+  EXPECT_EQ(expect_forged(checker, rec, "conservation", kNoPort),
+            "flow 1: created 4, buffered 3, delivered 4");
+}
+
 }  // namespace
 }  // namespace ssq::check

@@ -15,8 +15,11 @@
 #include <vector>
 
 #include "arb/matching.hpp"
+#include "check/differential.hpp"
 #include "check/scenario.hpp"
 #include "check/trace.hpp"
+#include "obs/probe.hpp"
+#include "obs/trace.hpp"
 
 namespace ssq::check {
 namespace {
@@ -126,6 +129,29 @@ TEST(Golden, TracesInvariantAcrossKernelAndFastForward) {
             << " fast_forward=" << ff;
       }
     }
+  }
+}
+
+TEST(Golden, ACheckerLeavesAnAttachedTracerEveryEvent) {
+  // The checker reads the switch's cycle record and attaches no probe, so a
+  // tracer attached before it still sees the whole golden trace.
+  for (const auto& file : corpus()) {
+    const Scenario s = load_scenario(file.string());
+    ScenarioRun rig = instantiate(s);
+    std::ostringstream out;
+    GoldenTraceSink sink(out);
+    obs::Tracer tracer(sink);
+    obs::SwitchProbe probe(s.radix);
+    probe.set_tracer(&tracer);
+    rig.sim->attach_probe(&probe);
+    {
+      DifferentialChecker checker(*rig.sim);
+      EXPECT_TRUE(checker.run(s.cycles)) << s.name;
+    }
+    EXPECT_EQ(rig.sim->probe(), &probe) << s.name;
+    rig.sim->attach_probe(nullptr);
+    tracer.finish();
+    EXPECT_EQ(out.str(), golden_trace(s)) << s.name;
   }
 }
 

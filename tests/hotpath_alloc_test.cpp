@@ -202,23 +202,47 @@ TEST(HotPathAllocations, BaselineLrgIsAllocationFree) {
   expect_zero_alloc_steady_state(config, "baseline/lrg radix 16");
 }
 
-TEST(HotPathAllocations, DifferentialCheckerWithCircuitLegIsAllocationFree) {
-  // The checker rides along on every checked scenario: once its per-output
-  // request lists have grown to their steady size, a checked step (probe
-  // events, reference pick and grant, bit-level circuit leg, state compare)
-  // must allocate nothing either. The reference models start from reset
-  // state, so the checker is attached at cycle 0 and does the warm-up.
-  sw::CrossbarSwitch sim(base_config(8), stable_workload(8));
-  check::DifferentialChecker checker(sim);
-  ASSERT_TRUE(checker.options().differential);
-  ASSERT_TRUE(checker.options().circuit);
-  for (Cycle t = 0; t < 20000; ++t) ASSERT_TRUE(checker.step());
+/// Checked counterpart of expect_zero_alloc_steady_state. The checker reads
+/// the switch's cycle record, so no probe is ever attached either. The
+/// reference models start from reset state, so the checker is attached at
+/// cycle 0 and does the warm-up.
+void expect_zero_alloc_checked_steady_state(
+    sw::CrossbarSwitch& sim, check::DifferentialChecker& checker) {
+  for (Cycle t = 0; t < 20000; ++t) {
+    ASSERT_EQ(sim.probe(), nullptr);
+    ASSERT_TRUE(checker.step());
+  }
   const std::uint64_t grants = checker.grants_checked();
   alloc_hook::reset();
   for (Cycle t = 0; t < 2000; ++t) ASSERT_TRUE(checker.step());
   EXPECT_EQ(alloc_hook::allocations(), 0u)
       << "the checked steady-state cycle loop allocated";
   EXPECT_GT(checker.grants_checked(), grants);
+  EXPECT_EQ(sim.probe(), nullptr);
+}
+
+TEST(HotPathAllocations, DifferentialCheckerWithCircuitLegIsAllocationFree) {
+  // The checker rides along on every checked scenario: a checked step (cycle
+  // record read, reference pick and grant, bit-level circuit leg, state
+  // compare) must allocate nothing either.
+  sw::CrossbarSwitch sim(base_config(8), stable_workload(8));
+  check::DifferentialChecker checker(sim);
+  ASSERT_TRUE(checker.options().differential);
+  ASSERT_TRUE(checker.options().circuit);
+  expect_zero_alloc_checked_steady_state(sim, checker);
+}
+
+TEST(HotPathAllocations, EngineModeCheckerIsAllocationFree) {
+  // Under a matching engine the checker reads the engine's eligible pairs
+  // (unrequested-grant and progress checks) straight from the cycle record.
+  auto config = base_config(16);
+  config.allocation = sw::AllocationMode::IterativeMatching;
+  config.engine = arb::MatchKind::Islip;
+  config.match_iterations = 2;
+  sw::CrossbarSwitch sim(config, stable_workload(16));
+  check::DifferentialChecker checker(sim);
+  ASSERT_FALSE(checker.options().differential);
+  expect_zero_alloc_checked_steady_state(sim, checker);
 }
 
 }  // namespace

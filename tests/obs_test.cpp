@@ -370,7 +370,7 @@ TEST(ObsProbe, GrantCountMatchesPerOutputSum) {
 
 TEST(ObsSnapshot, SamplesAtIntervalBoundaries) {
   sw::CrossbarSwitch sim(small_config(), two_flow_workload());
-  obs::SwitchProbe probe(4, /*grant_window_cycles=*/500);
+  obs::SwitchProbe probe(4);
   sim.attach_probe(&probe);
   obs::SnapshotSampler sampler(4, 500);
   sw::run_sampled(sim, 2600, sampler);

@@ -485,8 +485,7 @@ int run(int argc, char** argv) {
   obs::TeeSink tee;
   bool flight_written = false;
   if (want_obs) {
-    probe = std::make_unique<obs::SwitchProbe>(
-        radix, metrics_path.empty() ? 0 : metrics_interval);
+    probe = std::make_unique<obs::SwitchProbe>(radix);
     if (!trace_path.empty()) {
       trace_os = open_or_die(trace_path);
       const bool jsonl = trace_format.empty()
