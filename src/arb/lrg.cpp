@@ -1,6 +1,7 @@
 #include "arb/lrg.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
 namespace ssq::arb {
@@ -101,23 +102,25 @@ bool LrgArbiter::repair_order() {
 
 bool LrgArbiter::is_total_order() const {
   const std::uint32_t n = radix();
-  // Asymmetric and total: exactly one of beats(i,j), beats(j,i).
-  for (InputId i = 0; i < n; ++i) {
-    if ((rows_[i] >> i) & 1ULL) return false;  // irreflexive
-    if (n < 64 && (rows_[i] >> n) != 0) return false;  // no stray bits
-    for (InputId j = i + 1; j < n; ++j) {
-      const bool ij = (rows_[i] >> j) & 1ULL;
-      const bool ji = (rows_[j] >> i) & 1ULL;
-      if (ij == ji) return false;
-    }
-  }
-  // Transitivity: out-degrees must be a permutation of {0..n-1}.
+  // A strict total order on n inputs gives each a distinct out-degree, so
+  // the degrees are a permutation of {0..n-1}, and each row is exactly the
+  // set of inputs of lower degree. Conversely, rows of that form are
+  // irreflexive, carry no stray bits, hold exactly one of beats(i,j) and
+  // beats(j,i), and are transitive: the same predicate in O(n).
+  std::array<InputId, 64> by_degree{};
   std::uint64_t degrees_seen = 0;
   for (InputId i = 0; i < n; ++i) {
     const auto deg = static_cast<std::uint32_t>(std::popcount(rows_[i]));
     if (deg >= n) return false;
     if ((degrees_seen >> deg) & 1ULL) return false;
     degrees_seen |= 1ULL << deg;
+    by_degree[deg] = i;
+  }
+  std::uint64_t below = 0;  // inputs of degree < d
+  for (std::uint32_t d = 0; d < n; ++d) {
+    const InputId i = by_degree[d];
+    if (rows_[i] != below) return false;
+    below |= 1ULL << i;
   }
   return true;
 }

@@ -58,8 +58,9 @@ class LrgArbiter final : public Arbiter {
   /// does). Rows must encode a strict total order; enforced.
   void set_matrix(const std::vector<std::uint64_t>& rows);
 
-  /// Checks the strict-total-order invariant (asymmetric, total, transitive
-  /// by rank consistency).
+  /// Checks the strict-total-order invariant (irreflexive, asymmetric,
+  /// total, transitive) in O(radix): out-degrees form a permutation of
+  /// {0..radix-1} and each row is the set of inputs of lower degree.
   [[nodiscard]] bool is_total_order() const;
 
   // ---- fault injection / scrubbing (hardware DFT surface) ----

@@ -18,12 +18,15 @@
 // packets (delivered <= buffered <= created, per flow). In differential mode
 // it additionally deep-compares arbiter state (auxVC values, thermometer
 // levels — stored and sensed —, LRG ranks, GL clock, epoch real time) and
-// enforces the GL policing bound and counter-cap safety. The O(1) parts run
-// for every output every cycle; an output's per-input state is re-walked in
-// the cycles where either side's mutation counter moved
-// (OutputQosArbiter::state_version, ReferenceOutput::version). An output
-// neither side wrote still holds the state its last passing compare found
-// equal, so the gate skips only comparisons that cannot fail.
+// enforces the GL policing bound and counter-cap safety. An output is
+// compared in a cycle when it had a request or a grant, when either side's
+// mutation counter moved since its last passing compare
+// (OutputQosArbiter::state_version, ReferenceOutput::version), or on the
+// first checked cycle of an epoch, when every output is swept; its
+// per-input state is re-walked only when a counter moved. An output outside
+// that set holds the state its last passing compare found equal and cannot
+// wrap, so every skipped comparison is one that cannot fail
+// (docs/PERFORMANCE.md, "Version-gated state compare").
 //
 // The first mismatch is captured as a Divergence with a full state dump of
 // both sides; checking stops there so the dump describes the *first* broken
@@ -31,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -93,9 +97,11 @@ class DifferentialChecker {
   bool run(Cycle cycles);
 
   /// Checks one cycle record (step() feeds it sim.last_cycle(); tests may
-  /// forge one). Visits only the outputs with a request or a grant, in this
-  /// order: each grant, missed grants, state compare, conservation (lowest
-  /// violating flow first), the progress guard. No-op after a divergence.
+  /// forge one). Visits only the outputs with a request or a grant (plus,
+  /// for the state compare, written outputs and an epoch's first-cycle
+  /// sweep), in this order: each grant, missed grants, state compare,
+  /// conservation (lowest violating flow first), the progress guard. No-op
+  /// after a divergence.
   void check_cycle(const sw::CycleRecord& rec);
 
   /// For drivers that call sim.fast_forward() themselves instead of going
@@ -128,7 +134,10 @@ class DifferentialChecker {
                      const ReferenceOutput& ref, bool gl_ok);
   /// Fills reqs_ with output o's single-request-mode requests, input order.
   void gather_requests(const sw::CycleRecord& rec, OutputId o);
-  void compare_state(Cycle t);
+  /// Deep state compare of the outputs in `touched` (a request or a grant
+  /// this cycle), of those either side wrote since their last passing
+  /// compare, and of every output on the first checked cycle of an epoch.
+  void compare_state(Cycle t, std::uint64_t touched);
   void fail(Cycle t, OutputId o, std::string kind, std::string detail);
   [[nodiscard]] std::string dump_output_state(OutputId o) const;
   [[nodiscard]] static std::string dump_requests(const sw::CycleRecord& rec,
@@ -139,6 +148,9 @@ class DifferentialChecker {
   std::optional<obs::SwitchProbe> probe_;  // attached by probe() only
 
   std::vector<ReferenceOutput> refs_;  // per output
+  // The switch's output arbiters (built once with it), read-only: the
+  // mutable accessors count as writes.
+  std::vector<const core::OutputQosArbiter*> arbs_;
   // This cycle's outputs and inputs granted so far (bit per port).
   std::uint64_t granted_out_ = 0;
   std::uint64_t granted_in_ = 0;
@@ -161,6 +173,9 @@ class DifferentialChecker {
     bool operator==(const ComparedVersions&) const = default;
   };
   std::vector<ComparedVersions> compared_;
+  // Epoch index (cycle >> lsb_bits) of compare_state's last all-output
+  // sweep; the sentinel makes the first checked cycle a sweep.
+  Cycle swept_epoch_ = std::numeric_limits<Cycle>::max();
 
   // Circuit leg (constructed only when enabled). The request vector, LRG
   // rows and arbitration trace are reused across every grant check so the

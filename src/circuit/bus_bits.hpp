@@ -46,9 +46,12 @@ class BusBits {
                  std::uint32_t count) {
     SSQ_EXPECT(count >= 1 && count <= 64);
     SSQ_EXPECT(offset + count <= width_);
-    for (std::uint32_t k = 0; k < count; ++k) {
-      if ((bits >> k) & 1ULL) set(offset + k);
-    }
+    // At most two words: the low part lands at the offset's bit, the rest
+    // spills into the next word.
+    const std::uint64_t low = count == 64 ? bits : bits & ((1ULL << count) - 1);
+    const std::uint32_t shift = offset & 63;
+    words_[offset >> 6] |= low << shift;
+    if (shift + count > 64) words_[(offset >> 6) + 1] |= low >> (64 - shift);
   }
 
   /// Bitwise OR-in of another vector of the same width (wired-OR discharge).

@@ -124,6 +124,9 @@ class OutputQosArbiter {
   [[nodiscard]] const GlTracker& gl_tracker() const noexcept { return gl_; }
   /// Epoch-relative real time at the last advance_to().
   [[nodiscard]] std::uint64_t epoch_rt() const noexcept { return rt_; }
+  /// Cycle the current epoch began (a multiple of params().epoch_cycles();
+  /// moves only in the versioned epoch-wrap loop of advance_to, and reset).
+  [[nodiscard]] Cycle epoch_base() const noexcept { return epoch_base_; }
   [[nodiscard]] ArbKernel kernel() const noexcept { return kernel_; }
   /// Mutation counter over every piece of state the differential checker
   /// compares: auxVC registers and codes, the quarantine remap, the LRG

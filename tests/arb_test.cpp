@@ -2,8 +2,11 @@
 // harnesses that emulate a saturated output (every input always requesting).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <memory>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "arb/age.hpp"
@@ -131,6 +134,102 @@ TEST(LrgTest, TotalOrderPreservedUnderRandomGrants) {
     ASSERT_TRUE(lrg.is_total_order());
     ASSERT_EQ(lrg.rank(w), 15u);
   }
+}
+
+/// is_total_order's former pairwise O(n^2) definition, kept as its oracle:
+/// irreflexive, no stray bits, exactly one of beats(i,j) and beats(j,i),
+/// and out-degrees a permutation of {0..n-1}.
+bool pairwise_total_order(const LrgArbiter& lrg) {
+  const std::uint32_t n = lrg.radix();
+  for (InputId i = 0; i < n; ++i) {
+    if ((lrg.row(i) >> i) & 1ULL) return false;
+    if (n < 64 && (lrg.row(i) >> n) != 0) return false;
+    for (InputId j = i + 1; j < n; ++j) {
+      if (((lrg.row(i) >> j) & 1ULL) == ((lrg.row(j) >> i) & 1ULL)) {
+        return false;
+      }
+    }
+  }
+  std::uint64_t degrees_seen = 0;
+  for (InputId i = 0; i < n; ++i) {
+    const auto deg = static_cast<std::uint32_t>(std::popcount(lrg.row(i)));
+    if (deg >= n || ((degrees_seen >> deg) & 1ULL) != 0) return false;
+    degrees_seen |= 1ULL << deg;
+  }
+  return true;
+}
+
+/// Beats matrix of the order `perm` (perm[0] most preferred).
+std::vector<std::uint64_t> rows_of_order(const std::vector<InputId>& perm) {
+  std::vector<std::uint64_t> rows(perm.size(), 0);
+  for (std::size_t k = 0; k < perm.size(); ++k) {
+    for (std::size_t m = k + 1; m < perm.size(); ++m) {
+      rows[perm[k]] |= 1ULL << perm[m];
+    }
+  }
+  return rows;
+}
+
+TEST(LrgTest, TotalOrderCheckMatchesThePairwiseDefinitionOnEveryOrder) {
+  for (std::uint32_t n = 1; n <= 6; ++n) {
+    std::vector<InputId> perm(n);
+    std::iota(perm.begin(), perm.end(), 0u);
+    do {
+      LrgArbiter lrg(n);
+      lrg.set_matrix(rows_of_order(perm));
+      ASSERT_TRUE(pairwise_total_order(lrg));
+      ASSERT_TRUE(lrg.is_total_order());
+    } while (std::next_permutation(perm.begin(), perm.end()));
+  }
+}
+
+TEST(LrgTest, TotalOrderCheckMatchesThePairwiseDefinitionOnEveryMatrix) {
+  // Every n x n bit matrix for n <= 4, reached by flips from the reset order.
+  for (std::uint32_t n = 1; n <= 4; ++n) {
+    for (std::uint64_t m = 0; m < (1ULL << (n * n)); ++m) {
+      LrgArbiter lrg(n);
+      for (std::uint32_t b = 0; b < n * n; ++b) {
+        const bool want = (m >> b) & 1ULL;
+        const bool has = (lrg.row(b / n) >> (b % n)) & 1ULL;
+        if (want != has) lrg.fault_flip(b / n, b % n);
+      }
+      ASSERT_EQ(lrg.is_total_order(), pairwise_total_order(lrg))
+          << "n=" << n << " matrix=" << m;
+    }
+  }
+}
+
+TEST(LrgTest, TotalOrderCheckMatchesThePairwiseDefinitionUnderBitFlips) {
+  Rng rng(17);
+  std::uint64_t orders = 0;
+  std::uint64_t broken = 0;
+  for (std::uint32_t n = 2; n <= 64; ++n) {
+    LrgArbiter lrg(n);
+    for (int trial = 0; trial < 200; ++trial) {
+      // A random reachable order, then one flip, two random flips, or the
+      // two flops of one pair (a total order again iff the ranks touch).
+      for (std::uint32_t g = 0; g < n; ++g) {
+        lrg.on_grant(static_cast<InputId>(rng.below(n)), 1, 0);
+      }
+      const auto i = static_cast<InputId>(rng.below(n));
+      const auto j = static_cast<InputId>(rng.below(n));
+      const auto k = static_cast<InputId>(rng.below(n));
+      const auto l = static_cast<InputId>(rng.below(n));
+      std::vector<std::pair<InputId, InputId>> flips = {{i, j}};
+      if (trial % 3 == 1) flips.emplace_back(k, l);
+      if (trial % 3 == 2) flips.emplace_back(j, i);
+      for (const auto& [a, b] : flips) lrg.fault_flip(a, b);
+      const bool total = pairwise_total_order(lrg);
+      ASSERT_EQ(lrg.is_total_order(), total)
+          << "n=" << n << " trial " << trial;
+      ++(total ? orders : broken);
+      for (const auto& [a, b] : flips) lrg.fault_flip(a, b);  // undo
+      ASSERT_TRUE(lrg.is_total_order());
+    }
+  }
+  // Both verdicts must come up for the comparison to bite.
+  EXPECT_GT(orders, 100u);
+  EXPECT_GT(broken, 1000u);
 }
 
 // --------------------------------------------------------- RoundRobin ----

@@ -229,10 +229,10 @@ TEST(Reference, LrgStartsInPortOrderAndMovesToBack) {
 
 /// Everything the deep compare reads from one simulator output, flattened
 /// into `out`: per input the counter value, logical and sensed level and
-/// LRG row, then the GL clock and the epoch base. Taken after a checker
-/// step at cycle `t`, which advanced every arbiter to t, so the epoch base
-/// is t - epoch_rt.
-void capture(const core::OutputQosArbiter& arb, Cycle t,
+/// LRG row, then the GL clock and the epoch base. The checker advances an
+/// arbiter only on cycles it compares it, so the base is read directly
+/// rather than derived from the current cycle and a possibly stale rt.
+void capture(const core::OutputQosArbiter& arb,
              std::vector<std::uint64_t>& out) {
   const std::uint32_t n = arb.radix();
   out.resize(4 * n + 2);
@@ -243,7 +243,7 @@ void capture(const core::OutputQosArbiter& arb, Cycle t,
     out[4 * i + 3] = arb.lrg().row(i);
   }
   out[4 * n] = arb.gl_tracker().clock();
-  out[4 * n + 1] = t - arb.epoch_rt();
+  out[4 * n + 1] = arb.epoch_base();
 }
 
 /// Everything the deep compare reads from one reference output: per input
@@ -287,7 +287,7 @@ TEST(VersionGate, UnchangedVersionImpliesUnchangedState) {
         const ReferenceOutput& ref = checker.reference(o);
         const bool sim_held = c > 0 && arb.state_version() == sim_ver[o];
         const bool ref_held = c > 0 && ref.version() == ref_ver[o];
-        capture(arb, t, now);
+        capture(arb, now);
         if (sim_held) {
           ASSERT_EQ(now, sim_prev[o])
               << s.name << " output " << o << " cycle " << t
@@ -377,6 +377,80 @@ TEST(VersionGate, CatchesAGlClockWriteOnAnUngrantedOutput) {
   expect_tamper_caught(
       [](core::OutputQosArbiter& arb) { arb.gl_tracker_mut().fault_flip(4); },
       "GL clock");
+}
+
+// ---- The epoch sweep: an untouched output is still compared once per epoch
+
+/// Radix-8 SSVC switch whose only GB traffic is a 3-packet burst from input
+/// 1 to output 0 at cycle 0, drained long before the first epoch ends. With
+/// `late` > 0, one BE packet from input 2 to output 1 arrives at that
+/// cycle, so a fast-forward from the drained state stops there.
+sw::CrossbarSwitch gb_burst_switch(Cycle late) {
+  sw::SwitchConfig config;
+  config.radix = 8;
+  traffic::Workload w(8);
+  traffic::FlowSpec gb;
+  gb.src = 1;
+  gb.dst = 0;
+  gb.cls = TrafficClass::GuaranteedBandwidth;
+  gb.reserved_rate = 0.1;
+  gb.len_min = gb.len_max = 4;
+  gb.inject = traffic::InjectKind::BurstOnce;
+  gb.burst_packets = 3;
+  w.add_flow(gb);
+  if (late > 0) {
+    traffic::FlowSpec be;
+    be.src = 2;
+    be.dst = 1;
+    be.inject = traffic::InjectKind::Trace;
+    be.trace = {late};
+    w.add_flow(be);
+  }
+  return sw::CrossbarSwitch(config, std::move(w));
+}
+
+CheckOptions skip_epoch_wrap() {
+  CheckOptions opts;
+  opts.bug = PlantedBug::SkipEpochWrap;
+  return opts;
+}
+
+void expect_missed_wrap(const DifferentialChecker& checker, Cycle t) {
+  ASSERT_TRUE(checker.divergence().has_value()) << "missed wrap unnoticed";
+  EXPECT_EQ(checker.divergence()->kind, "state_mismatch");
+  EXPECT_EQ(checker.divergence()->cycle, t);
+  EXPECT_EQ(checker.divergence()->output, 0u);
+  EXPECT_NE(checker.divergence()->detail.find("auxVC[1] value"),
+            std::string::npos)
+      << checker.divergence()->detail;
+}
+
+TEST(EpochSweep, CatchesAMissedWrapOnAnOutputIdleAtTheBoundary) {
+  sw::CrossbarSwitch sim = gb_burst_switch(0);
+  DifferentialChecker checker(sim, skip_epoch_wrap());
+  const Cycle epoch = sim.config().ssvc.epoch_cycles();
+  while (sim.now() < epoch) ASSERT_TRUE(checker.step()) << sim.now();
+  // Output 0 has been idle for most of the epoch, with its counter up.
+  ASSERT_TRUE(sim.quiescent());
+  ASSERT_GT(checker.reference(0).value(1), 0u);
+  EXPECT_FALSE(checker.step());
+  expect_missed_wrap(checker, epoch);
+}
+
+TEST(EpochSweep, CatchesAMissedWrapOnTheFirstCycleAfterAFastForward) {
+  const Cycle late = 5000;
+  sw::CrossbarSwitch sim = gb_burst_switch(late);
+  DifferentialChecker checker(sim, skip_epoch_wrap());
+  for (int k = 0; k < 64; ++k) ASSERT_TRUE(checker.step()) << sim.now();
+  ASSERT_TRUE(sim.fast_forward_eligible() && sim.quiescent());
+  ASSERT_GT(checker.reference(0).value(1), 0u);
+  sim.fast_forward(late + 100);
+  checker.on_fast_forward();
+  // The jump crossed several epoch boundaries and stepped none of them.
+  const Cycle t = sim.now();
+  ASSERT_GE(t / sim.config().ssvc.epoch_cycles(), 3u) << t;
+  EXPECT_FALSE(checker.step());
+  expect_missed_wrap(checker, t);
 }
 
 // ---- Forged cycle records: invariants no generated scenario trips ------

@@ -43,6 +43,31 @@ TEST(BusBitsTest, SetRangeCrossesWords) {
   EXPECT_FALSE(b.get(68));
 }
 
+TEST(BusBitsTest, SetRangeEqualsBitByBitOnEveryOffsetAndCount) {
+  // Width 200 is not a multiple of 64, so the last word is partial. Each
+  // write ORs into wires already set and must ignore bits above `count`.
+  constexpr std::uint32_t kWidth = 200;
+  Rng rng(5);
+  for (std::uint32_t offset = 0; offset < kWidth; ++offset) {
+    for (std::uint32_t count = 1; count <= 64 && offset + count <= kWidth;
+         ++count) {
+      BusBits words(kWidth);
+      BusBits bitwise(kWidth);
+      for (int k = 0; k < 8; ++k) {
+        const auto w = static_cast<std::uint32_t>(rng.below(kWidth));
+        words.set(w);
+        bitwise.set(w);
+      }
+      const std::uint64_t bits = rng();
+      words.set_range(offset, bits, count);
+      for (std::uint32_t k = 0; k < count; ++k) {
+        if ((bits >> k) & 1ULL) bitwise.set(offset + k);
+      }
+      ASSERT_EQ(words, bitwise) << "offset " << offset << " count " << count;
+    }
+  }
+}
+
 TEST(BusBitsTest, WiredOr) {
   BusBits a(64), b(64);
   a.set(1);
