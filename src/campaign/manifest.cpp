@@ -93,6 +93,9 @@ void Manifest::validate() const {
   detail::config_check(shards > 0, "campaign: shards must be positive");
   detail::config_check(shards <= 100000, "campaign: shards too large (max 100000)");
   detail::config_check(!grid.empty(), "campaign: grid must not be empty");
+  detail::config_check(scenarios <= UINT64_MAX / grid.size(),
+                       "campaign: scenarios times grid points overflows the "
+                       "64-bit work-unit count");
   detail::config_check(max_attempts > 0,
                        "campaign: max-attempts must be positive");
   detail::config_check(scenario_timeout_ms >= 100,

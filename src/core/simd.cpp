@@ -41,31 +41,6 @@ std::uint32_t first_hit_lane_portable(const std::uint64_t* lanes,
   return n;
 }
 
-// One xoshiro256** step on scalar state words — must match Rng::operator()().
-std::uint64_t xoshiro_step(std::uint64_t& s0, std::uint64_t& s1,
-                           std::uint64_t& s2, std::uint64_t& s3) noexcept {
-  const auto rotl = [](std::uint64_t x, int k) {
-    return (x << k) | (x >> (64 - k));
-  };
-  const std::uint64_t result = rotl(s1 * 5, 7) * 9;
-  const std::uint64_t t = s1 << 17;
-  s2 ^= s0;
-  s3 ^= s1;
-  s1 ^= s2;
-  s0 ^= s3;
-  s2 ^= t;
-  s3 = rotl(s3, 45);
-  return result;
-}
-
-void xoshiro_batch_portable(std::uint64_t* s0, std::uint64_t* s1,
-                            std::uint64_t* s2, std::uint64_t* s3,
-                            std::uint64_t* out, std::size_t n) noexcept {
-  for (std::size_t k = 0; k < n; ++k) {
-    out[k] = xoshiro_step(s0[k], s1[k], s2[k], s3[k]);
-  }
-}
-
 #if SSQ_SIMD_X86
 
 // ---- AVX2 tier ----
@@ -81,11 +56,6 @@ __attribute__((target("avx2"))) v4u64 load4(const std::uint64_t* p) noexcept {
   v4u64 v;
   std::memcpy(&v, p, sizeof(v));
   return v;
-}
-
-__attribute__((target("avx2"))) void store4(std::uint64_t* p,
-                                            v4u64 v) noexcept {
-  std::memcpy(p, &v, sizeof(v));
 }
 
 __attribute__((target("avx2"))) std::uint64_t covering_mask_avx2(
@@ -127,38 +97,6 @@ __attribute__((target("avx2"))) std::uint32_t first_hit_lane_avx2(
   return n;
 }
 
-__attribute__((target("avx2"))) void xoshiro_batch_avx2(
-    std::uint64_t* s0, std::uint64_t* s1, std::uint64_t* s2,
-    std::uint64_t* s3, std::uint64_t* out, std::size_t n) noexcept {
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    v4u64 v0 = load4(s0 + k);
-    v4u64 v1 = load4(s1 + k);
-    v4u64 v2 = load4(s2 + k);
-    v4u64 v3 = load4(s3 + k);
-    // result = rotl(s1 * 5, 7) * 9, with the multiplies strength-reduced
-    // to shift+add so the whole step is shifts/xors/adds.
-    const v4u64 m5 = (v1 << 2) + v1;
-    const v4u64 r7 = (m5 << 7) | (m5 >> 57);
-    const v4u64 res = (r7 << 3) + r7;
-    const v4u64 t = v1 << 17;
-    v2 ^= v0;
-    v3 ^= v1;
-    v1 ^= v2;
-    v0 ^= v3;
-    v2 ^= t;
-    v3 = (v3 << 45) | (v3 >> 19);
-    store4(s0 + k, v0);
-    store4(s1 + k, v1);
-    store4(s2 + k, v2);
-    store4(s3 + k, v3);
-    store4(out + k, res);
-  }
-  for (; k < n; ++k) {
-    out[k] = xoshiro_step(s0[k], s1[k], s2[k], s3[k]);
-  }
-}
-
 SimdTier detect_tier() noexcept {
   if (const char* env = std::getenv("SSQ_SIMD");
       env != nullptr && std::strcmp(env, "portable") == 0) {
@@ -198,18 +136,6 @@ std::uint32_t first_hit_lane(const std::uint64_t* lanes, std::uint32_t n,
   }
 #endif
   return first_hit_lane_portable(lanes, n, occ);
-}
-
-void xoshiro_batch(std::uint64_t* s0, std::uint64_t* s1, std::uint64_t* s2,
-                   std::uint64_t* s3, std::uint64_t* out,
-                   std::size_t n) noexcept {
-#if SSQ_SIMD_X86
-  if (active_tier() == SimdTier::Avx2) {
-    xoshiro_batch_avx2(s0, s1, s2, s3, out, n);
-    return;
-  }
-#endif
-  xoshiro_batch_portable(s0, s1, s2, s3, out, n);
 }
 
 }  // namespace ssq::core::simd

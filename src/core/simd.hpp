@@ -1,5 +1,4 @@
-// Runtime-dispatched SIMD primitives for the arbitration kernels and the
-// injection plane.
+// Runtime-dispatched SIMD primitives for the arbitration kernels.
 //
 // Every function here computes an exact integer function of its inputs; the
 // AVX2 and portable tiers are two instruction schedules of the same
@@ -17,7 +16,6 @@
 //     whole suite both ways on the same binary to prove identity).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 namespace ssq::core::simd {
@@ -53,13 +51,5 @@ enum class SimdTier : std::uint8_t {
 [[nodiscard]] std::uint32_t first_hit_lane(const std::uint64_t* lanes,
                                            std::uint32_t n,
                                            std::uint64_t occ) noexcept;
-
-/// Batched xoshiro256** advance over structure-of-arrays generator state:
-/// for each k in [0, n), out[k] = next draw of state k, and the four state
-/// words are updated in place. Per-slot results equal Rng::operator()() on
-/// the same state words in any order (slots are independent).
-void xoshiro_batch(std::uint64_t* s0, std::uint64_t* s1, std::uint64_t* s2,
-                   std::uint64_t* s3, std::uint64_t* out,
-                   std::size_t n) noexcept;
 
 }  // namespace ssq::core::simd

@@ -12,32 +12,10 @@
 // bounded int, geometric) are provided directly with stable semantics.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <limits>
 
 namespace ssq {
-
-/// Sentinels of bernoulli_threshold(): probabilities clamped to never/always
-/// consume no draw, exactly like Rng::bernoulli on p <= 0 / p >= 1.
-inline constexpr std::uint64_t kBernoulliNever = 0;
-inline constexpr std::uint64_t kBernoulliAlways = ~0ULL;
-
-/// Exact integer form of the `uniform() < p` trial: for 0 < p < 1,
-/// (x >> 11) < bernoulli_threshold(p) holds for exactly the x where
-/// bernoulli(p) drawing x returns true. uniform() is (x >> 11) * 2^-53 with
-/// both the product and p exact doubles, so the double compare is an exact
-/// real compare of (x >> 11) against p * 2^53 — i.e. an integer compare
-/// against ceil(p * 2^53). Multiplying p by 2^53 only shifts its exponent
-/// (no rounding), so the threshold is exact too.
-[[nodiscard]] constexpr std::uint64_t bernoulli_threshold(double p) noexcept {
-  if (p <= 0.0) return kBernoulliNever;
-  if (p >= 1.0) return kBernoulliAlways;
-  const double scaled = p * 9007199254740992.0;  // p * 2^53, exact
-  auto t = static_cast<std::uint64_t>(scaled);   // floor; scaled < 2^53
-  if (static_cast<double>(t) < scaled) ++t;      // ceil on non-integral
-  return t;  // in [1, 2^53]: distinct from both sentinels
-}
 
 /// splitmix64 — used to expand a 64-bit seed into generator state, and as a
 /// convenient stateless hash for deriving per-flow sub-seeds.
@@ -49,26 +27,6 @@ constexpr std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   return z ^ (z >> 31);
 }
 
-/// Uniform integer in [0, bound) drawn from `next()` (a callable returning
-/// uniform uint64s) by Lemire's multiply-shift method. Rng::below() and the
-/// SoA injector bank (which keeps xoshiro state in struct-of-arrays form)
-/// both route through this so their draw sequences stay byte-identical.
-template <typename Next>
-constexpr std::uint64_t below_with(Next&& next, std::uint64_t bound) noexcept {
-  std::uint64_t x = next();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (lo < threshold) {
-      x = next();
-      m = static_cast<__uint128_t>(x) * bound;
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 /// xoshiro256** PRNG. Satisfies UniformRandomBitGenerator.
 class Rng {
  public:
@@ -78,17 +36,6 @@ class Rng {
   explicit constexpr Rng(std::uint64_t seed = 0x5eed5eed5eedULL) noexcept {
     std::uint64_t sm = seed;
     for (auto& word : state_) word = splitmix64(sm);
-  }
-
-  /// Rebuilds a generator from exported state words (see state()).
-  explicit constexpr Rng(const std::array<std::uint64_t, 4>& st) noexcept {
-    for (int i = 0; i < 4; ++i) state_[i] = st[static_cast<std::size_t>(i)];
-  }
-
-  /// Exports the raw xoshiro state, e.g. into the SoA injector bank which
-  /// advances many generators in lock-step.
-  [[nodiscard]] constexpr std::array<std::uint64_t, 4> state() const noexcept {
-    return {state_[0], state_[1], state_[2], state_[3]};
   }
 
   static constexpr result_type min() noexcept { return 0; }
@@ -123,7 +70,18 @@ class Rng {
   /// Uniform integer in [0, bound). Precondition: bound > 0.
   /// Uses Lemire's multiply-shift rejection-free-in-the-common-case method.
   constexpr std::uint64_t below(std::uint64_t bound) noexcept {
-    return below_with([this] { return (*this)(); }, bound);
+    std::uint64_t x = (*this)();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (lo < threshold) {
+        x = (*this)();
+        m = static_cast<__uint128_t>(x) * bound;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
   }
 
   /// Uniform integer in [lo, hi] inclusive. Precondition: lo <= hi.

@@ -89,12 +89,8 @@ CrossbarSwitch::CrossbarSwitch(const SwitchConfig& config,
   gsf_quota_.assign(flows.size(), 0);
   gsf_used_.assign(flows.size(), 0);
   nonempty_src_flows_.assign(radix, 0);
-  bern_bank_ = std::make_unique<traffic::BernoulliBank>();
   for (FlowId f = 0; f < flows.size(); ++f) {
     injectors_.emplace_back(flows[f], rng_.fork(f));
-    // Eligible (strict-interior Bernoulli) streams migrate into the SoA
-    // bank, advanced 4-wide once per cycle at the top of inject_create().
-    injectors_.back().bind_bank(*bern_bank_);
     input_flows_[flows[f].src].push_back(f);
     latency_.register_flow(flows[f].cls);
     wait_.register_flow(flows[f].cls);
@@ -254,9 +250,6 @@ std::size_t CrossbarSwitch::max_source_backlog(FlowId f) const {
 }
 
 void CrossbarSwitch::inject_create() {
-  // One lock-step trial for every banked Bernoulli stream; packets_at()
-  // below reads the latched outcomes.
-  if (!bern_bank_->empty()) bern_bank_->roll(now_);
   // Packet creation into source queues.
   for (FlowId f = 0; f < injectors_.size(); ++f) {
     auto& inj = injectors_[f];

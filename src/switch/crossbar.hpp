@@ -282,10 +282,6 @@ class CrossbarSwitch {
 
   // Traffic plumbing, indexed by FlowId.
   std::vector<traffic::Injector> injectors_;
-  // SoA bank advancing all strict-interior Bernoulli streams in lock-step
-  // (one simd::xoshiro_batch pass per cycle instead of a per-injector roll).
-  // unique_ptr: injectors hold its address, which must survive a switch move.
-  std::unique_ptr<traffic::BernoulliBank> bern_bank_;
   std::vector<RingQueue<Packet>> source_q_;
   std::vector<std::size_t> max_backlog_;
   // Per-flow packet counts (a preempted packet retransmitted from its source

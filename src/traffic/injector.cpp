@@ -11,9 +11,8 @@ Injector::Injector(const FlowSpec& spec, Rng rng)
   const double mean_len = static_cast<double>(spec_.mean_len());
   switch (spec_.inject) {
     case InjectKind::Bernoulli: {
-      const double p_inject = spec_.inject_rate / mean_len;
-      SSQ_EXPECT(p_inject <= 1.0 + 1e-12);
-      thr_inject_ = bernoulli_threshold(p_inject);
+      p_inject_ = spec_.inject_rate / mean_len;
+      SSQ_EXPECT(p_inject_ <= 1.0 + 1e-12);
       break;
     }
     case InjectKind::OnOff: {
@@ -21,12 +20,11 @@ Injector::Injector(const FlowSpec& spec, Rng rng)
       const double duty =
           spec_.mean_on_cycles / (spec_.mean_on_cycles + spec_.mean_off_cycles);
       const double peak = spec_.inject_rate / duty;
-      double p_inject = peak / mean_len;
-      if (p_inject > 1.0) p_inject = 1.0;  // saturated bursts
-      thr_inject_ = bernoulli_threshold(p_inject);
-      thr_leave_on_ = bernoulli_threshold(1.0 / spec_.mean_on_cycles);
-      thr_leave_off_ = bernoulli_threshold(
-          spec_.mean_off_cycles > 0.0 ? 1.0 / spec_.mean_off_cycles : 1.0);
+      p_inject_ = peak / mean_len;
+      if (p_inject_ > 1.0) p_inject_ = 1.0;  // saturated bursts
+      p_leave_on_ = 1.0 / spec_.mean_on_cycles;
+      p_leave_off_ =
+          spec_.mean_off_cycles > 0.0 ? 1.0 / spec_.mean_off_cycles : 1.0;
       on_ = false;
       break;
     }
@@ -41,19 +39,6 @@ Injector::Injector(const FlowSpec& spec, Rng rng)
     case InjectKind::Trace:
       break;
   }
-}
-
-bool Injector::bind_bank(BernoulliBank& bank) {
-  // Only strict-interior Bernoulli flows: the clamped thresholds consume no
-  // RNG per cycle and OnOff interleaves two trial streams, so both keep
-  // their private generator.
-  if (spec_.inject != InjectKind::Bernoulli || thr_inject_ == kBernoulliNever ||
-      thr_inject_ == kBernoulliAlways) {
-    return false;
-  }
-  slot_ = bank.add(rng_, thr_inject_, spec_.start_cycle);
-  bank_ = &bank;
-  return true;
 }
 
 Cycle Injector::next_active_cycle(Cycle now) const {

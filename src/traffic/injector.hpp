@@ -9,7 +9,6 @@
 
 #include "sim/rng.hpp"
 #include "sim/types.hpp"
-#include "traffic/bernoulli_bank.hpp"
 #include "traffic/flow.hpp"
 
 namespace ssq::traffic {
@@ -17,14 +16,6 @@ namespace ssq::traffic {
 class Injector {
  public:
   Injector(const FlowSpec& spec, Rng rng);
-
-  /// Moves this injector's RNG stream into `bank` if eligible (a Bernoulli
-  /// flow with strict-interior probability). Afterwards packets_at() reads
-  /// the bank's latched per-cycle trial — the caller must bank.roll(now)
-  /// once per cycle before the creation pass — and draw_length() pulls from
-  /// the bank slot, keeping the flow's draw sequence byte-identical. The
-  /// bank pointer must outlive the injector. Returns true if banked.
-  bool bind_bank(BernoulliBank& bank);
 
   /// Number of packets created at cycle `now`. Cycles must be queried in
   /// non-decreasing order. Most processes yield 0 or 1; BurstOnce yields the
@@ -38,15 +29,14 @@ class Injector {
     std::uint32_t n = 0;
     switch (spec_.inject) {
       case InjectKind::Bernoulli:
-        n = (bank_ != nullptr ? bank_->fire(slot_) : trial(thr_inject_)) ? 1
-                                                                         : 0;
+        n = rng_.bernoulli(p_inject_) ? 1 : 0;
         break;
       case InjectKind::OnOff:
         if (on_) {
-          n = trial(thr_inject_) ? 1 : 0;
-          if (trial(thr_leave_on_)) on_ = false;
+          n = rng_.bernoulli(p_inject_) ? 1 : 0;
+          if (rng_.bernoulli(p_leave_on_)) on_ = false;
         } else {
-          if (trial(thr_leave_off_)) on_ = true;
+          if (rng_.bernoulli(p_leave_off_)) on_ = true;
         }
         break;
       case InjectKind::Periodic:
@@ -76,11 +66,7 @@ class Injector {
   [[nodiscard]] std::uint32_t draw_length() {
     if (spec_.len_min == spec_.len_max) return spec_.len_min;
     const std::uint64_t span = spec_.len_max - spec_.len_min + 1ULL;
-    const std::uint64_t off =
-        bank_ != nullptr
-            ? below_with([this] { return bank_->draw(slot_); }, span)
-            : rng_.below(span);
-    return static_cast<std::uint32_t>(spec_.len_min + off);
+    return static_cast<std::uint32_t>(spec_.len_min + rng_.below(span));
   }
 
   /// Earliest cycle >= `now` at which this injector may act — create a
@@ -95,27 +81,15 @@ class Injector {
   [[nodiscard]] const FlowSpec& spec() const noexcept { return spec_; }
 
  private:
-  /// One local Bernoulli trial by precomputed integer threshold — exactly
-  /// Rng::bernoulli(p) including the no-draw clamp branches.
-  [[nodiscard]] bool trial(std::uint64_t thr) {
-    if (thr == kBernoulliNever) return false;
-    if (thr == kBernoulliAlways) return true;
-    return (rng_() >> 11) < thr;
-  }
-
   FlowSpec spec_;
   Rng rng_;
 
-  // Bernoulli / OnOff: per-cycle trial thresholds (bernoulli_threshold of
-  // the packet / burst-exit / burst-entry probabilities while active).
-  std::uint64_t thr_inject_ = kBernoulliNever;
+  // Bernoulli / OnOff: per-cycle packet probability; OnOff also its
+  // burst-exit / burst-entry probabilities.
+  double p_inject_ = 0.0;
   bool on_ = true;  // OnOff state
-  std::uint64_t thr_leave_on_ = kBernoulliNever;
-  std::uint64_t thr_leave_off_ = kBernoulliNever;
-
-  // Set when the RNG stream lives in a BernoulliBank slot instead of rng_.
-  BernoulliBank* bank_ = nullptr;
-  std::size_t slot_ = 0;
+  double p_leave_on_ = 0.0;
+  double p_leave_off_ = 0.0;
 
   // Periodic.
   Cycle period_ = 0;

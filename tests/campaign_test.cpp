@@ -468,6 +468,25 @@ TEST(Manifest, ValidationRejectsNonsense) {
                ConfigError);  // would wrap to ~2^64 units
 }
 
+TEST(Manifest, ValidationRejectsAWrappingUnitCount) {
+  // 2^63 scenarios x 2 grid points wraps total_units() to 0: a campaign
+  // that would report green having judged nothing.
+  Manifest m = tiny_manifest();
+  m.grid = {parse_grid_point("default"), parse_grid_point("monitor")};
+  m.scenarios = 9223372036854775808ULL;
+  try {
+    m.validate();
+    ADD_FAILURE() << "validate() accepted a wrapping unit count";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("scenarios"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)parse_manifest(m.serialize()), ConfigError);
+  m.scenarios = UINT64_MAX / 2;  // the largest count that still fits
+  EXPECT_NO_THROW(m.validate());
+  EXPECT_EQ(m.total_units() / m.grid.size(), m.scenarios);
+}
+
 TEST_F(CampaignTest, InitRefusesToReuseACampaignDirectory) {
   const Manifest m = tiny_manifest();
   const std::string d = dir() + "/c";

@@ -1,21 +1,26 @@
 // Deterministic mutational fuzzing of the two line-format readers,
-// check::parse_scenario and traffic::parse_workload. Every committed golden
-// scenario and example workload is mutated line by line and byte by byte;
-// each mutant must either parse or throw ssq::ConfigError — never crash,
-// hang, abort on a contract or trip a sanitizer (the ASan+UBSan CI job runs
-// this binary too). Mutants are parsed, never run.
+// check::parse_scenario and traffic::parse_workload, and of the campaign
+// manifest reader, campaign::parse_manifest. Every committed golden scenario
+// and example workload is mutated line by line and byte by byte, and two
+// serialised manifests bit by bit and token by token; each mutant must
+// either parse or throw ssq::ConfigError — never crash, hang, abort on a
+// contract or trip a sanitizer (the ASan+UBSan CI job runs this binary too).
+// Mutants are parsed, never run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "campaign/manifest.hpp"
 #include "check/scenario.hpp"
 #include "sim/error.hpp"
 #include "sim/rng.hpp"
@@ -166,6 +171,69 @@ TEST(ParserMutation, EveryMutantParsesOrThrowsConfigError) {
   }
   // Teeth: the bad values must actually be refused somewhere.
   EXPECT_GT(tally.mutants, 5000u);
+  EXPECT_GT(tally.rejected, tally.mutants / 2);
+}
+
+TEST(ParserMutation, EveryManifestMutantParsesOrThrowsConfigError) {
+  campaign::Manifest wide;
+  wide.scenarios = 50;
+  wide.grid = {campaign::parse_grid_point("default"),
+               campaign::parse_grid_point("monitor+scalar"),
+               campaign::parse_grid_point("sparse+engine=islip")};
+  wide.planted = {{campaign::Plant::Kind::Hang, 3},
+                  {campaign::Plant::Kind::Crash, 120}};
+  const std::string seeds[] = {campaign::Manifest{}.serialize(),
+                               wide.serialize()};
+  const char* const kSplices[] = {"18446744073709551615",
+                                  "9223372036854775808", "\"scenarios\":",
+                                  "\"grid\":[", "{\"kind\":\"hang\",\"index\":"};
+  Tally tally;
+  // A parsed manifest must be self-consistent: in particular its unit count
+  // must not have wrapped.
+  const auto check = [&](const std::string& text, const std::string& how) {
+    ++tally.mutants;
+    try {
+      const campaign::Manifest m = campaign::parse_manifest(text);
+      EXPECT_EQ(m.total_units() / m.grid.size(), m.scenarios)
+          << how << ":\n" << text;
+    } catch (const ConfigError&) {
+      ++tally.rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << how << " threw " << e.what() << ":\n" << text;
+    }
+  };
+  for (std::size_t i = 0; i < std::size(seeds); ++i) {
+    const std::string& seed = seeds[i];
+    ASSERT_NO_THROW((void)campaign::parse_manifest(seed)) << seed;
+    for (std::size_t n = 0; n < seed.size(); ++n) {
+      check(seed.substr(0, n), "truncated to " + std::to_string(n));
+    }
+    for (std::size_t b = 0; b < seed.size() * 8; ++b) {
+      std::string m = seed;
+      m[b / 8] = static_cast<char>(m[b / 8] ^ (1 << (b % 8)));
+      check(m, "bit flip " + std::to_string(b));
+    }
+    // Each token spliced in at every offset: once swallowing the digit run
+    // that starts there (a pure insertion where there is none), once over a
+    // seeded 1-8 bytes.
+    Rng rng(0x3a71f357ULL + i);
+    for (const char* tok : kSplices) {
+      for (std::size_t at = 0; at <= seed.size(); ++at) {
+        std::size_t digits = at;
+        while (digits < seed.size() &&
+               std::isdigit(static_cast<unsigned char>(seed[digits])) != 0) {
+          ++digits;
+        }
+        const std::string where = " at " + std::to_string(at);
+        std::string m = seed;
+        check(m.replace(at, digits - at, tok), "splice " + (tok + where));
+        m = seed;
+        check(m.replace(at, 1 + rng.below(8), tok),
+              "seeded splice " + (tok + where));
+      }
+    }
+  }
+  EXPECT_GT(tally.mutants, 8000u);
   EXPECT_GT(tally.rejected, tally.mutants / 2);
 }
 

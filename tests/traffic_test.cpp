@@ -2,14 +2,12 @@
 // workload-to-allocation derivation, crosspoint exclusivity.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "sim/error.hpp"
 #include "sim/rng.hpp"
-#include "traffic/bernoulli_bank.hpp"
 #include "traffic/flow.hpp"
 #include "traffic/injector.hpp"
 #include "traffic/patterns.hpp"
@@ -164,6 +162,65 @@ TEST(InjectorTest, DeterministicAcrossRuns) {
   Injector a(f, Rng(99)), b(f, Rng(99));
   for (Cycle c = 0; c < 1000; ++c) {
     ASSERT_EQ(a.packets_at(c), b.packets_at(c));
+  }
+}
+
+TEST(InjectorTest, StochasticSourcesDrawExactlyTheirTwinRngStream) {
+  // Bernoulli and OnOff sources consume their private Rng in a fixed order:
+  // nothing before start_cycle, then one inject trial per cycle (OnOff: the
+  // inject trial while on, then the state-change trial), then one below()
+  // per created packet's length. Idle fast-forward (next_active_cycle)
+  // relies on exactly this contract, so replay it on a twin Rng.
+  constexpr Cycle kStart = 137;
+  constexpr std::uint64_t kSeed = 0xfeed;
+  FlowSpec bern;
+  bern.len_min = 2;
+  bern.len_max = 5;
+  bern.inject = InjectKind::Bernoulli;
+  bern.inject_rate = 0.9;  // p = 0.9 / mean_len 3 = 0.3
+  bern.start_cycle = kStart;
+  FlowSpec onoff = bern;
+  onoff.inject = InjectKind::OnOff;
+  onoff.inject_rate = 0.3;  // duty 0.4 -> peak 0.75 -> p = 0.25
+  onoff.mean_on_cycles = 8.0;
+  onoff.mean_off_cycles = 12.0;
+
+  for (const FlowSpec& f : {bern, onoff}) {
+    SCOPED_TRACE(f.inject == InjectKind::OnOff ? "onoff" : "bernoulli");
+    Injector inj(f, Rng(kSeed));
+    Rng twin(kSeed);
+    const double p_inject = f.inject == InjectKind::OnOff ? 0.25 : 0.3;
+    bool on = false;
+    std::uint64_t packets = 0;
+    std::uint64_t toggles = 0;
+    for (Cycle now = 0; now < 4000; ++now) {
+      std::uint32_t expect = 0;
+      if (now >= kStart) {
+        if (f.inject == InjectKind::Bernoulli) {
+          expect = twin.bernoulli(p_inject) ? 1 : 0;
+        } else if (on) {
+          expect = twin.bernoulli(p_inject) ? 1 : 0;
+          if (twin.bernoulli(1.0 / f.mean_on_cycles)) on = false;
+        } else if (twin.bernoulli(1.0 / f.mean_off_cycles)) {
+          on = true;
+          ++toggles;
+        }
+      } else {
+        ASSERT_EQ(inj.next_active_cycle(now), kStart);
+      }
+      const std::uint32_t n = inj.packets_at(now);
+      ASSERT_EQ(n, expect) << "cycle " << now;
+      for (std::uint32_t k = 0; k < n; ++k) {
+        ASSERT_EQ(inj.draw_length(), f.len_min + twin.below(f.len_max -
+                                                             f.len_min + 1))
+            << "cycle " << now;
+        ++packets;
+      }
+    }
+    EXPECT_GT(packets, 200U);
+    if (f.inject == InjectKind::OnOff) {
+      EXPECT_GT(toggles, 50U);
+    }
   }
 }
 
@@ -390,64 +447,6 @@ TEST(FlowSpecErrorTest, GbWithoutReservationThrows) {
   f.cls = TrafficClass::GuaranteedBandwidth;
   f.inject_rate = 0.1;
   expect_config_error([&] { f.validate(4); }, "reserve");
-}
-
-// ----------------------------------------------------- BernoulliBank ----
-
-TEST(BernoulliBankTest, ThresholdTrialMatchesDoubleBernoulli) {
-  // The integer trial `(x >> 11) < ceil(p * 2^53)` must equal the double
-  // comparison `uniform() < p` on the SAME draw for every p: uniform() is
-  // exactly (x >> 11) * 2^-53 and both sides of the scaled comparison are
-  // exact, so this is an identity, not an approximation.
-  for (const double p : {1e-9, 0.004, 0.25, 0.5, 0.75, 0.9999999}) {
-    const std::uint64_t thr = bernoulli_threshold(p);
-    Rng a(42);
-    Rng b(42);
-    for (int i = 0; i < 20000; ++i) {
-      const bool via_double = a.uniform() < p;
-      const bool via_int = (b() >> 11) < thr;
-      ASSERT_EQ(via_double, via_int) << "p=" << p << " draw " << i;
-    }
-  }
-  EXPECT_EQ(bernoulli_threshold(0.0), kBernoulliNever);
-  EXPECT_EQ(bernoulli_threshold(-1.0), kBernoulliNever);
-  EXPECT_EQ(bernoulli_threshold(1.0), kBernoulliAlways);
-}
-
-TEST(BernoulliBankTest, BankSlotsMatchPrivateRngsWithStaggeredStarts) {
-  // Each bank slot must reproduce its donor Rng's draw stream exactly:
-  // fire(slot) after roll(now) equals the donor's next trial, draw(slot)
-  // equals the donor's next raw draw — including slots whose start cycle
-  // hasn't arrived yet (they must consume NO draws while parked).
-  const std::uint64_t thr = bernoulli_threshold(0.37);
-  const std::array<Cycle, 4> starts = {0, 0, 100, 250};
-  BernoulliBank bank;
-  std::vector<Rng> refs;
-  std::vector<std::size_t> slots;
-  for (std::size_t k = 0; k < starts.size(); ++k) {
-    const Rng donor(0x1000 + k);
-    refs.push_back(donor);
-    slots.push_back(bank.add(donor, thr, starts[k]));
-  }
-  Rng pick(7);
-  for (Cycle now = 0; now < 600; ++now) {
-    bank.roll(now);
-    for (std::size_t k = 0; k < starts.size(); ++k) {
-      if (now < starts[k]) {
-        ASSERT_FALSE(bank.fire(slots[k])) << "slot " << k << " cycle " << now;
-        continue;
-      }
-      const bool expect_fire = (refs[k]() >> 11) < thr;
-      ASSERT_EQ(bank.fire(slots[k]), expect_fire)
-          << "slot " << k << " cycle " << now;
-      // Interleave extra draws (packet-length style) on a random slot to
-      // prove per-slot streams stay independent of bank order.
-      if (expect_fire && pick.bernoulli(0.5)) {
-        ASSERT_EQ(bank.draw(slots[k]), refs[k]())
-            << "slot " << k << " cycle " << now;
-      }
-    }
-  }
 }
 
 }  // namespace
