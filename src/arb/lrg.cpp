@@ -30,30 +30,25 @@ InputId LrgArbiter::pick(std::span<const Request> requests, Cycle /*now*/) {
   if (requests.empty()) return kNoPort;
   std::uint64_t mask = 0;
   for (const auto& r : requests) mask |= 1ULL << r.input;
-  // Winner beats every other requester. The total-order invariant guarantees
-  // exactly one such input exists.
-  for (const auto& r : requests) {
-    const std::uint64_t others = mask & ~(1ULL << r.input);
-    if ((rows_[r.input] & others) == others) return r.input;
-  }
-  if (fault_tolerant_) {
-    // Corrupted matrix: no requester beats all the others. Degrade to the
-    // requester that beats the most other requesters (first in request order
-    // on ties) — bounded unfairness until the scrubber repairs the order.
-    InputId best = requests.front().input;
-    int best_deg = -1;
-    for (const auto& r : requests) {
-      const std::uint64_t others = mask & ~(1ULL << r.input);
-      const int deg = std::popcount(rows_[r.input] & others);
-      if (deg > best_deg) {
-        best_deg = deg;
-        best = r.input;
-      }
+  return winner(mask);
+}
+
+InputId LrgArbiter::degraded_winner(std::uint64_t mask) const {
+  // Corrupted matrix: no requester beats all the others. Degrade to the
+  // requester that beats the most other requesters (lowest index on ties) —
+  // bounded unfairness until the scrubber repairs the order.
+  SSQ_ENSURE(fault_tolerant_ && "LRG matrix lost its total order");
+  InputId best = kNoPort;
+  int best_deg = -1;
+  for (std::uint64_t m = mask; m != 0; m &= m - 1) {
+    const auto i = static_cast<InputId>(std::countr_zero(m));
+    const int deg = std::popcount(rows_[i] & mask & ~(1ULL << i));
+    if (deg > best_deg) {
+      best_deg = deg;
+      best = i;
     }
-    return best;
   }
-  SSQ_ENSURE(false && "LRG matrix lost its total order");
-  return kNoPort;
+  return best;
 }
 
 void LrgArbiter::on_grant(InputId input, std::uint32_t /*length*/,

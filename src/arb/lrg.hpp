@@ -47,6 +47,22 @@ class LrgArbiter final : public Arbiter {
            static_cast<std::uint32_t>(std::popcount(rows_[i]));
   }
 
+  /// The one LRG resolution over a requester set (bit i == input i
+  /// requests; non-empty): the requester whose row covers every other
+  /// requester. A strict total order has exactly one, so the scan order
+  /// cannot change it. On a corrupt matrix in fault-tolerant mode the
+  /// requester that beats the most other requesters wins, lowest index on
+  /// ties. (Inline: runs on every SSVC arbitration.)
+  [[nodiscard]] InputId winner(std::uint64_t mask) const {
+    SSQ_EXPECT(mask != 0);
+    for (std::uint64_t m = mask; m != 0; m &= m - 1) {
+      const auto i = static_cast<InputId>(std::countr_zero(m));
+      const std::uint64_t others = mask & ~(1ULL << i);
+      if ((row(i) & others) == others) return i;
+    }
+    return degraded_winner(mask);
+  }
+
   /// Contiguous row storage (radix() words) for the vectorized kernel's
   /// covering sweep.
   [[nodiscard]] const std::uint64_t* rows_data() const noexcept {
@@ -76,7 +92,7 @@ class LrgArbiter final : public Arbiter {
   /// Returns true iff the matrix was actually repaired.
   bool repair_order();
 
-  /// Fault-tolerant mode: pick() on a matrix that has lost its total order
+  /// Fault-tolerant mode: winner() on a matrix that has lost its total order
   /// degrades to the max-out-degree requester instead of aborting. Enabled
   /// by the fault subsystem when an injector is attached; detached operation
   /// keeps the strict abort so silent corruption cannot skew results.
@@ -84,6 +100,10 @@ class LrgArbiter final : public Arbiter {
   [[nodiscard]] bool fault_tolerant() const noexcept { return fault_tolerant_; }
 
  private:
+  /// winner() when no requester covers the rest: the max-out-degree rule in
+  /// fault-tolerant mode, a contract failure otherwise.
+  [[nodiscard]] InputId degraded_winner(std::uint64_t mask) const;
+
   std::vector<std::uint64_t> rows_;
   bool fault_tolerant_ = false;
 };

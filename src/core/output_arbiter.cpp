@@ -1,7 +1,7 @@
 #include "core/output_arbiter.hpp"
 
-#include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "circuit/lane_masks.hpp"
 #include "core/simd.hpp"
@@ -49,7 +49,6 @@ OutputQosArbiter::OutputQosArbiter(std::uint32_t radix,
   }
   lane_mask_.assign(params_.gb_levels(), 0);
   lane_mask_[0] = circuit::all_inputs_mask(radix);
-  bucket_.reserve(radix);
 }
 
 AuxVc& OutputQosArbiter::aux_vc_mut(InputId i) {
@@ -131,193 +130,37 @@ void OutputQosArbiter::on_saturation(Cycle now) {
   }
 }
 
-InputId OutputQosArbiter::lrg_pick(std::span<const ClassRequest> reqs) const {
-  if (reqs.empty()) return kNoPort;
-  std::uint64_t mask = 0;
-  for (const auto& r : reqs) mask |= 1ULL << r.input;
-  for (const auto& r : reqs) {
-    const std::uint64_t others = mask & ~(1ULL << r.input);
-    if ((lrg_.row(r.input) & others) == others) return r.input;
-  }
-  if (lrg_.fault_tolerant()) {
-    // Corrupted matrix: degrade to the max-out-degree requester (first in
-    // request order on ties) until the scrubber rebuilds the total order.
-    InputId best = reqs.front().input;
-    int best_deg = -1;
-    for (const auto& r : reqs) {
-      const std::uint64_t others = mask & ~(1ULL << r.input);
-      const int deg = std::popcount(lrg_.row(r.input) & others);
-      if (deg > best_deg) {
-        best_deg = deg;
-        best = r.input;
-      }
-    }
-    return best;
-  }
-  SSQ_ENSURE(false && "LRG matrix lost its total order");
-  return kNoPort;
-}
-
 InputId OutputQosArbiter::lrg_winner(std::uint64_t mask) const {
-  SSQ_EXPECT(mask != 0);
-  // Same resolution as lrg_pick over the requesters in ascending input
-  // order — the order the crossbar always presents. A valid LRG matrix is a
-  // total order, so the winner is order-independent.
   if (kernel_ == ArbKernel::Simd) {
     // Vector sweep over all rows at once; the first covering requester is
-    // the first set bit of the intersection — the same input the per-bit
-    // scan below lands on. An empty intersection (corrupt matrix) falls
+    // the first set bit of the intersection — the input lrg_.winner()'s
+    // ascending scan lands on. An empty intersection (corrupt matrix) falls
     // through to the shared fault-tolerant degradation.
     const std::uint64_t covering =
         simd::covering_mask(lrg_.rows_data(), radix_, mask) & mask;
     if (covering != 0) {
       return static_cast<InputId>(std::countr_zero(covering));
     }
-  } else {
-    for (std::uint64_t m = mask; m != 0; m &= m - 1) {
-      const auto i = static_cast<InputId>(std::countr_zero(m));
-      const std::uint64_t others = mask & ~(1ULL << i);
-      if ((lrg_.row(i) & others) == others) return i;
-    }
   }
-  if (lrg_.fault_tolerant()) {
-    InputId best = static_cast<InputId>(std::countr_zero(mask));
-    int best_deg = -1;
-    for (std::uint64_t m = mask; m != 0; m &= m - 1) {
-      const auto i = static_cast<InputId>(std::countr_zero(m));
-      const std::uint64_t others = mask & ~(1ULL << i);
-      const int deg = std::popcount(lrg_.row(i) & others);
-      if (deg > best_deg) {
-        best_deg = deg;
-        best = i;
-      }
-    }
-    return best;
-  }
-  SSQ_ENSURE(false && "LRG matrix lost its total order");
-  return kNoPort;
+  return lrg_.winner(mask);
 }
 
 InputId OutputQosArbiter::pick(std::span<const ClassRequest> requests,
                                Cycle now) {
-  SSQ_EXPECT(now == last_now_ && "call advance_to(now) before pick()");
-  if (kernel_ != ArbKernel::Scalar) {
-    // One pass packs the request set into the three class masks; all the
-    // per-request validity checks of the scalar kernel happen here.
-    std::uint64_t gl = 0;
-    std::uint64_t gb = 0;
-    std::uint64_t be = 0;
-    std::uint64_t packed = 0;
-    for (const auto& r : requests) {
-      SSQ_EXPECT(r.input < radix_);
-      const std::uint64_t bit = 1ULL << r.input;
-      SSQ_EXPECT((packed & bit) == 0);
-      packed |= bit;
-      switch (r.cls) {
-        case TrafficClass::GuaranteedLatency: gl |= bit; break;
-        case TrafficClass::GuaranteedBandwidth: gb |= bit; break;
-        case TrafficClass::BestEffort: be |= bit; break;
-      }
-    }
-    return pick_masked(gl, gb, be, now);
-  }
-  std::uint64_t seen = 0;
+  ClassMasks m;
   for (const auto& r : requests) {
     SSQ_EXPECT(r.input < radix_);
-    SSQ_EXPECT(((seen >> r.input) & 1ULL) == 0);
-    seen |= 1ULL << r.input;
+    SSQ_EXPECT(((m.any() >> r.input) & 1ULL) == 0);
+    m.add(r.input, r.cls);
   }
-  if (requests.empty()) return kNoPort;
-
-  // Stage 1 — GL override (Fig. 3): any *eligible* GL request discharges all
-  // GB lanes; GL inputs LRG-arbitrate in the GL lane.
-  const bool gl_ok = gl_.eligible(now);
-  std::vector<ClassRequest>& bucket = bucket_;  // construction-time capacity
-  bucket.clear();
-  if (gl_ok) {
-    for (const auto& r : requests)
-      if (r.cls == TrafficClass::GuaranteedLatency) bucket.push_back(r);
-    if (!bucket.empty()) {
-      const InputId w = lrg_pick(bucket);
-      if (probe_ != nullptr && bucket.size() > 1) {
-        probe_->lane_tie_break(now, self_, TrafficClass::GuaranteedLatency, w,
-                               0, static_cast<std::uint32_t>(bucket.size()));
-      }
-      picked_class_ = TrafficClass::GuaranteedLatency;
-      return w;
-    }
-  } else if (probe_ != nullptr) {
-    for (const auto& r : requests) {
-      if (r.cls == TrafficClass::GuaranteedLatency) {
-        probe_->gl_stall(now, self_, gl_.overrun(now));
-        break;
-      }
-    }
-  }
-
-  // Stage 2 — GB: smallest thermometer level wins; LRG breaks ties in-lane.
-  // The comparison reads the *sensed* level — the stored thermometer vector
-  // (which a fault may have corrupted) through the quarantine remap — not
-  // the logical register, because that is what the bitlines discharge on.
-  bucket.clear();
-  std::uint32_t min_level = params_.gb_levels();
-  for (const auto& r : requests) {
-    if (r.cls != TrafficClass::GuaranteedBandwidth) continue;
-    SSQ_EXPECT(alloc_.gb_rate[r.input] > 0.0 &&
-               "GB request from an input with no reservation");
-    min_level = std::min(min_level, sensed_gb_level(r.input));
-  }
-  for (const auto& r : requests) {
-    if (r.cls == TrafficClass::GuaranteedBandwidth &&
-        sensed_gb_level(r.input) == min_level) {
-      bucket.push_back(r);
-    }
-  }
-  if (!bucket.empty()) {
-    const InputId w = lrg_pick(bucket);
-    if (probe_ != nullptr && bucket.size() > 1) {
-      probe_->lane_tie_break(now, self_, TrafficClass::GuaranteedBandwidth, w,
-                             min_level,
-                             static_cast<std::uint32_t>(bucket.size()));
-    }
-    picked_class_ = TrafficClass::GuaranteedBandwidth;
-    return w;
-  }
-
-  // Stage 3 — BE, plus GL requests demoted by the policer if so configured.
-  bucket.clear();
-  for (const auto& r : requests) {
-    if (r.cls == TrafficClass::BestEffort) bucket.push_back(r);
-    if (r.cls == TrafficClass::GuaranteedLatency && !gl_ok &&
-        gl_.policing() == GlPolicing::Demote) {
-      bucket.push_back(r);
-    }
-  }
-  if (!bucket.empty()) {
-    std::uint64_t dup = 0;  // an input could appear as both GL and BE? No —
-    for (const auto& r : bucket) {
-      SSQ_EXPECT(((dup >> r.input) & 1ULL) == 0);
-      dup |= 1ULL << r.input;
-    }
-    const InputId w = lrg_pick(bucket);
-    if (probe_ != nullptr && bucket.size() > 1) {
-      probe_->lane_tie_break(now, self_, TrafficClass::BestEffort, w, 0,
-                             static_cast<std::uint32_t>(bucket.size()));
-    }
-    for (const auto& r : bucket) {
-      if (r.input == w) picked_class_ = r.cls;
-    }
-    return w;
-  }
-
-  // Only stalled GL requests present: no winner this cycle.
-  return kNoPort;
+  return pick_masked(m, now);
 }
 
-InputId OutputQosArbiter::pick_masked(std::uint64_t gl_mask,
-                                      std::uint64_t gb_mask,
-                                      std::uint64_t be_mask, Cycle now) {
+InputId OutputQosArbiter::pick_masked(const ClassMasks& masks, Cycle now) {
   SSQ_EXPECT(now == last_now_ && "call advance_to(now) before pick_masked()");
+  const std::uint64_t gl_mask = masks.gl;
+  const std::uint64_t gb_mask = masks.gb;
+  const std::uint64_t be_mask = masks.be;
   const std::uint64_t all = circuit::all_inputs_mask(radix_);
   SSQ_EXPECT(((gl_mask | gb_mask | be_mask) & ~all) == 0);
   SSQ_EXPECT((gl_mask & gb_mask) == 0 && (gl_mask & be_mask) == 0 &&
@@ -346,32 +189,49 @@ InputId OutputQosArbiter::pick_masked(std::uint64_t gl_mask,
     probe_->gl_stall(now, self_, gl_.overrun(now));
   }
 
-  // Stage 2 — GB: AND the requester mask into the lane masks lowest-lane
-  // (= highest-priority) first; the first non-empty intersection is the
-  // winning lane, and LRG breaks the tie inside it. Under a quarantine
-  // remap, consecutive raw lanes can share a sensed level (lane_map_ is
-  // monotone with contiguous equal-value runs), so the candidate set absorbs
-  // the rest of the run.
+  // Stage 2 — GB: the requesters at the smallest sensed level win; LRG
+  // breaks the tie inside that lane. The level is the *sensed* one — the
+  // stored thermometer vector (which a fault may have corrupted) through the
+  // quarantine remap — because that is what the bitlines discharge on.
   if (gb_mask != 0) {
-    const auto n = static_cast<std::uint32_t>(lane_mask_.size());
     std::uint64_t cand = 0;
-    std::uint32_t lane = 0;
-    if (kernel_ == ArbKernel::Simd) {
-      lane = simd::first_hit_lane(lane_mask_.data(), n, gb_mask);
-      if (lane < n) cand = gb_mask & lane_mask_[lane];
-    } else {
-      for (; lane < n; ++lane) {
-        cand = gb_mask & lane_mask_[lane];
-        if (cand != 0) break;
+    std::uint32_t min_level = params_.gb_levels();
+    if (kernel_ == ArbKernel::Scalar) {
+      // The specification: read every requester's sensed level.
+      for (std::uint64_t m = gb_mask; m != 0; m &= m - 1) {
+        const auto i = static_cast<InputId>(std::countr_zero(m));
+        const std::uint32_t level = sensed_gb_level(i);
+        if (level < min_level) {
+          min_level = level;
+          cand = 0;
+        }
+        if (level == min_level) cand |= 1ULL << i;
       }
-    }
-    SSQ_ENSURE(cand != 0 && "every input occupies exactly one lane");
-    std::uint32_t min_level = lane;
-    if (!lane_map_.empty()) {
-      min_level = lane_map_[lane];
-      for (std::uint32_t m = lane + 1; m < n && lane_map_[m] == min_level;
-           ++m) {
-        cand |= gb_mask & lane_mask_[m];
+    } else {
+      // AND the requester mask into the raw lane masks lowest-lane
+      // (= highest-priority) first; the first non-empty intersection is the
+      // winning lane. Under a quarantine remap, consecutive raw lanes can
+      // share a sensed level (lane_map_ is monotone with contiguous
+      // equal-value runs), so the candidate set absorbs the rest of the run.
+      const auto n = static_cast<std::uint32_t>(lane_mask_.size());
+      std::uint32_t lane = 0;
+      if (kernel_ == ArbKernel::Simd) {
+        lane = simd::first_hit_lane(lane_mask_.data(), n, gb_mask);
+        if (lane < n) cand = gb_mask & lane_mask_[lane];
+      } else {
+        for (; lane < n; ++lane) {
+          cand = gb_mask & lane_mask_[lane];
+          if (cand != 0) break;
+        }
+      }
+      SSQ_ENSURE(cand != 0 && "every input occupies exactly one lane");
+      min_level = lane;
+      if (!lane_map_.empty()) {
+        min_level = lane_map_[lane];
+        for (std::uint32_t m = lane + 1; m < n && lane_map_[m] == min_level;
+             ++m) {
+          cand |= gb_mask & lane_mask_[m];
+        }
       }
     }
     const InputId w = lrg_winner(cand);

@@ -8,12 +8,13 @@
 //   * one GlTracker for the shared GL reservation,
 //   * the finite-counter management policy.
 //
-// A single pick() resolves all three classes exactly as the circuit does:
-// any eligible GL request discharges every GB lane (Fig. 3) and GL inputs
-// LRG-arbitrate in the GL lane; otherwise GB requests compete by thermometer
-// level (smallest auxVC level wins) with LRG breaking ties inside a lane;
-// otherwise BE requests LRG-arbitrate. All of this is one arbitration — the
-// paper's single-cycle contribution versus the two-cycle scheme of [14].
+// A single pick_masked() resolves all three classes exactly as the circuit
+// does: any eligible GL request discharges every GB lane (Fig. 3) and GL
+// inputs LRG-arbitrate in the GL lane; otherwise GB requests compete by
+// thermometer level (smallest auxVC level wins) with LRG breaking ties
+// inside a lane; otherwise BE requests LRG-arbitrate. All of this is one
+// arbitration — the paper's single-cycle contribution versus the two-cycle
+// scheme of [14].
 //
 // Equivalence with the bit-level circuit model (src/circuit) is established
 // by the §4.1-style verification tests.
@@ -43,11 +44,29 @@ struct ClassRequest {
   std::uint32_t length = 1;
 };
 
+/// The request format of every SSVC arbitration: one packed mask per class
+/// (bit i == input i requests in that class; an input is in at most one).
+struct ClassMasks {
+  std::uint64_t gl = 0;
+  std::uint64_t gb = 0;
+  std::uint64_t be = 0;
+
+  void add(InputId i, TrafficClass cls) noexcept {
+    const std::uint64_t bit = 1ULL << i;
+    switch (cls) {
+      case TrafficClass::GuaranteedLatency: gl |= bit; break;
+      case TrafficClass::GuaranteedBandwidth: gb |= bit; break;
+      case TrafficClass::BestEffort: be |= bit; break;
+    }
+  }
+  [[nodiscard]] std::uint64_t any() const noexcept { return gl | gb | be; }
+};
+
 class OutputQosArbiter {
  public:
   /// `gl_allowance_packets` parameterises the GL policer (see GlTracker).
-  /// `kernel` selects the pick() implementation (ArbKernel); the packed
-  /// lane-mask mirrors are maintained either way so the two kernels can be
+  /// `kernel` selects pick_masked()'s GB lane search (ArbKernel); the packed
+  /// lane-mask mirrors are maintained either way so the kernels can be
   /// swapped (and cross-checked) at any time.
   OutputQosArbiter(std::uint32_t radix, const SsvcParams& params,
                    OutputAllocation alloc,
@@ -60,21 +79,21 @@ class OutputQosArbiter {
   /// epoch wraps (subtract-real-clock policy). Idempotent within a cycle.
   void advance_to(Cycle now);
 
-  /// Picks the winner of a single-cycle arbitration at `now`, or kNoPort if
-  /// no request is serviceable (empty, or GL-only and the GL class is
-  /// stalled by the policer). Does not mutate arbitration state.
+  /// Request-list adapter over pick_masked(): packs `requests` (unique
+  /// inputs, any order) into the three class masks. For tests, benches and
+  /// the two-stage fabric; the crossbar builds the masks itself.
   [[nodiscard]] InputId pick(std::span<const ClassRequest> requests,
                              Cycle now);
 
-  /// Bit-sliced form of pick(): the three classes arrive as packed request
+  /// Picks the winner of a single-cycle arbitration at `now`, or kNoPort if
+  /// no request is serviceable (none, or GL-only and the GL class is
+  /// stalled by the policer). The three classes arrive as packed request
   /// masks (bit i == input i requests in that class; an input may appear in
-  /// at most one mask). Semantically identical to pick() over the same
-  /// request set presented in ascending input order. Used directly by the
-  /// crossbar's mask path; pick() delegates here under ArbKernel::Bitsliced
-  /// and ArbKernel::Simd (the vectorized schedule of the same resolve).
-  [[nodiscard]] InputId pick_masked(std::uint64_t gl_mask,
-                                    std::uint64_t gb_mask,
-                                    std::uint64_t be_mask, Cycle now);
+  /// at most one mask). Every kernel runs this one path; they differ only in
+  /// how the GB stage finds the minimum sensed level (ArbKernel), and every
+  /// lane tie goes to arb::LrgArbiter::winner(). Does not mutate
+  /// arbitration state (a stale lane-mask mirror may be re-read).
+  [[nodiscard]] InputId pick_masked(const ClassMasks& masks, Cycle now);
 
   /// Class the last pick's winner belonged to (after policing, a demoted GL
   /// request reports BestEffort priority but retains its own class — this
@@ -199,9 +218,8 @@ class OutputQosArbiter {
   /// Applies the halve/reset global management event.
   void on_saturation(Cycle now);
 
-  [[nodiscard]] InputId lrg_pick(std::span<const ClassRequest> reqs) const;
-  /// Mask-space LRG resolution: first input (ascending) whose row covers
-  /// every other requester; degrades like lrg_pick under a corrupt matrix.
+  /// LRG resolution of a lane tie: lrg_.winner(mask), with the SIMD
+  /// kernel's vector covering sweep tried first.
   [[nodiscard]] InputId lrg_winner(std::uint64_t mask) const;
   /// Moves input i's lane-mask bit to its current raw sensed level.
   void resync_input(InputId i);
@@ -222,7 +240,6 @@ class OutputQosArbiter {
   std::vector<std::uint64_t> lane_mask_;  // per raw lane: occupant inputs
   std::uint64_t dirty_ = 0;       // inputs whose lane slot may be stale
   std::uint64_t gb_capable_ = 0;  // inputs with a GB reservation
-  std::vector<ClassRequest> bucket_;     // pick() scratch; reserved to radix
   std::uint64_t version_ = 0;  // state_version(); monotone, never reset
   obs::SwitchProbe* probe_ = nullptr;  // null = observability off
   OutputId self_ = kNoPort;

@@ -52,12 +52,16 @@ enum class CounterPolicy : std::uint8_t {
   return "?";
 }
 
-/// Which arbitration-kernel implementation OutputQosArbiter::pick() runs.
-/// Both compute the same function (the differential checker and the golden
-/// corpus assert byte-identical grants and traces); the bit-sliced kernel is
-/// the word-parallel form of the paper's bitline circuit.
+/// Which GB lane search OutputQosArbiter::pick_masked() runs. Every kernel
+/// takes the same per-class request masks and resolves lane ties through
+/// the same arb::LrgArbiter::winner(); all three compute the same function
+/// (the differential checker and the golden corpus assert byte-identical
+/// grants and traces). The bit-sliced kernel is the word-parallel form of
+/// the paper's bitline circuit.
 enum class ArbKernel : std::uint8_t {
-  /// Per-request scan: buckets requests per class/lane with explicit loops.
+  /// Per-requester scan: reads each GB requester's sensed level and keeps
+  /// those at the minimum — the specification the lane-mask searches of the
+  /// other two kernels reproduce.
   Scalar = 0,
   /// Packed-mask kernel: requester/lane/class state held as uint64 masks
   /// (one bit per input), winner found by ANDing masks top-priority-first —

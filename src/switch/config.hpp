@@ -80,10 +80,11 @@ struct SwitchConfig {
   core::SsvcParams ssvc{};
   BufferConfig buffers{};
 
-  /// Arbitration-kernel implementation for the SSVC arbiters (scalar request
-  /// scan vs packed-mask bit-sliced kernel). Semantically identical — the
-  /// differential checker and golden corpus assert byte-identical grants and
-  /// traces across both — so this is a performance knob (--kernel=).
+  /// GB lane search of the SSVC arbiters (scalar per-requester scan,
+  /// packed-mask bit-sliced, or its SIMD schedule; see ArbKernel).
+  /// Semantically identical — the differential checker and golden corpus
+  /// assert byte-identical grants and traces across all three — so this is
+  /// a performance knob (--kernel=).
   core::ArbKernel kernel = core::ArbKernel::Bitsliced;
 
   /// Idle-cycle fast-forward: when no packet exists anywhere in the switch,

@@ -544,17 +544,16 @@ void CrossbarSwitch::arbitrate() {
     }
   }
 
-  const std::uint32_t radix = config_.radix;
-  const bool ssvc = config_.mode == ArbitrationMode::SsvcQos;
-  if (ssvc && config_.kernel != core::ArbKernel::Scalar) {
+  if (config_.mode == ArbitrationMode::SsvcQos) {
     arbitrate_masked();
     return;
   }
 
-  // Counting-sort the asserted requests into per-output slices of one flat
-  // array (stable: input order is preserved within each output, exactly as
-  // the old per-output input scan produced it). One O(radix) pass replaces
-  // the O(radix^2) gather, and the scratch arrays make it allocation-free.
+  // Baseline arbiters take request lists. Counting-sort the asserted
+  // requests into per-output slices of one flat array (stable: input order
+  // is preserved within each output). One O(radix) pass replaces the
+  // O(radix^2) gather, and the scratch arrays make it allocation-free.
+  const std::uint32_t radix = config_.radix;
   std::fill(s.bucket_begin.begin(), s.bucket_begin.end(), 0u);
   for (InputId i = 0; i < radix; ++i) {
     const OutputId o = s.pending[i].out;
@@ -565,98 +564,58 @@ void CrossbarSwitch::arbitrate() {
   }
   std::copy(s.bucket_begin.begin(), s.bucket_begin.end() - 1,
             s.bucket_cursor.begin());
-  const std::uint32_t total = s.bucket_begin[radix];
-  if (ssvc) {
-    s.qos_reqs.resize(total);  // capacity reserved to radix at construction
-  } else {
-    s.base_reqs.resize(total);
-  }
+  s.base_reqs.resize(s.bucket_begin[radix]);  // capacity reserved to radix
   for (InputId i = 0; i < radix; ++i) {
     const PendingRequest& p = s.pending[i];
     if (p.out == kNoPort) continue;
-    const std::uint32_t slot = s.bucket_cursor[p.out]++;
-    if (ssvc) {
-      s.qos_reqs[slot] = {i, p.cls, p.length};
-    } else {
-      s.base_reqs[slot] = {i, p.length, p.buffered, p.prio};
-    }
+    s.base_reqs[s.bucket_cursor[p.out]++] = {i, p.length, p.buffered, p.prio};
   }
 
   for (OutputId o = 0; o < radix; ++o) {
     if (!output_idle(o)) continue;
     const std::uint32_t begin = s.bucket_begin[o];
     const std::uint32_t count = s.bucket_begin[o + 1] - begin;
-
-    InputId winner = kNoPort;
-    TrafficClass win_cls = TrafficClass::BestEffort;
-    if (ssvc) {
-      if (count == 0) continue;
-      auto& arbiter = *qos_[o];
-      arbiter.advance_to(now_);
-      const std::span<const core::ClassRequest> reqs(&s.qos_reqs[begin],
-                                                     count);
-      winner = arbiter.pick(reqs, now_);
-      if (winner == kNoPort) continue;  // stalled GL only
-      win_cls = arbiter.picked_class();
-      SSQ_ENSURE(win_cls == s.pending[winner].cls);
-      arbiter.on_grant(winner, win_cls, s.pending[winner].length, now_);
-    } else {
-      auto& arbiter = *baseline_[o];
-      if (count == 0) {
-        arbiter.on_idle(now_);
-        continue;
-      }
-      const std::span<const arb::Request> reqs(&s.base_reqs[begin], count);
-      winner = arbiter.pick(reqs, now_);
-      if (winner == kNoPort) {  // TDM: the slot owner is idle — wasted slot
-        arbiter.on_idle(now_);
-        continue;
-      }
-      win_cls = s.pending[winner].cls;
-      if (auto* pvc = dynamic_cast<arb::PvcArbiter*>(&arbiter)) {
-        transmissions_[o].granted_level = pvc->level(winner, now_);
-      }
-      arbiter.on_grant(winner, s.pending[winner].length, now_);
+    auto& arbiter = *baseline_[o];
+    if (count == 0) {
+      arbiter.on_idle(now_);
+      continue;
     }
-
-    commit_grant(winner, o, win_cls);
+    const std::span<const arb::Request> reqs(&s.base_reqs[begin], count);
+    const InputId winner = arbiter.pick(reqs, now_);
+    if (winner == kNoPort) {  // TDM: the slot owner is idle — wasted slot
+      arbiter.on_idle(now_);
+      continue;
+    }
+    if (auto* pvc = dynamic_cast<arb::PvcArbiter*>(&arbiter)) {
+      transmissions_[o].granted_level = pvc->level(winner, now_);
+    }
+    arbiter.on_grant(winner, s.pending[winner].length, now_);
+    commit_grant(winner, o, s.pending[winner].cls);
   }
 }
 
 void CrossbarSwitch::arbitrate_masked() {
-  // Bit-sliced single-request allocation: one O(radix) pass packs every
-  // asserted request into per-output class masks, and each live output
-  // resolves in O(lanes + words) word operations. Request order inside an
-  // output is ascending input order by construction (bit order), exactly
-  // what the counting sort produced for the scalar kernel.
+  // SSVC single-request allocation, every kernel: one O(radix) pass packs
+  // every asserted request into per-output class masks, and each requested
+  // output resolves them in one pick_masked().
   StepScratch& s = scratch_;
   const std::uint32_t radix = config_.radix;
-  std::fill(s.gl_mask.begin(), s.gl_mask.end(), 0ULL);
-  std::fill(s.gb_mask.begin(), s.gb_mask.end(), 0ULL);
-  std::fill(s.be_mask.begin(), s.be_mask.end(), 0ULL);
+  std::fill(s.masks.begin(), s.masks.end(), core::ClassMasks{});
   std::uint64_t requested = 0;  // outputs with >= 1 asserted request
   for (InputId i = 0; i < radix; ++i) {
     const PendingRequest& p = s.pending[i];
     if (p.out == kNoPort) continue;
-    const std::uint64_t bit = 1ULL << i;
     requested |= 1ULL << p.out;
-    switch (p.cls) {
-      case TrafficClass::GuaranteedLatency: s.gl_mask[p.out] |= bit; break;
-      case TrafficClass::GuaranteedBandwidth: s.gb_mask[p.out] |= bit; break;
-      case TrafficClass::BestEffort: s.be_mask[p.out] |= bit; break;
-    }
+    s.masks[p.out].add(i, p.cls);
   }
   // Only requested outputs can grant; an un-requested output's advance_to()
-  // stays lazy exactly as in the scalar kernel. Bit order == ascending o.
+  // stays lazy. Bit order == ascending o.
   for (std::uint64_t w = requested; w != 0; w &= w - 1) {
     const auto o = static_cast<OutputId>(std::countr_zero(w));
     if (!output_idle(o)) continue;
-    const std::uint64_t gl = s.gl_mask[o];
-    const std::uint64_t gb = s.gb_mask[o];
-    const std::uint64_t be = s.be_mask[o];
     auto& arbiter = *qos_[o];
     arbiter.advance_to(now_);
-    const InputId winner = arbiter.pick_masked(gl, gb, be, now_);
+    const InputId winner = arbiter.pick_masked(s.masks[o], now_);
     if (winner == kNoPort) continue;  // stalled GL only
     const TrafficClass win_cls = arbiter.picked_class();
     SSQ_ENSURE(win_cls == s.pending[winner].cls);
@@ -719,7 +678,7 @@ void CrossbarSwitch::arbitrate_matched() {
     if (fi != nullptr && fi->port_dead(i)) in_matched |= 1ULL << i;
   }
 
-  auto& qos_reqs = s.qos_reqs;
+  const bool ssvc = config_.mode == ArbitrationMode::SsvcQos;
   auto& base_reqs = s.base_reqs;
   for (std::uint32_t iter = 0; iter < config_.match_iterations; ++iter) {
     // GRANT step: every live output picks a winner among current requesters.
@@ -728,7 +687,7 @@ void CrossbarSwitch::arbitrate_matched() {
     bool any_grant = false;
     for (OutputId o = 0; o < radix; ++o) {
       if ((out_done >> o) & 1ULL) continue;
-      qos_reqs.clear();
+      core::ClassMasks masks;  // SSVC: this output's requests
       base_reqs.clear();
       for (InputId i = 0; i < radix; ++i) {
         if ((in_matched >> i) & 1ULL) continue;
@@ -740,19 +699,19 @@ void CrossbarSwitch::arbitrate_matched() {
         if (iter == 0 && obs_ != nullptr) {
           obs_->request(now_, i, o, h->cls);
         }
-        if (config_.mode == ArbitrationMode::SsvcQos) {
-          qos_reqs.push_back({i, h->cls, h->length});
+        if (ssvc) {
+          masks.add(i, h->cls);
         } else {
           base_reqs.push_back({i, h->length, h->buffered,
                                workload_.flow(h->flow).legacy_priority});
         }
       }
       InputId w = kNoPort;
-      if (config_.mode == ArbitrationMode::SsvcQos) {
-        if (qos_reqs.empty()) continue;
+      if (ssvc) {
+        if (masks.any() == 0) continue;
         auto& arbiter = *qos_[o];
         arbiter.advance_to(now_);
-        w = arbiter.pick(qos_reqs, now_);
+        w = arbiter.pick_masked(masks, now_);
         if (w == kNoPort) {  // stalled GL only
           out_done |= 1ULL << o;
           continue;
@@ -789,7 +748,7 @@ void CrossbarSwitch::arbitrate_matched() {
       const Packet* h = candidate_for(i, best);
       SSQ_ENSURE(h != nullptr && h->cls == cls);
       const std::uint32_t length = h->length;
-      if (config_.mode == ArbitrationMode::SsvcQos) {
+      if (ssvc) {
         qos_[best]->on_grant(i, cls, length, now_);
       } else {
         // Restage the staged baselines (WRR/DWRR) on the accepted pair.

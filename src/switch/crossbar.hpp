@@ -215,8 +215,9 @@ class CrossbarSwitch {
   void transfer();
   void select_requests(std::vector<PendingRequest>& pending) const;
   void arbitrate();
-  /// SSVC + bit-sliced kernel: per-output packed request masks straight to
-  /// pick_masked(), skipping the counting sort.
+  /// SSVC single-request mode, every kernel: per-output class request masks
+  /// straight to pick_masked(). (arbitrate()'s counting sort serves the
+  /// baseline arbiters only.)
   void arbitrate_masked();
   void arbitrate_matched();
   /// Matching-engine allocation (config.engine != None): build the

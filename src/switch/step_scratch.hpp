@@ -65,14 +65,11 @@ struct StepScratch {
     pending.resize(radix);
     bucket_begin.resize(radix + 1);
     bucket_cursor.resize(radix);
-    qos_reqs.reserve(radix);
     base_reqs.reserve(radix);
     grant_to.reserve(radix);
     grant_cls.reserve(radix);
     restage.reserve(1);
-    gl_mask.resize(radix);
-    gb_mask.resize(radix);
-    be_mask.resize(radix);
+    masks.resize(radix);
     eng_eligible.resize(radix);
     eng_candidates.resize(radix);
     eng_voq.resize(static_cast<std::size_t>(radix) * radix);
@@ -89,14 +86,13 @@ struct StepScratch {
   // ---- single-request mode (arbitrate) ----
   /// pending[i] = input i's asserted request (out == kNoPort: none).
   std::vector<PendingRequest> pending;
-  /// Counting-sort slice bounds: output o's requests occupy
-  /// [bucket_begin[o], bucket_begin[o+1]) of the flat request array.
+  /// Baseline arbiters' counting sort: output o's requests occupy
+  /// [bucket_begin[o], bucket_begin[o+1]) of base_reqs.
   std::vector<std::uint32_t> bucket_begin;
   std::vector<std::uint32_t> bucket_cursor;
 
-  // ---- flat request arrays, grouped by output, input order preserved ----
-  // Also reused as per-output gather buffers by the iterative matcher.
-  std::vector<core::ClassRequest> qos_reqs;
+  // ---- baseline request array, grouped by output, input order preserved ----
+  // Also reused as the per-output gather buffer by the iterative matcher.
   std::vector<arb::Request> base_reqs;
 
   // ---- iterative matching (arbitrate_matched) ----
@@ -104,13 +100,10 @@ struct StepScratch {
   std::vector<TrafficClass> grant_cls;   // per output
   std::vector<arb::Request> restage;     // 1-slot re-pick buffer
 
-  // ---- bit-sliced single-request mode ----
-  // Per-output packed request masks (bit i == input i requests output o in
-  // that class), fed straight to OutputQosArbiter::pick_masked() — the
-  // counting sort and the flat ClassRequest array are skipped entirely.
-  std::vector<std::uint64_t> gl_mask;  // per output
-  std::vector<std::uint64_t> gb_mask;  // per output
-  std::vector<std::uint64_t> be_mask;  // per output
+  // ---- SSVC single-request mode (arbitrate_masked), every kernel ----
+  // Per-output class request masks (bit i == input i requests output o in
+  // that class), fed straight to OutputQosArbiter::pick_masked().
+  std::vector<core::ClassMasks> masks;  // per output
 
   // ---- matching engines (arbitrate_engine) ----
   // The MatchView handed to the engine points into these; eng_match receives

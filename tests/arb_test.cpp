@@ -232,6 +232,73 @@ TEST(LrgTest, TotalOrderCheckMatchesThePairwiseDefinitionUnderBitFlips) {
   EXPECT_GT(broken, 1000u);
 }
 
+TEST(LrgTest, WinnerMatchesThePairwiseDefinition) {
+  // winner(mask) is the one LRG resolution every SSVC kernel uses. On a
+  // total order it is the requester that beats every other requester; on a
+  // corrupt matrix (fault-tolerant mode) it is the requester that beats the
+  // most other requesters, lowest index on ties.
+  std::uint64_t degraded = 0;  // flipped cases no requester covered
+  for (std::uint32_t n = 1; n <= 5; ++n) {
+    std::vector<InputId> perm(n);
+    std::iota(perm.begin(), perm.end(), 0u);
+    do {
+      LrgArbiter lrg(n);
+      lrg.set_matrix(rows_of_order(perm));
+      for (std::uint64_t mask = 1; mask < (1ULL << n); ++mask) {
+        InputId beats_all = kNoPort;
+        for (InputId i = 0; i < n; ++i) {
+          if (((mask >> i) & 1ULL) == 0) continue;
+          bool covers = true;
+          for (InputId j = 0; j < n; ++j) {
+            if (j != i && ((mask >> j) & 1ULL) != 0 && !lrg.beats(i, j)) {
+              covers = false;
+            }
+          }
+          if (!covers) continue;
+          ASSERT_EQ(beats_all, kNoPort) << "two requesters beat all others";
+          beats_all = i;
+        }
+        ASSERT_NE(beats_all, kNoPort);
+        ASSERT_EQ(lrg.winner(mask), beats_all) << "n=" << n << " mask=" << mask;
+      }
+
+      lrg.set_fault_tolerant(true);
+      for (InputId a = 0; a < n; ++a) {
+        for (InputId b = 0; b < n; ++b) {
+          if (a == b) continue;
+          lrg.fault_flip(a, b);
+          for (std::uint64_t mask = 1; mask < (1ULL << n); ++mask) {
+            InputId best = kNoPort;
+            std::uint32_t best_deg = 0;
+            for (InputId i = 0; i < n; ++i) {
+              if (((mask >> i) & 1ULL) == 0) continue;
+              std::uint32_t deg = 0;
+              for (InputId j = 0; j < n; ++j) {
+                if (j != i && ((mask >> j) & 1ULL) != 0 && lrg.beats(i, j)) {
+                  ++deg;
+                }
+              }
+              if (best == kNoPort || deg > best_deg) {
+                best = i;
+                best_deg = deg;
+              }
+            }
+            if (best_deg + 1 < static_cast<std::uint32_t>(std::popcount(mask))) {
+              ++degraded;
+            }
+            ASSERT_EQ(lrg.winner(mask), best)
+                << "n=" << n << " flip (" << a << "," << b << ") mask="
+                << mask;
+          }
+          lrg.fault_flip(a, b);  // undo
+        }
+      }
+    } while (std::next_permutation(perm.begin(), perm.end()));
+  }
+  // The fallback rule itself must have been exercised, not just the scan.
+  EXPECT_GT(degraded, 1000u);
+}
+
 // --------------------------------------------------------- RoundRobin ----
 
 TEST(RoundRobinTest, RotatesPastWinner) {

@@ -2,7 +2,9 @@
 # Strict option parsing (tools/cli.hpp), end to end through the real tools:
 #
 #   fuzz  <ssq_fuzz>   every malformed --seed value must exit 2 (bad usage)
-#                      instead of running with a wrapped or truncated seed;
+#                      instead of running with a wrapped or truncated seed,
+#                      and so must --scenarios=0 (a green run that judged
+#                      nothing);
 #   bench <ssq_bench>  --check against a baseline whose metric value does not
 #                      parse must exit 2 before measuring anything, instead
 #                      of reading the value as 0 and disarming that gate.
@@ -28,6 +30,7 @@ case $MODE in
     for v in -1 +5 ' 5' 5x '' 18446744073709551616; do
       expect_exit2 "$BIN" "--seed=$v" --scenarios=1 --quiet
     done
+    expect_exit2 "$BIN" --scenarios=0 --quiet
     ;;
   bench)
     TMP=$(mktemp -d "${TMPDIR:-/tmp}/ssq_cli_strict.XXXXXX")

@@ -8,9 +8,10 @@
 // management, lane quarantines, injected faults, scrub repairs) and assert
 // the documented invariant: after resync_lane_masks(), bit i of lane_mask(m)
 // is set iff aux_vc(i).arb_level() == m, with every input in exactly one
-// lane. A second suite pits twin scalar/bitsliced arbiters against identical
-// request streams and requires identical winners, and a third re-checks the
-// mirrors inside full switch runs produced by the fuzz scenario generator.
+// lane. A second suite pits twin scalar/bitsliced/SIMD arbiters against
+// identical request and fault streams and requires identical winners, and a
+// third re-checks the mirrors inside full switch runs produced by the fuzz
+// scenario generator.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -269,55 +270,66 @@ TEST(KernelEquivalence, TwinArbitersAgreeOnEveryPick) {
   }
 }
 
-TEST(KernelEquivalence, SimdAgreesWithBitslicedUnderFaultsAndQuarantine) {
-  // The SIMD kernel's covering sweep and min-level scan replace the
-  // bitsliced word loops inside the SAME masked pick path, so the two must
-  // agree even when the lane mirrors go stale: injected counter faults put
-  // inputs on the dirty list, lane quarantines remap sensed levels, and
-  // scrub passes repair cells — all of which the masked path resolves via
-  // resync before picking. Both twins receive identical fault coordinates,
-  // so their state (including corruption) stays lock-step.
+TEST(KernelEquivalence, AllKernelsAgreeUnderFaultsAndQuarantine) {
+  // The three kernels share one masked pick path and differ only in the GB
+  // lane search: the scalar kernel reads every requester's sensed level,
+  // the bit-sliced and SIMD kernels search the lane-mask mirrors. So all
+  // three must agree even when the mirrors go stale: injected counter
+  // faults put inputs on the dirty list, lane quarantines remap sensed
+  // levels, and scrub passes repair cells — all of which the mask searches
+  // resolve via resync before picking. LRG flop flips break the total order
+  // and send ties through the fault-tolerant fallback. Every twin receives
+  // identical fault coordinates, so their state (including corruption)
+  // stays lock-step.
   Rng rng(0x51d0f);
   for (const std::uint32_t radix : {7u, 33u, 64u}) {
     const SsvcParams params = small_params(CounterPolicy::SubtractRealClock);
     const OutputAllocation alloc = full_gb_alloc(radix);
     const std::uint32_t lanes = params.gb_levels();
-    OutputQosArbiter sliced(radix, params, alloc, GlPolicing::Stall, 4,
-                            ArbKernel::Bitsliced);
-    OutputQosArbiter vec(radix, params, alloc, GlPolicing::Stall, 4,
-                         ArbKernel::Simd);
+    std::array<OutputQosArbiter, 3> twins = {
+        OutputQosArbiter(radix, params, alloc, GlPolicing::Stall, 4,
+                         ArbKernel::Scalar),
+        OutputQosArbiter(radix, params, alloc, GlPolicing::Stall, 4,
+                         ArbKernel::Bitsliced),
+        OutputQosArbiter(radix, params, alloc, GlPolicing::Stall, 4,
+                         ArbKernel::Simd)};
+    for (auto& t : twins) t.lrg().set_fault_tolerant(true);
 
     Cycle now = 0;
     std::vector<ClassRequest> reqs;
     for (int round = 0; round < 500; ++round) {
       now += rng.below(2 * params.epoch_cycles() + 1);
-      sliced.advance_to(now);
-      vec.advance_to(now);
+      for (auto& t : twins) t.advance_to(now);
 
-      switch (rng.below(6)) {
-        case 0: {  // flip a stored-value bit in BOTH, behind the mirrors
+      switch (rng.below(7)) {
+        case 0: {  // flip a stored-value bit in all, behind the mirrors
           const auto i = static_cast<InputId>(rng.below(radix));
           const auto bit = static_cast<std::uint32_t>(
               rng.below(params.level_bits + params.lsb_bits));
-          sliced.aux_vc_mut(i).fault_flip_value(bit);
-          vec.aux_vc_mut(i).fault_flip_value(bit);
+          for (auto& t : twins) t.aux_vc_mut(i).fault_flip_value(bit);
           break;
         }
-        case 1: {  // corrupt a thermometer code in BOTH
+        case 1: {  // corrupt a thermometer code in all
           const auto i = static_cast<InputId>(rng.below(radix));
           const auto lane = static_cast<std::uint32_t>(rng.below(lanes));
-          sliced.aux_vc_mut(i).fault_flip_code(lane);
-          vec.aux_vc_mut(i).fault_flip_code(lane);
+          for (auto& t : twins) t.aux_vc_mut(i).fault_flip_code(lane);
           break;
         }
-        case 2: {  // quarantine a lane in BOTH
+        case 2: {  // quarantine a lane in all
           const auto lane = static_cast<std::uint32_t>(rng.below(lanes));
-          sliced.quarantine_lane(lane);
-          vec.quarantine_lane(lane);
+          for (auto& t : twins) t.quarantine_lane(lane);
           break;
         }
-        case 3: {  // scrub BOTH (repair counts must agree too)
-          EXPECT_EQ(sliced.scrub(now), vec.scrub(now)) << "round " << round;
+        case 3: {  // scrub all (repair counts must agree too)
+          const std::uint32_t repairs = twins[0].scrub(now);
+          EXPECT_EQ(twins[1].scrub(now), repairs) << "round " << round;
+          EXPECT_EQ(twins[2].scrub(now), repairs) << "round " << round;
+          break;
+        }
+        case 4: {  // flip the same LRG priority flop in all
+          const auto i = static_cast<InputId>(rng.below(radix));
+          const auto j = static_cast<InputId>(rng.below(radix));
+          for (auto& t : twins) t.lrg().fault_flip(i, j);
           break;
         }
         default:
@@ -334,28 +346,39 @@ TEST(KernelEquivalence, SimdAgreesWithBitslicedUnderFaultsAndQuarantine) {
                                  : TrafficClass::BestEffort,
                         1 + static_cast<std::uint32_t>(rng.below(8))});
       }
-      ASSERT_EQ(sliced.dirty_inputs(), vec.dirty_inputs())
-          << "round " << round << " radix " << radix;
+      for (std::size_t k = 1; k < twins.size(); ++k) {
+        ASSERT_EQ(twins[k].dirty_inputs(), twins[0].dirty_inputs())
+            << "round " << round << " radix " << radix << " kernel "
+            << to_string(twins[k].kernel());
+      }
 
-      const InputId w1 = sliced.pick(reqs, now);
-      const InputId w2 = vec.pick(reqs, now);
-      ASSERT_EQ(w1, w2) << "round " << round << " radix " << radix;
-      if (w1 == kNoPort) continue;
-      ASSERT_EQ(sliced.picked_class(), vec.picked_class())
-          << "round " << round;
+      const InputId w = twins[0].pick(reqs, now);
+      for (std::size_t k = 1; k < twins.size(); ++k) {
+        ASSERT_EQ(twins[k].pick(reqs, now), w)
+            << "round " << round << " radix " << radix << " kernel "
+            << to_string(twins[k].kernel());
+      }
+      if (w == kNoPort) continue;
+      for (std::size_t k = 1; k < twins.size(); ++k) {
+        ASSERT_EQ(twins[k].picked_class(), twins[0].picked_class())
+            << "round " << round << " kernel " << to_string(twins[k].kernel());
+      }
       std::uint32_t len = 1;
       for (const auto& r : reqs) {
-        if (r.input == w1) len = r.length;
+        if (r.input == w) len = r.length;
       }
-      sliced.on_grant(w1, sliced.picked_class(), len, now);
-      vec.on_grant(w1, vec.picked_class(), len, now);
+      for (auto& t : twins) t.on_grant(w, t.picked_class(), len, now);
     }
     for (InputId i = 0; i < radix; ++i) {
-      EXPECT_EQ(sliced.aux_vc(i).arb_level(), vec.aux_vc(i).arb_level())
-          << "input " << i << " radix " << radix;
+      for (std::size_t k = 1; k < twins.size(); ++k) {
+        EXPECT_EQ(twins[k].aux_vc(i).arb_level(),
+                  twins[0].aux_vc(i).arb_level())
+            << "input " << i << " radix " << radix;
+        EXPECT_EQ(twins[k].lrg().rank(i), twins[0].lrg().rank(i))
+            << "input " << i << " radix " << radix;
+      }
     }
-    expect_mirrors_exact(sliced, "faulted-twin-sliced");
-    expect_mirrors_exact(vec, "faulted-twin-simd");
+    for (auto& t : twins) expect_mirrors_exact(t, to_string(t.kernel()));
     if (HasFailure()) return;
   }
 }

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -51,7 +52,9 @@ per-cycle invariants (single grant per port, GL policing bound, counter-cap
 safety, packet conservation) run in every mode, faults included.
 
 Campaign:
-  --scenarios=N           scenarios to run (default 200)
+  --scenarios=N           scenarios to run, N >= 1 (default 200; with
+                          --time-budget and no --scenarios, unbounded: the
+                          budget ends the run)
   --seed=N                campaign base seed (default 1); equal seeds replay
                           the exact same scenario sequence
   --jobs=N                run the campaign on N threads (default 1; 0 = all
@@ -60,7 +63,8 @@ Campaign:
                           the first failure is the lowest failing index, so
                           verdicts and repros are byte-identical at any N
   --time-budget=SECONDS   stop starting new scenarios after this much wall
-                          clock (default 0 = no budget)
+                          clock (default 0 = no budget); an explicit
+                          --scenarios still caps the run
 
   SIGINT/SIGTERM cancel cooperatively: no new scenarios are dispatched, the
   completed index-prefix is reported, and the exit code is 130.
@@ -263,7 +267,7 @@ void render_campaign_summary(const CampaignStats& c, std::uint64_t ran,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::uint64_t scenarios = 200;
+  std::optional<std::uint64_t> scenarios_arg;  // --scenarios, if given
   std::uint64_t base_seed = 1;
   std::uint64_t time_budget_s = 0;
   std::uint64_t heartbeat_s = 0;  // 0 = no heartbeat telemetry
@@ -285,7 +289,10 @@ int main(int argc, char** argv) {
         std::cout << kHelp;
         return 0;
       } else if (auto v = opt_value(arg, "--scenarios")) {
-        scenarios = parse_uint<std::uint64_t>(*v, "--scenarios");
+        scenarios_arg = parse_uint<std::uint64_t>(*v, "--scenarios");
+        if (*scenarios_arg == 0) {
+          throw ConfigError("--scenarios must be >= 1");
+        }
       } else if (auto v2 = opt_value(arg, "--seed")) {
         base_seed = parse_uint<std::uint64_t>(*v2, "--seed");
       } else if (auto v3 = opt_value(arg, "--time-budget")) {
@@ -336,6 +343,10 @@ int main(int argc, char** argv) {
     campaign::GridPoint point =
         campaign::parse_grid_point(grid.empty() ? "default" : grid.substr(1));
     point.opts.bug = bug;
+    // A time budget alone runs until the budget ends it.
+    const bool bounded = scenarios_arg.has_value() || time_budget_s == 0;
+    const std::uint64_t scenarios =
+        bounded ? scenarios_arg.value_or(200) : UINT64_MAX;
 
     // Corpus authoring: serialise one generated scenario and exit.
     if (emit_index.has_value()) {
@@ -518,8 +529,9 @@ int main(int argc, char** argv) {
                      static_cast<double>(total_s) / 1000.0);
     }
     if (interrupted) {
-      std::cout << "interrupted after " << ran << "/" << scenarios
-                << " scenarios (no failures found): "
+      std::cout << "interrupted after " << ran;
+      if (bounded) std::cout << "/" << scenarios;
+      std::cout << " scenarios (no failures found): "
                 << static_cast<std::uint64_t>(campaign.grants.sum())
                 << " grants checked, "
                 << static_cast<double>(total_s) / 1000.0 << "s\n";

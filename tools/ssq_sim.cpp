@@ -64,7 +64,7 @@ Arbitration:
 
 Run control:
   --warmup=N              warmup cycles (default 5000)
-  --measure=N             measured cycles (default 100000)
+  --measure=N             measured cycles, N >= 1 (default 100000)
   --repeat=N              run the simulation N times (default 1); the extra
                           passes are identical and untraced, and cycles/sec
                           is aggregated over all measure phases
@@ -301,6 +301,7 @@ int run(int argc, char** argv) {
       warmup = parse_uint<Cycle>(*v7, "--warmup");
     } else if (auto v8 = opt_value(arg, "--measure")) {
       measure = parse_uint<Cycle>(*v8, "--measure");
+      if (measure == 0) throw ssq::ConfigError("--measure must be >= 1");
     } else if (auto vr = opt_value(arg, "--repeat")) {
       repeat = parse_uint<std::uint64_t>(*vr, "--repeat");
       if (repeat == 0) throw ssq::ConfigError("--repeat must be >= 1");
