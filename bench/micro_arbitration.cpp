@@ -194,8 +194,8 @@ void BM_SwitchStepRadix(benchmark::State& state, core::ArbKernel kernel) {
 // Sparse periodic workload (the ssq_bench "sparse64" shape: synchronized
 // periodic flows, ~97% globally idle) with idle-cycle fast-forward on/off.
 // items_per_second counts SIMULATED cycles, so the ff variant's speedup is
-// the fast-forward win; the ff_skipped / ff_idle_stepped counters report
-// how many of those cycles were jumped over vs cheaply stepped.
+// the fast-forward win; the ff_skipped counter reports how many of those
+// cycles were jumped over (every other cycle is a full step).
 void BM_SwitchStepSparse(benchmark::State& state, bool fast_forward) {
   const std::uint32_t radix = 64;
   traffic::Workload w(radix);
@@ -226,8 +226,6 @@ void BM_SwitchStepSparse(benchmark::State& state, bool fast_forward) {
                           static_cast<std::int64_t>(kChunk));
   state.counters["ff_skipped_cycles"] =
       static_cast<double>(sim.ff_skipped_cycles());
-  state.counters["ff_idle_stepped_cycles"] =
-      static_cast<double>(sim.ff_idle_stepped_cycles());
 }
 
 // Same stepping workload with the fault subsystem in its three states:

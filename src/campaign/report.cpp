@@ -6,16 +6,37 @@
 
 namespace ssq::campaign {
 
+namespace {
+
+/// Shard k's journal with every foreign unit dropped: shards partition the
+/// unit space, so a record for a unit outside [shard_begin(k), shard_end(k))
+/// was never run by shard k. Its records count as corrupt.
+ShardState load_shard(const std::string& dir, const Manifest& m,
+                      std::uint64_t k) {
+  ShardState s = load_checkpoint(ckpt_path(dir, k));
+  const std::uint64_t b = m.shard_begin(k);
+  const std::uint64_t e = m.shard_end(k);
+  std::erase_if(s.units, [&](const auto& entry) {
+    const auto& [j, unit] = entry;
+    if (j >= b && j < e) return false;
+    s.corrupt_records += unit.attempts + (unit.done ? 1 : 0);
+    return true;
+  });
+  return s;
+}
+
+}  // namespace
+
 Report merge_checkpoints(const std::string& dir, const Manifest& m) {
-  // Collect the first done-record per unit across shards. Shards partition
-  // the unit space, so cross-shard duplicates cannot happen; within a shard
-  // load_checkpoint already keeps the first record. Iterating the map gives
-  // canonical global-index order regardless of which shard finished when —
+  // Collect the first done-record per unit across shards. Each shard
+  // contributes only its own units, so cross-shard duplicates cannot
+  // happen; within a shard load_checkpoint already keeps the first record.
+  // Iterating the map gives canonical global-index order regardless of which shard finished when —
   // this, not accumulation-time order, is what makes the report bytes
   // independent of the execution schedule.
   std::map<std::uint64_t, Record> done;
   for (std::uint64_t k = 0; k < m.shards; ++k) {
-    const ShardState s = load_checkpoint(ckpt_path(dir, k));
+    const ShardState s = load_shard(dir, m, k);
     for (const auto& [j, unit] : s.units) {
       if (unit.done.has_value()) done.emplace(j, *unit.done);
     }
@@ -28,7 +49,6 @@ Report merge_checkpoints(const std::string& dir, const Manifest& m) {
     r.grid[g].label = m.grid[g].label;
   }
   for (const auto& [j, rec] : done) {
-    if (j >= r.total) continue;  // stale journal from a larger manifest
     Report::GridTotals& gt = r.grid[m.grid_of(j)];
     ++r.completed;
     switch (rec.verdict) {
@@ -156,7 +176,7 @@ std::string render_execution(const ExecutionStats& e, const Report& r) {
 void fold_journal_history(const std::string& dir, const Manifest& m,
                           ExecutionStats& e) {
   for (std::uint64_t k = 0; k < m.shards; ++k) {
-    const ShardState s = load_checkpoint(ckpt_path(dir, k));
+    const ShardState s = load_shard(dir, m, k);
     e.corrupt_records += s.corrupt_records;
     for (const auto& [j, unit] : s.units) {
       (void)j;

@@ -70,7 +70,8 @@ struct Report {
 
 /// Merges the done-records of every shard journal under `dir`. Corrupt
 /// journal tails are skipped (they only ever cost not-yet-finished units,
-/// which show up as skipped work, never as wrong totals).
+/// which show up as skipped work, never as wrong totals), and so is any
+/// record in shard k's journal for a unit outside shard k's range.
 [[nodiscard]] Report merge_checkpoints(const std::string& dir,
                                        const Manifest& m);
 
@@ -82,7 +83,8 @@ struct ExecutionStats {
   std::uint64_t retried = 0;  // extra attempts recorded across all units
   std::uint64_t worker_restarts = 0;
   std::uint64_t watchdog_kills = 0;
-  std::uint64_t corrupt_records = 0;  // discarded by checksum on load
+  // Discarded on load: failed checksum/shape, or a unit foreign to the shard.
+  std::uint64_t corrupt_records = 0;
   double elapsed_s = 0.0;
   unsigned workers = 0;
   bool interrupted = false;  // graceful drain (SIGINT/SIGTERM)

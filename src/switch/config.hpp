@@ -89,10 +89,10 @@ struct SwitchConfig {
 
   /// Idle-cycle fast-forward: when no packet exists anywhere in the switch,
   /// run() skips ahead — jumping the clock to the minimum event horizon
-  /// over every per-cycle consumer (injector next-active cycles, the fault
-  /// plan's outage/stuck schedule, the pre-rolled bitflip stream, the
-  /// scrubber's next pass — see switch/event_horizon.hpp), or at minimum
-  /// stepping a creation-only fast path. Exact: an eligible idle cycle
+  /// over every per-cycle consumer (injector next creation cycles, with
+  /// Bernoulli/OnOff streams pre-rolled, the fault plan's outage/stuck
+  /// schedule, the pre-rolled bitflip stream, the scrubber's next pass —
+  /// see switch/event_horizon.hpp). Exact: an eligible idle cycle
   /// touches no arbiter, queue, stats or probe state; epoch wraps defer to
   /// the next request's advance_to(); GSF frame state catches up
   /// retroactively; window consumers coalesce via clock_jump. Faulted,

@@ -83,6 +83,7 @@ CrossbarSwitch::CrossbarSwitch(const SwitchConfig& config,
   source_q_.resize(flows.size());
   max_backlog_.assign(flows.size(), 0);
   created_.assign(flows.size(), 0);
+  next_create_.assign(flows.size(), 0);
   admitted_.assign(flows.size(), 0);
   delivered_.assign(flows.size(), 0);
   throughput_.resize(flows.size());
@@ -250,8 +251,15 @@ std::size_t CrossbarSwitch::max_source_backlog(FlowId f) const {
 }
 
 void CrossbarSwitch::inject_create() {
-  // Packet creation into source queues.
+  // Packet creation into source queues, visiting only the flows whose
+  // creation calendar is due.
+  if (now_ < next_create_min_) return;
+  Cycle next_min = kNoCycle;
   for (FlowId f = 0; f < injectors_.size(); ++f) {
+    if (next_create_[f] > now_) {
+      next_min = std::min(next_min, next_create_[f]);
+      continue;
+    }
     auto& inj = injectors_[f];
     const std::uint32_t n = inj.packets_at(now_);
     for (std::uint32_t k = 0; k < n; ++k) {
@@ -278,7 +286,12 @@ void CrossbarSwitch::inject_create() {
       live_packets_ += n;
       max_backlog_[f] = std::max(max_backlog_[f], source_q_[f].size());
     }
+    // Re-arm after the length draws: they follow this cycle's trials in the
+    // flow's stream.
+    next_create_[f] = inj.next_event(now_ + 1, now_ + 1 + kCreatePreroll);
+    next_min = std::min(next_min, next_create_[f]);
   }
+  next_create_min_ = next_min;
 }
 
 void CrossbarSwitch::inject_admit() {
@@ -864,11 +877,7 @@ void CrossbarSwitch::step() {
   scratch_.grants.clear();
   if (fault_ != nullptr) fault_->on_cycle(now_);
   if (scrub_ != nullptr) scrub_->on_cycle(now_);
-  if (create_pending_) {
-    create_pending_ = false;  // fast_forward() already created at now_
-  } else {
-    inject_create();
-  }
+  inject_create();
   inject_admit();
   transfer();
   if (config_.pvc.preemption) preempt_scan();
@@ -897,73 +906,38 @@ CycleRecord CrossbarSwitch::last_cycle() const noexcept {
 
 void CrossbarSwitch::fast_forward(Cycle end) {
   SSQ_EXPECT(ff_eligible_);
-  const Cycle from = now_;
-  while (now_ < end && quiescent()) {
-    // Fold every consumer's horizon (see event_horizon.hpp). Schedule-driven
-    // consumers first: the fault plan's outage/stuck schedule and the
-    // scrubber's next pass must land on full step() cycles.
-    EventHorizon horizon(end);
-    Cycle fault_due = kNoCycle;
-    if (fault_ != nullptr) {
-      fault_due = fault_->next_event(now_);
-      horizon.limit(fault_due);
-    }
-    Cycle scrub_due = kNoCycle;
-    if (scrub_ != nullptr) {
-      scrub_due = scrub_->next_event();
-      horizon.limit(scrub_due);
-    }
-    // Next cycle any injector may act. Bernoulli/OnOff sources roll their
-    // RNG every cycle past start and report `now_`; deterministic kinds
-    // (Periodic/BurstOnce/Trace) report their exact next event.
-    Cycle min_next = kNoCycle;
-    for (const auto& inj : injectors_) {
-      const Cycle c = inj.next_active_cycle(now_);
-      if (c < min_next) min_next = c;
-    }
-    horizon.limit(min_next);
-    Cycle fire = kNoCycle;
-    if (fault_ != nullptr && fault_->has_bitflip_rng()) {
-      // Pre-roll the bitflip Bernoulli stream over the candidate window —
-      // the cycles a jump would skip, plus now_ itself when the
-      // creation-only path below would bypass the stepped on_cycle(). A
-      // firing cycle clamps the horizon so the flip lands in a full step.
-      fire = fault_->scan_fire(now_, std::max(horizon.target(), now_ + 1));
-      horizon.limit(fire);
-    }
-    if (!horizon.due_now(now_)) {
-      // Nothing is due before the horizon: nothing in an eligible idle
-      // cycle touches any other state, so the clock jumps.
-      ff_skipped_cycles_ += horizon.target() - now_;
-      now_ = horizon.target();
-      continue;
-    }
-    if (fault_due <= now_ || scrub_due <= now_ || fire <= now_) {
-      // A fault/scrub consumer is due at now_ — its work must run inside a
-      // full step() (injection before scrubbing before admission); hand
-      // control back to the caller's step loop.
-      break;
-    }
-    // Only injector work is due at now_: run creation alone.
-    inject_create();
-    if (live_packets_ != 0) {
-      // Created at now_ — the next step() admits and arbitrates this same
-      // cycle, skipping its own (already run) creation pass.
-      create_pending_ = true;
-      break;
-    }
-    // Nothing created: admission, transfer and arbitration are all no-ops
-    // (no packets exist, SSVC outputs with zero requests touch nothing; the
-    // fault stream for this cycle was consumed by the scan above, outage /
-    // stuck / scrub work is provably absent, and GSF frame state catches up
-    // retroactively in inject_admit), so the cycle is complete.
-    ++ff_idle_stepped_cycles_;
-    ++now_;
+  if (now_ >= end || !quiescent()) return;
+  // Fold every consumer's horizon (see event_horizon.hpp). Schedule-driven
+  // consumers first: the fault plan's outage/stuck schedule and the
+  // scrubber's next pass must land on full step() cycles.
+  EventHorizon horizon(end);
+  if (fault_ != nullptr) horizon.limit(fault_->next_event(now_));
+  if (scrub_ != nullptr) horizon.limit(scrub_->next_event());
+  // Injectors pre-roll their streams up to the horizon folded so far and
+  // report their next creation cycle; the calendar keeps the answer.
+  Cycle next_min = kNoCycle;
+  for (FlowId f = 0; f < injectors_.size(); ++f) {
+    next_create_[f] = injectors_[f].next_event(now_, horizon.target());
+    next_min = std::min(next_min, next_create_[f]);
   }
-  // Window-based probe consumers must see the jump (never traced — see
-  // SwitchProbe::clock_jump), or a skipped boundary would silently stretch
-  // their current window.
-  if (obs_ != nullptr && now_ != from) obs_->clock_jump(from, now_);
+  next_create_min_ = next_min;
+  horizon.limit(next_min);
+  if (fault_ != nullptr && fault_->has_bitflip_rng()) {
+    // Pre-roll the bitflip Bernoulli stream over the cycles a jump would
+    // skip; a firing cycle clamps the horizon so the flip lands in a full
+    // step.
+    horizon.limit(fault_->scan_fire(now_, horizon.target()));
+  }
+  // Something is due this very cycle: the caller's step() runs it.
+  if (horizon.due_now(now_)) return;
+  // Nothing is due before the horizon, and an idle cycle of an eligible
+  // switch touches no other state, so the clock jumps. Window-based probe
+  // consumers must see the jump (never traced — see SwitchProbe::clock_jump),
+  // or a skipped boundary would silently stretch their current window.
+  const Cycle from = now_;
+  now_ = horizon.target();
+  ff_skipped_cycles_ += now_ - from;
+  if (obs_ != nullptr) obs_->clock_jump(from, now_);
 }
 
 void CrossbarSwitch::run(Cycle cycles) {

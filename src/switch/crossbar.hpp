@@ -1,9 +1,11 @@
 // The cycle-accurate single-crossbar Swizzle Switch model.
 //
 // Machine model (one cycle):
-//   1. inject  — flow injectors create packets into unbounded source queues;
-//                each input port admits at most one packet per cycle into
-//                its (finite) class buffers.
+//   1. inject  — flow injectors create packets into unbounded source queues
+//                (only flows whose next creation cycle has come are
+//                visited: each injector reports it, pre-rolling its private
+//                stream); each input port admits at most one packet per
+//                cycle into its (finite) class buffers.
 //   2. transfer — every active transmission moves one flit across its output
 //                channel; buffer space drains; completing packets are
 //                recorded.
@@ -79,22 +81,17 @@ class CrossbarSwitch {
   }
 
   /// True when no packet exists anywhere (source queues, input buffers, or
-  /// in flight) and no freshly-created packet awaits admission.
-  [[nodiscard]] bool quiescent() const noexcept {
-    return live_packets_ == 0 && !create_pending_;
-  }
+  /// in flight).
+  [[nodiscard]] bool quiescent() const noexcept { return live_packets_ == 0; }
 
-  /// Fast-forwards from now() toward `end` (absolute cycle) while the
-  /// switch stays quiescent. Requires fast_forward_eligible(). Folds every
-  /// attached consumer's horizon (EventHorizon): injector next-active
-  /// cycles, the fault plan's outage/stuck schedule, the pre-rolled bitflip
-  /// stream, and the scrubber's next pass. The clock jumps over stretches
-  /// where nothing is due; cycles where only an injector must roll its RNG
-  /// run through the creation-only fast path; cycles where a fault/scrub
-  /// consumer is due return to the caller for a full step(). Returns with
-  /// either now() == end, no progress possible without a full step, or
-  /// packets created and pending admission (the next step() picks them up
-  /// within the same cycle).
+  /// Fast-forwards from now() toward `end` (absolute cycle) if the switch is
+  /// quiescent. Requires fast_forward_eligible(). Folds every attached
+  /// consumer's horizon (EventHorizon): each injector's next creation cycle
+  /// (stochastic sources pre-roll their streams to find it), the fault
+  /// plan's outage/stuck schedule, the pre-rolled bitflip stream, and the
+  /// scrubber's next pass. Then the clock jumps to the horizon, or stays put
+  /// when something is due now. Returns with now() == end or at a cycle
+  /// some consumer needs stepped; the caller's next step() runs it.
   void fast_forward(Cycle end);
 
   /// Cycles skipped outright by fast-forward (clock jumps, no per-cycle
@@ -102,9 +99,10 @@ class CrossbarSwitch {
   [[nodiscard]] std::uint64_t ff_skipped_cycles() const noexcept {
     return ff_skipped_cycles_;
   }
-  /// Cycles handled by the creation-only idle fast path since construction.
+  /// Always 0: fast-forward no longer steps idle cycles one by one. Kept for
+  /// reports that still print it.
   [[nodiscard]] std::uint64_t ff_idle_stepped_cycles() const noexcept {
-    return ff_idle_stepped_cycles_;
+    return 0;
   }
 
   /// run() then reset stats and open the measurement window — call once
@@ -208,8 +206,13 @@ class CrossbarSwitch {
     std::uint32_t granted_level = 0;  // PVC level at grant time
   };
 
-  /// Packet creation into source queues (injector RNG rolls live here).
+  /// Packet creation into source queues for the flows whose calendar entry
+  /// is due; re-arms each visited flow.
   void inject_create();
+  /// How far ahead inject_create() lets a stochastic injector pre-roll when
+  /// re-arming: step() does not know where the run ends. Any value gives the
+  /// same bytes; it only bounds the draws made ahead of the clock.
+  static constexpr Cycle kCreatePreroll = 256;
   /// GSF bookkeeping + per-input admission of created packets into buffers.
   void inject_admit();
   void transfer();
@@ -256,11 +259,7 @@ class CrossbarSwitch {
   // Packets alive anywhere in the switch (created, not yet delivered; a
   // preempted packet stays alive). 0 <=> every queue and channel is empty.
   std::uint64_t live_packets_ = 0;
-  // inject_create() already ran for the current cycle (set by
-  // fast_forward() when creation fires); step() must not run it again.
-  bool create_pending_ = false;
   std::uint64_t ff_skipped_cycles_ = 0;
-  std::uint64_t ff_idle_stepped_cycles_ = 0;
   // Eligibility depends only on the (immutable) config; computed once in
   // the constructor so run loops read one flag instead of re-deriving it
   // per iteration.
@@ -283,6 +282,11 @@ class CrossbarSwitch {
 
   // Traffic plumbing, indexed by FlowId.
   std::vector<traffic::Injector> injectors_;
+  // Creation calendar: inject_create() visits flow f only once now_ reaches
+  // next_create_[f], the injector's next_event(); next_create_min_ is the
+  // earliest entry. Every cycle before it creates nothing and draws nothing.
+  std::vector<Cycle> next_create_;
+  Cycle next_create_min_ = 0;
   std::vector<RingQueue<Packet>> source_q_;
   std::vector<std::size_t> max_backlog_;
   // Per-flow packet counts (a preempted packet retransmitted from its source

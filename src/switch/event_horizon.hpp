@@ -1,23 +1,23 @@
 // EventHorizon — the min-fold that makes idle-cycle fast-forward universal.
 //
-// A quiescent switch (no live packets, no pending injection work) may jump
-// its clock forward, but only as far as the earliest cycle at which any
-// per-cycle consumer would do observable work. Each consumer participates
-// through one of two contracts:
+// A quiescent switch (no live packets) may jump its clock forward, but only
+// as far as the earliest cycle at which any per-cycle consumer would do
+// observable work. Each consumer participates through one of two contracts:
 //
 //   1. Finite horizon — the consumer exposes `next_event(now)`, the
 //      earliest cycle >= now at which it must run inside a full step()
 //      (fault-plan outage edges and stuck-lane starts, the scrubber's next
-//      pass, a pre-rolled bitflip firing cycle, an injector's next active
-//      cycle). The jump is clamped so that cycle is reached by stepping,
-//      never skipped. A consumer whose remaining schedule is empty returns
-//      kNoCycle and stops constraining the jump.
+//      pass, a pre-rolled bitflip firing cycle, an injector's next creation
+//      cycle — pre-rolled too for Bernoulli and OnOff sources, which report
+//      the cycle they stopped rolling at when no creation came first). The
+//      jump is clamped so that cycle is reached by stepping, never skipped.
+//      A consumer whose remaining schedule is empty returns kNoCycle and
+//      stops constraining the jump.
 //
 //   2. Exact retroactive catch-up — the consumer can reconstruct the effect
 //      of the skipped cycles from the jump distance alone, so it needs no
 //      horizon at all: the conformance monitor coalesces whole idle windows
-//      in on_clock_jump(), injectors advance their periodic phase
-//      arithmetically, and the GSF frame bookkeeping realigns
+//      in on_clock_jump(), and the GSF frame bookkeeping realigns
 //      frame_start by a modulo catch-up. Catch-up must be *exact*: a jumped
 //      run and a stepped run end the skipped range in byte-identical state.
 //

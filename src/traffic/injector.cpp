@@ -1,5 +1,6 @@
 #include "traffic/injector.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "sim/contracts.hpp"
@@ -41,13 +42,24 @@ Injector::Injector(const FlowSpec& spec, Rng rng)
   }
 }
 
-Cycle Injector::next_active_cycle(Cycle now) const {
+Cycle Injector::next_event(Cycle now, Cycle limit) {
   switch (spec_.inject) {
     case InjectKind::Bernoulli:
-    case InjectKind::OnOff:
-      // Consumes RNG every cycle from start_cycle on; only the pre-start
-      // stretch is skippable (packets_at returns 0 there without drawing).
-      return now < spec_.start_cycle ? spec_.start_cycle : now;
+    case InjectKind::OnOff: {
+      if (pending_fire_ != kNoCycle) return pending_fire_;
+      // Roll on from wherever the stream last stopped; nothing is drawn
+      // before start_cycle.
+      const Cycle from = std::max({now, rolled_until_, spec_.start_cycle});
+      for (Cycle c = from; c < limit; ++c) {
+        if (roll()) {
+          pending_fire_ = c;
+          rolled_until_ = c + 1;
+          return c;
+        }
+      }
+      rolled_until_ = std::max(from, limit);
+      return rolled_until_;
+    }
     case InjectKind::Periodic:
       return next_fire_ > now ? next_fire_ : now;
     case InjectKind::BurstOnce:

@@ -589,6 +589,45 @@ TEST_F(CampaignTest, DrainedShardResumesToByteIdenticalReport) {
             render_report(merge_checkpoints(ref, m), m));
 }
 
+TEST_F(CampaignTest, ForeignJournalRecordsAreDiscardedNotMerged) {
+  // Shards partition the unit space, so a record in shard 0's journal for a
+  // unit that shard 1 owns was never run by shard 0. It must count neither
+  // as finished work nor against shard 1's own record, only as corrupt.
+  Manifest m = tiny_manifest();
+  m.scenarios = 4;
+  ASSERT_EQ(m.shard_begin(1), 2u);  // shard 0: units 0-1, shard 1: 2-3
+  const std::string d = dir() + "/c";
+  init_campaign_dir(d, m);
+  ASSERT_EQ(run_shard(d, m, 0), ShardOutcome::Completed);
+  const ShardState before = load_checkpoint(ckpt_path(d, 0));
+  CheckpointWriter w;
+  ASSERT_TRUE(w.open(ckpt_path(d, 0), before.valid_bytes));
+  Record foreign;
+  foreign.j = 3;
+  ASSERT_TRUE(w.append(foreign));
+  foreign.type = Record::Type::Done;
+  foreign.verdict = Verdict::Fail;
+  foreign.kind = "foreign";
+  ASSERT_TRUE(w.append(foreign));
+  w.close();
+
+  Report r = merge_checkpoints(d, m);
+  EXPECT_EQ(r.completed, 2u);
+  EXPECT_EQ(r.failed, 0u);
+  EXPECT_TRUE(r.failures.empty());
+  ExecutionStats e;
+  fold_journal_history(d, m, e);
+  EXPECT_EQ(e.corrupt_records, before.corrupt_records + 2);
+  EXPECT_EQ(e.retried, 0u);
+
+  ASSERT_EQ(run_shard(d, m, 1), ShardOutcome::Completed);
+  r = merge_checkpoints(d, m);
+  EXPECT_EQ(r.completed, m.total_units());
+  for (const Report::Incident& inc : r.failures) {
+    EXPECT_NE(inc.kind, "foreign") << "unit " << inc.index;
+  }
+}
+
 TEST_F(CampaignTest, ExhaustedAttemptsQuarantineWithReproAndCampaignGoesOn) {
   Manifest m = tiny_manifest();  // max_attempts = 2
   const std::string d = dir() + "/c";

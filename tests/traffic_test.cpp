@@ -169,9 +169,11 @@ TEST(InjectorTest, StochasticSourcesDrawExactlyTheirTwinRngStream) {
   // Bernoulli and OnOff sources consume their private Rng in a fixed order:
   // nothing before start_cycle, then one inject trial per cycle (OnOff: the
   // inject trial while on, then the state-change trial), then one below()
-  // per created packet's length. Idle fast-forward (next_active_cycle)
-  // relies on exactly this contract, so replay it on a twin Rng.
+  // per created packet's length. Replay it on a twin Rng, cycle by cycle,
+  // and then through next_event()'s pre-roll: the switch's creation
+  // calendar and idle fast-forward rely on both reading the same stream.
   constexpr Cycle kStart = 137;
+  constexpr Cycle kCycles = 4000;
   constexpr std::uint64_t kSeed = 0xfeed;
   FlowSpec bern;
   bern.len_min = 2;
@@ -191,9 +193,13 @@ TEST(InjectorTest, StochasticSourcesDrawExactlyTheirTwinRngStream) {
     Rng twin(kSeed);
     const double p_inject = f.inject == InjectKind::OnOff ? 0.25 : 0.3;
     bool on = false;
-    std::uint64_t packets = 0;
     std::uint64_t toggles = 0;
-    for (Cycle now = 0; now < 4000; ++now) {
+    struct Created {
+      Cycle at;
+      std::uint32_t length;
+    };
+    std::vector<Created> created;
+    for (Cycle now = 0; now < kCycles; ++now) {
       std::uint32_t expect = 0;
       if (now >= kStart) {
         if (f.inject == InjectKind::Bernoulli) {
@@ -205,22 +211,49 @@ TEST(InjectorTest, StochasticSourcesDrawExactlyTheirTwinRngStream) {
           on = true;
           ++toggles;
         }
-      } else {
-        ASSERT_EQ(inj.next_active_cycle(now), kStart);
       }
       const std::uint32_t n = inj.packets_at(now);
       ASSERT_EQ(n, expect) << "cycle " << now;
       for (std::uint32_t k = 0; k < n; ++k) {
-        ASSERT_EQ(inj.draw_length(), f.len_min + twin.below(f.len_max -
-                                                             f.len_min + 1))
-            << "cycle " << now;
-        ++packets;
+        const auto len = static_cast<std::uint32_t>(
+            f.len_min + twin.below(f.len_max - f.len_min + 1));
+        ASSERT_EQ(inj.draw_length(), len) << "cycle " << now;
+        created.push_back({now, len});
       }
     }
-    EXPECT_GT(packets, 200U);
+    EXPECT_GT(created.size(), 200U);
     if (f.inject == InjectKind::OnOff) {
       EXPECT_GT(toggles, 50U);
     }
+
+    // A second injector on the same seed, visited only at the cycles its
+    // next_event() reports, with seeded random pre-roll limits: short ones
+    // (including limit == now, which rolls nothing) and ones reaching past
+    // start_cycle from the pre-start stretch.
+    Injector pre(f, Rng(kSeed));
+    Rng limits(kSeed + 1);
+    std::size_t next = 0;
+    std::uint64_t recheck = 0;
+    for (Cycle now = 0;;) {
+      const Cycle reach = limits.bernoulli(0.2) ? 400 : 8;
+      const Cycle at = pre.next_event(now, now + limits.below(reach));
+      ASSERT_GE(at, now < kStart ? kStart : now);
+      if (at >= kCycles) break;
+      const std::uint32_t n = pre.packets_at(at);
+      if (n == 0) {
+        ++recheck;
+        ASSERT_TRUE(next == created.size() || created[next].at > at)
+            << "cycle " << at;
+      }
+      for (std::uint32_t k = 0; k < n; ++k, ++next) {
+        ASSERT_LT(next, created.size()) << "cycle " << at;
+        ASSERT_EQ(at, created[next].at);
+        ASSERT_EQ(pre.draw_length(), created[next].length) << "cycle " << at;
+      }
+      now = at + 1;
+    }
+    EXPECT_EQ(next, created.size());
+    EXPECT_GT(recheck, 0U);
   }
 }
 
