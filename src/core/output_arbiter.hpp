@@ -59,6 +59,12 @@ struct ClassMasks {
       case TrafficClass::BestEffort: be |= bit; break;
     }
   }
+  void remove(InputId i) noexcept {
+    const std::uint64_t keep = ~(1ULL << i);
+    gl &= keep;
+    gb &= keep;
+    be &= keep;
+  }
   [[nodiscard]] std::uint64_t any() const noexcept { return gl | gb | be; }
 };
 

@@ -47,7 +47,9 @@ void FaultInjector::record(const InjectedFault& f) {
 }
 
 void FaultInjector::update_outages(Cycle now) {
+  outage_edges_ = 0;
   for (const auto& k : plan_.port_kills) {
+    if (k.at == now || k.restore_at == now) outage_edges_ |= 1ULL << k.input;
     if (k.at == now) {
       dead_ports_ |= 1ULL << k.input;
       record({now, obs::kTargetPortKill, kNoPort, k.input, 1});
@@ -59,6 +61,7 @@ void FaultInjector::update_outages(Cycle now) {
     }
   }
   for (const auto& k : plan_.crosspoint_kills) {
+    if (k.at == now || k.restore_at == now) outage_edges_ |= 1ULL << k.input;
     if (k.at == now) {
       dead_links_[k.input] |= 1ULL << k.output;
       record({now, obs::kTargetPortKill, k.output, k.input, 1});

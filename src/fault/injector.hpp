@@ -86,6 +86,12 @@ class FaultInjector {
     return ((dead_links_[i] >> o) & 1ULL) == 0;
   }
   [[nodiscard]] bool any_outage() const noexcept { return any_outage_; }
+  /// Inputs whose port or one of whose crosspoints went down or came back
+  /// at the last on_cycle() (bit i == input i): the switch re-selects only
+  /// their requests.
+  [[nodiscard]] std::uint64_t outage_edges() const noexcept {
+    return outage_edges_;
+  }
 
   [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
   /// The realised fault schedule, in injection order.
@@ -107,6 +113,7 @@ class FaultInjector {
   std::uint64_t dead_ports_ = 0;
   std::vector<std::uint64_t> dead_links_;  // per input: bitmask of outputs
   bool any_outage_ = false;
+  std::uint64_t outage_edges_ = 0;
   std::vector<InjectedFault> log_;
   // Bitflip pre-roll state: every cycle < rolled_until_ has had its
   // Bernoulli decided; pending_fire_ is the one undelivered firing cycle

@@ -25,6 +25,8 @@ CrossbarSwitch::CrossbarSwitch(const SwitchConfig& config,
 
   const std::uint32_t radix = config_.radix;
   scratch_ = StepScratch(radix);
+  all_ports_ = radix == 64 ? ~0ULL : (1ULL << radix) - 1;  // no 1 << 64
+  reselect_ = all_ports_;
   inputs_.reserve(radix);
   for (InputId i = 0; i < radix; ++i) {
     inputs_.emplace_back(i, radix, config_.buffers);
@@ -120,6 +122,9 @@ const InputPort& CrossbarSwitch::input(InputId i) const {
 void CrossbarSwitch::attach_probe(obs::SwitchProbe* probe) {
   SSQ_EXPECT(probe == nullptr || probe->radix() == config_.radix);
   obs_ = probe;
+  // A probe sees every refused admission visit, so nothing sleeps while one
+  // is attached.
+  admit_sleep_ = 0;
   // SSVC arbiters report their internals into the same probe; the class-blind
   // baselines have no QoS state worth tracing.
   for (OutputId o = 0; o < qos_.size(); ++o) {
@@ -130,6 +135,7 @@ void CrossbarSwitch::attach_probe(obs::SwitchProbe* probe) {
 
 void CrossbarSwitch::attach_fault_injector(fault::FaultInjector* injector) {
   fault_ = injector;
+  reselect_ = all_ports_;  // outages gate selection
   if (injector == nullptr) return;
   std::vector<core::OutputQosArbiter*> arbs;
   arbs.reserve(qos_.size());
@@ -229,6 +235,8 @@ void CrossbarSwitch::preempt_scan() {
       max_backlog_[vf] = std::max(max_backlog_[vf], source_q_[vf].size());
     }
     inputs_[src].set_free_at(now_);
+    reselect_ |= 1ULL << src;        // free this very cycle, heads changed
+    admit_sleep_ &= ~(1ULL << src);  // its buffers drained
     output_free_at_[o] = now_;
     t.active = false;
     active_out_ &= ~(1ULL << o);
@@ -319,14 +327,16 @@ void CrossbarSwitch::inject_admit() {
   // input's flows. Only inputs with something queued at the source are
   // visited (admit_mask_); skipped inputs would fall straight through every
   // source_q_ empty-check, so the walk order (still ascending) and outcome
-  // are unchanged.
+  // are unchanged. Sleeping inputs (admit_sleep_) are skipped too: their
+  // visit would refuse every flow again.
   fault::FaultInjector* const fi = fault_;
-  for (std::uint64_t mw = admit_mask_; mw != 0; mw &= mw - 1) {
+  for (std::uint64_t mw = admit_mask_ & ~admit_sleep_; mw != 0; mw &= mw - 1) {
     const auto i = static_cast<InputId>(std::countr_zero(mw));
     const auto& flows = input_flows_[i];
     // A dead input port admits nothing; its traffic backs up at the source.
     if (fi != nullptr && fi->port_dead(i)) continue;
     const std::size_t nf = flows.size();
+    bool all_full = true;  // every non-empty flow refused by can_accept()
     for (std::size_t k = 0; k < nf; ++k) {
       // accept_ptr_ < nf and k < nf, so one conditional subtract replaces
       // the modulo (an integer division per input per cycle on the hot path).
@@ -336,6 +346,7 @@ void CrossbarSwitch::inject_admit() {
       if (source_q_[f].empty()) continue;
       if (gsf_quota_[f] > 0 &&
           (gsf_barrier || gsf_used_[f] >= gsf_quota_[f])) {
+        all_full = false;  // the frame clock, not a drain, lifts this
         continue;  // GSF: out of frame quota, or inside the barrier window
       }
       if (!inputs_[i].can_accept(source_q_[f].front())) {
@@ -352,13 +363,16 @@ void CrossbarSwitch::inject_admit() {
                               head.length);
       }
       inputs_[i].accept(std::move(source_q_[f].front()), now_);
+      reselect_ |= 1ULL << i;  // a new head may have appeared
       ++admitted_[f];
       source_q_[f].pop_front();
       note_source_pop(f, i);
       if (gsf_quota_[f] > 0) ++gsf_used_[f];
       accept_ptr_[i] = idx + 1 == nf ? 0 : idx + 1;
+      all_full = false;
       break;
     }
+    if (all_full && obs_ == nullptr) admit_sleep_ |= 1ULL << i;
   }
 }
 
@@ -370,6 +384,7 @@ void CrossbarSwitch::transfer() {
     SSQ_ENSURE(now_ <= t.last_flit);
     throughput_.record_flit(t.pkt.flow, now_);
     inputs_[t.pkt.src].drain_flit(t.pkt.cls, t.pkt.dst);
+    admit_sleep_ &= ~(1ULL << t.pkt.src);  // room for a refused head, maybe
     if (now_ == t.last_flit) complete(t, o);
   }
 }
@@ -396,6 +411,9 @@ void CrossbarSwitch::complete(Transmission& t, OutputId o) {
   const TrafficClass cls = t.pkt.cls;
   t.active = false;
   active_out_ &= ~(1ULL << o);
+  done_out_ |= 1ULL << o;
+  // The port is busy through this cycle and free from the next.
+  reselect_next_ |= 1ULL << src;
 
   // Packet Chaining: the next packet of the same (input, queue, output) may
   // seize the channel without a fresh arbitration cycle; the arbiter state
@@ -488,67 +506,103 @@ void CrossbarSwitch::start_transmission(Packet&& pkt, OutputId o,
   active_out_ |= 1ULL << o;
 }
 
-void CrossbarSwitch::select_requests(
-    std::vector<PendingRequest>& pending) const {
-  pending.assign(inputs_.size(), PendingRequest{});
-  // Outputs that can start a transmission this cycle, as one bitmask: hoists
-  // the output_idle() probes out of the per-input scans — the GB rotation
-  // pre-ANDs busy outputs away instead of testing them one by one.
-  std::uint64_t idle = 0;
-  for (std::size_t o = 0; o < output_free_at_.size(); ++o) {
-    if (output_free_at_[o] <= now_) idle |= 1ULL << o;
-  }
+PendingRequest CrossbarSwitch::select_one(InputId i, std::uint64_t idle,
+                                          Cycle now) const {
+  SSQ_EXPECT(i < inputs_.size());
+  const auto& port = inputs_[i];
   fault::FaultInjector* const fi = fault_;
-  for (InputId i = 0; i < inputs_.size(); ++i) {
-    const auto& port = inputs_[i];
-    if (port.busy(now_)) continue;
-    if (fi != nullptr && fi->port_dead(i)) continue;  // port outage
-
-    const auto link_ok = [fi, i](OutputId o) {
-      return fi == nullptr || fi->link_alive(i, o);
-    };
-    const auto prio_of = [this](const Packet& p) {
-      return workload_.flow(p.flow).legacy_priority;
-    };
-    // 1) GL head, if its channel can arbitrate this cycle.
-    if (const Packet* h = port.gl_head();
-        h != nullptr && ((idle >> h->dst) & 1) != 0 && link_ok(h->dst)) {
-      pending[i] = {h->dst, h->cls, h->length, h->buffered, prio_of(*h)};
-      continue;
-    }
-    // 2) GB heads, rotating over outputs for per-port fairness. The port's
-    // non-empty bitmask, masked to idle outputs, narrows the rotating scan
-    // to servable crosspoint queues (same visit order — and so the same
-    // choice — as scanning every output from gb_pointer()).
-    bool chosen = false;
-    if (const std::uint64_t occ = port.gb_nonempty() & idle; occ != 0) {
-      const auto try_output = [&](OutputId o) {
-        if (chosen || !link_ok(o)) return;
-        const Packet* h = port.gb_head(o);
-        pending[i] = {o, h->cls, h->length, h->buffered, prio_of(*h)};
-        chosen = true;
-      };
-      const std::uint32_t ptr = port.gb_pointer();
-      const std::uint64_t below = (1ULL << ptr) - 1;  // ptr < radix <= 64
-      for (std::uint64_t w = occ & ~below; w != 0 && !chosen; w &= w - 1) {
-        try_output(static_cast<OutputId>(std::countr_zero(w)));
+  if (port.busy(now)) return {};
+  if (fi != nullptr && fi->port_dead(i)) return {};  // port outage
+  const auto link_ok = [fi, i](OutputId o) {
+    return fi == nullptr || fi->link_alive(i, o);
+  };
+  const auto request = [](OutputId o, const Packet& h) {
+    return PendingRequest{o, h.cls, h.length, h.buffered, h.flow};
+  };
+  // 1) GL head, if its channel can arbitrate this cycle.
+  if (const Packet* h = port.gl_head();
+      h != nullptr && ((idle >> h->dst) & 1) != 0 && link_ok(h->dst)) {
+    return request(h->dst, *h);
+  }
+  // 2) GB heads, rotating over outputs for per-port fairness. The port's
+  // non-empty bitmask, masked to idle outputs, narrows the rotating scan to
+  // servable crosspoint queues: the outputs at or above the pointer first,
+  // then the ones below it (same visit order as scanning every output from
+  // gb_pointer()).
+  if (const std::uint64_t occ = port.gb_nonempty() & idle; occ != 0) {
+    const std::uint64_t below = (1ULL << port.gb_pointer()) - 1;  // ptr < 64
+    for (std::uint64_t w : {occ & ~below, occ & below}) {
+      for (; w != 0; w &= w - 1) {
+        const auto o = static_cast<OutputId>(std::countr_zero(w));
+        if (link_ok(o)) return request(o, *port.gb_head(o));
       }
-      for (std::uint64_t w = occ & below; w != 0 && !chosen; w &= w - 1) {
-        try_output(static_cast<OutputId>(std::countr_zero(w)));
-      }
-    }
-    if (chosen) continue;
-    // 3) BE head.
-    if (const Packet* h = port.be_head();
-        h != nullptr && ((idle >> h->dst) & 1) != 0 && link_ok(h->dst)) {
-      pending[i] = {h->dst, h->cls, h->length, h->buffered, prio_of(*h)};
     }
   }
+  // 3) BE head.
+  if (const Packet* h = port.be_head();
+      h != nullptr && ((idle >> h->dst) & 1) != 0 && link_ok(h->dst)) {
+    return request(h->dst, *h);
+  }
+  return {};
+}
+
+void CrossbarSwitch::select_requests() {
+  // Requests are kept across cycles; only an input whose selection inputs
+  // changed is selected again. Each rule below marks input i in reselect_:
+  //   - a packet was admitted into one of i's buffers (inject_admit), this
+  //     cycle;
+  //   - i requested an output that was granted (commit_grant): the winner
+  //     turned busy and popped a head (and maybe moved its GB pointer), and
+  //     every other requester lost its chosen output; next cycle;
+  //   - i's transmission completed (complete()), next cycle — the port is
+  //     busy through the current one; a preemption frees it this cycle. A
+  //     chained grant needs no mark of its own: it pops i's head inside the
+  //     same complete(), while i is still busy;
+  //   - an output turned idle that i holds a head for (wanted_by, below);
+  //   - a fault edge changed i's port or one of its crosspoints
+  //     (FaultInjector::outage_edges()), or a fault injector was attached
+  //     or detached (every input).
+  // Nothing else changes what select_one() reads: heads, the GB pointer and
+  // busy ports move only at admission, grants and completions, and an
+  // output turning busy matters only to the inputs that requested it.
+  StepScratch& s = scratch_;
+  // An output is busy while its transmission is active and through the
+  // cycle its last flit moves (free from output_free_at_ = last + 1). One
+  // that turned idle marks the inputs holding a head for it.
+  const std::uint64_t idle = all_ports_ & ~(active_out_ | done_out_);
+  for (std::uint64_t w = idle & ~s.idle; w != 0; w &= w - 1) {
+    reselect_ |= s.wanted_by[static_cast<OutputId>(std::countr_zero(w))];
+  }
+  s.idle = idle;
+  for (std::uint64_t w = reselect_; w != 0; w &= w - 1) {
+    const auto i = static_cast<InputId>(std::countr_zero(w));
+    const PendingRequest p = select_one(i, idle, now_);
+    const std::uint64_t want = inputs_[i].head_outputs();
+    for (std::uint64_t d = want ^ s.want[i]; d != 0; d &= d - 1) {
+      s.wanted_by[static_cast<OutputId>(std::countr_zero(d))] ^= 1ULL << i;
+    }
+    s.want[i] = want;
+    PendingRequest& old = s.pending[i];
+    if (old.out != p.out || old.cls != p.cls) {
+      if (old.out != kNoPort) {
+        core::ClassMasks& m = s.masks[old.out];
+        m.remove(i);
+        if (m.any() == 0) s.requested &= ~(1ULL << old.out);
+      }
+      if (p.out != kNoPort) {
+        s.masks[p.out].add(i, p.cls);
+        s.requested |= 1ULL << p.out;
+      }
+    }
+    old = p;
+  }
+  reselect_ = reselect_next_;
+  reselect_next_ = 0;
 }
 
 void CrossbarSwitch::arbitrate() {
   StepScratch& s = scratch_;
-  select_requests(s.pending);
+  select_requests();
   if (obs_ != nullptr) {
     for (InputId i = 0; i < s.pending.size(); ++i) {
       if (s.pending[i].out != kNoPort) {
@@ -562,39 +616,24 @@ void CrossbarSwitch::arbitrate() {
     return;
   }
 
-  // Baseline arbiters take request lists. Counting-sort the asserted
-  // requests into per-output slices of one flat array (stable: input order
-  // is preserved within each output). One O(radix) pass replaces the
-  // O(radix^2) gather, and the scratch arrays make it allocation-free.
+  // Baseline arbiters take request lists: each idle output gathers its
+  // requesters from its class masks, in input order.
   const std::uint32_t radix = config_.radix;
-  std::fill(s.bucket_begin.begin(), s.bucket_begin.end(), 0u);
-  for (InputId i = 0; i < radix; ++i) {
-    const OutputId o = s.pending[i].out;
-    if (o != kNoPort) ++s.bucket_begin[o + 1];
-  }
-  for (OutputId o = 0; o < radix; ++o) {
-    s.bucket_begin[o + 1] += s.bucket_begin[o];
-  }
-  std::copy(s.bucket_begin.begin(), s.bucket_begin.end() - 1,
-            s.bucket_cursor.begin());
-  s.base_reqs.resize(s.bucket_begin[radix]);  // capacity reserved to radix
-  for (InputId i = 0; i < radix; ++i) {
-    const PendingRequest& p = s.pending[i];
-    if (p.out == kNoPort) continue;
-    s.base_reqs[s.bucket_cursor[p.out]++] = {i, p.length, p.buffered, p.prio};
-  }
-
   for (OutputId o = 0; o < radix; ++o) {
     if (!output_idle(o)) continue;
-    const std::uint32_t begin = s.bucket_begin[o];
-    const std::uint32_t count = s.bucket_begin[o + 1] - begin;
     auto& arbiter = *baseline_[o];
-    if (count == 0) {
+    s.base_reqs.clear();
+    for (std::uint64_t w = s.masks[o].any(); w != 0; w &= w - 1) {
+      const auto i = static_cast<InputId>(std::countr_zero(w));
+      const PendingRequest& p = s.pending[i];
+      s.base_reqs.push_back({i, p.length, p.buffered,
+                             workload_.flow(p.flow).legacy_priority});
+    }
+    if (s.base_reqs.empty()) {
       arbiter.on_idle(now_);
       continue;
     }
-    const std::span<const arb::Request> reqs(&s.base_reqs[begin], count);
-    const InputId winner = arbiter.pick(reqs, now_);
+    const InputId winner = arbiter.pick(s.base_reqs, now_);
     if (winner == kNoPort) {  // TDM: the slot owner is idle — wasted slot
       arbiter.on_idle(now_);
       continue;
@@ -608,22 +647,12 @@ void CrossbarSwitch::arbitrate() {
 }
 
 void CrossbarSwitch::arbitrate_masked() {
-  // SSVC single-request allocation, every kernel: one O(radix) pass packs
-  // every asserted request into per-output class masks, and each requested
-  // output resolves them in one pick_masked().
+  // SSVC single-request allocation, every kernel: each requested output
+  // resolves its kept class masks in one pick_masked().
   StepScratch& s = scratch_;
-  const std::uint32_t radix = config_.radix;
-  std::fill(s.masks.begin(), s.masks.end(), core::ClassMasks{});
-  std::uint64_t requested = 0;  // outputs with >= 1 asserted request
-  for (InputId i = 0; i < radix; ++i) {
-    const PendingRequest& p = s.pending[i];
-    if (p.out == kNoPort) continue;
-    requested |= 1ULL << p.out;
-    s.masks[p.out].add(i, p.cls);
-  }
   // Only requested outputs can grant; an un-requested output's advance_to()
   // stays lazy. Bit order == ascending o.
-  for (std::uint64_t w = requested; w != 0; w &= w - 1) {
+  for (std::uint64_t w = s.requested; w != 0; w &= w - 1) {
     const auto o = static_cast<OutputId>(std::countr_zero(w));
     if (!output_idle(o)) continue;
     auto& arbiter = *qos_[o];
@@ -642,6 +671,9 @@ void CrossbarSwitch::commit_grant(InputId winner, OutputId o,
   Packet pkt = pop_for(winner, cls, o);
   pkt.granted = now_;
   scratch_.grants.push_back({winner, o, cls, /*chained=*/false});
+  // Every requester of o, the winner included, selects again next cycle
+  // (the masks are empty outside single-request mode).
+  reselect_ |= scratch_.masks[o].any();
   if (measuring_) {
     usage_[o].arbitration_cycles += config_.arbitration_cycles;
     usage_[o].transfer_cycles += pkt.length;
@@ -800,13 +832,7 @@ void CrossbarSwitch::arbitrate_engine() {
     const InputPort& port = inputs_[i];
     std::uint64_t cand = 0;
     if (fi == nullptr || !fi->port_dead(i)) {
-      cand = port.gb_nonempty();
-      if (const Packet* h = port.gl_head(); h != nullptr) {
-        cand |= 1ULL << h->dst;
-      }
-      if (const Packet* h = port.be_head(); h != nullptr) {
-        cand |= 1ULL << h->dst;
-      }
+      cand = port.head_outputs();
       if (fi != nullptr) {
         for (std::uint64_t w = cand; w != 0; w &= w - 1) {
           const auto o = static_cast<OutputId>(std::countr_zero(w));
@@ -875,7 +901,11 @@ void CrossbarSwitch::arbitrate_engine() {
 void CrossbarSwitch::step() {
   scratch_.cycle = now_;
   scratch_.grants.clear();
-  if (fault_ != nullptr) fault_->on_cycle(now_);
+  done_out_ = 0;
+  if (fault_ != nullptr) {
+    fault_->on_cycle(now_);
+    reselect_ |= fault_->outage_edges();
+  }
   if (scrub_ != nullptr) scrub_->on_cycle(now_);
   inject_create();
   inject_admit();
@@ -894,10 +924,17 @@ void CrossbarSwitch::step() {
 }
 
 CycleRecord CrossbarSwitch::last_cycle() const noexcept {
-  CycleRecord r{scratch_.cycle, {}, {}, scratch_.grants, created_, admitted_,
-                delivered_};
+  CycleRecord r;
+  r.cycle = scratch_.cycle;
+  r.grants = scratch_.grants;
+  r.created = created_;
+  r.admitted = admitted_;
+  r.delivered = delivered_;
   if (config_.allocation == AllocationMode::SingleRequest) {
     r.pending = scratch_.pending;
+    r.masks = scratch_.masks;
+    r.requested = scratch_.requested;
+    r.idle = scratch_.idle;
   } else if (engine_ != nullptr) {
     r.eligible = scratch_.eng_eligible;
   }

@@ -17,6 +17,13 @@
 //                arbiter) and the winner's packet seizes the channel for
 //                1 arbitration cycle + `length` transfer cycles.
 //
+// Stepping does only the work an event makes due (the tick-on-event idiom).
+// Requests and their per-output class masks are kept across cycles: an
+// input is selected again only when something its selection reads changed
+// (select_requests() lists the rules), and an input whose every queued
+// packet was refused for lack of buffer space sleeps in admission until a
+// flit of its buffers drains or a new flow of it turns non-empty.
+//
 // The 1-cycle arbitration occupancy is intrinsic: the Swizzle Switch
 // repurposes the output data bus for arbitration, so a channel cannot
 // arbitrate and transfer simultaneously — this is what caps Fig. 4 at
@@ -169,6 +176,16 @@ class CrossbarSwitch {
   [[nodiscard]] const core::OutputQosArbiter& qos_arbiter(OutputId o) const;
   [[nodiscard]] bool output_idle(OutputId o) const;
 
+  /// The request input i asserts in single-request mode at cycle `now`,
+  /// given the outputs `idle` that cycle: its GL head, else its first GB
+  /// head from the rotating pointer, else its BE head — each only toward an
+  /// idle output over a live crosspoint; none while the port is busy or
+  /// dead. The one selection function: step() calls it for the inputs it
+  /// re-selects, and it is the specification the kept requests must match
+  /// for every input.
+  [[nodiscard]] PendingRequest select_one(InputId i, std::uint64_t idle,
+                                          Cycle now) const;
+
   // ---- observability ----
   /// Attaches (or with nullptr detaches) the observability probe. While
   /// attached, every packet-lifecycle step and — in SSVC mode — every
@@ -216,11 +233,13 @@ class CrossbarSwitch {
   /// GSF bookkeeping + per-input admission of created packets into buffers.
   void inject_admit();
   void transfer();
-  void select_requests(std::vector<PendingRequest>& pending) const;
+  /// Selects again the requests of the inputs marked in reselect_ and of
+  /// those holding a head for an output that turned idle, moving their bits
+  /// in the per-output class masks. The .cpp lists the reselect rules.
+  void select_requests();
   void arbitrate();
-  /// SSVC single-request mode, every kernel: per-output class request masks
-  /// straight to pick_masked(). (arbitrate()'s counting sort serves the
-  /// baseline arbiters only.)
+  /// SSVC single-request mode, every kernel: the kept per-output class
+  /// request masks straight to pick_masked().
   void arbitrate_masked();
   void arbitrate_matched();
   /// Matching-engine allocation (config.engine != None): build the
@@ -240,6 +259,7 @@ class CrossbarSwitch {
   void note_source_push(FlowId f, InputId src) {
     if (source_q_[f].size() == 1) {
       if (nonempty_src_flows_[src]++ == 0) admit_mask_ |= 1ULL << src;
+      admit_sleep_ &= ~(1ULL << src);  // a new head may fit
     }
   }
   void note_source_pop(FlowId f, InputId src) {
@@ -271,6 +291,10 @@ class CrossbarSwitch {
   // Bit o set <=> transmissions_[o].active; lets transfer() visit only live
   // channels instead of scanning all `radix` transmissions every cycle.
   std::uint64_t active_out_ = 0;
+  // Bit o set <=> output o's transmission completed this cycle: the channel
+  // is busy through the cycle of its last flit (output_free_at_ = last + 1),
+  // so the idle outputs are exactly those in neither mask.
+  std::uint64_t done_out_ = 0;
 
   // QoS or baseline arbitration state, one per output.
   std::vector<std::unique_ptr<core::OutputQosArbiter>> qos_;
@@ -302,6 +326,19 @@ class CrossbarSwitch {
   // every source_q_ push/pop). inject_admit() walks only these inputs.
   std::vector<std::uint32_t> nonempty_src_flows_;
   std::uint64_t admit_mask_ = 0;
+  // Admission sleep: bit i set <=> every non-empty flow of input i was
+  // refused by can_accept() at its last visit, so visiting again changes
+  // nothing until a flit of its buffers drains (transfer, preempt_scan) or
+  // a flow of it turns non-empty (note_source_push). Never set while a
+  // probe is attached: each refused visit is an admit_blocked event.
+  std::uint64_t admit_sleep_ = 0;
+  // Request re-selection marks (single-request mode): reselect_ = inputs
+  // select_requests() re-selects this cycle; reselect_next_ = marks made
+  // before this cycle's selection that apply from the next one (a port
+  // freed by a completing transmission is busy through this cycle).
+  std::uint64_t reselect_ = 0;
+  std::uint64_t reselect_next_ = 0;
+  std::uint64_t all_ports_ = 0;  // bit p set for every port p < radix
   // GSF source regulation: per-flow packet quota per frame and usage in the
   // current frame; frame boundary bookkeeping.
   std::vector<std::uint32_t> gsf_quota_;   // 0 = unregulated (BE/GL)

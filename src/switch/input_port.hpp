@@ -134,6 +134,16 @@ class InputPort {
     return gb_nonempty_;
   }
 
+  /// Bitmask of outputs this port holds a head-of-line packet for: the GL
+  /// head's destination, every non-empty GB queue and the BE head's
+  /// destination.
+  [[nodiscard]] std::uint64_t head_outputs() const noexcept {
+    std::uint64_t m = gb_nonempty_;
+    if (!gl_q_.empty()) m |= 1ULL << gl_q_.front().dst;
+    if (!be_q_.empty()) m |= 1ULL << be_q_.front().dst;
+    return m;
+  }
+
  private:
   InputId id_;
   std::uint32_t radix_;

@@ -1,4 +1,4 @@
-// StepScratch — the per-cycle scratch arena of CrossbarSwitch::step().
+// StepScratch — the cycle arena of CrossbarSwitch::step().
 //
 // Every container the cycle loop needs is owned here, sized once at switch
 // construction, and reused every cycle, so the steady-state step() performs
@@ -7,8 +7,14 @@
 // writes it. The part that describes the cycle — the asserted requests, the
 // engine's eligible pairs and the committed grants — is also the cycle
 // record (CrossbarSwitch::last_cycle()): read-only from the end of one
-// step() until the start of the next. Everything else is dead once
-// pick()/on_grant() return.
+// step() until the start of the next.
+//
+// Two kinds of state live here. The single-request mode's requests
+// (`pending`, `want`/`wanted_by`, `masks`, `requested`, `idle`) are kept
+// ACROSS cycles: step() re-selects only the inputs whose selection inputs
+// changed (see CrossbarSwitch::select_requests), so every entry is valid at
+// every cycle, not rebuilt per cycle. Everything else is per-cycle scratch,
+// dead once pick()/on_grant() return.
 //
 // The matching masks are single uint64_t words: the Swizzle Switch tops out
 // at radix 64 (config.validate() enforces it), so one word replaces the
@@ -32,7 +38,10 @@ struct PendingRequest {
   TrafficClass cls = TrafficClass::BestEffort;
   std::uint32_t length = 0;
   Cycle buffered = 0;
-  std::uint32_t prio = 0;  // legacy 4-level message priority
+  FlowId flow = 0;  // the head's flow (baselines look up its priority)
+
+  friend bool operator==(const PendingRequest&,
+                         const PendingRequest&) = default;
 };
 
 /// One grant of a cycle, chained grants (Packet Chaining) included.
@@ -47,8 +56,14 @@ struct GrantRecord {
 /// the switch and stay valid until its next step().
 struct CycleRecord {
   Cycle cycle = 0;
-  /// Single-request mode only: pending[i] = input i's asserted request.
+  /// Single-request mode only: pending[i] = input i's asserted request,
+  /// masks[o] = the same requests packed per output and class, requested =
+  /// the outputs with >= 1 request, idle = the outputs that could start a
+  /// transmission this cycle.
   std::span<const PendingRequest> pending;
+  std::span<const core::ClassMasks> masks;
+  std::uint64_t requested = 0;
+  std::uint64_t idle = 0;
   /// Matching engines only: bit o of eligible[i] = input i may match o.
   std::span<const std::uint64_t> eligible;
   std::span<const GrantRecord> grants;  // commit order
@@ -63,13 +78,13 @@ struct StepScratch {
   explicit StepScratch(std::uint32_t radix) {
     SSQ_EXPECT(radix >= 1 && radix <= 64);
     pending.resize(radix);
-    bucket_begin.resize(radix + 1);
-    bucket_cursor.resize(radix);
+    want.resize(radix);
+    wanted_by.resize(radix);
+    masks.resize(radix);
     base_reqs.reserve(radix);
     grant_to.reserve(radix);
     grant_cls.reserve(radix);
     restage.reserve(1);
-    masks.resize(radix);
     eng_eligible.resize(radix);
     eng_candidates.resize(radix);
     eng_voq.resize(static_cast<std::size_t>(radix) * radix);
@@ -83,15 +98,23 @@ struct StepScratch {
   // the reserved radix slots never regrow.
   std::vector<GrantRecord> grants;
 
-  // ---- single-request mode (arbitrate) ----
+  // ---- single-request mode: requests kept across cycles ----
   /// pending[i] = input i's asserted request (out == kNoPort: none).
   std::vector<PendingRequest> pending;
-  /// Baseline arbiters' counting sort: output o's requests occupy
-  /// [bucket_begin[o], bucket_begin[o+1]) of base_reqs.
-  std::vector<std::uint32_t> bucket_begin;
-  std::vector<std::uint32_t> bucket_cursor;
+  /// want[i] = outputs input i holds a head for (InputPort::head_outputs())
+  /// as of its last selection; wanted_by[o] = its transpose, the inputs
+  /// holding a head for o, which an output turning idle marks.
+  std::vector<std::uint64_t> want;       // per input
+  std::vector<std::uint64_t> wanted_by;  // per output
+  /// Per-output class masks of `pending` (bit i == input i requests output
+  /// o in that class), fed straight to OutputQosArbiter::pick_masked() and
+  /// gathered into request lists for the baseline arbiters. An input's bit
+  /// moves when it is selected again.
+  std::vector<core::ClassMasks> masks;  // per output
+  std::uint64_t requested = 0;          // bit o == masks[o].any() != 0
+  std::uint64_t idle = 0;               // outputs idle at the last selection
 
-  // ---- baseline request array, grouped by output, input order preserved ----
+  // ---- baseline request list of one output, input order preserved ----
   // Also reused as the per-output gather buffer by the iterative matcher.
   std::vector<arb::Request> base_reqs;
 
@@ -99,11 +122,6 @@ struct StepScratch {
   std::vector<InputId> grant_to;         // per output
   std::vector<TrafficClass> grant_cls;   // per output
   std::vector<arb::Request> restage;     // 1-slot re-pick buffer
-
-  // ---- SSVC single-request mode (arbitrate_masked), every kernel ----
-  // Per-output class request masks (bit i == input i requests output o in
-  // that class), fed straight to OutputQosArbiter::pick_masked().
-  std::vector<core::ClassMasks> masks;  // per output
 
   // ---- matching engines (arbitrate_engine) ----
   // The MatchView handed to the engine points into these; eng_match receives

@@ -5,10 +5,12 @@
 // corpus, `--fault-seed` chaos replays — so it gets its own regression.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "arb/factory.hpp"
 #include "arb/matching.hpp"
 #include "check/differential.hpp"
 #include "check/scenario.hpp"
@@ -523,6 +525,130 @@ TEST(DeterminismParallel, EngineScenarioTracesIdenticalUnderPool) {
     ASSERT_FALSE(serial[i].empty());
     EXPECT_EQ(serial[i], parallel[i])
         << arb::match_kind_name(kinds[i]);
+  }
+}
+
+// -- Baseline-arbiter pins --------------------------------------------------
+//
+// Scenarios force SSVC, so no golden trace covers the class-blind baseline
+// arbiters — yet they share request selection and admission with it. One
+// fixed overloaded radix-16 workload per baseline kind pins their per-flow
+// outcome (created, delivered, flits, wait) and, with a probe attached, the
+// admission-blocked and request counters. The hashes were recorded once and
+// must never be edited to follow a change in selection or admission.
+
+sw::SwitchConfig baseline_config(arb::Kind kind) {
+  sw::SwitchConfig c;
+  c.radix = 16;
+  c.mode = sw::ArbitrationMode::Baseline;
+  c.baseline = kind;
+  c.pvc.preemption = kind == arb::Kind::Pvc;
+  c.buffers.be_flits = 12;
+  c.buffers.gb_flits_per_output = 8;
+  c.buffers.gl_flits = 6;
+  c.seed = 2718;
+  return c;
+}
+
+/// Eight GB senders oversubscribe output 0 (2x their reservations) next to
+/// two GL senders, BE to output 0 and a BE ring over the other outputs; a
+/// few inputs carry a second flow so admission round-robins and selection
+/// chooses between classes and outputs.
+traffic::Workload baseline_workload() {
+  traffic::Workload w(16);
+  const auto add = [&w](InputId src, OutputId dst, TrafficClass cls,
+                        double reserved, double rate, std::uint32_t len_min,
+                        std::uint32_t len_max, std::uint32_t prio) {
+    traffic::FlowSpec f;
+    f.src = src;
+    f.dst = dst;
+    f.cls = cls;
+    f.reserved_rate = reserved;
+    f.inject_rate = rate;
+    f.len_min = len_min;
+    f.len_max = len_max;
+    f.legacy_priority = prio;
+    f.inject = src % 3 == 2 ? traffic::InjectKind::OnOff
+                            : traffic::InjectKind::Bernoulli;
+    w.add_flow(f);
+  };
+  for (InputId i = 0; i < 8; ++i) {
+    add(i, 0, TrafficClass::GuaranteedBandwidth, 0.1, 0.2, 2, 6, i % 4);
+  }
+  add(8, 0, TrafficClass::GuaranteedLatency, 0, 0.03, 1, 2, 3);
+  add(9, 0, TrafficClass::GuaranteedLatency, 0, 0.03, 1, 2, 3);
+  w.set_gl_reservation(0, 0.08, 2);
+  add(10, 0, TrafficClass::BestEffort, 0, 0.3, 1, 8, 0);
+  add(11, 0, TrafficClass::BestEffort, 0, 0.3, 1, 8, 1);
+  for (InputId i = 8; i < 16; ++i) {
+    add(i, static_cast<OutputId>(1 + (i * 5) % 15), TrafficClass::BestEffort,
+        0, 0.35, 1, 8, i % 4);
+  }
+  add(0, 5, TrafficClass::GuaranteedBandwidth, 0.2, 0.3, 4, 4, 2);
+  add(1, 7, TrafficClass::BestEffort, 0, 0.2, 2, 3, 1);
+  add(3, 9, TrafficClass::GuaranteedLatency, 0, 0.02, 1, 1, 3);
+  w.set_gl_reservation(9, 0.05, 1);
+  return w;
+}
+
+struct Fnv {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+};
+
+/// Per-flow outcome hash of one warmed-up, measured run; with a probe, the
+/// probe's admission-blocked and request counters are folded in.
+std::uint64_t baseline_hash(arb::Kind kind, bool with_probe) {
+  sw::CrossbarSwitch sim(baseline_config(kind), baseline_workload());
+  obs::SwitchProbe probe(16);
+  if (with_probe) sim.attach_probe(&probe);
+  sim.warmup(2000);
+  sim.measure(20000);
+  Fnv h;
+  for (FlowId f = 0; f < sim.workload().num_flows(); ++f) {
+    h.add(sim.created_packets(f));
+    h.add(sim.delivered_packets(f));
+    h.add(sim.throughput().flits(f));
+    const auto& wait = sim.wait().flow_summary(f);
+    h.add(wait.count());
+    h.add(wait.sum());
+    h.add(wait.max());
+  }
+  if (with_probe) {
+    h.add(probe.metrics().counter_value("switch.admit.blocked"));
+    h.add(probe.metrics().counter_value("switch.requests"));
+    sim.attach_probe(nullptr);
+  }
+  return h.h;
+}
+
+TEST(Determinism, BaselineArbitersMatchPinnedHashes) {
+  struct Pin {
+    arb::Kind kind;
+    std::uint64_t bare;
+    std::uint64_t probed;
+  };
+  const Pin pins[] = {
+      {arb::Kind::Lrg, 0x367477ecd4986122ULL, 0x693a43041cd08c5eULL},
+      {arb::Kind::Wrr, 0x46b94b675bbb5187ULL, 0xdd8302ea9431ef9bULL},
+      {arb::Kind::Dwrr, 0x436cf76c941f58c6ULL, 0xd34c6d79e8b660a5ULL},
+      {arb::Kind::Tdm, 0x9b9482f862298caeULL, 0x0b00e7d0b73c7f7eULL},
+      {arb::Kind::MultiLevel, 0x55ff66c003be3c91ULL, 0x76fdc60634ddbccbULL},
+      {arb::Kind::Pvc, 0xc9ffb48799fcb32cULL, 0x01183a4217a54585ULL},
+  };
+  for (const Pin& p : pins) {
+    EXPECT_EQ(baseline_hash(p.kind, false), p.bare)
+        << arb::kind_name(p.kind) << std::hex << " bare 0x"
+        << baseline_hash(p.kind, false);
+    EXPECT_EQ(baseline_hash(p.kind, true), p.probed)
+        << arb::kind_name(p.kind) << std::hex << " probed 0x"
+        << baseline_hash(p.kind, true);
   }
 }
 

@@ -5,7 +5,10 @@
 
 #include <array>
 #include <memory>
+#include <sstream>
+#include <string>
 
+#include "check/scenario.hpp"
 #include "switch/crossbar.hpp"
 #include "switch/simulator.hpp"
 #include "traffic/workload.hpp"
@@ -861,6 +864,209 @@ TEST(SimulatorTest, SummaryFieldsConsistent) {
   EXPECT_GT(s.delivered_packets, 100u);
   EXPECT_EQ(r.measured_cycles, 50000u);
   EXPECT_NEAR(r.total_accepted_rate, s.accepted_rate, 1e-12);
+}
+
+// -- Selection specification ------------------------------------------------
+//
+// The switch keeps every input's request, the per-output class masks and the
+// requested-output set across cycles, and selects again only the inputs an
+// event marked. select_one() is the specification: after every step, each
+// kept request must equal a from-scratch selection at that cycle, and the
+// masks and requested set must be exactly those the requests imply. A grant
+// winner's head is gone by then, so its kept request is checked against the
+// grant instead. The idle outputs the selection saw are checked too: those
+// idle before the step, plus those a preemption freed during it.
+
+/// Bit o set <=> output o can start a transmission at sw.now().
+std::uint64_t idle_outputs(const CrossbarSwitch& sw) {
+  std::uint64_t idle = 0;
+  for (OutputId o = 0; o < sw.config().radix; ++o) {
+    if (sw.output_idle(o)) idle |= 1ULL << o;
+  }
+  return idle;
+}
+
+/// First disagreement between the cycle record and a from-scratch
+/// selection, or "" when they agree. `idle` is the expected idle set.
+std::string selection_mismatch(const CrossbarSwitch& sw, std::uint64_t idle) {
+  const CycleRecord rec = sw.last_cycle();
+  const std::uint32_t radix = sw.config().radix;
+  std::ostringstream why;
+  why << "cycle " << rec.cycle << ": ";
+  if (rec.idle != idle) {
+    why << "selection saw idle outputs 0x" << std::hex << rec.idle
+        << ", expected 0x" << idle;
+    return why.str();
+  }
+  std::uint64_t winners = 0;
+  for (const GrantRecord& g : rec.grants) {
+    if (g.chained) continue;
+    winners |= 1ULL << g.input;
+    const PendingRequest& p = rec.pending[g.input];
+    if (p.out != g.output || p.cls != g.cls) {
+      why << "input " << g.input << " won output " << g.output
+          << " but its kept request is for output " << p.out;
+      return why.str();
+    }
+  }
+  std::vector<core::ClassMasks> masks(radix);
+  std::uint64_t requested = 0;
+  for (InputId i = 0; i < radix; ++i) {
+    const PendingRequest& p = rec.pending[i];
+    if (((winners >> i) & 1) == 0 &&
+        p != sw.select_one(i, rec.idle, rec.cycle)) {
+      why << "input " << i << " keeps a request for output " << p.out
+          << ", a fresh selection asserts one for output "
+          << sw.select_one(i, rec.idle, rec.cycle).out;
+      return why.str();
+    }
+    if (p.out == kNoPort) continue;
+    masks[p.out].add(i, p.cls);
+    requested |= 1ULL << p.out;
+  }
+  for (OutputId o = 0; o < radix; ++o) {
+    const core::ClassMasks& m = rec.masks[o];
+    if (m.gl != masks[o].gl || m.gb != masks[o].gb || m.be != masks[o].be) {
+      why << "output " << o << " class masks differ from the requests";
+      return why.str();
+    }
+  }
+  if (rec.requested != requested) {
+    why << "requested set differs from the requests";
+    return why.str();
+  }
+  return "";
+}
+
+/// Steps `cycles` cycles the way run() does (fast-forwarding quiescent
+/// stretches when eligible) and checks every stepped cycle; stops at the
+/// first mismatch.
+void expect_selection_matches(CrossbarSwitch& sw, Cycle cycles,
+                              const std::string& what) {
+  const Cycle end = sw.now() + cycles;
+  std::vector<std::uint64_t> preempted(sw.config().radix);
+  while (sw.now() < end) {
+    if (sw.fast_forward_eligible() && sw.quiescent()) {
+      sw.fast_forward(end);
+      if (sw.now() >= end) break;
+    }
+    std::uint64_t idle = idle_outputs(sw);
+    for (OutputId o = 0; o < sw.config().radix; ++o) {
+      preempted[o] = sw.preemptions(o);
+    }
+    sw.step();
+    // A preemption frees its output mid-step, before selection.
+    for (OutputId o = 0; o < sw.config().radix; ++o) {
+      if (sw.preemptions(o) != preempted[o]) idle |= 1ULL << o;
+    }
+    const std::string why = selection_mismatch(sw, idle);
+    if (!why.empty()) {
+      ADD_FAILURE() << what << ": " << why;
+      return;
+    }
+  }
+}
+
+void expect_scenario_selection_matches(const check::Scenario& s) {
+  check::ScenarioRun rig = check::instantiate(s);
+  expect_selection_matches(*rig.sim, s.cycles, s.name);
+}
+
+/// A dense radix-8 mix: every input sources GB, BE and (two of them) GL
+/// traffic toward several outputs, hot on output 0.
+check::Scenario dense_scenario(const std::string& name) {
+  check::Scenario s;
+  s.name = name;
+  s.seed = 99;
+  s.cycles = 4000;
+  s.radix = 8;
+  s.buffers.be_flits = 10;
+  s.buffers.gb_flits_per_output = 8;
+  s.buffers.gl_flits = 4;
+  for (InputId i = 0; i < 8; ++i) {
+    s.flows.push_back(gb_flow(i, 0, 0.08, 2 + i % 3, 0.15));
+    s.flows.push_back(gb_flow(i, 1 + (i + 3) % 7, 0.1, 3, 0.12));
+    s.flows.push_back(be_flow(i, (i + 5) % 8, 1 + i % 4, 0.2));
+  }
+  for (InputId i : {2u, 6u}) {
+    FlowSpec gl;
+    gl.src = i;
+    gl.dst = 0;
+    gl.cls = TrafficClass::GuaranteedLatency;
+    gl.inject_rate = 0.02;
+    s.flows.push_back(gl);
+  }
+  s.gl_reservations.push_back({0, 0.05, 1});
+  return s;
+}
+
+TEST(SelectionSpec, IncrementalRequestsMatchFromScratch) {
+  for (std::uint64_t i = 0; i < 60; ++i) {
+    const check::Scenario s = check::generate_scenario(i, 515);
+    if (s.matching_engine != arb::MatchKind::None) continue;
+    expect_scenario_selection_matches(s);
+  }
+  expect_scenario_selection_matches(dense_scenario("dense"));
+
+  check::Scenario gsf = dense_scenario("gsf");
+  gsf.gsf.enabled = true;
+  gsf.gsf.frame_cycles = 64;
+  gsf.gsf.barrier_cycles = 8;
+  expect_scenario_selection_matches(gsf);
+
+  check::Scenario chain = dense_scenario("chaining");
+  chain.packet_chaining = true;
+  expect_scenario_selection_matches(chain);
+
+  check::Scenario legacy = dense_scenario("two-cycle arbitration");
+  legacy.arbitration_cycles = 2;
+  expect_scenario_selection_matches(legacy);
+
+  check::Scenario outage = dense_scenario("outages");
+  outage.faults.port_kills.push_back({1, 300, 900});
+  outage.faults.port_kills.push_back({4, 1200, kNoCycle});
+  outage.faults.crosspoint_kills.push_back({2, 0, 200, 1500});
+  outage.faults.crosspoint_kills.push_back({5, 3, 700, 2600});
+  outage.faults.crosspoint_kills.push_back({3, 0, 900, 901});
+  outage.faults.bitflip_rate = 0.001;
+  outage.scrub_interval = 128;
+  expect_scenario_selection_matches(outage);
+
+  // A quiet crosspoint: input 3's burst to an otherwise unused output sits
+  // behind a dead crosspoint. Its restore is the only event that changes
+  // input 3's selection — no admission, no output turning idle.
+  check::Scenario quiet;
+  quiet.name = "quiet crosspoint";
+  quiet.cycles = 600;
+  quiet.radix = 4;
+  FlowSpec burst = gb_flow(3, 3, 0.5, 2, 0.0, InjectKind::BurstOnce);
+  burst.burst_start = 100;
+  burst.burst_packets = 3;
+  quiet.flows.push_back(burst);
+  quiet.flows.push_back(gb_flow(0, 1, 0.5, 4, 0.3));
+  quiet.faults.crosspoint_kills.push_back({3, 3, 50, 400});
+  expect_scenario_selection_matches(quiet);
+
+  // Baseline arbiters, PVC preemption included: preemption frees a port
+  // and an output mid-cycle and pushes the victim back to a queue head.
+  const check::Scenario dense = dense_scenario("baseline");
+  for (const arb::Kind kind :
+       {arb::Kind::Lrg, arb::Kind::Tdm, arb::Kind::Pvc}) {
+    SwitchConfig c = base_config(8);
+    c.buffers = dense.buffers;
+    c.mode = ArbitrationMode::Baseline;
+    c.baseline = kind;
+    c.pvc.preemption = kind == arb::Kind::Pvc;
+    c.pvc.preempt_margin = 1;
+    CrossbarSwitch sw(c, dense.build_workload());
+    expect_selection_matches(sw, dense.cycles,
+                             std::string(arb::kind_name(kind)));
+    if (kind == arb::Kind::Pvc) {
+      std::uint64_t preemptions = 0;
+      for (OutputId o = 0; o < 8; ++o) preemptions += sw.preemptions(o);
+      EXPECT_GT(preemptions, 0u) << "the preemption leg would be vacuous";
+    }
+  }
 }
 
 }  // namespace
