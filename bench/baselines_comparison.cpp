@@ -110,8 +110,9 @@ void scenario(const char* title, bool flow0_idle, unsigned jobs,
 }  // namespace
 
 int main(int argc, char** argv) {
-  ssq::bench::BenchReport report("baselines_comparison", argc, argv);
-  const unsigned jobs = ssq::bench::parse_jobs(argc, argv);
+  ssq::bench::BenchReport report("baselines_comparison", argc, argv,
+                                 {"--jobs="});
+  const unsigned jobs = report.jobs();
   std::cout << "Sec. 2.2 / Sec. 5 baselines: one output, reservations "
                "40/30/20/10 %, 8-flit packets\n\n";
   scenario("Scenario 1 - all flows saturated (offered 0.9 each)", false, jobs,

@@ -156,7 +156,7 @@ void add_row(stats::Table& t, const std::string& fault,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchReport report("chaos_resilience", argc, argv);
+  bench::BenchReport report("chaos_resilience", argc, argv, {"--quick"});
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
     if (std::string_view(argv[i]) == "--quick") quick = true;

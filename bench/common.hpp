@@ -2,49 +2,30 @@
 // flow builders, and the BenchReport output harness. Every bench prints its
 // tables via ssq::stats::Table, accepts `--csv` for machine-readable output
 // and `--json[=PATH]` to also write a BENCH_<name>.json report (schema
-// documented in docs/OBSERVABILITY.md).
+// documented in docs/OBSERVABILITY.md), and rejects any option it does not
+// read (exit 2).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "cli.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/json.hpp"
 #include "sim/error.hpp"
-#include "sim/parse.hpp"
 #include "stats/table.hpp"
 #include "switch/config.hpp"
 #include "traffic/flow.hpp"
 
 namespace ssq::bench {
-
-/// Parses `--jobs=N` from argv (default 1 = serial; 0 = all hardware
-/// threads). Sweep benches use this to farm independent configuration
-/// points out to a thread pool; each point seeds its own RNG from the
-/// switch config, so results are identical at any job count. A value that
-/// is not an unsigned integer prints one line on stderr and exits 2.
-inline unsigned parse_jobs(int argc, char** argv) {
-  unsigned jobs = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.substr(0, 7) != "--jobs=") continue;
-    try {
-      jobs = parse_uint<unsigned>(arg.substr(7), "--jobs");
-    } catch (const ConfigError& e) {
-      std::cerr << argv[0] << ": " << e.what() << "\n";
-      std::exit(2);
-    }
-    if (jobs == 0) jobs = exec::ThreadPool::hardware_threads();
-  }
-  return jobs;
-}
 
 /// Runs `fn(i)` for every configuration point in [0, n) on `jobs` threads
 /// and returns the results in index order. `fn` must be pure per index
@@ -65,7 +46,13 @@ std::vector<R> run_points(unsigned jobs, std::size_t n, Fn&& fn) {
 ///    "tables":[{"title":"...","columns":[...],"rows":[[...],...]},...]}
 class BenchReport {
  public:
-  BenchReport(std::string name, int argc, char** argv)
+  /// The one argv check of a bench. Besides --csv, --json and --json=PATH,
+  /// only the options in `extra` are accepted: an entry ending in '='
+  /// ("--jobs=") admits that option with a value, any other entry
+  /// ("--quick") admits exactly itself. Anything else, or a bad --jobs
+  /// value, prints one line naming it and exits 2.
+  BenchReport(std::string name, int argc, char** argv,
+              std::initializer_list<std::string_view> extra = {})
       : name_(std::move(name)), csv_(stats::want_csv(argc, argv)) {
     for (int i = 1; i < argc; ++i) {
       const std::string_view arg = argv[i];
@@ -73,6 +60,16 @@ class BenchReport {
         json_path_ = "BENCH_" + name_ + ".json";
       } else if (arg.substr(0, 7) == "--json=") {
         json_path_ = std::string(arg.substr(7));
+      } else if (arg != "--csv" && !admitted(arg, extra)) {
+        std::cerr << argv[0] << ": unknown option '" << arg << "'\n";
+        std::exit(2);
+      } else if (arg.substr(0, 7) == "--jobs=") {
+        try {
+          jobs_ = cli::parse_jobs(arg.substr(7), "--jobs");
+        } catch (const ConfigError& e) {
+          std::cerr << argv[0] << ": " << e.what() << "\n";
+          std::exit(2);
+        }
       }
     }
   }
@@ -81,6 +78,12 @@ class BenchReport {
   ~BenchReport() { write(); }
 
   [[nodiscard]] bool csv() const noexcept { return csv_; }
+
+  /// `--jobs=N` (default 1 = serial; 0 = all hardware threads). Sweep
+  /// benches farm independent configuration points out to this many
+  /// threads; each point seeds its own RNG from the switch config, so
+  /// results are identical at any job count.
+  [[nodiscard]] unsigned jobs() const noexcept { return jobs_; }
 
   /// Renders `t` to stdout and queues it for the JSON report.
   void table(const stats::Table& t) {
@@ -136,8 +139,17 @@ class BenchReport {
   }
 
  private:
+  static bool admitted(std::string_view arg,
+                       std::initializer_list<std::string_view> extra) {
+    for (const std::string_view e : extra) {
+      if (e.ends_with('=') ? arg.starts_with(e) : arg == e) return true;
+    }
+    return false;
+  }
+
   std::string name_;
   bool csv_ = false;
+  unsigned jobs_ = 1;
   bool written_ = false;
   std::string json_path_;
   std::vector<std::pair<std::string, double>> metrics_;

@@ -54,7 +54,7 @@ void BM_BaselineArbiter(benchmark::State& state, arb::Kind kind) {
   state.SetItemsProcessed(state.iterations());
 }
 
-void BM_SsvcPickGrant(benchmark::State& state, core::ArbKernel kernel) {
+void BM_SsvcPickGrant(benchmark::State& state) {
   const auto radix = static_cast<std::uint32_t>(state.range(0));
   core::SsvcParams params;
   params.level_bits = 3;
@@ -63,7 +63,7 @@ void BM_SsvcPickGrant(benchmark::State& state, core::ArbKernel kernel) {
   for (InputId i = 0; i < radix; ++i) alloc.gb_rate[i] = 0.9 / radix;
   alloc.gb_packet_len = 8;
   core::OutputQosArbiter arbiter(radix, params, alloc,
-                                 core::GlPolicing::Stall, 32, kernel);
+                                 core::GlPolicing::Stall, 32);
   std::vector<core::ClassRequest> reqs;
   for (InputId i = 0; i < radix; ++i) {
     reqs.push_back({i, TrafficClass::GuaranteedBandwidth, 8});
@@ -157,7 +157,7 @@ void BM_SwitchStep(benchmark::State& state, ObsMode mode) {
 // best-effort from the remaining inputs. This is the configuration the
 // perf-regression gate tracks (tools/ssq_bench, BENCH_hotpath.json) —
 // items_per_second here is the radix-N "cycles/sec" headline.
-void BM_SwitchStepRadix(benchmark::State& state, core::ArbKernel kernel) {
+void BM_SwitchStepRadix(benchmark::State& state) {
   const auto radix = static_cast<std::uint32_t>(state.range(0));
   const std::uint32_t gb = radix / 2;
   traffic::Workload w(radix);
@@ -176,7 +176,6 @@ void BM_SwitchStepRadix(benchmark::State& state, core::ArbKernel kernel) {
   }
   auto config = bench::paper_switch_config();
   config.radix = radix;
-  config.kernel = kernel;
   config.ssvc.level_bits = 2;
   config.ssvc.lsb_bits = 8;
   sw::CrossbarSwitch sim(config, std::move(w));
@@ -272,21 +271,9 @@ BENCHMARK_CAPTURE(BM_BaselineArbiter, dwrr, ssq::arb::Kind::Dwrr)
 BENCHMARK_CAPTURE(BM_BaselineArbiter, virtual_clock,
                   ssq::arb::Kind::VirtualClock)
     ->Arg(8)->Arg(64);
-BENCHMARK_CAPTURE(BM_SsvcPickGrant, bitsliced,
-                  ssq::core::ArbKernel::Bitsliced)
-    ->Arg(8)->Arg(16)->Arg(32)->Arg(64);
-BENCHMARK_CAPTURE(BM_SsvcPickGrant, scalar, ssq::core::ArbKernel::Scalar)
-    ->Arg(8)->Arg(16)->Arg(32)->Arg(64);
-BENCHMARK_CAPTURE(BM_SsvcPickGrant, simd, ssq::core::ArbKernel::Simd)
-    ->Arg(8)->Arg(16)->Arg(32)->Arg(64);
+BENCHMARK(BM_SsvcPickGrant)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 BENCHMARK(BM_CircuitArbitrate)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
-BENCHMARK_CAPTURE(BM_SwitchStepRadix, bitsliced,
-                  ssq::core::ArbKernel::Bitsliced)
-    ->Arg(8)->Arg(16)->Arg(32)->Arg(64);
-BENCHMARK_CAPTURE(BM_SwitchStepRadix, scalar, ssq::core::ArbKernel::Scalar)
-    ->Arg(8)->Arg(64);
-BENCHMARK_CAPTURE(BM_SwitchStepRadix, simd, ssq::core::ArbKernel::Simd)
-    ->Arg(8)->Arg(64);
+BENCHMARK(BM_SwitchStepRadix)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 BENCHMARK_CAPTURE(BM_SwitchStepSparse, ff_on, true);
 BENCHMARK_CAPTURE(BM_SwitchStepSparse, ff_off, false);
 BENCHMARK_CAPTURE(BM_SwitchStep, obs_off, ObsMode::Off);

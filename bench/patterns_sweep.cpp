@@ -57,8 +57,9 @@ Result run(traffic::Pattern pattern, TrafficClass cls, double load) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ssq::bench::BenchReport report("patterns_sweep", argc, argv);
-  const unsigned jobs = ssq::bench::parse_jobs(argc, argv);
+  ssq::bench::BenchReport report("patterns_sweep", argc, argv,
+                                 {"--jobs="});
+  const unsigned jobs = report.jobs();
   std::cout << "Extension: classic synthetic patterns on the radix-8 SSVC "
                "switch (8-flit packets; per-port ceiling 8/9)\n\n";
 

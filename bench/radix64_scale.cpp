@@ -109,8 +109,9 @@ ScalePoint run_scale(std::uint32_t radix) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ssq::bench::BenchReport report("radix64_scale", argc, argv);
-  const unsigned jobs = ssq::bench::parse_jobs(argc, argv);
+  ssq::bench::BenchReport report("radix64_scale", argc, argv,
+                                 {"--jobs="});
+  const unsigned jobs = report.jobs();
   std::cout << "Radix-64 scale run: 64x64 SSVC switch, 512-bit bus "
                "(4 GB levels + GL lane + BE lane), hotspot output with 36 "
                "reserved senders\n\n";

@@ -14,8 +14,8 @@
 
 int main(int argc, char** argv) {
   using namespace ssq;
-  bench::BenchReport report("sec44_scalability", argc, argv);
-  const unsigned jobs = bench::parse_jobs(argc, argv);
+  bench::BenchReport report("sec44_scalability", argc, argv, {"--jobs="});
+  const unsigned jobs = report.jobs();
   std::cout << "Sec. 4.4 reproduction: lane budget and SSVC accuracy vs "
                "radix and bus width\n\n";
 

@@ -43,7 +43,8 @@ for the matching engines on the cell model (unit cells, unbounded VOQs).
                   (default all four)
   --loads=LIST    comma list of offered loads in (0,1)
                   (default 0.5,0.7,0.85,0.95)
-  --jobs=N        measure points on N threads (0 = all hardware threads)
+  --jobs=N        measure points on N threads (0 = all hardware threads;
+                  at most 512)
   --csv           CSV table output
   --json[=PATH]   also write the ssq.stability.v1 JSON report
                   (default stability.json)
@@ -86,6 +87,7 @@ int main(int argc, char** argv) {
   std::vector<double> loads = {0.5, 0.7, 0.85, 0.95};
   std::string json_path;
   bool csv = false;
+  unsigned jobs = 1;
 
   try {
     for (int a = 1; a < argc; ++a) {
@@ -124,8 +126,8 @@ int main(int argc, char** argv) {
         json_path = *v9;
       } else if (arg == "--csv") {
         csv = true;
-      } else if (arg.substr(0, 7) == "--jobs=") {
-        // handled by bench::parse_jobs below
+      } else if (auto vj = opt_value(arg, "--jobs")) {
+        jobs = cli::parse_jobs(*vj, "--jobs");
       } else {
         std::cerr << "unknown option '" << arg << "' (--help for the list)\n";
         return 2;
@@ -147,7 +149,6 @@ int main(int argc, char** argv) {
         for (const auto e : engines) specs.push_back({p, l, e});
       }
     }
-    const unsigned jobs = bench::parse_jobs(argc, argv);
     std::vector<check::StabilityPoint> points =
         bench::run_points<check::StabilityPoint>(
             jobs, specs.size(), [&](std::size_t k) {

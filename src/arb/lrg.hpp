@@ -32,7 +32,7 @@ class LrgArbiter final : public Arbiter {
   [[nodiscard]] bool beats(InputId i, InputId j) const;
 
   /// Row of the beats matrix for input `i` (bit j set == i beats j).
-  /// (Inline: read per input by the kernels' LRG resolution.)
+  /// (Inline: read per input by winner().)
   [[nodiscard]] std::uint64_t row(InputId i) const {
     SSQ_EXPECT(i < radix());
     return rows_[i];
@@ -61,12 +61,6 @@ class LrgArbiter final : public Arbiter {
       if ((row(i) & others) == others) return i;
     }
     return degraded_winner(mask);
-  }
-
-  /// Contiguous row storage (radix() words) for the vectorized kernel's
-  /// covering sweep.
-  [[nodiscard]] const std::uint64_t* rows_data() const noexcept {
-    return rows_.data();
   }
 
   /// Directly installs a beats matrix (used by the circuit-equivalence tests

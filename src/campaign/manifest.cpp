@@ -31,10 +31,6 @@ GridPoint parse_grid_point(const std::string& label) {
       p.opts.circuit = false;
     } else if (tok == "no-state") {
       p.opts.state_compare = false;
-    } else if (tok == "scalar") {
-      p.kernel = core::ArbKernel::Scalar;
-    } else if (tok == "simd") {
-      p.kernel = core::ArbKernel::Simd;
     } else if (tok == "noff") {
       p.fast_forward = false;
     } else if (tok == "sparse") {
@@ -51,8 +47,7 @@ GridPoint parse_grid_point(const std::string& label) {
     } else {
       throw ConfigError("unknown grid token '" + tok + "' in '" + label +
                         "' (expected default, monitor, no-circuit, no-state, "
-                        "scalar, simd, noff, sparse or engine=<name>, joined "
-                        "with '+')");
+                        "noff, sparse or engine=<name>, joined with '+')");
     }
   }
   return p;

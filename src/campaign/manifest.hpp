@@ -19,17 +19,15 @@
 
 #include "arb/matching.hpp"
 #include "check/differential.hpp"
-#include "core/params.hpp"
 
 namespace ssq::campaign {
 
 /// One checking configuration of the grid, parsed from a label like
-/// "default", "monitor", "scalar" or combinations joined with '+'
-/// ("monitor+scalar"). The label is the canonical serialised form.
+/// "default", "monitor", "noff" or combinations joined with '+'
+/// ("monitor+noff"). The label is the canonical serialised form.
 struct GridPoint {
   std::string label = "default";
   check::CheckOptions opts;
-  core::ArbKernel kernel = core::ArbKernel::Bitsliced;
   /// Matching engine override, set by an "engine=<name>" token. Absent keeps
   /// each scenario's generated engine; engine=none forces the classic
   /// differential path.
@@ -46,7 +44,7 @@ struct GridPoint {
 
 /// Parses a grid label; throws ssq::ConfigError on an unknown token.
 /// Recognised tokens: default (no-op), monitor, no-circuit, no-state,
-/// scalar, simd, noff, sparse, engine=<islip|qps|swqps|ssvc|none>.
+/// noff, sparse, engine=<islip|qps|swqps|ssvc|none>.
 [[nodiscard]] GridPoint parse_grid_point(const std::string& label);
 
 /// Test-only planted harness defects: the robustness teeth. A "hang" makes

@@ -92,7 +92,6 @@ check::Scenario unit_scenario(const GridPoint& g, std::uint64_t seed,
     s.cycles *= 8;
     for (auto& f : s.flows) f.inject_rate *= 0.05;
   }
-  s.kernel = g.kernel;
   s.fast_forward = g.fast_forward;
   if (g.engine.has_value()) {
     s.matching_engine = *g.engine;

@@ -32,9 +32,9 @@
 namespace ssq::campaign {
 
 /// The work unit, shared with ssq_fuzz: scenario `i` of seed `seed` as grid
-/// point `g` runs it — generated, then the sparse derate, kernel,
-/// fast-forward and engine override applied (a forced engine strips packet
-/// chaining, which is invalid under one).
+/// point `g` runs it — generated, then the sparse derate, fast-forward and
+/// engine override applied (a forced engine strips packet chaining, which is
+/// invalid under one).
 [[nodiscard]] check::Scenario unit_scenario(const GridPoint& g,
                                             std::uint64_t seed,
                                             std::uint64_t i);

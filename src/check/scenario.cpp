@@ -54,7 +54,6 @@ sw::SwitchConfig Scenario::build_config() const {
   config.arbitration_cycles = arbitration_cycles;
   config.packet_chaining = packet_chaining;
   config.seed = seed;
-  config.kernel = kernel;
   config.fast_forward = fast_forward;
   config.validate();
   return config;

@@ -61,11 +61,10 @@ struct Scenario {
   /// 0 = no scrubber attached.
   Cycle scrub_interval = 0;
 
-  /// Execution knobs — NOT part of the serialised scenario (a repro file
-  /// describes the workload; grants and traces are identical across kernels
-  /// and fast-forward by construction, which the determinism tests assert by
-  /// sweeping these over the same scenarios).
-  core::ArbKernel kernel = core::ArbKernel::Bitsliced;
+  /// Execution knob — NOT part of the serialised scenario (a repro file
+  /// describes the workload; grants and traces are identical with and
+  /// without fast-forward by construction, which the determinism tests
+  /// assert by sweeping it over the same scenarios).
   bool fast_forward = true;
 
   [[nodiscard]] bool has_faults() const noexcept { return !faults.empty(); }

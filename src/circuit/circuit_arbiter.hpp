@@ -13,10 +13,13 @@
 //      means "won".
 //
 // The model checks the single-winner invariant (exactly one sense amp reads
-// a charged wire) and returns the winner. ReferenceArbiter computes the same
-// decision directly from (class, level, LRG order) — the "true … auxVC value
-// comparison" of §4.1 — and the test suite proves the two agree for all
-// input combinations of thermometer codes and valid LRG states.
+// a charged wire) and returns the winner. reference_decision() computes the
+// same decision directly from (class, level, LRG order) — the "true … auxVC
+// value comparison" of §4.1 — and the test suite proves the two agree for
+// all input combinations of thermometer codes and valid LRG states. In full
+// runs the differential checker feeds this model the levels and LRG order
+// of its oracle, check::ReferenceOutput, and requires it to elect the
+// simulator's winner.
 #pragma once
 
 #include <cstdint>

@@ -4,7 +4,7 @@ namespace ssq::circuit {
 
 namespace {
 
-constexpr std::uint64_t lane_mask(std::uint32_t radix) noexcept {
+constexpr std::uint64_t all_inputs(std::uint32_t radix) noexcept {
   return radix == 64 ? ~0ULL : ((1ULL << radix) - 1);
 }
 
@@ -18,9 +18,9 @@ LaneDecision gb_lane_decision(const core::ThermometerCode& code,
   const bool t_next = (lane + 1 < code.width()) && code.bit(lane + 1);
   LaneDecision d;
   if (!t_i) {
-    d.bits = lane_mask(radix);  // lane above my level: inhibit everyone
+    d.bits = all_inputs(radix);  // lane above my level: inhibit everyone
   } else if (!t_next) {
-    d.bits = lrg_row & lane_mask(radix);  // my lane: LRG tie-break
+    d.bits = lrg_row & all_inputs(radix);  // my lane: LRG tie-break
   } else {
     d.bits = 0;  // lane below my level: better inputs live here
   }
@@ -41,7 +41,7 @@ void discharge_into(BusBits& bus, const LaneLayout& layout, RequestKind kind,
                     std::uint64_t lrg_row) {
   SSQ_EXPECT(bus.width() == layout.bus_width);
   SSQ_EXPECT(code.width() == layout.gb_lanes);
-  const std::uint64_t all = lane_mask(layout.radix);
+  const std::uint64_t all = all_inputs(layout.radix);
 
   switch (kind) {
     case RequestKind::None:

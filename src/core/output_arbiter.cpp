@@ -3,8 +3,6 @@
 #include <bit>
 #include <utility>
 
-#include "circuit/lane_masks.hpp"
-#include "core/simd.hpp"
 #include "obs/probe.hpp"
 
 namespace ssq::core {
@@ -31,14 +29,12 @@ OutputQosArbiter::OutputQosArbiter(std::uint32_t radix,
                                    const SsvcParams& params,
                                    OutputAllocation alloc,
                                    GlPolicing policing,
-                                   std::uint32_t gl_allowance_packets,
-                                   ArbKernel kernel)
+                                   std::uint32_t gl_allowance_packets)
     : radix_(radix),
       params_(params),
       alloc_(std::move(alloc)),
       lrg_(radix),
-      gl_(gl_vtick(params, alloc_), gl_allowance_packets, policing),
-      kernel_(kernel) {
+      gl_(gl_vtick(params, alloc_), gl_allowance_packets, policing) {
   SSQ_EXPECT(radix >= 1 && radix <= 64);
   params_.validate();
   alloc_.validate(radix);
@@ -47,38 +43,12 @@ OutputQosArbiter::OutputQosArbiter(std::uint32_t radix,
     gb_vc_.emplace_back(params_, gb_vtick(params_, alloc_, i));
     if (alloc_.gb_rate[i] > 0.0) gb_capable_ |= 1ULL << i;
   }
-  lane_mask_.assign(params_.gb_levels(), 0);
-  lane_mask_[0] = circuit::all_inputs_mask(radix);
 }
 
 AuxVc& OutputQosArbiter::aux_vc_mut(InputId i) {
   SSQ_EXPECT(i < radix_);
-  // Whoever takes this reference (fault injector, scrubber, tests) may move
-  // the counter out from under the incremental lane-mask mirror: mark the
-  // input stale so the next masked pick re-reads its level.
-  dirty_ |= 1ULL << i;
   ++version_;
   return gb_vc_[i];
-}
-
-void OutputQosArbiter::resync_input(InputId i) {
-  const std::uint64_t bit = 1ULL << i;
-  for (auto& lm : lane_mask_) lm &= ~bit;
-  lane_mask_[gb_vc_[i].arb_level()] |= bit;
-}
-
-void OutputQosArbiter::resync_lane_masks() {
-  std::uint64_t still = 0;
-  for (std::uint64_t m = dirty_; m != 0; m &= m - 1) {
-    const auto i = static_cast<InputId>(std::countr_zero(m));
-    resync_input(i);
-    // A corrupted thermometer vector no longer follows the incremental
-    // transforms (the XOR overlay is pinned to physical cells while the
-    // logical level keeps shifting), so the input stays dirty until the
-    // scrubber clears the corruption.
-    if (gb_vc_[i].corrupted()) still |= 1ULL << i;
-  }
-  dirty_ = still;
 }
 
 void OutputQosArbiter::advance_to(Cycle now) {
@@ -96,7 +66,6 @@ void OutputQosArbiter::advance_to(Cycle now) {
     while (rt_ >= epoch) {
       ++version_;
       for (auto& vc : gb_vc_) vc.epoch_wrap();
-      circuit::lane_masks_shift_down(lane_mask_);
       epoch_base_ += epoch;
       rt_ -= epoch;
       if (probe_ != nullptr) probe_->epoch_wrap(now, self_);
@@ -116,33 +85,16 @@ void OutputQosArbiter::on_saturation(Cycle now) {
   switch (params_.policy) {
     case CounterPolicy::Halve:
       for (auto& vc : gb_vc_) vc.halve();
-      circuit::lane_masks_halve(lane_mask_);
       if (probe_ != nullptr) probe_->mgmt_event(now, self_, /*halve=*/true);
       break;
     case CounterPolicy::Reset:
       for (auto& vc : gb_vc_) vc.reset();
-      circuit::lane_masks_reset(lane_mask_, circuit::all_inputs_mask(radix_));
       if (probe_ != nullptr) probe_->mgmt_event(now, self_, /*halve=*/false);
       break;
     case CounterPolicy::SubtractRealClock:
     case CounterPolicy::None:
       break;  // no global event for these policies; registers clamp
   }
-}
-
-InputId OutputQosArbiter::lrg_winner(std::uint64_t mask) const {
-  if (kernel_ == ArbKernel::Simd) {
-    // Vector sweep over all rows at once; the first covering requester is
-    // the first set bit of the intersection — the input lrg_.winner()'s
-    // ascending scan lands on. An empty intersection (corrupt matrix) falls
-    // through to the shared fault-tolerant degradation.
-    const std::uint64_t covering =
-        simd::covering_mask(lrg_.rows_data(), radix_, mask) & mask;
-    if (covering != 0) {
-      return static_cast<InputId>(std::countr_zero(covering));
-    }
-  }
-  return lrg_.winner(mask);
 }
 
 InputId OutputQosArbiter::pick(std::span<const ClassRequest> requests,
@@ -161,7 +113,7 @@ InputId OutputQosArbiter::pick_masked(const ClassMasks& masks, Cycle now) {
   const std::uint64_t gl_mask = masks.gl;
   const std::uint64_t gb_mask = masks.gb;
   const std::uint64_t be_mask = masks.be;
-  const std::uint64_t all = circuit::all_inputs_mask(radix_);
+  const std::uint64_t all = radix_ >= 64 ? ~0ULL : (1ULL << radix_) - 1;
   SSQ_EXPECT(((gl_mask | gb_mask | be_mask) & ~all) == 0);
   SSQ_EXPECT((gl_mask & gb_mask) == 0 && (gl_mask & be_mask) == 0 &&
              (gb_mask & be_mask) == 0 &&
@@ -169,14 +121,13 @@ InputId OutputQosArbiter::pick_masked(const ClassMasks& masks, Cycle now) {
   SSQ_EXPECT((gb_mask & ~gb_capable_) == 0 &&
              "GB request from an input with no reservation");
   if ((gl_mask | gb_mask | be_mask) == 0) return kNoPort;
-  if (dirty_ != 0) resync_lane_masks();
 
   // Stage 1 — GL override (Fig. 3): any *eligible* GL request discharges all
   // GB lanes; GL inputs LRG-arbitrate in the GL lane.
   const bool gl_ok = gl_.eligible(now);
   if (gl_ok) {
     if (gl_mask != 0) {
-      const InputId w = lrg_winner(gl_mask);
+      const InputId w = lrg_.winner(gl_mask);
       if (probe_ != nullptr && std::popcount(gl_mask) > 1) {
         probe_->lane_tie_break(
             now, self_, TrafficClass::GuaranteedLatency, w, 0,
@@ -196,45 +147,16 @@ InputId OutputQosArbiter::pick_masked(const ClassMasks& masks, Cycle now) {
   if (gb_mask != 0) {
     std::uint64_t cand = 0;
     std::uint32_t min_level = params_.gb_levels();
-    if (kernel_ == ArbKernel::Scalar) {
-      // The specification: read every requester's sensed level.
-      for (std::uint64_t m = gb_mask; m != 0; m &= m - 1) {
-        const auto i = static_cast<InputId>(std::countr_zero(m));
-        const std::uint32_t level = sensed_gb_level(i);
-        if (level < min_level) {
-          min_level = level;
-          cand = 0;
-        }
-        if (level == min_level) cand |= 1ULL << i;
+    for (std::uint64_t m = gb_mask; m != 0; m &= m - 1) {
+      const auto i = static_cast<InputId>(std::countr_zero(m));
+      const std::uint32_t level = sensed_gb_level(i);
+      if (level < min_level) {
+        min_level = level;
+        cand = 0;
       }
-    } else {
-      // AND the requester mask into the raw lane masks lowest-lane
-      // (= highest-priority) first; the first non-empty intersection is the
-      // winning lane. Under a quarantine remap, consecutive raw lanes can
-      // share a sensed level (lane_map_ is monotone with contiguous
-      // equal-value runs), so the candidate set absorbs the rest of the run.
-      const auto n = static_cast<std::uint32_t>(lane_mask_.size());
-      std::uint32_t lane = 0;
-      if (kernel_ == ArbKernel::Simd) {
-        lane = simd::first_hit_lane(lane_mask_.data(), n, gb_mask);
-        if (lane < n) cand = gb_mask & lane_mask_[lane];
-      } else {
-        for (; lane < n; ++lane) {
-          cand = gb_mask & lane_mask_[lane];
-          if (cand != 0) break;
-        }
-      }
-      SSQ_ENSURE(cand != 0 && "every input occupies exactly one lane");
-      min_level = lane;
-      if (!lane_map_.empty()) {
-        min_level = lane_map_[lane];
-        for (std::uint32_t m = lane + 1; m < n && lane_map_[m] == min_level;
-             ++m) {
-          cand |= gb_mask & lane_mask_[m];
-        }
-      }
+      if (level == min_level) cand |= 1ULL << i;
     }
-    const InputId w = lrg_winner(cand);
+    const InputId w = lrg_.winner(cand);
     if (probe_ != nullptr && std::popcount(cand) > 1) {
       probe_->lane_tie_break(now, self_, TrafficClass::GuaranteedBandwidth, w,
                              min_level,
@@ -249,7 +171,7 @@ InputId OutputQosArbiter::pick_masked(const ClassMasks& masks, Cycle now) {
       (!gl_ok && gl_.policing() == GlPolicing::Demote) ? gl_mask : 0;
   const std::uint64_t stage3 = be_mask | demoted;
   if (stage3 != 0) {
-    const InputId w = lrg_winner(stage3);
+    const InputId w = lrg_.winner(stage3);
     if (probe_ != nullptr && std::popcount(stage3) > 1) {
       probe_->lane_tie_break(
           now, self_, TrafficClass::BestEffort, w, 0,
@@ -283,9 +205,6 @@ void OutputQosArbiter::on_grant(InputId input, TrafficClass cls,
                         params_.policy == CounterPolicy::Reset)) {
         on_saturation(now);
       }
-      // The grant moved this input's counter (and a management event may
-      // have moved everyone); re-slot the granted input's lane-mask bit.
-      resync_input(input);
       break;
     }
     case TrafficClass::GuaranteedLatency:
@@ -321,7 +240,6 @@ std::uint32_t OutputQosArbiter::scrub(Cycle now) {
     const auto outcome = gb_vc_[i].scrub(rt_);
     if (outcome == AuxVc::ScrubOutcome::Clean) continue;
     ++repairs;
-    dirty_ |= 1ULL << i;  // repaired level: re-slot the lane-mask bit
     if (probe_ != nullptr) {
       probe_->scrub_repair(now, self_, i,
                            outcome == AuxVc::ScrubOutcome::ValueReset
@@ -341,7 +259,6 @@ std::uint32_t OutputQosArbiter::scrub(Cycle now) {
       probe_->scrub_repair(now, self_, kNoPort, obs::kRepairGlClock);
     }
   }
-  if (dirty_ != 0) resync_lane_masks();
   return repairs;
 }
 
@@ -356,8 +273,6 @@ void OutputQosArbiter::reset() {
   rt_ = 0;
   last_now_ = 0;
   picked_class_ = TrafficClass::BestEffort;
-  circuit::lane_masks_reset(lane_mask_, circuit::all_inputs_mask(radix_));
-  dirty_ = 0;
 }
 
 }  // namespace ssq::core

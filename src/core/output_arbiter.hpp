@@ -71,14 +71,10 @@ struct ClassMasks {
 class OutputQosArbiter {
  public:
   /// `gl_allowance_packets` parameterises the GL policer (see GlTracker).
-  /// `kernel` selects pick_masked()'s GB lane search (ArbKernel); the packed
-  /// lane-mask mirrors are maintained either way so the kernels can be
-  /// swapped (and cross-checked) at any time.
   OutputQosArbiter(std::uint32_t radix, const SsvcParams& params,
                    OutputAllocation alloc,
                    GlPolicing policing = GlPolicing::Stall,
-                   std::uint32_t gl_allowance_packets = 32,
-                   ArbKernel kernel = ArbKernel::Bitsliced);
+                   std::uint32_t gl_allowance_packets = 32);
 
   /// Advances internal real-time bookkeeping to `now`. Must be called with
   /// non-decreasing `now` before pick()/on_grant() at that cycle; handles
@@ -95,10 +91,9 @@ class OutputQosArbiter {
   /// no request is serviceable (none, or GL-only and the GL class is
   /// stalled by the policer). The three classes arrive as packed request
   /// masks (bit i == input i requests in that class; an input may appear in
-  /// at most one mask). Every kernel runs this one path; they differ only in
-  /// how the GB stage finds the minimum sensed level (ArbKernel), and every
-  /// lane tie goes to arb::LrgArbiter::winner(). Does not mutate
-  /// arbitration state (a stale lane-mask mirror may be re-read).
+  /// at most one mask). The GB stage reads every GB requester's sensed
+  /// level and keeps those at the minimum; every lane tie goes to
+  /// arb::LrgArbiter::winner(). Does not mutate arbitration state.
   [[nodiscard]] InputId pick_masked(const ClassMasks& masks, Cycle now);
 
   /// Class the last pick's winner belonged to (after policing, a demoted GL
@@ -152,7 +147,6 @@ class OutputQosArbiter {
   /// Cycle the current epoch began (a multiple of params().epoch_cycles();
   /// moves only in the versioned epoch-wrap loop of advance_to, and reset).
   [[nodiscard]] Cycle epoch_base() const noexcept { return epoch_base_; }
-  [[nodiscard]] ArbKernel kernel() const noexcept { return kernel_; }
   /// Mutation counter over every piece of state the differential checker
   /// compares: auxVC registers and codes, the quarantine remap, the LRG
   /// matrix and the GL clock. Every path that can write that state bumps it
@@ -164,26 +158,6 @@ class OutputQosArbiter {
   [[nodiscard]] std::uint64_t state_version() const noexcept {
     return version_;
   }
-
-  // ---- packed lane-mask mirrors (bit-sliced kernel state) ----
-  //
-  // lane_mask(m) mirrors, incrementally, the set of inputs whose *raw*
-  // sensed thermometer level (AuxVc::arb_level(), before the quarantine
-  // remap) is m. Inputs listed in dirty_inputs() may be stale — a fault
-  // touched them, or their corruption makes the incremental transforms
-  // diverge from the stored vector — and are re-read from the counters at
-  // the top of every masked pick. Invariant (checked by the kernel property
-  // tests): after resync_lane_masks(), bit i of lane_mask(m) is set iff
-  // aux_vc(i).arb_level() == m, for every input i.
-  [[nodiscard]] std::uint64_t lane_mask(std::uint32_t lane) const {
-    SSQ_EXPECT(lane < params_.gb_levels());
-    return lane_mask_[lane];
-  }
-  [[nodiscard]] std::uint64_t dirty_inputs() const noexcept { return dirty_; }
-  /// Re-reads every dirty input's lane slot from its counter; corrupted
-  /// inputs stay marked dirty (their stored vector no longer follows the
-  /// incremental transforms until the scrubber repairs it).
-  void resync_lane_masks();
 
   // ---- fault injection / recovery (driven by src/fault) ----
 
@@ -224,12 +198,6 @@ class OutputQosArbiter {
   /// Applies the halve/reset global management event.
   void on_saturation(Cycle now);
 
-  /// LRG resolution of a lane tie: lrg_.winner(mask), with the SIMD
-  /// kernel's vector covering sweep tried first.
-  [[nodiscard]] InputId lrg_winner(std::uint64_t mask) const;
-  /// Moves input i's lane-mask bit to its current raw sensed level.
-  void resync_input(InputId i);
-
   std::uint32_t radix_;
   SsvcParams params_;
   OutputAllocation alloc_;
@@ -242,9 +210,6 @@ class OutputQosArbiter {
   TrafficClass picked_class_ = TrafficClass::BestEffort;
   std::uint64_t quarantined_ = 0;        // out-of-service GB lanes
   std::vector<std::uint32_t> lane_map_;  // level remap; empty = identity
-  ArbKernel kernel_ = ArbKernel::Bitsliced;
-  std::vector<std::uint64_t> lane_mask_;  // per raw lane: occupant inputs
-  std::uint64_t dirty_ = 0;       // inputs whose lane slot may be stale
   std::uint64_t gb_capable_ = 0;  // inputs with a GB reservation
   std::uint64_t version_ = 0;  // state_version(); monotone, never reset
   obs::SwitchProbe* probe_ = nullptr;  // null = observability off

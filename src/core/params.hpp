@@ -52,36 +52,12 @@ enum class CounterPolicy : std::uint8_t {
   return "?";
 }
 
-/// Which GB lane search OutputQosArbiter::pick_masked() runs. Every kernel
-/// takes the same per-class request masks and resolves lane ties through
-/// the same arb::LrgArbiter::winner(); all three compute the same function
-/// (the differential checker and the golden corpus assert byte-identical
-/// grants and traces). The bit-sliced kernel is the word-parallel form of
-/// the paper's bitline circuit.
+// Retired aliases of one value; ROADMAP item 9 deletes them with core.kernel.*
 enum class ArbKernel : std::uint8_t {
-  /// Per-requester scan: reads each GB requester's sensed level and keeps
-  /// those at the minimum — the specification the lane-mask searches of the
-  /// other two kernels reproduce.
   Scalar = 0,
-  /// Packed-mask kernel: requester/lane/class state held as uint64 masks
-  /// (one bit per input), winner found by ANDing masks top-priority-first —
-  /// O(lanes + words) per arbitration instead of O(radix) passes.
-  Bitsliced = 1,
-  /// Vectorized form of the bit-sliced kernel: the GB min-level lane scan and
-  /// the LRG covering test sweep 4 lanes/rows per instruction (AVX2 when the
-  /// host supports it, a portable fixed-width fallback otherwise — see
-  /// core::simd::active_tier()). Same function, byte-identical picks.
-  Simd = 2,
+  Bitsliced = Scalar,
+  Simd = Scalar,
 };
-
-[[nodiscard]] constexpr const char* to_string(ArbKernel k) noexcept {
-  switch (k) {
-    case ArbKernel::Scalar: return "scalar";
-    case ArbKernel::Bitsliced: return "bitsliced";
-    case ArbKernel::Simd: return "simd";
-  }
-  return "?";
-}
 
 struct SsvcParams {
   /// MSBs of auxVC exposed to arbitration; the thermometer code has

@@ -80,12 +80,8 @@ struct SwitchConfig {
   core::SsvcParams ssvc{};
   BufferConfig buffers{};
 
-  /// GB lane search of the SSVC arbiters (scalar per-requester scan,
-  /// packed-mask bit-sliced, or its SIMD schedule; see ArbKernel).
-  /// Semantically identical — the differential checker and golden corpus
-  /// assert byte-identical grants and traces across all three — so this is
-  /// a performance knob (--kernel=).
-  core::ArbKernel kernel = core::ArbKernel::Bitsliced;
+  /// Retired, read by nothing; ROADMAP item 9 deletes it with core.kernel.*
+  core::ArbKernel kernel = core::ArbKernel::Scalar;
 
   /// Idle-cycle fast-forward: when no packet exists anywhere in the switch,
   /// run() skips ahead — jumping the clock to the minimum event horizon
@@ -177,6 +173,13 @@ struct SwitchConfig {
                            "matching engine (chaining charges the per-output "
                            "arbiters an engine bypasses)");
     }
+    detail::config_check(!packet_chaining || mode == ArbitrationMode::SsvcQos,
+                         "packet chaining requires the QoS arbiters (a "
+                         "baseline arbiter cannot be charged without a pick)");
+    detail::config_check(!pvc.preemption ||
+                             (mode == ArbitrationMode::Baseline &&
+                              baseline == arb::Kind::Pvc),
+                         "PVC preemption requires the PVC baseline arbiter");
     ssvc.validate();
     buffers.validate();
     gsf.validate();

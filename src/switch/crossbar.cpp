@@ -17,11 +17,6 @@ CrossbarSwitch::CrossbarSwitch(const SwitchConfig& config,
   config_.validate();
   SSQ_EXPECT(workload_.radix() == config_.radix);
   workload_.validate();
-  if (config_.packet_chaining) {
-    SSQ_EXPECT(config_.mode == ArbitrationMode::SsvcQos &&
-               "packet chaining requires the QoS arbiters (baseline WRR/DWRR "
-               "cannot be charged without a pick)");
-  }
 
   const std::uint32_t radix = config_.radix;
   scratch_ = StepScratch(radix);
@@ -35,11 +30,6 @@ CrossbarSwitch::CrossbarSwitch(const SwitchConfig& config,
   transmissions_.resize(radix);
   usage_.resize(radix);
   preemptions_.assign(radix, 0);
-  if (config_.pvc.preemption) {
-    SSQ_EXPECT(config_.mode == ArbitrationMode::Baseline &&
-               config_.baseline == arb::Kind::Pvc &&
-               "PVC preemption requires the PVC baseline arbiter");
-  }
 
   if (config_.mode == ArbitrationMode::SsvcQos) {
     qos_.reserve(radix);
@@ -51,7 +41,7 @@ CrossbarSwitch::CrossbarSwitch(const SwitchConfig& config,
     if (config_.mode == ArbitrationMode::SsvcQos) {
       qos_.push_back(std::make_unique<core::OutputQosArbiter>(
           radix, config_.ssvc, std::move(alloc), config_.gl_policing,
-          config_.gl_allowance_packets, config_.kernel));
+          config_.gl_allowance_packets));
     } else {
       // Rate-parameterised baselines receive the GB reservations; inputs
       // with no reservation get a nominal unit share.
@@ -647,8 +637,8 @@ void CrossbarSwitch::arbitrate() {
 }
 
 void CrossbarSwitch::arbitrate_masked() {
-  // SSVC single-request allocation, every kernel: each requested output
-  // resolves its kept class masks in one pick_masked().
+  // SSVC single-request allocation: each requested output resolves its kept
+  // class masks in one pick_masked().
   StepScratch& s = scratch_;
   // Only requested outputs can grant; an un-requested output's advance_to()
   // stays lazy. Bit order == ascending o.

@@ -238,8 +238,8 @@ class CrossbarSwitch {
   /// in the per-output class masks. The .cpp lists the reselect rules.
   void select_requests();
   void arbitrate();
-  /// SSVC single-request mode, every kernel: the kept per-output class
-  /// request masks straight to pick_masked().
+  /// SSVC single-request mode: the kept per-output class request masks
+  /// straight to pick_masked().
   void arbitrate_masked();
   void arbitrate_matched();
   /// Matching-engine allocation (config.engine != None): build the
@@ -349,8 +349,6 @@ class CrossbarSwitch {
   // Per-cycle scratch arena: sized at construction, reused every step so the
   // steady-state cycle loop never touches the heap.
   StepScratch scratch_;
-  // (src, dst, cls-bucket) -> FlowId for attributing granted packets.
-  // GB flows are crosspoint-exclusive; BE/GL may multiplex per input.
 
   stats::LatencyRecorder latency_;
   stats::LatencyRecorder wait_;

@@ -233,7 +233,7 @@ TEST(LrgTest, TotalOrderCheckMatchesThePairwiseDefinitionUnderBitFlips) {
 }
 
 TEST(LrgTest, WinnerMatchesThePairwiseDefinition) {
-  // winner(mask) is the one LRG resolution every SSVC kernel uses. On a
+  // winner(mask) is the one LRG resolution SSVC arbitration uses. On a
   // total order it is the requester that beats every other requester; on a
   // corrupt matrix (fault-tolerant mode) it is the requester that beats the
   // most other requesters, lowest index on ties.

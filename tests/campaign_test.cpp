@@ -261,7 +261,7 @@ TEST(Manifest, SerializeParseRoundTrip) {
   m.base_seed = 42;
   m.scenarios = 17;
   m.shards = 5;
-  m.grid = {parse_grid_point("default"), parse_grid_point("monitor+scalar")};
+  m.grid = {parse_grid_point("default"), parse_grid_point("monitor+noff")};
   m.max_attempts = 4;
   m.scenario_timeout_ms = 1234;
   m.throttle_ms = 9;
@@ -272,9 +272,9 @@ TEST(Manifest, SerializeParseRoundTrip) {
   EXPECT_EQ(back.shards, 5u);
   ASSERT_EQ(back.grid.size(), 2u);
   EXPECT_EQ(back.grid[0].label, "default");
-  EXPECT_EQ(back.grid[1].label, "monitor+scalar");
+  EXPECT_EQ(back.grid[1].label, "monitor+noff");
   EXPECT_TRUE(back.grid[1].opts.monitor);
-  EXPECT_EQ(back.grid[1].kernel, core::ArbKernel::Scalar);
+  EXPECT_FALSE(back.grid[1].fast_forward);
   EXPECT_EQ(back.max_attempts, 4u);
   EXPECT_EQ(back.scenario_timeout_ms, 1234u);
   EXPECT_EQ(back.throttle_ms, 9u);
@@ -290,7 +290,7 @@ TEST(Manifest, SerializeParseRoundTrip) {
 TEST(Manifest, ShardRangesPartitionTheUnitSpace) {
   Manifest m;
   m.scenarios = 17;
-  m.grid = {parse_grid_point("default"), parse_grid_point("scalar"),
+  m.grid = {parse_grid_point("default"), parse_grid_point("noff"),
             parse_grid_point("no-circuit")};
   m.shards = 7;
   std::vector<int> covered(m.total_units(), 0);
@@ -373,25 +373,32 @@ TEST(Manifest, TinyShardCountsStayUniform) {
   }
 }
 
-TEST(Manifest, SimdAndEngineGridTokensParse) {
-  const GridPoint simd = parse_grid_point("simd");
-  EXPECT_EQ(simd.kernel, core::ArbKernel::Simd);
+TEST(Manifest, EngineGridTokensParseAndKernelTokensAreRefused) {
   const GridPoint eng = parse_grid_point("engine=islip");
   EXPECT_EQ(eng.engine, arb::MatchKind::Islip);
-  const GridPoint both = parse_grid_point("simd+engine=qps+monitor");
-  EXPECT_EQ(both.kernel, core::ArbKernel::Simd);
+  const GridPoint both = parse_grid_point("engine=qps+monitor");
   EXPECT_EQ(both.engine, arb::MatchKind::Qps);
   EXPECT_TRUE(both.opts.monitor);
   // Round-trips through the manifest identity like any other token.
   Manifest m = tiny_manifest();
   m.grid = {both};
   const Manifest back = parse_manifest(m.serialize());
-  EXPECT_EQ(back.grid.at(0).kernel, core::ArbKernel::Simd);
   EXPECT_EQ(back.grid.at(0).engine, arb::MatchKind::Qps);
   EXPECT_THROW(parse_grid_point("engine=warp"), ConfigError);
   // A starving engine fails every unit by design; it is only a plant.
   EXPECT_THROW(parse_grid_point("engine=starve"), ConfigError);
   EXPECT_TRUE(parse_grid_point("monitor+sparse").sparse);
+  // There is one GB search, so a retired kernel token is refused by name
+  // instead of silently meaning nothing.
+  for (const char* label : {"scalar", "monitor+scalar"}) {
+    try {
+      (void)parse_grid_point(label);
+      ADD_FAILURE() << label << " was accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("'scalar'"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(WorkUnit, EngineNoneForcesTheClassicPathAndDefaultKeepsTheGenerated) {
@@ -541,7 +548,7 @@ TEST_F(CampaignTest, EngineGridPointsRunChainingScenariosClean) {
   // die with a ConfigError and drain the attempt budget into quarantine.
   Manifest m = tiny_manifest();
   m.scenarios = 30;  // enough draws that some scenarios enable chaining
-  m.grid = {parse_grid_point("simd+engine=qps")};
+  m.grid = {parse_grid_point("engine=qps")};
   const std::string d = dir() + "/engine";
   init_campaign_dir(d, m);
   for (std::uint64_t k = 0; k < m.shards; ++k) {

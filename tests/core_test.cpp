@@ -465,5 +465,71 @@ TEST(OutputQosArbiterTest, ResetRestoresInitialState) {
   EXPECT_EQ(arb.pick(reqs, 0), 0u);  // initial LRG order restored
 }
 
+// ---- the GB search under faults (hand-computed winners) ----
+
+TEST(OutputQosArbiterTest, QuarantineMergesLanesAndLrgResolvesTheTie) {
+  auto arb = make_gb_arbiter();
+  arb.advance_to(0);
+  // Input 1 climbs to level 1 (Vtick 3: six grants reach value 18); then
+  // input 0 moves to the back of the LRG order, so 1 beats 0.
+  for (int g = 0; g < 64 && arb.gb_level(1) < 1; ++g) {
+    arb.on_grant(1, TrafficClass::GuaranteedBandwidth, 1, 0);
+  }
+  ASSERT_EQ(arb.gb_level(1), 1u);
+  ASSERT_EQ(arb.gb_level(0), 0u);
+  arb.lrg().on_grant(0, 1, 0);
+  ASSERT_TRUE(arb.lrg().beats(1, 0));
+  const std::vector<ClassRequest> reqs = {
+      {0, TrafficClass::GuaranteedBandwidth, 1},
+      {1, TrafficClass::GuaranteedBandwidth, 1}};
+  EXPECT_EQ(arb.pick(reqs, 0), 0u);  // level 0 beats level 1
+  // Quarantining lane 0 remaps levels 0 and 1 to one sensed level: the two
+  // requesters tie and LRG hands the grant to input 1.
+  arb.quarantine_lane(0);
+  EXPECT_EQ(arb.sensed_gb_level(0), 0u);
+  EXPECT_EQ(arb.sensed_gb_level(1), 0u);
+  EXPECT_EQ(arb.gb_level(1), 1u);
+  EXPECT_EQ(arb.pick(reqs, 0), 1u);
+  EXPECT_EQ(arb.picked_class(), TrafficClass::GuaranteedBandwidth);
+}
+
+TEST(OutputQosArbiterTest, FlippedThermometerCellPicksBySensedLevel) {
+  auto arb = make_gb_arbiter();
+  arb.advance_to(0);
+  const std::vector<ClassRequest> reqs = {
+      {0, TrafficClass::GuaranteedBandwidth, 1},
+      {1, TrafficClass::GuaranteedBandwidth, 1}};
+  ASSERT_EQ(arb.pick(reqs, 0), 0u);  // both at level 0: LRG picks input 0
+  // A soft error sets cell T_2 of input 0's vector (stored 0b001 now reads
+  // 0b101): the bitlines sense level 2 although the register still says 0.
+  arb.aux_vc_mut(0).fault_flip_code(2);
+  EXPECT_EQ(arb.gb_level(0), 0u);
+  EXPECT_EQ(arb.sensed_gb_level(0), 2u);
+  EXPECT_EQ(arb.pick(reqs, 0), 1u);
+  // The scrubber rewrites the vector from the register; LRG decides again.
+  EXPECT_EQ(arb.scrub(0), 1u);
+  EXPECT_EQ(arb.pick(reqs, 0), 0u);
+}
+
+TEST(OutputQosArbiterTest, CorruptLrgRowDegradesToMaxOutDegreeRequester) {
+  auto arb = make_gb_arbiter();
+  arb.advance_to(0);
+  arb.lrg().set_fault_tolerant(true);
+  // Initial order 0 > 1 > 2 > 3. Clearing cells (0,1) and (0,2) leaves
+  // row 0 = {3}: no requester beats all the others, and the out-degrees
+  // among the four are 1, 2, 1, 0, so input 1 wins (not the clean winner 0).
+  arb.lrg().fault_flip(0, 1);
+  arb.lrg().fault_flip(0, 2);
+  ASSERT_FALSE(arb.lrg().is_total_order());
+  const auto reqs = gb_requests(4);
+  EXPECT_EQ(arb.pick(reqs, 0), 1u);
+  // repair_order() ranks by surviving out-degree, ties to the lower index:
+  // 1 > 0 > 2 > 3, so the repaired matrix still elects input 1.
+  EXPECT_EQ(arb.scrub(0), 1u);
+  EXPECT_TRUE(arb.lrg().is_total_order());
+  EXPECT_EQ(arb.pick(reqs, 0), 1u);
+  EXPECT_TRUE(arb.lrg().beats(0, 2));
+}
+
 }  // namespace
 }  // namespace ssq::core

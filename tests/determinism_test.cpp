@@ -118,20 +118,19 @@ TEST(Determinism, GoldenTraceMatchesItselfAndDiffersAcrossSeeds) {
   EXPECT_NE(a, golden_trace(s));
 }
 
-// -- Kernel and fast-forward invariance -------------------------------------
+// -- Fast-forward invariance ------------------------------------------------
 //
-// The bit-sliced kernel and idle-cycle fast-forward are pure execution
-// optimisations: the full JSONL event stream must be byte-identical across
-// {scalar, bitsliced} x {fast-forward on, off}. The reference trace comes
-// from the manual step() loop above (where fast-forward can never engage),
-// so these tests prove run()'s clock jumps are invisible even against the
-// most naive execution.
+// Idle-cycle fast-forward is a pure execution optimisation: the full JSONL
+// event stream must be byte-identical with it on and off. The reference
+// trace comes from the manual step() loop above (where fast-forward can
+// never engage), so these tests prove run()'s clock jumps are invisible
+// even against the most naive execution. (The KernelInvariance suite keeps
+// its name from when it also swept interchangeable arbitration kernels.)
 
 /// Like jsonl_trace() but drives the switch through run(), the only entry
 /// point where fast-forward engages. Reports the cycles actually skipped.
-std::string jsonl_trace_run(Scenario s, core::ArbKernel kernel,
-                            bool fast_forward, Cycle* skipped = nullptr) {
-  s.kernel = kernel;
+std::string jsonl_trace_run(Scenario s, bool fast_forward,
+                            Cycle* skipped = nullptr) {
   s.fast_forward = fast_forward;
   ScenarioRun rig = instantiate(s);
   std::ostringstream out;
@@ -148,24 +147,16 @@ std::string jsonl_trace_run(Scenario s, core::ArbKernel kernel,
 }
 
 void expect_trace_invariant(const Scenario& base) {
-  Scenario stepped = base;
-  stepped.kernel = core::ArbKernel::Scalar;
-  const std::string ref = jsonl_trace(stepped);
+  const std::string ref = jsonl_trace(base);
   ASSERT_FALSE(ref.empty());
-  for (const auto kernel :
-       {core::ArbKernel::Scalar, core::ArbKernel::Bitsliced,
-        core::ArbKernel::Simd}) {
-    for (const bool ff : {false, true}) {
-      EXPECT_EQ(ref, jsonl_trace_run(base, kernel, ff))
-          << base.name << " kernel=" << core::to_string(kernel)
-          << " fast_forward=" << ff;
-    }
+  for (const bool ff : {false, true}) {
+    EXPECT_EQ(ref, jsonl_trace_run(base, ff))
+        << base.name << " fast_forward=" << ff;
   }
 }
 
 /// sim_scenario() under GSF source regulation: the frame/barrier/quota
-/// bookkeeping must survive kernel swaps and fast-forward's retroactive
-/// frame catch-up.
+/// bookkeeping must survive fast-forward's retroactive frame catch-up.
 Scenario gsf_scenario() {
   Scenario s = sim_scenario();
   s.name = "determinism-gsf";
@@ -195,8 +186,8 @@ Scenario engine_scenario(arb::MatchKind kind) {
 }
 
 TEST(KernelInvariance, EngineTracesIdenticalAcrossKernelAndFF) {
-  // Every matching engine must be as kernel- and fast-forward-invariant as
-  // the classic path: the engine RNG stream advances only on non-quiescent
+  // Every matching engine must be as fast-forward-invariant as the classic
+  // path: the engine RNG stream advances only on non-quiescent
   // cycles, so skipped idle cycles leave it untouched.
   for (const auto kind : {arb::MatchKind::Islip, arb::MatchKind::Qps,
                           arb::MatchKind::SwQps, arb::MatchKind::Ssvc}) {
@@ -239,33 +230,23 @@ TEST(KernelInvariance, FastForwardEngagesOnSparseTrafficWithoutTraceDrift) {
   // against the stepped reference is a non-vacuous proof that skipped idle
   // cycles touch no observable state.
   const Scenario s = sparse_scenario();
-  Scenario stepped = s;
-  stepped.kernel = core::ArbKernel::Scalar;
-  const std::string ref = jsonl_trace(stepped);
+  const std::string ref = jsonl_trace(s);
   Cycle skipped = 0;
-  const std::string ff_trace =
-      jsonl_trace_run(s, core::ArbKernel::Bitsliced, true, &skipped);
+  const std::string ff_trace = jsonl_trace_run(s, true, &skipped);
   EXPECT_GT(skipped, s.cycles / 2)
       << "fast-forward never engaged — the invariance check is vacuous";
   EXPECT_EQ(ref, ff_trace);
   Cycle noff_skipped = 0;
-  const std::string noff_trace =
-      jsonl_trace_run(s, core::ArbKernel::Bitsliced, false, &noff_skipped);
+  const std::string noff_trace = jsonl_trace_run(s, false, &noff_skipped);
   EXPECT_EQ(noff_skipped, 0u);
   EXPECT_EQ(ref, noff_trace);
-  // The SIMD kernel through the same genuinely-engaging fast-forward run.
-  Cycle simd_skipped = 0;
-  const std::string simd_trace =
-      jsonl_trace_run(s, core::ArbKernel::Simd, true, &simd_skipped);
-  EXPECT_GT(simd_skipped, s.cycles / 2);
-  EXPECT_EQ(ref, simd_trace);
 }
 
 TEST(KernelInvariance, FastForwardJumpsOverStochasticSources) {
   // Sparse Bernoulli and OnOff flows, one starting late: their injectors
   // pre-roll their streams, so the clock jumps between creations instead
-  // of stepping every idle cycle to roll them, and every kernel's jumped
-  // trace still equals the stepped reference.
+  // of stepping every idle cycle to roll them, and the jumped trace still
+  // equals the stepped reference.
   Scenario s;
   s.name = "determinism-sparse-stochastic";
   s.seed = 11;
@@ -288,22 +269,15 @@ TEST(KernelInvariance, FastForwardJumpsOverStochasticSources) {
   }
   s.flows[2].start_cycle = 2500;
 
-  Scenario stepped = s;
-  stepped.kernel = core::ArbKernel::Scalar;
-  const std::string ref = jsonl_trace(stepped);
+  const std::string ref = jsonl_trace(s);
   ASSERT_NE(ref.find("\"grant\""), std::string::npos)
       << "no packet was granted — the invariance check is vacuous";
   ASSERT_NE(ref.find("\"ev\":\"create\",\"cls\":\"BE\",\"in\":2,"),
             std::string::npos)
       << "the late-starting flow created nothing";
-  for (const auto kernel :
-       {core::ArbKernel::Scalar, core::ArbKernel::Bitsliced,
-        core::ArbKernel::Simd}) {
-    Cycle skipped = 0;
-    EXPECT_EQ(ref, jsonl_trace_run(s, kernel, true, &skipped))
-        << core::to_string(kernel);
-    EXPECT_GT(skipped, s.cycles / 2) << core::to_string(kernel);
-  }
+  Cycle skipped = 0;
+  EXPECT_EQ(ref, jsonl_trace_run(s, true, &skipped));
+  EXPECT_GT(skipped, s.cycles / 2);
 }
 
 TEST(KernelInvariance, FastForwardEngagesOnFaultedSparseScenario) {
@@ -322,20 +296,16 @@ TEST(KernelInvariance, FastForwardEngagesOnFaultedSparseScenario) {
   s.faults.port_kills.push_back({1, 1500, 2500});
   s.scrub_interval = 400;
 
-  Scenario stepped = s;
-  stepped.kernel = core::ArbKernel::Scalar;
-  const std::string ref = jsonl_trace(stepped);
+  const std::string ref = jsonl_trace(s);
   EXPECT_NE(ref.find("\"fault\""), std::string::npos)
       << "no faults fired — the invariance check is vacuous";
   Cycle skipped = 0;
-  const std::string ff_trace =
-      jsonl_trace_run(s, core::ArbKernel::Bitsliced, true, &skipped);
+  const std::string ff_trace = jsonl_trace_run(s, true, &skipped);
   EXPECT_GT(skipped, 0u)
       << "fast-forward never engaged on the faulted sparse scenario";
   EXPECT_EQ(ref, ff_trace);
   Cycle noff_skipped = 0;
-  EXPECT_EQ(ref, jsonl_trace_run(s, core::ArbKernel::Bitsliced, false,
-                                 &noff_skipped));
+  EXPECT_EQ(ref, jsonl_trace_run(s, false, &noff_skipped));
   EXPECT_EQ(noff_skipped, 0u);
 }
 
@@ -409,14 +379,13 @@ struct Verdict {
   bool operator==(const Verdict&) const = default;
 };
 
-std::vector<Verdict> run_campaign(
-    unsigned threads, std::uint64_t count, std::uint64_t base_seed,
-    core::ArbKernel kernel = core::ArbKernel::Bitsliced,
-    bool fast_forward = true, bool monitor = false) {
+std::vector<Verdict> run_campaign(unsigned threads, std::uint64_t count,
+                                  std::uint64_t base_seed,
+                                  bool fast_forward = true,
+                                  bool monitor = false) {
   exec::ThreadPool pool(threads);
   return exec::run_batch<Verdict>(pool, count, [&](std::size_t i) {
     Scenario s = generate_scenario(i, base_seed);
-    s.kernel = kernel;
     s.fast_forward = fast_forward;
     CheckOptions opts;
     opts.monitor = monitor;
@@ -448,20 +417,15 @@ TEST(DeterminismParallel, HundredScenarioCampaignIdenticalAtJobs1And8) {
 
 TEST(DeterminismParallel, HundredScenarioCampaignIdenticalAcrossKernelAndFF) {
   // The fuzz campaign's verdicts (fail/pass, failure site, grant and
-  // delivery counts) must not depend on which kernel ran or whether idle
-  // cycles were fast-forwarded. The fastest configuration (bitsliced + FF,
-  // the default) is the reference; the slowest (scalar, no FF) must agree
-  // scenario by scenario.
+  // delivery counts) must not depend on whether idle cycles were
+  // fast-forwarded. The default (FF on) is the reference; the fully stepped
+  // run must agree scenario by scenario. (The name dates from when the test
+  // also swept interchangeable arbitration kernels.)
   const auto fast = run_campaign(4, 100, 99);
-  const auto slow =
-      run_campaign(4, 100, 99, core::ArbKernel::Scalar, /*fast_forward=*/false);
-  const auto simd =
-      run_campaign(4, 100, 99, core::ArbKernel::Simd, /*fast_forward=*/true);
+  const auto slow = run_campaign(4, 100, 99, /*fast_forward=*/false);
   ASSERT_EQ(fast.size(), slow.size());
-  ASSERT_EQ(fast.size(), simd.size());
   for (std::size_t i = 0; i < fast.size(); ++i) {
     EXPECT_EQ(fast[i], slow[i]) << "scenario " << i;
-    EXPECT_EQ(fast[i], simd[i]) << "scenario " << i << " (simd kernel)";
     EXPECT_FALSE(fast[i].failed) << "scenario " << i << ": " << fast[i].kind;
   }
 }
@@ -470,10 +434,10 @@ TEST(DeterminismParallel, TwoHundredMonitoredScenarioCampaignIdenticalAcrossFF) 
   // Fast-forward vs fully stepped with the conformance monitor attached to
   // every scenario: the verdicts — failure sites, grant and delivery counts,
   // judged windows, violation totals — must agree scenario for scenario.
-  const auto ff = run_campaign(4, 200, 424242, core::ArbKernel::Bitsliced,
-                               /*fast_forward=*/true, /*monitor=*/true);
-  const auto noff = run_campaign(4, 200, 424242, core::ArbKernel::Bitsliced,
-                                 /*fast_forward=*/false, /*monitor=*/true);
+  const auto ff = run_campaign(4, 200, 424242, /*fast_forward=*/true,
+                               /*monitor=*/true);
+  const auto noff = run_campaign(4, 200, 424242, /*fast_forward=*/false,
+                                 /*monitor=*/true);
   ASSERT_EQ(ff.size(), 200u);
   std::uint64_t windows = 0;
   for (std::size_t i = 0; i < ff.size(); ++i) {

@@ -178,7 +178,7 @@ TEST(ParserMutation, EveryManifestMutantParsesOrThrowsConfigError) {
   campaign::Manifest wide;
   wide.scenarios = 50;
   wide.grid = {campaign::parse_grid_point("default"),
-               campaign::parse_grid_point("monitor+scalar"),
+               campaign::parse_grid_point("monitor+noff"),
                campaign::parse_grid_point("sparse+engine=islip")};
   wide.planted = {{campaign::Plant::Kind::Hang, 3},
                   {campaign::Plant::Kind::Crash, 120}};

@@ -10,6 +10,7 @@
 #include <string>
 #include <string_view>
 
+#include "exec/thread_pool.hpp"
 #include "sim/error.hpp"
 #include "sim/parse.hpp"
 
@@ -36,6 +37,19 @@ inline double parse_rate(std::string_view value, std::string_view option) {
                       std::string(option) + " (expected a rate in [0,1])");
   }
   return x;
+}
+
+/// Worker-count option (`--jobs`, `--workers`): 0 means one per hardware
+/// thread. Each worker is a thread or a forked process, so a count above
+/// kMaxJobs is refused rather than started.
+inline constexpr unsigned kMaxJobs = 512;
+inline unsigned parse_jobs(std::string_view value, std::string_view option) {
+  const auto jobs = parse_uint<unsigned>(value, option);
+  if (jobs > kMaxJobs) {
+    throw ConfigError(std::string(option) + " too large (max " +
+                      std::to_string(kMaxJobs) + ")");
+  }
+  return jobs == 0 ? exec::ThreadPool::hardware_threads() : jobs;
 }
 
 }  // namespace ssq::cli

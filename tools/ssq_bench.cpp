@@ -5,8 +5,6 @@
 // binaries):
 //   * steady-state switch throughput (cycles/sec and ns/step) at radix
 //     8/16/32/64 on a hotspot + best-effort workload,
-//   * the same radix-64 point with the scalar and SIMD arbitration kernels,
-//     so every kernel stays gated,
 //   * the radix-64 point again with a probe + QoS conformance monitor
 //     attached (the --monitor stepping cost),
 //   * a sparse (sub-10%-load, periodic-injection) radix-64 sweep with
@@ -58,7 +56,6 @@
 #include "check/differential.hpp"
 #include "check/scenario.hpp"
 #include "check/stability.hpp"
-#include "core/simd.hpp"
 #include "exec/thread_pool.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
@@ -85,13 +82,9 @@ Measures the hot-path metrics gated in CI and writes BENCH_hotpath.json.
   --cycles=N          measured cycles per radix point (default 50000)
   --scenarios=N       scenarios per campaign timing point (default 40)
   --jobs=N            thread count for the parallel campaign point
-                      (default 0 = all hardware threads; on a single-CPU
-                      host the parallel point is skipped and campaign_jobs
-                      reports 1)
-  --kernel=bitsliced|scalar|simd
-                      arbitration kernel for the radix sweep (default
-                      bitsliced; the dedicated radix64_scalar and
-                      radix64_simd points always measure their own kernels)
+                      (default 0 = all hardware threads, at most 512; on a
+                      single-CPU host the parallel point is skipped and
+                      campaign_jobs reports 1)
   --json=PATH         report path (default BENCH_hotpath.json)
   --check[=PATH]      compare against a baseline report (default: the
                       report path) and exit 1 on regression; throughput
@@ -110,10 +103,9 @@ using cli::parse_uint;
 /// The measurement configuration: the paper's SSVC parameters at the
 /// radix-64 bus budget (4 GB lanes), hotspot reservations on output 0 plus
 /// spread best-effort — the same shape as bench/radix64_scale.
-sw::SwitchConfig bench_config(std::uint32_t radix, core::ArbKernel kernel) {
+sw::SwitchConfig bench_config(std::uint32_t radix) {
   sw::SwitchConfig c;
   c.radix = radix;
-  c.kernel = kernel;
   c.ssvc.level_bits = 2;
   c.ssvc.lsb_bits = 8;
   c.ssvc.vtick_bits = 8;
@@ -216,16 +208,15 @@ StepPoint timed_run(sw::CrossbarSwitch& sim, std::uint32_t radix,
   return p;
 }
 
-StepPoint measure_steps(std::uint32_t radix, Cycle cycles,
-                        core::ArbKernel kernel) {
-  sw::CrossbarSwitch sim(bench_config(radix, kernel),
+StepPoint measure_steps(std::uint32_t radix, Cycle cycles) {
+  sw::CrossbarSwitch sim(bench_config(radix),
                          bench_workload(radix, /*stable=*/false));
   return timed_run(sim, radix, cycles);
 }
 
 StepPoint measure_sparse(std::uint32_t radix, Cycle cycles,
-                         core::ArbKernel kernel, bool fast_forward) {
-  sw::SwitchConfig cfg = bench_config(radix, kernel);
+                         bool fast_forward) {
+  sw::SwitchConfig cfg = bench_config(radix);
   cfg.fast_forward = fast_forward;
   sw::CrossbarSwitch sim(cfg, sparse_workload(radix));
   return timed_run(sim, radix, cycles);
@@ -239,8 +230,8 @@ StepPoint measure_sparse(std::uint32_t radix, Cycle cycles,
 /// skipped cycle, the jumps save the full step). A fast-forwarded run that
 /// never actually jumps would gate nothing, so that is an error here.
 StepPoint measure_faulted_sparse(std::uint32_t radix, Cycle cycles,
-                                 core::ArbKernel kernel, bool fast_forward) {
-  sw::SwitchConfig cfg = bench_config(radix, kernel);
+                                 bool fast_forward) {
+  sw::SwitchConfig cfg = bench_config(radix);
   cfg.fast_forward = fast_forward;
   fault::FaultPlan plan;
   plan.seed = 0xFA111;
@@ -268,9 +259,8 @@ StepPoint measure_faulted_sparse(std::uint32_t radix, Cycle cycles,
 /// the plain point itself stays probe-free, so the detached fast path
 /// (one null-pointer branch per hook site) is what the gate holds to the
 /// baseline.
-StepPoint measure_monitored(std::uint32_t radix, Cycle cycles,
-                            core::ArbKernel kernel) {
-  sw::CrossbarSwitch sim(bench_config(radix, kernel),
+StepPoint measure_monitored(std::uint32_t radix, Cycle cycles) {
+  sw::CrossbarSwitch sim(bench_config(radix),
                          bench_workload(radix, /*stable=*/false));
   obs::SwitchProbe probe(radix);
   obs::ConformanceMonitor monitor(
@@ -283,9 +273,8 @@ StepPoint measure_monitored(std::uint32_t radix, Cycle cycles,
 /// Allocations per steady-state step at the given radix: warm up until the
 /// ring queues have reached capacity, then count operator-new calls over a
 /// measurement window.
-double measure_allocs(std::uint32_t radix, Cycle cycles,
-                      core::ArbKernel kernel) {
-  sw::CrossbarSwitch sim(bench_config(radix, kernel),
+double measure_allocs(std::uint32_t radix, Cycle cycles) {
+  sw::CrossbarSwitch sim(bench_config(radix),
                          bench_workload(radix, /*stable=*/true));
   sim.warmup(20000);
   alloc_hook::reset();
@@ -486,7 +475,6 @@ int main(int argc, char** argv) {
   std::optional<std::string> check_path;
   double tolerance = 0.25;
   bool write_baseline = false;
-  core::ArbKernel kernel = core::ArbKernel::Bitsliced;
 
   try {
     for (int a = 1; a < argc; ++a) {
@@ -501,17 +489,7 @@ int main(int argc, char** argv) {
         scenarios = parse_uint<std::uint64_t>(*v2, "--scenarios");
         if (scenarios == 0) throw ConfigError("--scenarios must be positive");
       } else if (auto v3 = opt_value(arg, "--jobs")) {
-        jobs = parse_uint<unsigned>(*v3, "--jobs");
-      } else if (auto vk = opt_value(arg, "--kernel")) {
-        if (*vk == "bitsliced") {
-          kernel = core::ArbKernel::Bitsliced;
-        } else if (*vk == "scalar") {
-          kernel = core::ArbKernel::Scalar;
-        } else if (*vk == "simd") {
-          kernel = core::ArbKernel::Simd;
-        } else {
-          throw ConfigError("--kernel expects bitsliced, scalar or simd");
-        }
+        jobs = cli::parse_jobs(*v3, "--jobs");
       } else if (auto v4 = opt_value(arg, "--json")) {
         if (v4->empty()) throw ConfigError("--json needs =PATH");
         json_path = *v4;
@@ -561,9 +539,8 @@ int main(int argc, char** argv) {
     }
 
     std::vector<std::pair<std::string, double>> metrics;
-    std::cout << "kernel: " << core::to_string(kernel) << "\n";
     for (std::uint32_t radix : {8u, 16u, 32u, 64u}) {
-      const StepPoint p = measure_steps(radix, cycles, kernel);
+      const StepPoint p = measure_steps(radix, cycles);
       std::cout << "radix " << p.radix << ": "
                 << static_cast<long>(p.cycles_per_sec) << " cycles/s ("
                 << p.ns_per_step << " ns/step)\n";
@@ -572,27 +549,7 @@ int main(int argc, char** argv) {
       metrics.emplace_back("ns_per_step_radix" + std::to_string(radix),
                            p.ns_per_step);
     }
-    // The scalar kernel stays gated regardless of --kernel: a regression in
-    // the reference implementation must not hide behind the fast one.
-    const StepPoint scalar64 =
-        measure_steps(64, cycles, core::ArbKernel::Scalar);
-    std::cout << "radix 64 scalar kernel: "
-              << static_cast<long>(scalar64.cycles_per_sec) << " cycles/s ("
-              << scalar64.ns_per_step << " ns/step)\n";
-    metrics.emplace_back("cycles_per_sec_radix64_scalar",
-                         scalar64.cycles_per_sec);
-    // The SIMD kernel likewise: always measured with its own dispatch (it
-    // falls back to the portable tier on non-AVX2 hosts, which is exactly
-    // what those hosts ship, so the gate stays meaningful there too).
-    const StepPoint simd64 = measure_steps(64, cycles, core::ArbKernel::Simd);
-    std::cout << "radix 64 simd kernel ("
-              << core::simd::to_string(core::simd::active_tier())
-              << " tier): " << static_cast<long>(simd64.cycles_per_sec)
-              << " cycles/s (" << simd64.ns_per_step << " ns/step)\n";
-    metrics.emplace_back("cycles_per_sec_radix64_simd",
-                         simd64.cycles_per_sec);
-
-    const StepPoint mon64 = measure_monitored(64, cycles, kernel);
+    const StepPoint mon64 = measure_monitored(64, cycles);
     std::cout << "radix 64 with conformance monitor: "
               << static_cast<long>(mon64.cycles_per_sec) << " cycles/s ("
               << mon64.ns_per_step << " ns/step)\n";
@@ -604,9 +561,9 @@ int main(int argc, char** argv) {
     // corpus asserts byte-identical events — only wall clock differs.
     const Cycle sparse_cycles = cycles * 10;
     const StepPoint sp_ff =
-        measure_sparse(64, sparse_cycles, kernel, /*fast_forward=*/true);
+        measure_sparse(64, sparse_cycles, /*fast_forward=*/true);
     const StepPoint sp_noff =
-        measure_sparse(64, sparse_cycles, kernel, /*fast_forward=*/false);
+        measure_sparse(64, sparse_cycles, /*fast_forward=*/false);
     std::cout << "sparse radix 64 (sub-10% load): "
               << static_cast<long>(sp_ff.cycles_per_sec)
               << " cycles/s with fast-forward, "
@@ -621,11 +578,9 @@ int main(int argc, char** argv) {
     // (event-horizon) fast-forward point. The noff twin is printed for the
     // ratio but not gated — it duplicates what sparse64_noff already holds.
     const StepPoint spf_ff =
-        measure_faulted_sparse(64, sparse_cycles, kernel,
-                               /*fast_forward=*/true);
+        measure_faulted_sparse(64, sparse_cycles, /*fast_forward=*/true);
     const StepPoint spf_noff =
-        measure_faulted_sparse(64, sparse_cycles, kernel,
-                               /*fast_forward=*/false);
+        measure_faulted_sparse(64, sparse_cycles, /*fast_forward=*/false);
     std::cout << "sparse radix 64 faulted+scrubbed: "
               << static_cast<long>(spf_ff.cycles_per_sec)
               << " cycles/s with fast-forward, "
@@ -634,7 +589,7 @@ int main(int argc, char** argv) {
     metrics.emplace_back("cycles_per_sec_radix64_faulted_ff",
                          spf_ff.cycles_per_sec);
 
-    const double allocs = measure_allocs(64, cycles, kernel);
+    const double allocs = measure_allocs(64, cycles);
     std::cout << "radix 64 steady-state allocations/step: " << allocs << "\n";
     metrics.emplace_back("allocs_per_step_radix64", allocs);
 

@@ -21,7 +21,6 @@
 
 #include "campaign/manifest.hpp"
 #include "campaign/service.hpp"
-#include "exec/thread_pool.hpp"
 #include "sim/error.hpp"
 
 #include "cli.hpp"
@@ -49,8 +48,8 @@ Manifest (with --new; immutable afterwards):
                           of claiming, checkpointing and resume
   --grid=A,B,...          checking configurations; each label combines
                           tokens with '+': default, monitor, no-circuit,
-                          no-state, scalar, simd, noff (fully stepped — no
-                          idle-cycle fast-forward), sparse (8x cycles, 1/20th
+                          no-state, noff (fully stepped — no idle-cycle
+                          fast-forward), sparse (8x cycles, 1/20th
                           injection), engine=<islip|qps|swqps|ssvc|none>
                           (default "default"). ssq_fuzz runs the same unit:
                           its checking flags are these tokens
@@ -64,7 +63,7 @@ Manifest (with --new; immutable afterwards):
 
 Execution (per invocation; does not affect results):
   --workers=N             supervised worker processes (default 1; 0 = all
-                          hardware threads)
+                          hardware threads; at most 512)
   --max-restarts=N        abnormal worker exits before giving up (default 64)
   --backoff-ms=N          base restart backoff, doubled per consecutive
                           restart of a slot, capped at 25x (default 200)
@@ -148,10 +147,7 @@ int main(int argc, char** argv) {
                              parse_uint<std::uint64_t>(*v15, "--plant-crash")});
         manifest_flags = true;
       } else if (auto v16 = opt_value(arg, "--workers")) {
-        opts.workers = parse_uint<unsigned>(*v16, "--workers");
-        if (opts.workers == 0) {
-          opts.workers = exec::ThreadPool::hardware_threads();
-        }
+        opts.workers = cli::parse_jobs(*v16, "--workers");
       } else if (auto v17 = opt_value(arg, "--max-restarts")) {
         opts.max_restarts =
             parse_uint<std::uint64_t>(*v17, "--max-restarts");
@@ -165,6 +161,16 @@ int main(int argc, char** argv) {
         std::cerr << "unknown option '" << arg << "' (--help for the list)\n";
         return campaign::kExitUsage;
       }
+    }
+
+    // Parsed before the mode check, so a bad grid token is named even when
+    // the command line has other faults.
+    for (std::size_t pos = 0; pos <= grid_csv.size();) {
+      std::size_t comma = grid_csv.find(',', pos);
+      if (comma == std::string::npos) comma = grid_csv.size();
+      const std::string label = grid_csv.substr(pos, comma - pos);
+      if (!label.empty()) m.grid.push_back(campaign::parse_grid_point(label));
+      pos = comma + 1;
     }
 
     const int modes = (new_dir.empty() ? 0 : 1) + (resume_dir.empty() ? 0 : 1) +
@@ -198,13 +204,6 @@ int main(int argc, char** argv) {
 
     opts.exe_path = self_exe_path();
     if (!new_dir.empty()) {
-      for (std::size_t pos = 0; pos <= grid_csv.size();) {
-        std::size_t comma = grid_csv.find(',', pos);
-        if (comma == std::string::npos) comma = grid_csv.size();
-        const std::string label = grid_csv.substr(pos, comma - pos);
-        if (!label.empty()) m.grid.push_back(campaign::parse_grid_point(label));
-        pos = comma + 1;
-      }
       campaign::init_campaign_dir(new_dir, m);
       return campaign::supervise(new_dir, m, opts);
     }

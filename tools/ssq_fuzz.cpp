@@ -298,9 +298,7 @@ int main(int argc, char** argv) {
       } else if (auto v3 = opt_value(arg, "--time-budget")) {
         time_budget_s = parse_uint<std::uint64_t>(*v3, "--time-budget");
       } else if (auto vj = opt_value(arg, "--jobs")) {
-        jobs = parse_uint<std::uint64_t>(*vj, "--jobs");
-        if (jobs == 0) jobs = exec::ThreadPool::hardware_threads();
-        if (jobs > 512) throw ConfigError("--jobs too large (max 512)");
+        jobs = cli::parse_jobs(*vj, "--jobs");
       } else if (arg == "--no-circuit") {
         grid += "+no-circuit";
       } else if (arg == "--no-state") {

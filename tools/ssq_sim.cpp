@@ -52,10 +52,6 @@ Arbitration:
   --level-bits=K --lsb-bits=K --vtick-bits=K --vtick-shift=K
                           SSVC counter geometry (defaults 4/5/8/2)
   --arb-cycles=N          arbitration cycles per grant (default 1)
-  --kernel=bitsliced | scalar | simd
-                          SSVC arbitration kernel (default bitsliced; all
-                          produce byte-identical grants — see
-                          docs/PERFORMANCE.md)
   --no-fast-forward       disable idle-cycle fast-forward (grants and
                           traces are identical either way; this only
                           changes wall-clock speed on sparse workloads)
@@ -310,16 +306,6 @@ int run(int argc, char** argv) {
     } else if (auto v10 = opt_value(arg, "--arb-cycles")) {
       config.arbitration_cycles =
           parse_uint<std::uint32_t>(*v10, "--arb-cycles");
-    } else if (auto vk = opt_value(arg, "--kernel")) {
-      if (*vk == "bitsliced") {
-        config.kernel = core::ArbKernel::Bitsliced;
-      } else if (*vk == "scalar") {
-        config.kernel = core::ArbKernel::Scalar;
-      } else if (*vk == "simd") {
-        config.kernel = core::ArbKernel::Simd;
-      } else {
-        throw ssq::ConfigError("--kernel expects bitsliced, scalar or simd");
-      }
     } else if (arg == "--no-fast-forward") {
       config.fast_forward = false;
     } else if (auto v11 = opt_value(arg, "--gsf")) {
