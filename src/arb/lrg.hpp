@@ -91,7 +91,6 @@ class LrgArbiter final : public Arbiter {
   /// by the fault subsystem when an injector is attached; detached operation
   /// keeps the strict abort so silent corruption cannot skew results.
   void set_fault_tolerant(bool on) noexcept { fault_tolerant_ = on; }
-  [[nodiscard]] bool fault_tolerant() const noexcept { return fault_tolerant_; }
 
  private:
   /// winner() when no requester covers the rest: the max-out-degree rule in

@@ -127,9 +127,6 @@ class IslipEngine final : public MatchingEngine {
   [[nodiscard]] std::uint32_t grant_pointer(OutputId o) const {
     return grant_ptr_[o];
   }
-  [[nodiscard]] std::uint32_t accept_pointer(InputId i) const {
-    return accept_ptr_[i];
-  }
 
  private:
   std::uint32_t iterations_;

@@ -29,10 +29,6 @@ class WfqArbiter final : public Arbiter {
   [[nodiscard]] std::string_view name() const noexcept override { return "WFQ"; }
 
   [[nodiscard]] double virtual_time() const noexcept { return vtime_; }
-  [[nodiscard]] double last_tag(InputId i) const {
-    SSQ_EXPECT(i < radix());
-    return last_tag_[i];
-  }
 
  private:
   /// Pins (or returns the pinned) finish tag for input's head packet.

@@ -106,7 +106,6 @@ class CheckpointWriter {
   bool open(const std::string& path, std::uint64_t truncate_to);
   bool append(const Record& r);
   void close();
-  [[nodiscard]] bool is_open() const noexcept { return file_ != nullptr; }
 
  private:
   std::FILE* file_ = nullptr;

@@ -108,33 +108,29 @@ obs::SwitchProbe& DifferentialChecker::probe() {
 
 bool DifferentialChecker::step() {
   if (divergence_.has_value()) return false;
+  sim_.step();
+  return check_last_cycle();
+}
+
+bool DifferentialChecker::run(Cycle cycles) {
+  if (divergence_.has_value()) return false;
+  // A quiescent eligible stretch grants nothing and mutates no state either
+  // model predicts from, so the checker skips it exactly as the bare switch
+  // does — per-cycle checks on it would compare two untouched states.
+  sim_.run(
+      cycles, [this] { return check_last_cycle(); },
+      [this](Cycle, Cycle) { on_fast_forward(); });
+  return !divergence_.has_value();
+}
+
+bool DifferentialChecker::check_last_cycle() {
   // A fault injector attached after construction disables the differential
   // legs from this cycle on — faults legitimately break oracle predictions.
   if (opts_.differential && sim_.fault_injector() != nullptr) {
     opts_.differential = false;
   }
-  sim_.step();
   check_cycle(sim_.last_cycle());
   return !divergence_.has_value();
-}
-
-bool DifferentialChecker::run(Cycle cycles) {
-  const Cycle end = sim_.now() + cycles;
-  while (sim_.now() < end) {
-    if (!divergence_.has_value() && sim_.fast_forward_eligible() &&
-        sim_.quiescent()) {
-      // A quiescent eligible stretch grants nothing and mutates no state
-      // either model predicts from, so the checker skips it exactly as the
-      // bare switch does — per-cycle checks on it would compare two
-      // untouched states.
-      const Cycle from = sim_.now();
-      sim_.fast_forward(end);
-      if (sim_.now() > from) on_fast_forward();
-      if (sim_.now() >= end) break;
-    }
-    if (!step()) return false;
-  }
-  return true;
 }
 
 void DifferentialChecker::check_cycle(const sw::CycleRecord& rec) {

@@ -93,7 +93,8 @@ class DifferentialChecker {
   /// divergence has been recorded (the switch is no longer stepped).
   bool step();
 
-  /// step() up to `cycles` times; returns false if a divergence stopped it.
+  /// CrossbarSwitch::run for `cycles` cycles, checking each stepped cycle;
+  /// returns false if a divergence stopped it.
   bool run(Cycle cycles);
 
   /// Checks one cycle record (step() feeds it sim.last_cycle(); tests may
@@ -129,6 +130,8 @@ class DifferentialChecker {
   [[nodiscard]] obs::SwitchProbe& probe();
 
  private:
+  /// Checks the cycle the switch just stepped; false once diverged.
+  bool check_last_cycle();
   void check_grant(const sw::CycleRecord& rec, const sw::GrantRecord& g);
   void check_circuit(const sw::CycleRecord& rec, const sw::GrantRecord& g,
                      const ReferenceOutput& ref, bool gl_ok);

@@ -4,11 +4,10 @@
 #include <fstream>
 #include <istream>
 #include <limits>
+#include <optional>
 #include <ostream>
 
 #include "obs/conformance.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/trace.hpp"
 #include "sim/error.hpp"
 #include "sim/rng.hpp"
 #include "switch/observe.hpp"
@@ -452,18 +451,9 @@ RunResult run_scenario(const Scenario& s, const CheckOptions& opts) {
   apply_engine_starve(sc, o);
   ScenarioRun rig = instantiate(sc);
   DifferentialChecker checker(*rig.sim, o);
-  RunResult result;
-  std::unique_ptr<obs::FlightRecorder> recorder;
-  std::unique_ptr<obs::ConformanceMonitor> monitor;
-  obs::TeeSink tee;
-  if (o.flight_recorder > 0) {
-    // Added first so the ring already holds the triggering event when a
-    // monitor callback captures the dump.
-    recorder = std::make_unique<obs::FlightRecorder>(o.flight_recorder);
-    tee.add(recorder.get());
-  }
+  std::optional<obs::ConformanceConfig> monitor_cfg;
   if (o.monitor) {
-    obs::ConformanceConfig cfg = sw::make_conformance_config(
+    monitor_cfg = sw::make_conformance_config(
         rig.sim->config(), rig.sim->workload(), o.monitor_window);
     // Eq. (1) presumes the policer keeps GL arrivals inside the reserved
     // envelope — only Stall enforces that (and the monitor's stall-skip
@@ -472,37 +462,24 @@ RunResult run_scenario(const Scenario& s, const CheckOptions& opts) {
     // stop differentiating flows by design once they clamp.
     // A matching engine bypasses the QoS arbiters entirely, so the
     // GB-share and GL-latency guarantees the monitor judges do not apply.
-    cfg.check_gl = sc.gl_policing == core::GlPolicing::Stall &&
-                   sc.matching_engine == arb::MatchKind::None;
-    cfg.check_gb = sc.ssvc.policy != core::CounterPolicy::None &&
-                   sc.matching_engine == arb::MatchKind::None;
-    monitor = std::make_unique<obs::ConformanceMonitor>(std::move(cfg));
-    if (recorder != nullptr) {
-      obs::FlightRecorder* rec = recorder.get();
-      RunResult* res = &result;
-      monitor->set_on_violation([rec, res](const obs::Violation& v) {
-        if (res->flight_dump.empty()) {
-          res->flight_dump = rec->dump_string(
-              "violation:" + std::string(obs::to_string(v.kind)), v.cycle);
-        }
-      });
-      monitor->set_on_fault([rec, res](const obs::Event& e) {
-        if (res->flight_dump.empty()) {
-          res->flight_dump = rec->dump_string("fault", e.cycle);
-        }
-      });
-    }
-    tee.add(monitor.get());
+    monitor_cfg->check_gl = sc.gl_policing == core::GlPolicing::Stall &&
+                            sc.matching_engine == arb::MatchKind::None;
+    monitor_cfg->check_gb = sc.ssvc.policy != core::CounterPolicy::None &&
+                            sc.matching_engine == arb::MatchKind::None;
   }
-  if (tee.size() > 0) checker.probe().set_extra_sink(&tee);
+  sw::IncidentRig incidents(o.flight_recorder, std::move(monitor_cfg));
+  if (incidents.sink() != nullptr) {
+    checker.probe().set_extra_sink(incidents.sink());
+  }
 
   (void)checker.run(sc.cycles);
 
+  RunResult result;
   result.grants_checked = checker.grants_checked();
   for (FlowId f = 0; f < rig.sim->workload().num_flows(); ++f) {
     result.delivered += rig.sim->delivered_packets(f);
   }
-  if (monitor != nullptr) {
+  if (obs::ConformanceMonitor* monitor = incidents.monitor()) {
     monitor->finalize(rig.sim->now());
     result.violations_gb = monitor->violations(obs::ViolationKind::GbShare);
     result.violations_gl = monitor->violations(obs::ViolationKind::GlLatency);
@@ -517,13 +494,9 @@ RunResult run_scenario(const Scenario& s, const CheckOptions& opts) {
     result.output = d.output;
     result.kind = d.kind;
     result.detail = d.detail;
-    if (recorder != nullptr) {
-      // The divergence moment is THE incident; it supersedes any earlier
-      // violation/fault snapshot.
-      result.flight_dump =
-          recorder->dump_string("divergence:" + d.kind, d.cycle);
-    }
+    incidents.divergence(d.kind, d.cycle);
   }
+  result.flight_dump = incidents.snapshot();
   return result;
 }
 

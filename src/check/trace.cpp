@@ -86,10 +86,8 @@ std::string golden_trace(const Scenario& s) {
   obs::SwitchProbe probe(s.radix);
   probe.set_tracer(&tracer);
   rig.sim->attach_probe(&probe);
-  // run(), not a manual step loop: scenarios eligible for idle-cycle
-  // fast-forward take it here, so the committed golden corpus asserts the
-  // skipped cycles are byte-invisible. Faulted/GSF scenarios are ineligible
-  // and step plainly.
+  // run(), not a manual step loop: eligible scenarios jump idle stretches
+  // here, so the golden corpus asserts the skipped cycles are invisible.
   rig.sim->run(s.cycles);
   rig.sim->attach_probe(nullptr);
   tracer.finish();

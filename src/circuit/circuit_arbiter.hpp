@@ -90,7 +90,6 @@ class CircuitArbiter {
   void set_stuck_high(std::uint32_t wire);
   /// Heals all stuck wires (tests / repair-what-if experiments).
   void clear_stuck();
-  [[nodiscard]] bool any_stuck() const noexcept { return any_stuck_; }
 
  private:
   LaneLayout layout_;

@@ -68,8 +68,6 @@ void FaultInjector::update_outages(Cycle now) {
     }
     if (k.restore_at == now) dead_links_[k.input] &= ~(1ULL << k.output);
   }
-  any_outage_ = dead_ports_ != 0;
-  for (const auto m : dead_links_) any_outage_ = any_outage_ || m != 0;
 }
 
 void FaultInjector::apply_stuck_lanes(Cycle now) {

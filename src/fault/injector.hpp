@@ -85,7 +85,6 @@ class FaultInjector {
   [[nodiscard]] bool link_alive(InputId i, OutputId o) const noexcept {
     return ((dead_links_[i] >> o) & 1ULL) == 0;
   }
-  [[nodiscard]] bool any_outage() const noexcept { return any_outage_; }
   /// Inputs whose port or one of whose crosspoints went down or came back
   /// at the last on_cycle() (bit i == input i): the switch re-selects only
   /// their requests.
@@ -112,7 +111,6 @@ class FaultInjector {
   obs::SwitchProbe* probe_ = nullptr;
   std::uint64_t dead_ports_ = 0;
   std::vector<std::uint64_t> dead_links_;  // per input: bitmask of outputs
-  bool any_outage_ = false;
   std::uint64_t outage_edges_ = 0;
   std::vector<InjectedFault> log_;
   // Bitflip pre-roll state: every cycle < rolled_until_ has had its

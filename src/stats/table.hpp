@@ -35,8 +35,6 @@ class Table {
   /// Renders according to `csv`; convenience for bench main()s.
   void render(std::ostream& os, bool csv) const;
 
-  [[nodiscard]] std::size_t num_rows() const noexcept { return rows_.size(); }
-  [[nodiscard]] std::size_t num_cols() const noexcept { return header_.size(); }
   [[nodiscard]] const std::string& title() const noexcept { return title_; }
 
   /// Raw cell access, used by serialisers (e.g. bench JSON reports).

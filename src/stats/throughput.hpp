@@ -35,10 +35,6 @@ class ThroughputMeter {
     window_end_ = now;
   }
 
-  [[nodiscard]] bool window_open() const noexcept {
-    return window_end_ == kNoCycle;
-  }
-
   /// Records one delivered flit for `flow` at cycle `now` (ignored outside
   /// the window).
   void record_flit(std::size_t flow, Cycle now) {
@@ -64,7 +60,6 @@ class ThroughputMeter {
     SSQ_EXPECT(flow < flits_.size());
     return flits_[flow];
   }
-  [[nodiscard]] std::uint64_t total_flits() const noexcept { return total_; }
 
   [[nodiscard]] Cycle window_cycles() const noexcept {
     SSQ_EXPECT(window_end_ != kNoCycle);

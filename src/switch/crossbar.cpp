@@ -75,6 +75,7 @@ CrossbarSwitch::CrossbarSwitch(const SwitchConfig& config,
   source_q_.resize(flows.size());
   max_backlog_.assign(flows.size(), 0);
   created_.assign(flows.size(), 0);
+  created_at_open_.assign(flows.size(), 0);
   next_create_.assign(flows.size(), 0);
   admitted_.assign(flows.size(), 0);
   delivered_.assign(flows.size(), 0);
@@ -174,9 +175,11 @@ std::uint64_t CrossbarSwitch::preemptions(OutputId o) const {
 }
 
 void CrossbarSwitch::preempt_scan() {
-  for (OutputId o = 0; o < config_.radix; ++o) {
+  // The loop clears only the current output's bit: the copy stays valid.
+  for (std::uint64_t w = active_out_; w != 0; w &= w - 1) {
+    const auto o = static_cast<OutputId>(std::countr_zero(w));
     auto& t = transmissions_[o];
-    if (!t.active || now_ >= t.last_flit) continue;
+    if (now_ >= t.last_flit) continue;
     auto* pvc = dynamic_cast<arb::PvcArbiter*>(baseline_[o].get());
     SSQ_ENSURE(pvc != nullptr);
     // Best waiting challenger for this output.
@@ -228,7 +231,6 @@ void CrossbarSwitch::preempt_scan() {
     reselect_ |= 1ULL << src;        // free this very cycle, heads changed
     admit_sleep_ &= ~(1ULL << src);  // its buffers drained
     output_free_at_[o] = now_;
-    t.active = false;
     active_out_ &= ~(1ULL << o);
   }
 }
@@ -241,6 +243,11 @@ std::uint64_t CrossbarSwitch::delivered_packets(FlowId f) const {
 std::uint64_t CrossbarSwitch::created_packets(FlowId f) const {
   SSQ_EXPECT(f < created_.size());
   return created_[f];
+}
+
+std::uint64_t CrossbarSwitch::window_created_packets(FlowId f) const {
+  SSQ_EXPECT(f < created_.size());
+  return created_[f] - created_at_open_[f];
 }
 
 std::size_t CrossbarSwitch::max_source_backlog(FlowId f) const {
@@ -399,7 +406,6 @@ void CrossbarSwitch::complete(Transmission& t, OutputId o) {
 
   const InputId src = t.pkt.src;
   const TrafficClass cls = t.pkt.cls;
-  t.active = false;
   active_out_ &= ~(1ULL << o);
   done_out_ |= 1ULL << o;
   // The port is busy through this cycle and free from the next.
@@ -485,14 +491,13 @@ Packet CrossbarSwitch::pop_for(InputId i, TrafficClass cls, OutputId o) {
 void CrossbarSwitch::start_transmission(Packet&& pkt, OutputId o,
                                         Cycle first_flit) {
   auto& t = transmissions_[o];
-  SSQ_EXPECT(!t.active);
+  SSQ_EXPECT((active_out_ & (1ULL << o)) == 0);
   const Cycle last = first_flit + pkt.length - 1;
   inputs_[pkt.src].set_free_at(last + 1);
   output_free_at_[o] = last + 1;
   t.pkt = std::move(pkt);
   t.first_flit = first_flit;
   t.last_flit = last;
-  t.active = true;
   active_out_ |= 1ULL << o;
 }
 
@@ -968,18 +973,7 @@ void CrossbarSwitch::fast_forward(Cycle end) {
 }
 
 void CrossbarSwitch::run(Cycle cycles) {
-  const Cycle end = now_ + cycles;
-  if (ff_eligible_) {
-    while (now_ < end) {
-      if (quiescent()) {
-        fast_forward(end);
-        if (now_ >= end) break;
-      }
-      step();
-    }
-    return;
-  }
-  while (now_ < end) step();
+  run(cycles, [] { return true; }, [](Cycle, Cycle) {});
 }
 
 void CrossbarSwitch::warmup(Cycle cycles) {
@@ -987,6 +981,7 @@ void CrossbarSwitch::warmup(Cycle cycles) {
   latency_.reset();
   wait_.reset();
   for (auto& u : usage_) u = ChannelUsage{};
+  created_at_open_ = created_;
   throughput_.open_window(now_);
   measuring_ = true;
 }

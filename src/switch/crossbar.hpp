@@ -75,6 +75,26 @@ class CrossbarSwitch {
   /// SwitchConfig::fast_forward) instead of stepped.
   void run(Cycle cycles);
 
+  /// run() with hooks — the one loop that chooses between jumping and
+  /// stepping. `on_step()` runs after each step() and returns false to stop
+  /// the run there; `on_jump(from, to)` runs after each fast_forward() that
+  /// moved the clock. A fast_forward() that stops at `from` (something is due
+  /// now) falls through to the step that runs it.
+  template <typename OnStep, typename OnJump>
+  void run(Cycle cycles, OnStep&& on_step, OnJump&& on_jump) {
+    const Cycle end = now_ + cycles;
+    while (now_ < end) {
+      if (ff_eligible_ && quiescent()) {
+        const Cycle from = now_;
+        fast_forward(end);
+        if (now_ != from) on_jump(from, now_);
+        if (now_ >= end) break;
+      }
+      step();
+      if (!on_step()) return;
+    }
+  }
+
   /// True when the configuration permits idle-cycle fast-forward: SSVC mode
   /// with config.fast_forward set. Attachments no longer disqualify — fault
   /// injectors, scrubbers, probes/monitors and GSF regulation all
@@ -141,6 +161,9 @@ class CrossbarSwitch {
   }
   [[nodiscard]] std::uint64_t delivered_packets(FlowId f) const;
   [[nodiscard]] std::uint64_t created_packets(FlowId f) const;
+  /// Packets flow f created inside the measurement window (since warmup()
+  /// opened it, or since construction) — the offered load.
+  [[nodiscard]] std::uint64_t window_created_packets(FlowId f) const;
   /// Deepest source-queue backlog seen (packets) — a saturation indicator.
   [[nodiscard]] std::size_t max_source_backlog(FlowId f) const;
 
@@ -219,7 +242,6 @@ class CrossbarSwitch {
     Packet pkt;
     Cycle first_flit = 0;
     Cycle last_flit = 0;
-    bool active = false;
     std::uint32_t granted_level = 0;  // PVC level at grant time
   };
 
@@ -288,7 +310,8 @@ class CrossbarSwitch {
   std::vector<InputPort> inputs_;
   std::vector<Cycle> output_free_at_;
   std::vector<Transmission> transmissions_;  // per output
-  // Bit o set <=> transmissions_[o].active; lets transfer() visit only live
+  // Bit o set <=> transmissions_[o] is live (granted, not yet completed or
+  // preempted); lets transfer() and preempt_scan() visit only live
   // channels instead of scanning all `radix` transmissions every cycle.
   std::uint64_t active_out_ = 0;
   // Bit o set <=> output o's transmission completed this cycle: the channel
@@ -316,6 +339,7 @@ class CrossbarSwitch {
   // Per-flow packet counts (a preempted packet retransmitted from its source
   // is admitted again).
   std::vector<std::uint64_t> created_;
+  std::vector<std::uint64_t> created_at_open_;  // created_ at warmup()
   std::vector<std::uint64_t> admitted_;
   std::vector<std::uint64_t> delivered_;
   // Per-input list of its flows + acceptance round-robin pointer.

@@ -23,33 +23,22 @@ void run_sampled(CrossbarSwitch& sw, Cycle cycles,
   SSQ_EXPECT(sw.probe() != nullptr &&
              "run_sampled needs an attached probe to diff grant counters");
   const Cycle interval = sampler.interval();
-  const Cycle end = sw.now() + cycles;
-  while (sw.now() < end) {
-    if (sw.fast_forward_eligible() && sw.quiescent()) {
-      // Jump as far as quiescence allows — not just to the next boundary —
-      // and emit the boundary samples the jump skipped. Quiescent cycles
-      // change no occupancy and no probe counter, so sampling each crossed
-      // boundary with the current state reproduces the no-fast-forward
-      // samples exactly.
-      const Cycle from = sw.now();
-      sw.fast_forward(end);
-      for (Cycle b = from + (interval - from % interval); b <= sw.now();
-           b += interval) {
-        sampler.sample(b, collect_occupancy(sw), *sw.probe());
-      }
-      if (sw.now() >= end) break;
-      // A jump can stop short without advancing at all when a horizon
-      // consumer (fault edge, scrub pass, pre-rolled bitflip) is due this
-      // very cycle: fall through to the stepped path instead of spinning.
-      if (sw.now() != from) continue;
+  // Samples each boundary in (from, to]. Quiescent cycles change no
+  // occupancy and no probe counter, so sampling the boundaries a jump
+  // crossed with the current state reproduces the stepped samples exactly.
+  const auto sample = [&](Cycle from, Cycle to) {
+    for (Cycle b = from + (interval - from % interval); b <= to;
+         b += interval) {
+      sampler.sample(b, collect_occupancy(sw), *sw.probe());
     }
-    const Cycle to_boundary = interval - (sw.now() % interval);
-    const Cycle chunk = std::min(end - sw.now(), to_boundary);
-    sw.run(chunk);
-    if (sw.now() % interval == 0) {
-      sampler.sample(sw.now(), collect_occupancy(sw), *sw.probe());
-    }
-  }
+  };
+  sw.run(
+      cycles,
+      [&] {
+        sample(sw.now() - 1, sw.now());
+        return true;
+      },
+      sample);
 }
 
 obs::ConformanceConfig make_conformance_config(
@@ -176,6 +165,36 @@ obs::ConformanceConfig make_conformance_config(
     cfg.gl_bound[o] = bound;
   }
   return cfg;
+}
+
+IncidentRig::IncidentRig(std::size_t flight_capacity,
+                         std::optional<obs::ConformanceConfig> monitor) {
+  if (flight_capacity > 0) {
+    recorder_.emplace(flight_capacity);
+    tee_.add(&*recorder_);
+  }
+  if (!monitor.has_value()) return;
+  monitor_.emplace(std::move(*monitor));
+  if (recorder_.has_value()) {
+    monitor_->set_on_violation([this](const obs::Violation& v) {
+      if (snapshot_.empty()) {
+        take("violation:" + std::string(obs::to_string(v.kind)), v.cycle);
+      }
+    });
+    monitor_->set_on_fault([this](const obs::Event& e) {
+      if (snapshot_.empty()) take("fault", e.cycle);
+    });
+  }
+  tee_.add(&*monitor_);
+}
+
+void IncidentRig::divergence(std::string_view kind, Cycle cycle) {
+  if (recorder_.has_value()) take("divergence:" + std::string(kind), cycle);
+}
+
+void IncidentRig::take(std::string_view reason, Cycle cycle) {
+  snapshot_ = recorder_->dump_string(reason, cycle);
+  snapshot_events_ = recorder_->size();
 }
 
 }  // namespace ssq::sw

@@ -15,6 +15,11 @@ ExperimentResult summarize(const CrossbarSwitch& sw) {
     s.cls = flows[f].cls;
     s.reserved_rate = flows[f].reserved_rate;
     s.accepted_rate = sw.throughput().rate(f);
+    if (result.measured_cycles > 0) {
+      s.offered_rate = static_cast<double>(sw.window_created_packets(f)) *
+                       static_cast<double>(flows[f].mean_len()) /
+                       static_cast<double>(result.measured_cycles);
+    }
     const auto& lat = sw.latency().flow_summary(f);
     const auto& lat_hist = sw.latency().flow_histogram(f);
     s.mean_latency = lat.mean();
@@ -42,26 +47,9 @@ ExperimentResult run_experiment(const SwitchConfig& config,
   SSQ_EXPECT(measure_cycles >= 1);
   CrossbarSwitch sw(config, std::move(workload));
 
-  // Offered rate needs created-packet counts inside the window; snapshot at
-  // the window edges.
   sw.warmup(warmup_cycles);
-  std::vector<std::uint64_t> created_at_open;
-  const std::size_t n = sw.workload().num_flows();
-  created_at_open.reserve(n);
-  for (FlowId f = 0; f < n; ++f) created_at_open.push_back(sw.created_packets(f));
   sw.measure(measure_cycles);
-
-  ExperimentResult result = summarize(sw);
-  for (FlowId f = 0; f < n; ++f) {
-    const auto created =
-        sw.created_packets(f) - created_at_open[f];
-    const double mean_len =
-        static_cast<double>(sw.workload().flow(f).mean_len());
-    result.flows[f].offered_rate =
-        static_cast<double>(created) * mean_len /
-        static_cast<double>(result.measured_cycles);
-  }
-  return result;
+  return summarize(sw);
 }
 
 }  // namespace ssq::sw

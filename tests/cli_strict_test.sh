@@ -4,7 +4,8 @@
 #   fuzz  <ssq_fuzz>   every malformed --seed value must exit 2 (bad usage)
 #                      instead of running with a wrapped or truncated seed,
 #                      and so must --scenarios=0 (a green run that judged
-#                      nothing);
+#                      nothing), --trace without --replay and --write
+#                      without --emit (options their mode would ignore);
 #   bench <ssq_bench>  --check against a baseline whose metric value does not
 #                      parse must exit 2 before measuring anything, instead
 #                      of reading the value as 0 and disarming that gate.
@@ -31,6 +32,16 @@ case $MODE in
       expect_exit2 "$BIN" "--seed=$v" --scenarios=1 --quiet
     done
     expect_exit2 "$BIN" --scenarios=0 --quiet
+    TMP=$(mktemp -d "${TMPDIR:-/tmp}/ssq_cli_strict.XXXXXX")
+    trap 'rm -rf "$TMP"' EXIT INT TERM
+    expect_exit2 "$BIN" "--trace=$TMP/x.trace" --scenarios=2 --quiet
+    expect_exit2 "$BIN" "--write=$TMP/x.scenario" --scenarios=2 --quiet
+    for f in x.trace x.scenario; do
+      if [ -e "$TMP/$f" ]; then
+        echo "FAIL: refused run still wrote $f" >&2
+        status=1
+      fi
+    done
     ;;
   bench)
     TMP=$(mktemp -d "${TMPDIR:-/tmp}/ssq_cli_strict.XXXXXX")

@@ -1,14 +1,16 @@
 // Online QoS conformance monitor + flight recorder: window accounting
 // (including idle-window coalescing under clock jumps), violation detection
 // from synthetic event streams, ring-buffer retention and dump format, the
-// fast-forward byte-diff regression for sampled runs, clean replays of the
-// golden corpus staying violation-free, and two teeth tests — a switch that
-// genuinely breaks its declared GL contract, and a killed input port
-// starving a GB reservation — that must be flagged with a flight-recorder
-// snapshot of the offending events.
+// incident rig's snapshot rules, the fast-forward byte-diff regression for
+// sampled runs, clean replays of the golden corpus staying violation-free,
+// and two teeth tests — a switch that genuinely breaks its declared GL
+// contract, and a killed input port starving a GB reservation — that must
+// be flagged with a flight-recorder snapshot of the offending events.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -207,6 +209,111 @@ TEST(FlightRecorder, RingWrapKeepsNewestAndDumpsOldestFirst) {
   EXPECT_NE(dump.find("\"ev\":\"deliver\""), std::string::npos);
   // Dumping does not clear the ring; a later trigger still has history.
   EXPECT_EQ(rec.size(), 4u);
+}
+
+// --------------------------------------------------------- incident rig
+
+obs::Event fault_at(Cycle t) {
+  return make_event(t, obs::EventKind::FaultInjected,
+                    TrafficClass::BestEffort, obs::kNoId, 0, 0, 0);
+}
+
+obs::Event gl_grant(Cycle t, std::uint64_t wait) {
+  return make_event(t, obs::EventKind::Grant, TrafficClass::GuaranteedLatency,
+                    0, 0, 2, wait);
+}
+
+// A monitor judging output 0 against an Eq. (1) bound of 20 cycles: a GL
+// grant that waited longer violates on the spot.
+obs::ConformanceConfig gl_monitor_config() {
+  obs::ConformanceConfig cfg;
+  cfg.window = 100;
+  cfg.gl_bound = {20.0};
+  return cfg;
+}
+
+std::size_t event_lines(const std::string& snapshot) {
+  const auto lines =
+      static_cast<std::size_t>(std::count(snapshot.begin(), snapshot.end(),
+                                          '\n'));
+  return lines == 0 ? 0 : lines - 1;  // minus the header
+}
+
+TEST(IncidentRig, FirstViolationOrFaultSnapshotIsKept) {
+  sw::IncidentRig rig(8, gl_monitor_config());
+  ASSERT_NE(rig.sink(), nullptr);
+  ASSERT_NE(rig.monitor(), nullptr);
+  EXPECT_TRUE(rig.snapshot().empty());
+
+  rig.sink()->on_event(delivered(3, 0, 4));
+  rig.sink()->on_event(fault_at(10));
+  const std::string first = rig.snapshot();
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first.rfind("{\"schema\":\"ssq.flight.v1\",\"reason\":\"fault\","
+                        "\"cycle\":10,",
+                        0),
+            0u);
+  // The recorder joined the tee first: the triggering event is in the ring.
+  EXPECT_NE(first.find("\"ev\":\"fault\""), std::string::npos);
+  EXPECT_EQ(rig.snapshot_events(), 2u);
+  EXPECT_EQ(event_lines(first), rig.snapshot_events());
+
+  rig.sink()->on_event(gl_grant(50, 60));
+  EXPECT_EQ(rig.monitor()->violations(obs::ViolationKind::GlLatency), 1u);
+  rig.sink()->on_event(fault_at(70));
+  rig.monitor()->finalize(100);
+  EXPECT_EQ(rig.snapshot(), first);
+  EXPECT_EQ(rig.snapshot_events(), 2u);
+}
+
+TEST(IncidentRig, ViolationFirstIsKeptOverLaterFault) {
+  sw::IncidentRig rig(8, gl_monitor_config());
+  rig.sink()->on_event(gl_grant(40, 60));
+  const std::string first = rig.snapshot();
+  EXPECT_NE(first.find("\"reason\":\"violation:gl_latency\",\"cycle\":40"),
+            std::string::npos);
+  rig.sink()->on_event(fault_at(45));
+  EXPECT_EQ(rig.snapshot(), first);
+  EXPECT_EQ(rig.snapshot_events(), 1u);
+}
+
+TEST(IncidentRig, DivergenceReplacesSnapshot) {
+  sw::IncidentRig rig(8, gl_monitor_config());
+  rig.sink()->on_event(fault_at(10));
+  ASSERT_FALSE(rig.snapshot().empty());
+  rig.sink()->on_event(delivered(11, 0, 4));
+  rig.sink()->on_event(delivered(12, 0, 4));
+
+  rig.divergence("winner_mismatch", 12);
+  EXPECT_EQ(rig.snapshot().rfind("{\"schema\":\"ssq.flight.v1\",\"reason\":"
+                                 "\"divergence:winner_mismatch\",\"cycle\":12,",
+                                 0),
+            0u);
+  EXPECT_EQ(rig.snapshot_events(), 3u);
+  EXPECT_EQ(event_lines(rig.snapshot()), 3u);
+}
+
+TEST(IncidentRig, RecorderWithoutMonitorSnapshotsOnlyAtDivergence) {
+  sw::IncidentRig rig(8, std::nullopt);
+  ASSERT_NE(rig.sink(), nullptr);
+  EXPECT_EQ(rig.monitor(), nullptr);
+  rig.sink()->on_event(fault_at(10));
+  rig.sink()->on_event(gl_grant(40, 60));
+  EXPECT_TRUE(rig.snapshot().empty());
+  EXPECT_EQ(rig.snapshot_events(), 0u);
+
+  rig.divergence("grant_conflict", 41);
+  EXPECT_NE(rig.snapshot().find("\"reason\":\"divergence:grant_conflict\""),
+            std::string::npos);
+  EXPECT_EQ(rig.snapshot_events(), 2u);
+}
+
+TEST(IncidentRig, EmptyRigAttachesNothing) {
+  sw::IncidentRig rig(0, std::nullopt);
+  EXPECT_EQ(rig.sink(), nullptr);
+  EXPECT_EQ(rig.monitor(), nullptr);
+  rig.divergence("winner_mismatch", 5);
+  EXPECT_TRUE(rig.snapshot().empty());
 }
 
 // ------------------------------------- fast-forward byte-diff regression

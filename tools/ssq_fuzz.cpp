@@ -346,6 +346,14 @@ int main(int argc, char** argv) {
     const std::uint64_t scenarios =
         bounded ? scenarios_arg.value_or(200) : UINT64_MAX;
 
+    // A mode's option given without its mode is refused, not ignored.
+    if (!trace_path.empty() && replay_path.empty()) {
+      throw ConfigError("--trace needs --replay=FILE");
+    }
+    if (!write_path.empty() && !emit_index.has_value()) {
+      throw ConfigError("--write needs --emit=N");
+    }
+
     // Corpus authoring: serialise one generated scenario and exit.
     if (emit_index.has_value()) {
       if (write_path.empty()) {

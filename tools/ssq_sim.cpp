@@ -21,7 +21,6 @@
 #include "fault/plan.hpp"
 #include "fault/scrubber.hpp"
 #include "obs/conformance.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/json.hpp"
 #include "obs/probe.hpp"
 #include "obs/snapshot.hpp"
@@ -142,11 +141,6 @@ std::ofstream open_or_die(const std::string& path) {
 void check_write(std::ostream& os, const std::string& path) {
   os.flush();
   if (!os) throw std::runtime_error("write failure on '" + path + "'");
-}
-
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
 }
 
 /// Peak resident set size of this process in bytes (0 if unavailable).
@@ -467,16 +461,20 @@ int run(int argc, char** argv) {
   std::unique_ptr<obs::TraceSink> trace_sink;
   std::unique_ptr<obs::Tracer> tracer;
   std::unique_ptr<obs::SnapshotSampler> sampler;
-  std::unique_ptr<obs::ConformanceMonitor> monitor;
-  std::unique_ptr<obs::FlightRecorder> recorder;
-  obs::TeeSink tee;
-  bool flight_written = false;
+  std::optional<obs::ConformanceConfig> mon_cfg;
+  if (monitor_on) {
+    mon_cfg = sw::make_conformance_config(config, sim.workload(),
+                                          monitor_window);
+    if (monitor_gb_tol >= 0.0) mon_cfg->gb_tolerance = monitor_gb_tol;
+  }
+  sw::IncidentRig incidents(flight_capacity, std::move(mon_cfg));
+  obs::ConformanceMonitor* const monitor = incidents.monitor();
   if (want_obs) {
     probe = std::make_unique<obs::SwitchProbe>(radix);
     if (!trace_path.empty()) {
       trace_os = open_or_die(trace_path);
       const bool jsonl = trace_format.empty()
-                             ? ends_with(trace_path, ".jsonl")
+                             ? trace_path.ends_with(".jsonl")
                              : trace_format == "jsonl";
       if (jsonl) {
         trace_sink = std::make_unique<obs::JsonlSink>(trace_os);
@@ -490,59 +488,20 @@ int run(int argc, char** argv) {
       sampler = std::make_unique<obs::SnapshotSampler>(radix,
                                                        metrics_interval);
     }
-    if (monitor_on) {
-      // The recorder joins the tee *before* the monitor so the ring already
-      // holds the triggering event when a violation callback dumps it.
-      if (flight_capacity > 0) {
-        recorder = std::make_unique<obs::FlightRecorder>(flight_capacity);
-        tee.add(recorder.get());
-      }
-      auto mon_cfg = sw::make_conformance_config(config, sim.workload(),
-                                                 monitor_window);
-      if (monitor_gb_tol >= 0.0) mon_cfg.gb_tolerance = monitor_gb_tol;
-      monitor = std::make_unique<obs::ConformanceMonitor>(std::move(mon_cfg));
-      if (recorder) {
-        const auto dump_once = [&](std::string_view reason, Cycle cycle) {
-          if (flight_written) return;
-          flight_written = true;
-          auto os = open_or_die(flight_path);
-          recorder->dump(os, reason, cycle);
-          check_write(os, flight_path);
-        };
-        monitor->set_on_violation([&, dump_once](const obs::Violation& v) {
-          dump_once(std::string("violation:") +
-                        std::string(obs::to_string(v.kind)),
-                    v.cycle);
-        });
-        monitor->set_on_fault([&, dump_once](const obs::Event& e) {
-          dump_once("fault", e.cycle);
-        });
-      }
-      tee.add(monitor.get());
-      probe->set_extra_sink(&tee);
-    }
+    if (incidents.sink() != nullptr) probe->set_extra_sink(incidents.sink());
     sim.attach_probe(probe.get());
   }
 
-  // With sampling, warmup(0)/measure(0) only flip the measurement window so
-  // the snapshots span warmup and measurement alike.
-  if (sampler) {
-    sw::run_sampled(sim, warmup, *sampler);
-    sim.warmup(0);
-  } else {
-    sim.warmup(warmup);
-  }
-  std::vector<std::uint64_t> created_at_open;
-  for (FlowId f = 0; f < sim.workload().num_flows(); ++f) {
-    created_at_open.push_back(sim.created_packets(f));
-  }
+  // warmup(0)/measure(0) only flip the measurement window, so sampled
+  // snapshots span warmup and measurement alike.
+  const auto advance = [&](Cycle cycles) {
+    sampler ? sw::run_sampled(sim, cycles, *sampler) : sim.run(cycles);
+  };
+  advance(warmup);
+  sim.warmup(0);
   const auto m0 = std::chrono::steady_clock::now();
-  if (sampler) {
-    sw::run_sampled(sim, measure, *sampler);
-    sim.measure(0);
-  } else {
-    sim.measure(measure);
-  }
+  advance(measure);
+  sim.measure(0);
   measure_wall_s +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - m0)
           .count();
@@ -558,14 +517,12 @@ int run(int argc, char** argv) {
     monitor->finalize(sim.now());
     probe->metrics().merge(monitor->metrics());
   }
-  auto r = sw::summarize(sim);
-  for (FlowId f = 0; f < sim.workload().num_flows(); ++f) {
-    const auto created = sim.created_packets(f) - created_at_open[f];
-    r.flows[f].offered_rate =
-        static_cast<double>(created) *
-        static_cast<double>(sim.workload().flow(f).mean_len()) /
-        static_cast<double>(r.measured_cycles);
+  if (!incidents.snapshot().empty()) {
+    auto os = open_or_die(flight_path);
+    os << incidents.snapshot();
+    check_write(os, flight_path);
   }
+  const auto r = sw::summarize(sim);
 
   stats::Table t("per-flow results (rates in flits/cycle, latency in "
                  "cycles/packet)");
@@ -615,8 +572,8 @@ int run(int argc, char** argv) {
   }
   if (monitor && !csv) {
     monitor->write_summary(std::cout);
-    if (flight_written) {
-      std::cout << "flight recorder: dumped " << recorder->size()
+    if (!incidents.snapshot().empty()) {
+      std::cout << "flight recorder: dumped " << incidents.snapshot_events()
                 << " events to " << flight_path << "\n";
     }
   }
@@ -660,7 +617,7 @@ int run(int argc, char** argv) {
   if (!json_path.empty()) {
     auto os = open_or_die(json_path);
     write_json_summary(os, workload_path, mode_name, warmup, sim, r, perf,
-                       monitor.get());
+                       monitor);
     check_write(os, json_path);
     if (!csv) std::cout << "summary: " << json_path << "\n";
   }
