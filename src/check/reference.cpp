@@ -61,10 +61,22 @@ void ReferenceOutput::advance_to(Cycle now) {
   if (params_.policy == core::CounterPolicy::None) return;
   const std::uint64_t epoch = params_.epoch_cycles();
   while (rt_ >= epoch) {
-    ++version_;
+    bool changed = false;
     if (bug_ != PlantedBug::SkipEpochWrap) {
-      for (auto& v : value_) v = v >= epoch ? v - epoch : 0;
+      for (auto& v : value_) {
+        if (v == 0) continue;
+        v = v >= epoch ? v - epoch : 0;
+        changed = true;
+      }
     }
+    if (!changed) {
+      // This wrap and every later one leave the values as they are: move
+      // the base past all of them at once.
+      epoch_base_ += rt_ - rt_ % epoch;
+      rt_ %= epoch;
+      break;
+    }
+    ++version_;
     epoch_base_ += epoch;
     rt_ -= epoch;
   }

@@ -64,7 +64,10 @@ class ReferenceOutput {
                   core::GlPolicing policing, std::uint32_t gl_allowance,
                   PlantedBug bug = PlantedBug::None);
 
-  /// Epoch-wrap bookkeeping up to `now` (non-decreasing).
+  /// Epoch-wrap bookkeeping up to `now` (non-decreasing): one wrap per
+  /// elapsed epoch, the specification of the simulator's closed-form
+  /// catch-up. The first wrap that changes no value ends the loop; the base
+  /// then moves past the remaining epochs in one step.
   void advance_to(Cycle now);
 
   struct Decision {
@@ -123,8 +126,9 @@ class ReferenceOutput {
   /// radix() words.
   void lrg_rows(std::vector<std::uint64_t>& rows) const;
   /// Mutation counter, bumped by on_grant and by every epoch wrap of
-  /// advance_to, never reset: an unchanged version means unchanged values,
-  /// LRG order and GL clock (OutputQosArbiter::state_version's twin).
+  /// advance_to that changes a value, never reset: an unchanged version
+  /// means unchanged values, LRG order and GL clock
+  /// (OutputQosArbiter::state_version's twin).
   [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
 
  private:

@@ -89,17 +89,26 @@ class AuxVc {
     return saturated;
   }
 
-  /// Subtract-real-clock policy, epoch wrap: MSB value drops by one
-  /// (value -= 2^lsb_bits, floored at 0); thermometer shifts down one lane.
-  void epoch_wrap() noexcept {
+  /// `k` >= 1 real-time epoch wraps at once: each drops the MSB value by one
+  /// (value -= 2^lsb_bits, floored at 0) and shifts the thermometer down one
+  /// lane, so k of them subtract k MSBs and shift k lanes in one step.
+  void epoch_wrap(std::uint64_t k = 1) noexcept {
+    SSQ_EXPECT(k >= 1);
     // The incremental-update invariant only holds from a clean state: an
     // injected upset legitimately breaks it until the scrubber repairs it.
     const bool was_clean = !corrupted();
-    const std::uint64_t epoch = params_.epoch_cycles();
-    value_ = value_ >= epoch ? value_ - epoch : 0;
+    value_ = (value_ >> params_.lsb_bits) >= k
+                 ? value_ - (k << params_.lsb_bits)
+                 : 0;
     parity_ = value_parity();
-    code_.shift_down();
+    code_.shift_down(k);
     SSQ_ENSURE(!was_clean || code_.level() == level());
+  }
+
+  /// A zero register and thermometer with no outstanding corruption: an
+  /// epoch wrap leaves such a counter exactly as it is.
+  [[nodiscard]] bool clean_zero() const noexcept {
+    return value_ == 0 && code_.level() == 0 && !corrupted();
   }
 
   /// Halve policy: register shifted down one position; thermometer top half

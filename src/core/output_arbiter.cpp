@@ -48,6 +48,7 @@ OutputQosArbiter::OutputQosArbiter(std::uint32_t radix,
 AuxVc& OutputQosArbiter::aux_vc_mut(InputId i) {
   SSQ_EXPECT(i < radix_);
   ++version_;
+  live_ |= 1ULL << i;
   return gb_vc_[i];
 }
 
@@ -60,17 +61,27 @@ void OutputQosArbiter::advance_to(Cycle now) {
   // The real-time clock counter is lsb_bits wide in every finite-counter
   // design; its wrap ("once that counter saturates") subtracts one MSB from
   // every auxVC and shifts the thermometer codes down. This runs for all
-  // three management policies — it is how real time is kept.
-  if (params_.policy != CounterPolicy::None) {
-    const std::uint64_t epoch = params_.epoch_cycles();
-    while (rt_ >= epoch) {
-      ++version_;
-      for (auto& vc : gb_vc_) vc.epoch_wrap();
-      epoch_base_ += epoch;
-      rt_ -= epoch;
-      if (probe_ != nullptr) probe_->epoch_wrap(now, self_);
+  // three management policies — it is how real time is kept. The k wraps
+  // since the last advance apply in one closed-form step per counter. A
+  // wrap leaves a clean zero as it is, so only the live counters are
+  // visited, and the version moves only if one of them changed.
+  if (params_.policy == CounterPolicy::None) return;
+  const std::uint64_t k = rt_ >> params_.lsb_bits;
+  if (k == 0) return;
+  bool changed = false;
+  for (std::uint64_t w = live_; w != 0; w &= w - 1) {
+    const int i = std::countr_zero(w);
+    AuxVc& vc = gb_vc_[static_cast<std::size_t>(i)];
+    if (!vc.clean_zero()) {
+      vc.epoch_wrap(k);
+      changed = true;
     }
+    if (vc.clean_zero()) live_ &= ~(1ULL << i);
   }
+  if (changed) ++version_;
+  epoch_base_ += k << params_.lsb_bits;
+  rt_ -= k << params_.lsb_bits;
+  if (probe_ != nullptr) probe_->epoch_wraps(now, self_, k);
 }
 
 void OutputQosArbiter::on_saturation(Cycle now) {
@@ -197,6 +208,7 @@ void OutputQosArbiter::on_grant(InputId input, TrafficClass cls,
   lrg_.on_grant(input, length, now);
   switch (cls) {
     case TrafficClass::GuaranteedBandwidth: {
+      live_ |= 1ULL << input;
       const bool saturated = gb_vc_[input].on_grant(rt_);
       if (saturated && probe_ != nullptr) {
         probe_->auxvc_saturated(now, self_, input, gb_vc_[input].cap());
@@ -269,6 +281,7 @@ void OutputQosArbiter::reset() {
     gb_vc_[i] = AuxVc(params_, gb_vtick(params_, alloc_, i));
   }
   gl_.reset();
+  live_ = 0;
   epoch_base_ = 0;
   rt_ = 0;
   last_now_ = 0;

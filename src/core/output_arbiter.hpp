@@ -145,14 +145,17 @@ class OutputQosArbiter {
   /// Epoch-relative real time at the last advance_to().
   [[nodiscard]] std::uint64_t epoch_rt() const noexcept { return rt_; }
   /// Cycle the current epoch began (a multiple of params().epoch_cycles();
-  /// moves only in the versioned epoch-wrap loop of advance_to, and reset).
+  /// moves only in the epoch wraps of advance_to, and reset). A wrap that
+  /// finds every counter a clean zero moves it without a version bump: the
+  /// base is not per-input state, and the checker compares the `rt` it
+  /// implies on every epoch sweep, outside the version gate.
   [[nodiscard]] Cycle epoch_base() const noexcept { return epoch_base_; }
   /// Mutation counter over every piece of state the differential checker
   /// compares: auxVC registers and codes, the quarantine remap, the LRG
   /// matrix and the GL clock. Every path that can write that state bumps it
-  /// (the epoch-wrap loop of advance_to, on_grant, reset, scrub,
-  /// quarantine_lane, and handing out aux_vc_mut, gl_tracker_mut or the
-  /// mutable lrg()); nothing resets it. So an unchanged version means
+  /// (an epoch wrap of advance_to that changes a counter, on_grant, reset,
+  /// scrub, quarantine_lane, and handing out aux_vc_mut, gl_tracker_mut or
+  /// the mutable lrg()); nothing resets it. So an unchanged version means
   /// unchanged state. A mutable reference counts once, when it is taken:
   /// write through it before the next compare, never hold it across one.
   [[nodiscard]] std::uint64_t state_version() const noexcept {
@@ -211,6 +214,11 @@ class OutputQosArbiter {
   std::uint64_t quarantined_ = 0;        // out-of-service GB lanes
   std::vector<std::uint32_t> lane_map_;  // level remap; empty = identity
   std::uint64_t gb_capable_ = 0;  // inputs with a GB reservation
+  // Inputs whose counter may not be a clean zero: set by a GB grant and by
+  // aux_vc_mut, cleared by advance_to once a wrap leaves the counter a
+  // clean zero. Halve and reset keep a clean zero clean, and a scrub
+  // repairs only a corrupted counter, which aux_vc_mut already marked.
+  std::uint64_t live_ = 0;
   std::uint64_t version_ = 0;  // state_version(); monotone, never reset
   obs::SwitchProbe* probe_ = nullptr;  // null = observability off
   OutputId self_ = kNoPort;

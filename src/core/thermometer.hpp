@@ -56,10 +56,10 @@ class ThermometerCode {
     if (level_ + 1 < width_) ++level_;
   }
 
-  /// Hardware update on real-time epoch wrap: one lane released. Floors at
-  /// lane 0.
-  void shift_down() noexcept {
-    if (level_ > 0) --level_;
+  /// Hardware update on `k` real-time epoch wraps: one lane released per
+  /// wrap, flooring at lane 0. k shifts in one step; the fault overlay stays.
+  void shift_down(std::uint64_t k = 1) noexcept {
+    level_ = k < level_ ? level_ - static_cast<std::uint32_t>(k) : 0;
   }
 
   /// Halve policy: "the auxVC register is shifted down by 1 position and the

@@ -142,10 +142,12 @@ void SwitchProbe::auxvc_saturated(Cycle now, OutputId output, InputId input,
         input, output, kNoId, kNoId, 0, cap, 0});
 }
 
-void SwitchProbe::epoch_wrap(Cycle now, OutputId output) {
-  metrics_.add(epoch_wraps_);
-  emit({now, EventKind::EpochWrap, TrafficClass::GuaranteedBandwidth, kNoPort,
-        output, kNoId, kNoId, 0, 0, 0});
+void SwitchProbe::epoch_wraps(Cycle now, OutputId output, std::uint64_t k) {
+  metrics_.add(epoch_wraps_, k);
+  if (extra_ == nullptr && tracer_ == nullptr) return;  // k may be large
+  const Event e{now, EventKind::EpochWrap, TrafficClass::GuaranteedBandwidth,
+                kNoPort, output, kNoId, kNoId, 0, 0, 0};
+  for (std::uint64_t j = 0; j < k; ++j) emit(e);
 }
 
 void SwitchProbe::mgmt_event(Cycle now, OutputId output, bool halve) {

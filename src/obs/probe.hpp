@@ -85,7 +85,9 @@ class SwitchProbe {
                       std::uint32_t candidates);
   void auxvc_saturated(Cycle now, OutputId output, InputId input,
                        std::uint64_t cap);
-  void epoch_wrap(Cycle now, OutputId output);
+  /// `k` real-time epoch wraps caught up at `now`: counts k and emits k
+  /// `EpochWrap` events, all stamped `now`.
+  void epoch_wraps(Cycle now, OutputId output, std::uint64_t k);
   void mgmt_event(Cycle now, OutputId output, bool halve);
 
   // ---- fault / recovery hooks (called by fault::FaultInjector/Scrubber) ----

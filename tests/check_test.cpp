@@ -4,8 +4,11 @@
 // checker that never fires is worse than none.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -258,10 +261,14 @@ void capture(const ReferenceOutput& ref, std::vector<std::uint64_t>& out) {
 TEST(VersionGate, UnchangedVersionImpliesUnchangedState) {
   // Steps a differential subset of the generated campaign one cycle at a
   // time. Whenever an output's version stands still across a cycle, its
-  // compared state must too, on both sides.
+  // compared state must too, on both sides. The one exception is the
+  // simulator's epoch base: a wrap that finds every counter a clean zero
+  // moves it without a bump, and the checker compares the rt it implies on
+  // every epoch sweep, outside the gate.
   std::uint64_t scenarios = 0;
   std::uint64_t held = 0;   // output-cycles where neither version moved
   std::uint64_t moved = 0;  // output-cycles where a version moved
+  std::uint64_t silent_wraps = 0;  // held simulator versions, base moved
   std::vector<std::uint64_t> now;
   for (std::uint64_t i = 0; scenarios < 150; ++i) {
     ASSERT_LT(i, 1000u) << "too few differential scenarios generated";
@@ -289,9 +296,22 @@ TEST(VersionGate, UnchangedVersionImpliesUnchangedState) {
         const bool ref_held = c > 0 && ref.version() == ref_ver[o];
         capture(arb, now);
         if (sim_held) {
-          ASSERT_EQ(now, sim_prev[o])
+          const std::vector<std::uint64_t>& prev = sim_prev[o];
+          const std::size_t base = now.size() - 1;  // the epoch-base slot
+          ASSERT_TRUE(std::equal(now.begin(), std::prev(now.end()),
+                                 prev.begin(), std::prev(prev.end())))
               << s.name << " output " << o << " cycle " << t
               << ": simulator state changed under an unchanged version";
+          if (now[base] != prev[base]) {
+            ++silent_wraps;
+            for (InputId in = 0; in < s.radix; ++in) {
+              ASSERT_EQ(now[4 * in], 0u) << s.name << " output " << o
+                                         << " cycle " << t << " input " << in
+                                         << ": base moved over a live value";
+              ASSERT_EQ(now[4 * in + 1], 0u) << s.name << " input " << in;
+              ASSERT_EQ(now[4 * in + 2], 0u) << s.name << " input " << in;
+            }
+          }
         }
         std::swap(now, sim_prev[o]);
         capture(ref, now);
@@ -307,9 +327,11 @@ TEST(VersionGate, UnchangedVersionImpliesUnchangedState) {
       }
     }
   }
-  // Both branches of the gate must be exercised for the property to bite.
+  // Both branches of the gate, and a base moving under a held version, must
+  // be exercised for the property to bite.
   EXPECT_GT(held, 0u);
   EXPECT_GT(moved, 0u);
+  EXPECT_GT(silent_wraps, 0u);
 }
 
 /// Radix-8 SSVC switch whose traffic all goes to output 0: output 7 is
@@ -451,6 +473,58 @@ TEST(EpochSweep, CatchesAMissedWrapOnTheFirstCycleAfterAFastForward) {
   ASSERT_GE(t / sim.config().ssvc.epoch_cycles(), 3u) << t;
   EXPECT_FALSE(checker.step());
   expect_missed_wrap(checker, t);
+}
+
+TEST(EpochSweep, AJumpOverDrainedCountersMovesNoVersion) {
+  // After the burst drains, every counter of outputs 0 and 7 is a clean
+  // zero: the thousand epochs a jump crosses change none of them, so
+  // neither side's version may move, though both epoch bases must.
+  const Cycle epoch = sw::SwitchConfig{}.ssvc.epoch_cycles();
+  const Cycle late = 1000 * epoch + epoch / 2;
+  sw::CrossbarSwitch sim = gb_burst_switch(late);
+  DifferentialChecker checker(sim);
+  const std::array<OutputId, 2> outputs = {0, 7};
+  const auto drained = [&] {
+    for (const OutputId o : outputs) {
+      for (InputId i = 0; i < sim.config().radix; ++i) {
+        if (!std::as_const(sim).qos_arbiter(o).aux_vc(i).clean_zero() ||
+            checker.reference(o).value(i) != 0) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  // Step epoch by epoch until the burst has gone and both sides drained.
+  while (!(sim.delivered_packets(0) == 3 && sim.quiescent() && drained())) {
+    ASSERT_LT(sim.now(), 16 * epoch) << "the burst never drained";
+    for (Cycle c = 0; c < epoch; ++c) ASSERT_TRUE(checker.step());
+  }
+  ASSERT_LT(sim.now(), late);
+  std::array<std::uint64_t, 2> sim_ver{};
+  std::array<std::uint64_t, 2> ref_ver{};
+  std::array<Cycle, 2> base{};
+  for (std::size_t k = 0; k < outputs.size(); ++k) {
+    const core::OutputQosArbiter& arb =
+        std::as_const(sim).qos_arbiter(outputs[k]);
+    sim_ver[k] = arb.state_version();
+    ref_ver[k] = checker.reference(outputs[k]).version();
+    base[k] = arb.epoch_base();
+  }
+  // The jump stops at the late packet, whose first stepped cycle sweeps
+  // every output; the run then delivers it and stays clean.
+  ASSERT_TRUE(checker.run(late + 2 * epoch - sim.now()))
+      << checker.divergence()->kind << "\n" << checker.divergence()->detail;
+  EXPECT_GT(sim.delivered_packets(1), 0u);
+  for (std::size_t k = 0; k < outputs.size(); ++k) {
+    const core::OutputQosArbiter& arb =
+        std::as_const(sim).qos_arbiter(outputs[k]);
+    EXPECT_EQ(arb.state_version(), sim_ver[k]) << "output " << outputs[k];
+    EXPECT_EQ(checker.reference(outputs[k]).version(), ref_ver[k])
+        << "output " << outputs[k];
+    EXPECT_GE(arb.epoch_base(), late - late % epoch) << "output " << outputs[k];
+    EXPECT_GT(arb.epoch_base(), base[k]) << "output " << outputs[k];
+  }
 }
 
 // ---- Forged cycle records: invariants no generated scenario trips ------

@@ -410,6 +410,37 @@ TEST(OutputQosArbiterTest, EpochWrapLowersLevels) {
   EXPECT_EQ(arb.gb_level(0), level_before - 1);
 }
 
+TEST(OutputQosArbiterTest, CatchUpWrapsInOneStepAndBumpsOnlyOnChange) {
+  auto arb = make_gb_arbiter();  // lsb_bits 4 -> epoch 16 cycles
+  arb.advance_to(0);
+  for (int g = 0; g < 12; ++g) {
+    arb.on_grant(0, TrafficClass::GuaranteedBandwidth, 1, 0);
+  }
+  const std::uint64_t v0 = arb.aux_vc(0).value();
+  ASSERT_GT(v0 >> 4, 2u);
+  std::uint64_t version = arb.state_version();
+  arb.advance_to(2 * 16 + 5);  // two epochs, caught up at once
+  EXPECT_EQ(arb.aux_vc(0).value(), v0 - 2 * 16);
+  EXPECT_EQ(arb.gb_level(0), arb.aux_vc(0).code().level());
+  EXPECT_EQ(arb.epoch_base(), 2u * 16);
+  EXPECT_EQ(arb.epoch_rt(), 5u);
+  EXPECT_GT(arb.state_version(), version);
+  // A thousand epochs drain the counter; after that wraps change nothing,
+  // so the base moves and the version holds.
+  arb.advance_to(1000 * 16);
+  EXPECT_EQ(arb.aux_vc(0).value(), 0u);
+  version = arb.state_version();
+  arb.advance_to(5000 * 16 + 3);
+  EXPECT_EQ(arb.state_version(), version);
+  EXPECT_EQ(arb.epoch_base(), 5000u * 16);
+  // A counter upset while it was a clean zero is wrapped again.
+  arb.aux_vc_mut(3).fault_flip_value(5);  // value 32: two epochs' worth
+  version = arb.state_version();
+  arb.advance_to(5001 * 16);
+  EXPECT_EQ(arb.aux_vc(3).value(), 16u);
+  EXPECT_GT(arb.state_version(), version);
+}
+
 TEST(OutputQosArbiterTest, ResetPolicyClearsAllOnSaturation) {
   auto alloc = OutputAllocation::none(2);
   alloc.gb_rate = {0.5, 0.5};

@@ -4,12 +4,14 @@
 //     sizes ... within 2 % of their reserved rates"),
 //   * throughput ceiling L/(L+1) across packet sizes,
 //   * the Eq. (1) GL bound across GL population sizes,
-//   * counter-policy invariants under random grant streams.
+//   * counter-policy invariants under random grant streams,
+//   * closed-form epoch wraps against one wrap at a time.
 #include <gtest/gtest.h>
 
 #include <tuple>
 #include <vector>
 
+#include "check/reference.hpp"
 #include "core/aux_vc.hpp"
 #include "core/output_arbiter.hpp"
 #include "qosmath/gl_bound.hpp"
@@ -324,6 +326,197 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, AuxVcInvariantP,
                          [](const auto& pinfo) {
                            return std::string(to_string(pinfo.param));
                          });
+
+// ------------------------------------------ closed-form epoch wraps ----
+//
+// OutputQosArbiter::advance_to catches up k epochs with one epoch_wrap(k)
+// per counter; that is exact only if it equals k single wraps from every
+// state a counter can be in, upsets included.
+
+/// The wrapping policies: every finite-counter design keeps real time with
+/// the epoch wrap.
+constexpr core::CounterPolicy kWrappingPolicies[] = {
+    core::CounterPolicy::SubtractRealClock, core::CounterPolicy::Halve,
+    core::CounterPolicy::Reset};
+
+/// A counter driven by a few grants at random epoch-relative times, then
+/// left clean (upset 0), value-flipped (1) or code-flipped (2).
+core::AuxVc random_counter(const core::SsvcParams& p, Rng& rng, int upset) {
+  core::AuxVc vc(p, 1 + rng.below(2 * p.epoch_cycles()));
+  const std::uint64_t grants = rng.below(2 * p.gb_levels());
+  for (std::uint64_t g = 0; g < grants; ++g) {
+    vc.on_grant(rng.below(p.epoch_cycles()));
+  }
+  if (upset == 1) {
+    vc.fault_flip_value(static_cast<std::uint32_t>(
+        rng.below(vc.register_bits())));
+  } else if (upset == 2) {
+    vc.fault_flip_code(static_cast<std::uint32_t>(rng.below(p.gb_levels())));
+  }
+  return vc;
+}
+
+TEST(ClosedFormWrap, EpochWrapOfKEqualsKSingleWraps) {
+  Rng rng(2024);
+  std::uint64_t checked = 0;
+  std::uint64_t clean_zeros = 0;
+  for (const core::CounterPolicy policy : kWrappingPolicies) {
+    for (std::uint32_t lsb = 4; lsb <= 8; ++lsb) {
+      for (std::uint32_t level_bits = 2; level_bits <= 4; ++level_bits) {
+        core::SsvcParams p;
+        p.policy = policy;
+        p.lsb_bits = lsb;
+        p.level_bits = level_bits;
+        for (int trial = 0; trial < 20; ++trial) {
+          for (int upset = 0; upset < 3; ++upset) {
+            const core::AuxVc start = random_counter(p, rng, upset);
+            // k runs past the cap: 2^level_bits wraps drain any register.
+            for (std::uint64_t k = 1; k <= p.gb_levels() + 2; ++k) {
+              core::AuxVc closed = start;
+              closed.epoch_wrap(k);
+              core::AuxVc stepped = start;
+              for (std::uint64_t j = 0; j < k; ++j) stepped.epoch_wrap();
+              const std::string at = std::string(to_string(policy)) +
+                                     " lsb=" + std::to_string(lsb) +
+                                     " level_bits=" +
+                                     std::to_string(level_bits) +
+                                     " upset=" + std::to_string(upset) +
+                                     " start=" + std::to_string(start.value()) +
+                                     " k=" + std::to_string(k);
+              ASSERT_EQ(closed.value(), stepped.value()) << at;
+              ASSERT_EQ(closed.corrupted(), stepped.corrupted()) << at;
+              ASSERT_EQ(closed.level(), stepped.level()) << at;
+              ASSERT_EQ(closed.code().level(), stepped.code().level()) << at;
+              ASSERT_EQ(closed.arb_level(), stepped.arb_level()) << at;
+              if (start.clean_zero()) {
+                // The arbiter skips these: a wrap must leave them as is.
+                ++clean_zeros;
+                ASSERT_EQ(closed.value(), 0u) << at;
+                ASSERT_EQ(closed.code().raw_bits(), start.code().raw_bits())
+                    << at;
+                ASSERT_FALSE(closed.corrupted()) << at;
+              }
+              ++checked;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(clean_zeros, 0u);
+  EXPECT_GT(checked, 10000u);
+}
+
+TEST(ClosedFormWrap, ShiftDownOfKEqualsKSingleShifts) {
+  Rng rng(7);
+  for (std::uint32_t width = 1; width <= 16; ++width) {
+    for (std::uint32_t level = 0; level < width; ++level) {
+      for (int flipped = 0; flipped < 2; ++flipped) {
+        core::ThermometerCode start(width, level);
+        if (flipped == 1) {
+          start.fault_flip(static_cast<std::uint32_t>(rng.below(width)));
+        }
+        for (std::uint64_t k = 1; k <= width + 2; ++k) {
+          core::ThermometerCode closed = start;
+          closed.shift_down(k);
+          core::ThermometerCode stepped = start;
+          for (std::uint64_t j = 0; j < k; ++j) stepped.shift_down();
+          const std::string at = "width=" + std::to_string(width) +
+                                 " level=" + std::to_string(level) +
+                                 " flipped=" + std::to_string(flipped) +
+                                 " k=" + std::to_string(k);
+          ASSERT_EQ(closed.level(), stepped.level()) << at;
+          ASSERT_EQ(closed.raw_bits(), stepped.raw_bits()) << at;
+          ASSERT_EQ(closed.corrupted(), stepped.corrupted()) << at;
+          ASSERT_EQ(closed.effective_level(), stepped.effective_level())
+              << at;
+        }
+      }
+    }
+  }
+}
+
+// The reference's per-epoch loop is the specification, and its version
+// moves only on a wrap that changes a value: one advance_to across 10^4
+// epochs must land where 10^4 single-epoch advances do.
+class ReferenceCatchUpP
+    : public ::testing::TestWithParam<
+          std::tuple<core::CounterPolicy, check::PlantedBug>> {};
+
+TEST_P(ReferenceCatchUpP, OneLongAdvanceEqualsEpochByEpoch) {
+  const auto [policy, bug] = GetParam();
+  constexpr std::uint32_t kRadix = 8;
+  constexpr std::uint64_t kEpochs = 10000;
+  core::SsvcParams p;
+  p.policy = policy;
+  p.lsb_bits = 5;
+  p.level_bits = 3;
+  const std::uint64_t epoch = p.epoch_cycles();
+  auto alloc = core::OutputAllocation::none(kRadix);
+  for (InputId i = 0; i < kRadix; ++i) alloc.gb_rate[i] = 0.01 * (i + 1);
+  alloc.gb_packet_len = 2;
+  Rng rng(static_cast<std::uint64_t>(policy) * 10 +
+          static_cast<std::uint64_t>(bug));
+  for (int trial = 0; trial < 8; ++trial) {
+    check::ReferenceOutput ref(kRadix, p, alloc, core::GlPolicing::Stall, 32,
+                               bug);
+    // A random history: grants spread over a few epochs.
+    Cycle t = 0;
+    for (int g = 0; g < 40; ++g) {
+      t += rng.below(epoch / 2);
+      ref.advance_to(t);
+      ref.on_grant(static_cast<InputId>(rng.below(kRadix)),
+                   TrafficClass::GuaranteedBandwidth, t);
+    }
+    const Cycle end = t + kEpochs * epoch + rng.below(epoch);
+
+    check::ReferenceOutput jumped = ref;
+    jumped.advance_to(end);
+
+    check::ReferenceOutput stepped = ref;
+    std::uint64_t moves = 0;
+    for (Cycle c = t - t % epoch + epoch; c <= end; c += epoch) {
+      std::vector<std::uint64_t> before(kRadix);
+      for (InputId i = 0; i < kRadix; ++i) before[i] = stepped.value(i);
+      const std::uint64_t v = stepped.version();
+      stepped.advance_to(c);
+      bool changed = false;
+      for (InputId i = 0; i < kRadix; ++i) {
+        changed |= stepped.value(i) != before[i];
+      }
+      ASSERT_EQ(stepped.version() != v, changed)
+          << "trial " << trial << " cycle " << c;
+      moves += stepped.version() - v;
+    }
+    stepped.advance_to(end);
+
+    for (InputId i = 0; i < kRadix; ++i) {
+      ASSERT_EQ(jumped.value(i), stepped.value(i))
+          << "trial " << trial << " input " << i;
+      // 10^4 epochs drain any register, unless the wraps are skipped.
+      if (bug == check::PlantedBug::None) {
+        ASSERT_EQ(jumped.value(i), 0u);
+      }
+    }
+    EXPECT_EQ(jumped.rt(), stepped.rt()) << "trial " << trial;
+    EXPECT_EQ(jumped.rt(), end % epoch) << "trial " << trial;
+    EXPECT_EQ(jumped.version(), stepped.version()) << "trial " << trial;
+    EXPECT_EQ(jumped.version() - ref.version(), moves) << "trial " << trial;
+    if (bug == check::PlantedBug::SkipEpochWrap) {
+      EXPECT_EQ(moves, 0u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WrappingPolicies, ReferenceCatchUpP,
+    ::testing::Combine(::testing::ValuesIn(kWrappingPolicies),
+                       ::testing::Values(check::PlantedBug::None,
+                                         check::PlantedBug::SkipEpochWrap)),
+    [](const auto& pinfo) {
+      return std::string(to_string(std::get<0>(pinfo.param))) + "_" +
+             check::to_string(std::get<1>(pinfo.param));
+    });
 
 }  // namespace
 }  // namespace ssq

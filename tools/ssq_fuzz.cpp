@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -111,11 +112,16 @@ Failures:
   --repro-dir=DIR         write shrunk repro files here (default .)
   --no-shrink             keep the first failing scenario as-is
 
-Replay and corpus authoring:
-  --replay=FILE           run one scenario file instead of a campaign
+Replay and corpus authoring (each mode refuses, exit 2, any option it does
+not read):
+  --replay=FILE           run one scenario file instead of a campaign; also
+                          reads --plant, --quiet, --monitor, --no-circuit,
+                          --no-state and --no-fast-forward
   --trace=FILE            with --replay: write the scenario's golden trace
-                          to FILE ('-' = stdout) and exit (no checking)
-  --emit=N --write=FILE   serialise generated scenario N to FILE and exit
+                          to FILE ('-' = stdout) and exit (no checking); also
+                          reads --no-fast-forward
+  --emit=N --write=FILE   serialise generated scenario N to FILE and exit;
+                          also reads --seed, --sparse and --engine
 
   --quiet                 only print failures and the final summary
   --help                  print this message and exit
@@ -281,10 +287,12 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::string write_path;
   std::optional<std::uint64_t> emit_index;
+  std::vector<std::string_view> given;  // option names, "=value" cut off
 
   try {
     for (int a = 1; a < argc; ++a) {
       const std::string_view arg = argv[a];
+      given.push_back(arg.substr(0, arg.find('=')));
       if (arg == "--help") {
         std::cout << kHelp;
         return 0;
@@ -352,6 +360,29 @@ int main(int argc, char** argv) {
     }
     if (!write_path.empty() && !emit_index.has_value()) {
       throw ConfigError("--write needs --emit=N");
+    }
+    // The emit and replay modes read only their own options; campaign mode
+    // reads all the rest.
+    const auto refuse_unread =
+        [&given](std::string_view mode,
+                 std::initializer_list<std::string_view> reads) {
+          for (const std::string_view name : given) {
+            if (std::find(reads.begin(), reads.end(), name) == reads.end()) {
+              throw ConfigError(std::string(name) + " is not read by " +
+                                std::string(mode));
+            }
+          }
+        };
+    if (emit_index.has_value()) {
+      refuse_unread("--emit",
+                    {"--emit", "--write", "--seed", "--sparse", "--engine"});
+    } else if (!trace_path.empty()) {
+      refuse_unread("--replay --trace",
+                    {"--replay", "--trace", "--no-fast-forward"});
+    } else if (!replay_path.empty()) {
+      refuse_unread("--replay",
+                    {"--replay", "--no-fast-forward", "--monitor",
+                     "--no-circuit", "--no-state", "--plant", "--quiet"});
     }
 
     // Corpus authoring: serialise one generated scenario and exit.
