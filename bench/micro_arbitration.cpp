@@ -6,6 +6,10 @@
 // quantify simulator cost per modelled cycle (methodological, not a paper
 // table). `--benchmark_out=BENCH_micro_arbitration.json
 // --benchmark_out_format=json` writes the native google-benchmark report.
+// It keeps only what the repository benchmark (perf/) cannot express:
+// per-arbitration micro costs, the radix 8/16/32 stepping sweep, stepping
+// with fast-forward off, the observability sink modes and the fault attach
+// states. Nothing judges these numbers; CI uploads the report.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -154,9 +158,8 @@ void BM_SwitchStep(benchmark::State& state, ObsMode mode) {
 
 // Whole-switch SSVC stepping parameterised by radix (8/16/32/64) on a
 // saturated hotspot: radix/2 GB reservations onto output 0 plus spread
-// best-effort from the remaining inputs. This is the configuration the
-// perf-regression gate tracks (tools/ssq_bench, BENCH_hotpath.json) —
-// items_per_second here is the radix-N "cycles/sec" headline.
+// best-effort from the remaining inputs. items_per_second here is the
+// radix-N "cycles/sec" headline.
 void BM_SwitchStepRadix(benchmark::State& state) {
   const auto radix = static_cast<std::uint32_t>(state.range(0));
   const std::uint32_t gb = radix / 2;
@@ -190,8 +193,8 @@ void BM_SwitchStepRadix(benchmark::State& state) {
                           static_cast<std::int64_t>(kChunk));
 }
 
-// Sparse periodic workload (the ssq_bench "sparse64" shape: synchronized
-// periodic flows, ~97% globally idle) with idle-cycle fast-forward on/off.
+// Sparse periodic radix-64 workload (synchronized periodic flows, ~97%
+// globally idle) with idle-cycle fast-forward on/off.
 // items_per_second counts SIMULATED cycles, so the ff variant's speedup is
 // the fast-forward win; the ff_skipped counter reports how many of those
 // cycles were jumped over (every other cycle is a full step).

@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include <unistd.h>
 
@@ -73,24 +70,15 @@ std::string Record::encode() const {
 
 namespace {
 
-/// Pulls `"key":<u64>` out of the record body; false when absent/malformed.
+/// Pulls `"key":<u64>` out of the record body; false when absent, malformed
+/// or beyond uint64_t (a wrapped value would read as a plausible one).
 bool take_u64(std::string_view body, const char* key, std::uint64_t& out) {
   const std::string needle = std::string("\"") + key + "\":";
   const std::size_t at = body.find(needle);
   if (at == std::string_view::npos) return false;
-  const std::size_t start = at + needle.size();
-  if (start >= body.size() ||
-      !std::isdigit(static_cast<unsigned char>(body[start]))) {
-    return false;
-  }
-  std::uint64_t v = 0;
-  for (std::size_t p = start;
-       p < body.size() && std::isdigit(static_cast<unsigned char>(body[p]));
-       ++p) {
-    v = v * 10 + static_cast<std::uint64_t>(body[p] - '0');
-  }
-  out = v;
-  return true;
+  const char* first = body.data() + at + needle.size();
+  return std::from_chars(first, body.data() + body.size(), out).ec ==
+         std::errc{};
 }
 
 /// Pulls `"key":"value"` (no escapes — our writer never emits any in these
@@ -121,21 +109,20 @@ std::optional<Record> parse_record(std::string_view line) {
   const std::size_t crc_at = line.rfind(kCrc);
   if (crc_at == std::string_view::npos) return std::nullopt;
   const std::string_view body = line.substr(0, crc_at);
-  const std::string_view crc_text =
-      line.substr(crc_at + kCrc.size(), line.size() - crc_at - kCrc.size() - 1);
-  if (crc_text.empty() || crc_text.size() > 10) return std::nullopt;
-  std::uint64_t claimed = 0;
-  for (const char c : crc_text) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return std::nullopt;
-    claimed = claimed * 10 + static_cast<std::uint64_t>(c - '0');
+  const char* crc_end = line.data() + line.size() - 1;  // at the '}'
+  std::uint32_t claimed = 0;
+  const auto [end, ec] =
+      std::from_chars(line.data() + crc_at + kCrc.size(), crc_end, claimed);
+  if (ec != std::errc{} || end != crc_end || crc32(body) != claimed) {
+    return std::nullopt;
   }
-  if (claimed > 0xFFFFFFFFull || crc32(body) != claimed) return std::nullopt;
 
   Record r;
   std::string type;
   if (!take_str(body, "t", type)) return std::nullopt;
   std::uint64_t attempt = 0;
-  if (!take_u64(body, "j", r.j) || !take_u64(body, "a", attempt)) {
+  if (!take_u64(body, "j", r.j) || !take_u64(body, "a", attempt) ||
+      attempt > UINT32_MAX) {
     return std::nullopt;
   }
   r.attempt = static_cast<std::uint32_t>(attempt);

@@ -3,8 +3,8 @@
 // The counters are defined in alloc_hook.cpp alongside replacement global
 // `operator new`/`operator delete` implementations, packaged as the
 // `ssq_alloc_hook` library. Link that library ONLY into binaries that need
-// allocation accounting (tests/hotpath_alloc_test, tools/ssq_bench) — every
-// other binary keeps the stock allocator and is unperturbed.
+// allocation accounting (tests/hotpath_alloc_test) — every other binary
+// keeps the stock allocator and is unperturbed.
 //
 // Usage:
 //   warm_up_the_hot_path();          // reach steady-state capacities first

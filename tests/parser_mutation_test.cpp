@@ -1,11 +1,12 @@
 // Deterministic mutational fuzzing of the two line-format readers,
-// check::parse_scenario and traffic::parse_workload, and of the campaign
-// manifest reader, campaign::parse_manifest. Every committed golden scenario
-// and example workload is mutated line by line and byte by byte, and two
-// serialised manifests bit by bit and token by token; each mutant must
-// either parse or throw ssq::ConfigError — never crash, hang, abort on a
-// contract or trip a sanitizer (the ASan+UBSan CI job runs this binary too).
-// Mutants are parsed, never run.
+// check::parse_scenario and traffic::parse_workload, of the campaign
+// manifest reader, campaign::parse_manifest, and of checkpoint journals as
+// campaign::write_reports loads and merges them. Every committed golden
+// scenario and example workload is mutated line by line and byte by byte,
+// two serialised manifests bit by bit and token by token, and a journal
+// record by record; each mutant must parse or throw ssq::ConfigError —
+// never crash, hang, abort on a contract or trip a sanitizer (the ASan+UBSan
+// CI job runs this binary too). Mutants are parsed, never run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,11 +17,15 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "campaign/checkpoint.hpp"
 #include "campaign/manifest.hpp"
+#include "campaign/report.hpp"
+#include "campaign/service.hpp"
 #include "check/scenario.hpp"
 #include "sim/error.hpp"
 #include "sim/rng.hpp"
@@ -235,6 +240,96 @@ TEST(ParserMutation, EveryManifestMutantParsesOrThrowsConfigError) {
   }
   EXPECT_GT(tally.mutants, 8000u);
   EXPECT_GT(tally.rejected, tally.mutants / 2);
+}
+
+// ---------------------------------------------------------------- journals
+
+/// A clean journal of units [b, e): a start and a done record per unit,
+/// every odd unit failing.
+std::vector<std::string> journal(std::uint64_t b, std::uint64_t e,
+                                 std::uint64_t grants = 100) {
+  std::vector<std::string> lines;
+  for (campaign::Record r; b < e; ++b) {
+    r.type = campaign::Record::Type::Start;
+    r.j = b;
+    lines.push_back(r.encode());
+    r.type = campaign::Record::Type::Done;
+    r.grants = grants + b;
+    r.verdict = b % 2 ? campaign::Verdict::Fail : campaign::Verdict::Ok;
+    lines.push_back(r.encode());
+  }
+  return lines;
+}
+
+TEST(ParserMutation, EveryJournalMutantMergesOrThrowsConfigError) {
+  campaign::Manifest m;  // shard 0 runs units 0-2, shard 1 units 3-5
+  m.scenarios = 3;
+  m.shards = 2;
+  m.grid = {campaign::parse_grid_point("default"),
+            campaign::parse_grid_point("monitor")};
+  const std::string dir = ::testing::TempDir() + "/ssq_journal_mutants";
+  fs::create_directories(dir);
+  const auto cat = [](const std::vector<std::string>& recs) {
+    return std::accumulate(recs.begin(), recs.end(), std::string());
+  };
+  std::ofstream(campaign::ckpt_path(dir, 1)) << cat(journal(3, 6));
+  // The report write_reports merges with `text` as shard 0's journal.
+  const auto merged = [&](const std::string& text) -> std::string {
+    std::ofstream(campaign::ckpt_path(dir, 0)) << text;
+    try {
+      return campaign::render_report(campaign::write_reports(dir, m, {}), m);
+    } catch (const ConfigError&) {
+      return "ConfigError";
+    }
+  };
+  const std::vector<std::string> lines = journal(0, 3);
+  std::vector<std::string> prefix;  // [n]: the report of the first n records
+  for (std::ptrdiff_t n = 0; n <= std::ssize(lines); ++n) {
+    prefix.push_back(merged(cat({lines.begin(), lines.begin() + n})));
+  }
+  const std::string& clean = prefix.back();
+  // `recs` with `rec` inserted before record `at` must merge to `want`.
+  const auto expect = [&](std::vector<std::string> recs, std::size_t at,
+                          const std::string& rec, const std::string& want) {
+    recs.insert(recs.begin() + static_cast<std::ptrdiff_t>(at), rec);
+    EXPECT_EQ(merged(cat(recs)), want) << cat(recs);
+  };
+
+  // A tail torn at every byte: only whole records, newline included, count.
+  const std::string text = cat(lines);
+  for (std::size_t n = 0, whole = 0, end = 0; n < text.size(); ++n) {
+    for (; end + lines[whole].size() <= n; ++whole) end += lines[whole].size();
+    EXPECT_EQ(merged(text.substr(0, n)), prefix[whole]) << "torn at " << n;
+  }
+  // Each record moved, repeated, or contradicted later (the first done
+  // record wins), and records of units shard 0 does not own (shard 1's, a
+  // larger manifest's) at every position: the report is the clean one.
+  for (std::size_t at = 0; at <= lines.size(); ++at) {
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      std::vector<std::string> rest = lines;
+      rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(i));
+      if (at < lines.size()) expect(rest, at, lines[i], clean);
+      if (i < at) expect(lines, at, lines[i], clean);
+      if (i < at) expect(lines, at, journal(0, 3, 900)[i], clean);
+    }
+    for (const std::string& rec : journal(3, 4)) expect(lines, at, rec, clean);
+    expect(lines, at, journal(1000, 1001)[1], clean);
+    // A CRC-valid done record whose digits overflow a field is refused, not
+    // wrapped to a plausible value, and ends the journal where it stands.
+    for (const std::string field :
+         {"\"j\":184467440737095516160", "\"j\":18446744073709551617",
+          "\"grants\":18446744073709551616", "\"a\":4294967297"}) {
+      std::string body = journal(0, 1)[1];
+      body.resize(body.rfind(",\"crc\":"));
+      const std::size_t key = body.find(field.substr(0, field.find(':') + 1));
+      body.replace(key, body.find(',', key) - key, field);
+      const std::string bad = body + ",\"crc\":" +
+                              std::to_string(campaign::crc32(body)) + "}\n";
+      EXPECT_FALSE(campaign::parse_record(bad).has_value()) << bad;
+      expect(lines, at, bad, prefix[at]);
+    }
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

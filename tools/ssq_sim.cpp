@@ -174,8 +174,6 @@ void write_json_summary(std::ostream& os, const std::string& workload_path,
      << ",\"measured_cycles\":" << r.measured_cycles
      << ",\"total_accepted_rate\":"
      << obs::json_number(r.total_accepted_rate)
-     // Same metric names as the BenchReport/ssq_bench reports so perf
-     // tooling can consume run summaries and bench reports uniformly.
      << ",\"perf\":{\"repeat\":" << perf.repeat << ",\"cycles_per_sec\":"
      << obs::json_number(perf.cycles_per_sec) << ",\"peak_rss_bytes\":"
      << perf.rss_bytes << "},\"flows\":[";
