@@ -1,8 +1,8 @@
 // Pluggable output-port arbiter interface.
 //
-// The switch performs one arbitration per output channel per cycle in which
-// the channel is free: it collects the set of inputs with a ready head packet
-// for that output and asks an Arbiter to pick the winner. State updates
+// Each cycle the switch arbitrates every free output channel that some input
+// requests: it collects the set of inputs with a ready head packet for that
+// output and asks an Arbiter to pick the winner. State updates
 // (priority rotation, deficit counters, virtual clocks) are committed through
 // on_grant so a pick can be inspected before being taken.
 //
@@ -50,12 +50,10 @@ class Arbiter {
                                      Cycle now) = 0;
 
   /// Commits a grant to `input` of a packet `length` flits long at `now`.
+  /// pick() and on_grant() are the only calls an arbiter sees, and `now` is
+  /// its only clock: a cycle with no request leaves it untouched, which is
+  /// what lets the switch jump idle cycles in every mode.
   virtual void on_grant(InputId input, std::uint32_t length, Cycle now) = 0;
-
-  /// Notification that a free channel's arbitration opportunity passed
-  /// without a grant (no serviceable request). Only TDM cares — its slot
-  /// wheel advances and the slot is wasted.
-  virtual void on_idle(Cycle now) { (void)now; }
 
   /// Restores the freshly-constructed state.
   virtual void reset() = 0;

@@ -10,6 +10,8 @@
 
 #include <unistd.h>
 
+#include "campaign/fields.hpp"
+
 namespace ssq::campaign {
 
 namespace {
@@ -68,34 +70,6 @@ std::string Record::encode() const {
   return body + ",\"crc\":" + std::to_string(crc32(body)) + "}\n";
 }
 
-namespace {
-
-/// Pulls `"key":<u64>` out of the record body; false when absent, malformed
-/// or beyond uint64_t (a wrapped value would read as a plausible one).
-bool take_u64(std::string_view body, const char* key, std::uint64_t& out) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t at = body.find(needle);
-  if (at == std::string_view::npos) return false;
-  const char* first = body.data() + at + needle.size();
-  return std::from_chars(first, body.data() + body.size(), out).ec ==
-         std::errc{};
-}
-
-/// Pulls `"key":"value"` (no escapes — our writer never emits any in these
-/// fields, and a record containing them would fail the CRC anyway).
-bool take_str(std::string_view body, const char* key, std::string& out) {
-  const std::string needle = std::string("\"") + key + "\":\"";
-  const std::size_t at = body.find(needle);
-  if (at == std::string_view::npos) return false;
-  const std::size_t start = at + needle.size();
-  const std::size_t end = body.find('"', start);
-  if (end == std::string_view::npos) return false;
-  out.assign(body.substr(start, end - start));
-  return true;
-}
-
-}  // namespace
-
 std::optional<Record> parse_record(std::string_view line) {
   while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
     line.remove_suffix(1);
@@ -117,23 +91,27 @@ std::optional<Record> parse_record(std::string_view line) {
     return std::nullopt;
   }
 
+  // Every field goes through the strict scanner: `"j":0x1` is not unit 0.
+  const auto take = [body](const char* key, std::uint64_t& out) {
+    const std::optional<std::uint64_t> v = fields::find_u64(body, key);
+    if (v) out = *v;
+    return v.has_value();
+  };
   Record r;
-  std::string type;
-  if (!take_str(body, "t", type)) return std::nullopt;
+  const std::optional<std::string_view> type = fields::find_text(body, "t");
   std::uint64_t attempt = 0;
-  if (!take_u64(body, "j", r.j) || !take_u64(body, "a", attempt) ||
+  if (!type || !take("j", r.j) || !take("a", attempt) ||
       attempt > UINT32_MAX) {
     return std::nullopt;
   }
   r.attempt = static_cast<std::uint32_t>(attempt);
-  if (type == "s") {
+  if (*type == "s") {
     r.type = Record::Type::Start;
     return r;
   }
-  if (type != "d") return std::nullopt;
+  if (*type != "d") return std::nullopt;
   r.type = Record::Type::Done;
-  std::string verdict;
-  if (!take_str(body, "v", verdict)) return std::nullopt;
+  const std::optional<std::string_view> verdict = fields::find_text(body, "v");
   if (verdict == "ok") {
     r.verdict = Verdict::Ok;
   } else if (verdict == "fail") {
@@ -143,16 +121,12 @@ std::optional<Record> parse_record(std::string_view line) {
   } else {
     return std::nullopt;
   }
-  take_str(body, "kind", r.kind);
+  if (const auto kind = fields::find_text(body, "kind")) r.kind = *kind;
   std::uint64_t faulted = 0;
-  if (!take_u64(body, "cycle", r.fail_cycle) ||
-      !take_u64(body, "grants", r.grants) ||
-      !take_u64(body, "delivered", r.delivered) ||
-      !take_u64(body, "gb", r.violations_gb) ||
-      !take_u64(body, "gl", r.violations_gl) ||
-      !take_u64(body, "be", r.violations_be) ||
-      !take_u64(body, "win", r.windows) ||
-      !take_u64(body, "faulted", faulted)) {
+  if (!take("cycle", r.fail_cycle) || !take("grants", r.grants) ||
+      !take("delivered", r.delivered) || !take("gb", r.violations_gb) ||
+      !take("gl", r.violations_gl) || !take("be", r.violations_be) ||
+      !take("win", r.windows) || !take("faulted", faulted)) {
     return std::nullopt;
   }
   r.faulted = faulted != 0;

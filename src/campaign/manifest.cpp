@@ -1,12 +1,12 @@
 #include "campaign/manifest.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string_view>
 
+#include "campaign/fields.hpp"
 #include "obs/json.hpp"
 #include "sim/atomic_file.hpp"
 #include "sim/error.hpp"
@@ -130,40 +130,27 @@ std::string Manifest::serialize() const {
 
 namespace {
 
-/// Extracts the integer value of `"key":N` from our own serialised form:
-/// digits only (no sign, space or trailing junk) and at most `max`.
-std::uint64_t find_u64(std::string_view text, const std::string& key,
-                       std::uint64_t max = UINT64_MAX) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = text.find(needle);
-  if (at == std::string_view::npos) {
-    throw ConfigError("manifest: missing field '" + key + "'");
-  }
-  const char* const last = text.data() + text.size();
-  std::uint64_t v = 0;
-  const auto [end, ec] =
-      std::from_chars(text.data() + at + needle.size(), last, v);
-  if (ec != std::errc{} || v > max ||
-      (end != last && *end != ',' && *end != '}')) {
+/// `"key":N` of the manifest, at most `max`.
+std::uint64_t manifest_u64(std::string_view text, const std::string& key,
+                           std::uint64_t max = UINT64_MAX) {
+  const std::optional<std::uint64_t> v = fields::find_u64(text, key);
+  if (!v || *v > max) {
     throw ConfigError("manifest: field '" + key +
-                      "' is not an unsigned integer <= " + std::to_string(max));
+                      "' is missing or not an unsigned integer <= " +
+                      std::to_string(max));
   }
-  return v;
+  return *v;
 }
 
-/// Extracts the `"key":[...]` array body (between the brackets).
-std::string find_array(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\":[";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) {
-    throw ConfigError("manifest: missing field '" + key + "'");
+/// The body of the manifest's `"key":[...]` array.
+std::string manifest_array(std::string_view text, const std::string& key) {
+  const std::optional<std::string_view> body =
+      fields::find_text(text, key, '[');
+  if (!body) {
+    throw ConfigError("manifest: array '" + key +
+                      "' is missing or unterminated");
   }
-  const std::size_t open = at + needle.size();
-  const std::size_t close = text.find(']', open);
-  if (close == std::string::npos) {
-    throw ConfigError("manifest: unterminated array '" + key + "'");
-  }
-  return text.substr(open, close - open);
+  return std::string(*body);
 }
 
 }  // namespace
@@ -175,15 +162,15 @@ Manifest parse_manifest(const std::string& text) {
                       "(expected ssq.campaign.manifest.v1)");
   }
   Manifest m;
-  m.base_seed = find_u64(text, "base_seed");
-  m.scenarios = find_u64(text, "scenarios");
-  m.shards = find_u64(text, "shards");
+  m.base_seed = manifest_u64(text, "base_seed");
+  m.scenarios = manifest_u64(text, "scenarios");
+  m.shards = manifest_u64(text, "shards");
   m.max_attempts = static_cast<std::uint32_t>(
-      find_u64(text, "max_attempts", UINT32_MAX));
-  m.scenario_timeout_ms = find_u64(text, "scenario_timeout_ms");
-  m.throttle_ms = find_u64(text, "throttle_ms");
+      manifest_u64(text, "max_attempts", UINT32_MAX));
+  m.scenario_timeout_ms = manifest_u64(text, "scenario_timeout_ms");
+  m.throttle_ms = manifest_u64(text, "throttle_ms");
   m.grid.clear();
-  const std::string grid = find_array(text, "grid");
+  const std::string grid = manifest_array(text, "grid");
   std::size_t pos = 0;
   while ((pos = grid.find('"', pos)) != std::string::npos) {
     const std::size_t end = grid.find('"', pos + 1);
@@ -193,7 +180,7 @@ Manifest parse_manifest(const std::string& text) {
     m.grid.push_back(parse_grid_point(grid.substr(pos + 1, end - pos - 1)));
     pos = end + 1;
   }
-  const std::string planted = find_array(text, "planted");
+  const std::string planted = manifest_array(text, "planted");
   pos = 0;
   while ((pos = planted.find("{\"kind\":\"", pos)) != std::string::npos) {
     const std::size_t k0 = pos + 9;
@@ -210,7 +197,7 @@ Manifest parse_manifest(const std::string& text) {
     } else {
       throw ConfigError("manifest: unknown planted kind '" + kind + "'");
     }
-    p.index = find_u64(std::string_view(planted).substr(k1), "index");
+    p.index = manifest_u64(std::string_view(planted).substr(k1), "index");
     m.planted.push_back(p);
     pos = k1 + 1;
   }

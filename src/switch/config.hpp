@@ -88,13 +88,13 @@ struct SwitchConfig {
   /// over every per-cycle consumer (injector next creation cycles, with
   /// Bernoulli/OnOff streams pre-rolled, the fault plan's outage/stuck
   /// schedule, the pre-rolled bitflip stream, the scrubber's next pass —
-  /// see switch/event_horizon.hpp). Exact: an eligible idle cycle
-  /// touches no arbiter, queue, stats or probe state; epoch wraps defer to
-  /// the next request's advance_to(); GSF frame state catches up
-  /// retroactively; window consumers coalesce via clock_jump. Faulted,
-  /// scrubbed, monitored and GSF runs all stay byte-identical to their
-  /// stepped equivalents. Auto-disabled (regardless of this flag) only for
-  /// baseline mode, whose arbiters tick on_idle() every cycle.
+  /// see switch/event_horizon.hpp). Exact in every mode: an idle cycle
+  /// touches no arbiter, queue, stats or probe state; SSVC epoch wraps
+  /// defer to the next request's advance_to(); a baseline arbiter changes
+  /// only in pick()/on_grant() and reads time only from the `now` it is
+  /// handed; GSF frame state catches up retroactively; window consumers
+  /// coalesce via clock_jump. Faulted, scrubbed, monitored, GSF and
+  /// baseline runs all stay byte-identical to their stepped equivalents.
   bool fast_forward = true;
 
   ArbitrationMode mode = ArbitrationMode::SsvcQos;

@@ -99,10 +99,6 @@ CrossbarSwitch::CrossbarSwitch(const SwitchConfig& config,
     }
   }
   throughput_.open_window(0);
-  // Baseline arbiters tick on_idle() every cycle, which makes idle cycles
-  // observable; every other per-cycle consumer participates in the
-  // event-horizon protocol, so SSVC-mode configs are always eligible.
-  ff_eligible_ = config_.fast_forward && config_.mode == ArbitrationMode::SsvcQos;
 }
 
 const InputPort& CrossbarSwitch::input(InputId i) const {
@@ -180,14 +176,14 @@ void CrossbarSwitch::preempt_scan() {
     const auto o = static_cast<OutputId>(std::countr_zero(w));
     auto& t = transmissions_[o];
     if (now_ >= t.last_flit) continue;
-    auto* pvc = dynamic_cast<arb::PvcArbiter*>(baseline_[o].get());
-    SSQ_ENSURE(pvc != nullptr);
+    // validate() admits preemption only over the PVC arbiter.
+    auto& pvc = static_cast<arb::PvcArbiter&>(*baseline_[o]);
     // Best waiting challenger for this output.
-    std::uint32_t best_level = pvc->num_levels();
+    std::uint32_t best_level = pvc.num_levels();
     for (InputId i = 0; i < config_.radix; ++i) {
       if (inputs_[i].busy(now_)) continue;
       if (candidate_for(i, o) == nullptr) continue;
-      best_level = std::min(best_level, pvc->level(i, now_));
+      best_level = std::min(best_level, pvc.level(i, now_));
     }
     if (best_level + config_.pvc.preempt_margin >= t.granted_level) continue;
 
@@ -449,21 +445,8 @@ void CrossbarSwitch::complete(Transmission& t, OutputId o) {
       // GL chaining is also policed: an over-budget GL class cannot chain.
       if (cls != TrafficClass::GuaranteedLatency ||
           qos_[o]->gl_tracker().eligible(now_)) {
-        Packet pkt = pop_for(src, cls, o);
-        pkt.granted = now_;
-        if (measuring_) usage_[o].transfer_cycles += pkt.length;  // no arb
-        qos_[o]->on_grant(src, cls, pkt.length, now_);
-        scratch_.grants.push_back({src, o, cls, /*chained=*/true});
-        if (obs_ != nullptr) {
-          obs_->grant(now_, src, o, cls, pkt.flow, pkt.id, pkt.length,
-                      now_ - pkt.buffered, /*chained=*/true);
-          obs_->transfer_start(now_ + 1, src, o, cls, pkt.flow, pkt.id,
-                               pkt.length);
-        }
-        start_transmission(std::move(pkt), o, now_ + 1);
-        if (cls == TrafficClass::GuaranteedBandwidth) {
-          inputs_[src].advance_gb_pointer(o);
-        }
+        qos_[o]->on_grant(src, cls, head->length, now_);
+        commit_grant(src, o, cls, /*chained=*/true);
       }
     }
   }
@@ -606,82 +589,75 @@ void CrossbarSwitch::arbitrate() {
     }
   }
 
-  if (config_.mode == ArbitrationMode::SsvcQos) {
-    arbitrate_masked();
-    return;
-  }
-
-  // Baseline arbiters take request lists: each idle output gathers its
-  // requesters from its class masks, in input order.
-  const std::uint32_t radix = config_.radix;
-  for (OutputId o = 0; o < radix; ++o) {
-    if (!output_idle(o)) continue;
-    auto& arbiter = *baseline_[o];
-    s.base_reqs.clear();
-    for (std::uint64_t w = s.masks[o].any(); w != 0; w &= w - 1) {
-      const auto i = static_cast<InputId>(std::countr_zero(w));
-      const PendingRequest& p = s.pending[i];
-      s.base_reqs.push_back({i, p.length, p.buffered,
-                             workload_.flow(p.flow).legacy_priority});
-    }
-    if (s.base_reqs.empty()) {
-      arbiter.on_idle(now_);
-      continue;
-    }
-    const InputId winner = arbiter.pick(s.base_reqs, now_);
-    if (winner == kNoPort) {  // TDM: the slot owner is idle — wasted slot
-      arbiter.on_idle(now_);
-      continue;
-    }
-    if (auto* pvc = dynamic_cast<arb::PvcArbiter*>(&arbiter)) {
-      transmissions_[o].granted_level = pvc->level(winner, now_);
-    }
-    arbiter.on_grant(winner, s.pending[winner].length, now_);
-    commit_grant(winner, o, s.pending[winner].cls);
-  }
-}
-
-void CrossbarSwitch::arbitrate_masked() {
-  // SSVC single-request allocation: each requested output resolves its kept
-  // class masks in one pick_masked().
-  StepScratch& s = scratch_;
-  // Only requested outputs can grant; an un-requested output's advance_to()
-  // stays lazy. Bit order == ascending o.
+  // Only requested outputs can grant; an un-requested output's SSVC
+  // advance_to() stays lazy. Bit order == ascending o.
+  const bool ssvc = config_.mode == ArbitrationMode::SsvcQos;
   for (std::uint64_t w = s.requested; w != 0; w &= w - 1) {
     const auto o = static_cast<OutputId>(std::countr_zero(w));
     if (!output_idle(o)) continue;
-    auto& arbiter = *qos_[o];
-    arbiter.advance_to(now_);
-    const InputId winner = arbiter.pick_masked(s.masks[o], now_);
-    if (winner == kNoPort) continue;  // stalled GL only
-    const TrafficClass win_cls = arbiter.picked_class();
-    SSQ_ENSURE(win_cls == s.pending[winner].cls);
-    arbiter.on_grant(winner, win_cls, s.pending[winner].length, now_);
-    commit_grant(winner, o, win_cls);
+    InputId winner = kNoPort;
+    if (ssvc) {
+      // SSVC resolves the kept class masks in one pick_masked().
+      auto& arbiter = *qos_[o];
+      arbiter.advance_to(now_);
+      winner = arbiter.pick_masked(s.masks[o], now_);
+      if (winner == kNoPort) continue;  // stalled GL only
+      SSQ_ENSURE(arbiter.picked_class() == s.pending[winner].cls);
+      arbiter.on_grant(winner, s.pending[winner].cls,
+                       s.pending[winner].length, now_);
+    } else {
+      // A baseline arbiter takes the requesters as a list, in input order.
+      s.base_reqs.clear();
+      for (std::uint64_t m = s.masks[o].any(); m != 0; m &= m - 1) {
+        const auto i = static_cast<InputId>(std::countr_zero(m));
+        const PendingRequest& p = s.pending[i];
+        s.base_reqs.push_back({i, p.length, p.buffered,
+                               workload_.flow(p.flow).legacy_priority});
+      }
+      winner = baseline_[o]->pick(s.base_reqs, now_);
+      if (winner == kNoPort) continue;  // TDM: off-slot or idle slot owner
+      charge_baseline(o, winner, s.pending[winner].length);
+    }
+    commit_grant(winner, o, s.pending[winner].cls, /*chained=*/false);
   }
 }
 
+void CrossbarSwitch::charge_baseline(OutputId o, InputId winner,
+                                    std::uint32_t length) {
+  arb::Arbiter& arbiter = *baseline_[o];
+  if (config_.pvc.preemption) {
+    // validate() admits preemption only over the PVC arbiter. Read the
+    // level before on_grant() raises it.
+    transmissions_[o].granted_level =
+        static_cast<arb::PvcArbiter&>(arbiter).level(winner, now_);
+  }
+  arbiter.on_grant(winner, length, now_);
+}
+
 void CrossbarSwitch::commit_grant(InputId winner, OutputId o,
-                                  TrafficClass cls) {
+                                  TrafficClass cls, bool chained) {
   Packet pkt = pop_for(winner, cls, o);
   pkt.granted = now_;
-  scratch_.grants.push_back({winner, o, cls, /*chained=*/false});
+  scratch_.grants.push_back({winner, o, cls, chained});
   // Every requester of o, the winner included, selects again next cycle
   // (the masks are empty outside single-request mode).
   reselect_ |= scratch_.masks[o].any();
+  // Arbitration occupies arbitration_cycles (1 for SSVC, 2 for the legacy
+  // 4-level design [14]); flits flow once it completes. A chained packet
+  // skips arbitration and follows its predecessor's last flit.
+  const Cycle arb_cycles = chained ? 0 : config_.arbitration_cycles;
+  const Cycle first_flit = now_ + (chained ? 1 : arb_cycles);
   if (measuring_) {
-    usage_[o].arbitration_cycles += config_.arbitration_cycles;
+    usage_[o].arbitration_cycles += arb_cycles;
     usage_[o].transfer_cycles += pkt.length;
   }
   if (obs_ != nullptr) {
     obs_->grant(now_, winner, o, cls, pkt.flow, pkt.id, pkt.length,
-                now_ - pkt.buffered, /*chained=*/false);
-    obs_->transfer_start(now_ + config_.arbitration_cycles, winner, o, cls,
-                         pkt.flow, pkt.id, pkt.length);
+                now_ - pkt.buffered, chained);
+    obs_->transfer_start(first_flit, winner, o, cls, pkt.flow, pkt.id,
+                         pkt.length);
   }
-  // Arbitration occupies arbitration_cycles (1 for SSVC, 2 for the legacy
-  // 4-level design [14]); flits flow once it completes.
-  start_transmission(std::move(pkt), o, now_ + config_.arbitration_cycles);
+  start_transmission(std::move(pkt), o, first_flit);
   if (cls == TrafficClass::GuaranteedBandwidth) {
     inputs_[winner].advance_gb_pointer(o);
   }
@@ -797,9 +773,9 @@ void CrossbarSwitch::arbitrate_matched() {
                              workload_.flow(h->flow).legacy_priority});
         const InputId confirm = baseline_[best]->pick(s.restage, now_);
         SSQ_ENSURE(confirm == i);
-        baseline_[best]->on_grant(i, length, now_);
+        charge_baseline(best, i, length);
       }
-      commit_grant(i, best, cls);
+      commit_grant(i, best, cls, /*chained=*/false);
       in_matched |= 1ULL << i;
       out_done |= 1ULL << best;
       accept_out_ptr_[i] = (best + 1) % radix;
@@ -888,7 +864,7 @@ void CrossbarSwitch::arbitrate_engine() {
     in_used |= 1ULL << i;
     const Packet* h = candidate_for(i, o);
     SSQ_ENSURE(h != nullptr);
-    commit_grant(i, o, h->cls);
+    commit_grant(i, o, h->cls, /*chained=*/false);
     ++engine_stats_.matches;
   }
 }
@@ -937,7 +913,7 @@ CycleRecord CrossbarSwitch::last_cycle() const noexcept {
 }
 
 void CrossbarSwitch::fast_forward(Cycle end) {
-  SSQ_EXPECT(ff_eligible_);
+  SSQ_EXPECT(config_.fast_forward);
   if (now_ >= end || !quiescent()) return;
   // Fold every consumer's horizon (see event_horizon.hpp). Schedule-driven
   // consumers first: the fault plan's outage/stuck schedule and the
@@ -962,8 +938,9 @@ void CrossbarSwitch::fast_forward(Cycle end) {
   }
   // Something is due this very cycle: the caller's step() runs it.
   if (horizon.due_now(now_)) return;
-  // Nothing is due before the horizon, and an idle cycle of an eligible
-  // switch touches no other state, so the clock jumps. Window-based probe
+  // Nothing is due before the horizon, and an idle cycle touches no other
+  // state (no arbiter, SSVC or baseline, changes without a request), so the
+  // clock jumps. Window-based probe
   // consumers must see the jump (never traced — see SwitchProbe::clock_jump),
   // or a skipped boundary would silently stretch their current window.
   const Cycle from = now_;

@@ -12,10 +12,11 @@
 //   3. arbitrate — each idle input asserts at most ONE request (its bus
 //                carries one flit/cycle): GL head first, then GB heads by a
 //                rotating output pointer, then BE, restricted to idle output
-//                channels. Each idle output runs one single-cycle
-//                arbitration (three-class SSVC, or a class-blind baseline
-//                arbiter) and the winner's packet seizes the channel for
-//                1 arbitration cycle + `length` transfer cycles.
+//                channels. Each requested idle output runs one
+//                single-cycle arbitration (three-class SSVC, or a
+//                class-blind baseline arbiter) and the winner's packet
+//                seizes the channel for 1 arbitration cycle + `length`
+//                transfer cycles.
 //
 // Stepping does only the work an event makes due (the tick-on-event idiom).
 // Requests and their per-output class masks are kept across cycles: an
@@ -84,7 +85,7 @@ class CrossbarSwitch {
   void run(Cycle cycles, OnStep&& on_step, OnJump&& on_jump) {
     const Cycle end = now_ + cycles;
     while (now_ < end) {
-      if (ff_eligible_ && quiescent()) {
+      if (config_.fast_forward && quiescent()) {
         const Cycle from = now_;
         fast_forward(end);
         if (now_ != from) on_jump(from, now_);
@@ -95,16 +96,15 @@ class CrossbarSwitch {
     }
   }
 
-  /// True when the configuration permits idle-cycle fast-forward: SSVC mode
-  /// with config.fast_forward set. Attachments no longer disqualify — fault
-  /// injectors, scrubbers, probes/monitors and GSF regulation all
-  /// participate through the event-horizon protocol (event_horizon.hpp):
+  /// True when the configuration permits idle-cycle fast-forward, which is
+  /// config.fast_forward alone: every mode and every attachment is eligible.
+  /// Fault injectors, scrubbers, probes/monitors and GSF regulation take
+  /// part through the event-horizon protocol (event_horizon.hpp):
   /// schedule-driven consumers clamp the jump to their next event, RNG
   /// streams are pre-rolled, and window consumers catch up retroactively.
-  /// Only the baseline arbiters (per-cycle on_idle state) remain stepped.
-  /// Cached at construction: config is immutable, so this is one flag read.
+  /// No arbiter, SSVC or baseline, changes on a cycle without requests.
   [[nodiscard]] bool fast_forward_eligible() const noexcept {
-    return ff_eligible_;
+    return config_.fast_forward;
   }
 
   /// True when no packet exists anywhere (source queues, input buffers, or
@@ -242,7 +242,7 @@ class CrossbarSwitch {
     Packet pkt;
     Cycle first_flit = 0;
     Cycle last_flit = 0;
-    std::uint32_t granted_level = 0;  // PVC level at grant time
+    std::uint32_t granted_level = 0;  // PVC level at grant (preemption)
   };
 
   /// Packet creation into source queues for the flows whose calendar entry
@@ -259,17 +259,22 @@ class CrossbarSwitch {
   /// those holding a head for an output that turned idle, moving their bits
   /// in the per-output class masks. The .cpp lists the reselect rules.
   void select_requests();
+  /// Single-request allocation: one arbitration per requested idle output,
+  /// from the kept requests.
   void arbitrate();
-  /// SSVC single-request mode: the kept per-output class request masks
-  /// straight to pick_masked().
-  void arbitrate_masked();
   void arbitrate_matched();
   /// Matching-engine allocation (config.engine != None): build the
   /// eligibility/backlog view, let the engine compute a matching, commit it.
   void arbitrate_engine();
   void preempt_scan();
-  /// Pops the winner's packet, charges usage, seizes the channel.
-  void commit_grant(InputId winner, OutputId o, TrafficClass cls);
+  /// Charges output o's baseline arbiter with its grant (on_grant), first
+  /// recording the PVC level preempt_scan() compares challengers against.
+  void charge_baseline(OutputId o, InputId winner, std::uint32_t length);
+  /// The one grant commit: pops the winner's packet, charges usage, seizes
+  /// the channel. A chained grant (Packet Chaining, from complete()) skips
+  /// the arbitration cycles: its first flit moves next cycle.
+  void commit_grant(InputId winner, OutputId o, TrafficClass cls,
+                    bool chained);
   /// Highest-priority ready head of input i for output o, or nullptr.
   [[nodiscard]] const Packet* candidate_for(InputId i, OutputId o) const;
   void start_transmission(Packet&& pkt, OutputId o, Cycle first_flit);
@@ -302,10 +307,6 @@ class CrossbarSwitch {
   // preempted packet stays alive). 0 <=> every queue and channel is empty.
   std::uint64_t live_packets_ = 0;
   std::uint64_t ff_skipped_cycles_ = 0;
-  // Eligibility depends only on the (immutable) config; computed once in
-  // the constructor so run loops read one flag instead of re-deriving it
-  // per iteration.
-  bool ff_eligible_ = false;
 
   std::vector<InputPort> inputs_;
   std::vector<Cycle> output_free_at_;

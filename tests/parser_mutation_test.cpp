@@ -314,11 +314,13 @@ TEST(ParserMutation, EveryJournalMutantMergesOrThrowsConfigError) {
     }
     for (const std::string& rec : journal(3, 4)) expect(lines, at, rec, clean);
     expect(lines, at, journal(1000, 1001)[1], clean);
-    // A CRC-valid done record whose digits overflow a field is refused, not
-    // wrapped to a plausible value, and ends the journal where it stands.
+    // A CRC-valid done record whose digits overflow a field, or trail junk,
+    // is refused, not read as a plausible value, and ends the journal where
+    // it stands.
     for (const std::string field :
          {"\"j\":184467440737095516160", "\"j\":18446744073709551617",
-          "\"grants\":18446744073709551616", "\"a\":4294967297"}) {
+          "\"grants\":18446744073709551616", "\"a\":4294967297",
+          "\"j\":0x1", "\"grants\":7x"}) {
       std::string body = journal(0, 1)[1];
       body.resize(body.rfind(",\"crc\":"));
       const std::size_t key = body.find(field.substr(0, field.find(':') + 1));

@@ -723,29 +723,36 @@ TEST(CrossbarTest, PvcPreemptionAbortsAndRetransmits) {
   // A heavy flow monopolises the output; a light flow's packets arrive
   // rarely. With preemption the light flow's packets cut in (its PVC level
   // is 0, the heavy flow's is high); the victims are retransmitted and
-  // every packet is still delivered exactly once.
-  Workload w(4);
-  const FlowId heavy = w.add_flow(gb_flow(0, 1, 0.7, 8, 1.0));
-  auto light_spec = gb_flow(1, 1, 0.2, 2, 0.0);
-  light_spec.inject = InjectKind::Periodic;
-  light_spec.inject_rate = 0.02;  // one 2-flit packet per 100 cycles
-  const FlowId light = w.add_flow(light_spec);
-  SwitchConfig c = base_config(4);
-  c.mode = ArbitrationMode::Baseline;
-  c.baseline = arb::Kind::Pvc;
-  c.pvc.preemption = true;
-  c.pvc.preempt_margin = 2;
-  CrossbarSwitch sw(c, std::move(w));
-  sw.warmup(2000);
-  sw.measure(40000);
-  EXPECT_GT(sw.preemptions(1), 50u);
-  EXPECT_GT(sw.wasted_flits(), 50u);
-  // The light flow's wait is short thanks to preemption.
-  EXPECT_LT(sw.wait().flow_summary(light).mean(), 6.0);
-  // Work conservation still holds minus the waste.
-  const double total =
-      sw.throughput().rate(heavy) + sw.throughput().rate(light);
-  EXPECT_GT(total, 0.8);
+  // every packet is still delivered exactly once. Both allocation modes
+  // record the grant-time level preemption compares against.
+  for (const AllocationMode alloc :
+       {AllocationMode::SingleRequest, AllocationMode::IterativeMatching}) {
+    SCOPED_TRACE(alloc == AllocationMode::SingleRequest ? "single-request"
+                                                        : "iterative");
+    Workload w(4);
+    const FlowId heavy = w.add_flow(gb_flow(0, 1, 0.7, 8, 1.0));
+    auto light_spec = gb_flow(1, 1, 0.2, 2, 0.0);
+    light_spec.inject = InjectKind::Periodic;
+    light_spec.inject_rate = 0.02;  // one 2-flit packet per 100 cycles
+    const FlowId light = w.add_flow(light_spec);
+    SwitchConfig c = base_config(4);
+    c.mode = ArbitrationMode::Baseline;
+    c.baseline = arb::Kind::Pvc;
+    c.allocation = alloc;
+    c.pvc.preemption = true;
+    c.pvc.preempt_margin = 2;
+    CrossbarSwitch sw(c, std::move(w));
+    sw.warmup(2000);
+    sw.measure(40000);
+    EXPECT_GT(sw.preemptions(1), 50u);
+    EXPECT_GT(sw.wasted_flits(), 50u);
+    // The light flow's wait is short thanks to preemption.
+    EXPECT_LT(sw.wait().flow_summary(light).mean(), 6.0);
+    // Work conservation still holds minus the waste.
+    const double total =
+        sw.throughput().rate(heavy) + sw.throughput().rate(light);
+    EXPECT_GT(total, 0.8);
+  }
 }
 
 TEST(CrossbarTest, PvcPreemptionConservesPackets) {

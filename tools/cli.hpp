@@ -29,6 +29,17 @@ inline std::optional<std::string> opt_value(std::string_view arg,
   return std::string(arg.substr(key.size() + 1));
 }
 
+/// parse_uint refusing 0, for counts and periods that must be >= 1.
+template <typename T>
+T parse_positive(std::string_view value, std::string_view option) {
+  const T x = parse_uint<T>(value, option);
+  if (x == 0) {
+    throw ConfigError("invalid value '" + std::string(value) + "' for " +
+                      std::string(option) + " (expected an integer >= 1)");
+  }
+  return x;
+}
+
 /// parse_double restricted to [0, 1].
 inline double parse_rate(std::string_view value, std::string_view option) {
   const double x = parse_double(value, option);

@@ -297,10 +297,7 @@ int main(int argc, char** argv) {
         std::cout << kHelp;
         return 0;
       } else if (auto v = opt_value(arg, "--scenarios")) {
-        scenarios_arg = parse_uint<std::uint64_t>(*v, "--scenarios");
-        if (*scenarios_arg == 0) {
-          throw ConfigError("--scenarios must be >= 1");
-        }
+        scenarios_arg = cli::parse_positive<std::uint64_t>(*v, "--scenarios");
       } else if (auto v2 = opt_value(arg, "--seed")) {
         base_seed = parse_uint<std::uint64_t>(*v2, "--seed");
       } else if (auto v3 = opt_value(arg, "--time-budget")) {
@@ -318,8 +315,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--monitor") {
         grid += "+monitor";
       } else if (auto vh = opt_value(arg, "--heartbeat")) {
-        heartbeat_s = parse_uint<std::uint64_t>(*vh, "--heartbeat");
-        if (heartbeat_s == 0) throw ConfigError("--heartbeat must be >= 1");
+        heartbeat_s = cli::parse_positive<std::uint64_t>(*vh, "--heartbeat");
       } else if (auto ve = opt_value(arg, "--engine")) {
         grid += "+engine=" + std::string(*ve);
       } else if (auto v4 = opt_value(arg, "--plant")) {

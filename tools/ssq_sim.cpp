@@ -44,7 +44,7 @@ latencies and per-output channel occupancy.
 
 Arbitration:
   --mode=ssvc | lrg | round_robin | age | tdm | wrr | dwrr | wfq |
-         virtual_clock | multilevel | fixed_priority
+         virtual_clock | multilevel | fixed_priority | pvc
                           output arbitration (default ssvc)
   --policy=subtract_real_clock | halve | reset
                           SSVC counter management (default subtract)
@@ -103,6 +103,9 @@ Fault injection and recovery (see docs/FAULTS.md; SSVC mode only):
   --scrub-interval=N      run the state scrubber every N cycles (default off)
 
   --help                  print this message and exit
+
+Exit status: 0 on success; 1 on a workload-file, configuration or output
+error; 2 on bad usage (an unknown option or a malformed option value).
 )";
 
 [[noreturn]] void usage(const char* argv0) {
@@ -114,8 +117,23 @@ Fault injection and recovery (see docs/FAULTS.md; SSVC mode only):
 }
 
 using cli::opt_value;
+using cli::parse_positive;
 using cli::parse_rate;
 using cli::parse_uint;
+
+/// The bad-usage error for `option`'s `value`.
+[[noreturn]] void bad_value(std::string_view option, std::string_view value,
+                            std::string_view expected) {
+  throw ConfigError("invalid value '" + std::string(value) + "' for " +
+                    std::string(option) + " (expected " +
+                    std::string(expected) + ")");
+}
+
+/// A file-path option's value, which must not be empty.
+std::string need_path(std::string_view value, std::string_view option) {
+  if (value.empty()) bad_value(option, value, "a file path");
+  return std::string(value);
+}
 
 std::vector<std::string> split_commas(const std::string& s) {
   std::vector<std::string> parts;
@@ -248,155 +266,150 @@ int run(int argc, char** argv) {
   fault::FaultPlan plan;
   Cycle scrub_interval = 0;  // 0 = scrubber off
 
-  for (int a = 1; a < argc; ++a) {
-    const std::string_view arg = argv[a];
-    if (arg == "--help" || arg == "-h") {
-      std::fputs(kHelp, stdout);
-      return 0;
-    } else if (arg == "--csv") {
-      csv = true;
-    } else if (arg == "--chaining") {
-      config.packet_chaining = true;
-    } else if (arg == "--from-creation") {
-      config.latency_from_creation = true;
-    } else if (auto v = opt_value(arg, "--mode")) {
-      if (*v == "ssvc") {
-        config.mode = sw::ArbitrationMode::SsvcQos;
-      } else {
-        config.mode = sw::ArbitrationMode::Baseline;
-        config.baseline = arb::parse_kind(*v);
-      }
-    } else if (auto v2 = opt_value(arg, "--policy")) {
-      if (*v2 == "subtract_real_clock") {
-        config.ssvc.policy = core::CounterPolicy::SubtractRealClock;
-      } else if (*v2 == "halve") {
-        config.ssvc.policy = core::CounterPolicy::Halve;
-      } else if (*v2 == "reset") {
-        config.ssvc.policy = core::CounterPolicy::Reset;
-      } else {
-        usage(argv[0]);
-      }
-    } else if (auto v3 = opt_value(arg, "--level-bits")) {
-      config.ssvc.level_bits = parse_uint<std::uint32_t>(*v3, "--level-bits");
-    } else if (auto v4 = opt_value(arg, "--lsb-bits")) {
-      config.ssvc.lsb_bits = parse_uint<std::uint32_t>(*v4, "--lsb-bits");
-    } else if (auto v5 = opt_value(arg, "--vtick-bits")) {
-      config.ssvc.vtick_bits = parse_uint<std::uint32_t>(*v5, "--vtick-bits");
-    } else if (auto v6 = opt_value(arg, "--vtick-shift")) {
-      config.ssvc.vtick_shift =
-          parse_uint<std::uint32_t>(*v6, "--vtick-shift");
-    } else if (auto v7 = opt_value(arg, "--warmup")) {
-      warmup = parse_uint<Cycle>(*v7, "--warmup");
-    } else if (auto v8 = opt_value(arg, "--measure")) {
-      measure = parse_uint<Cycle>(*v8, "--measure");
-      if (measure == 0) throw ssq::ConfigError("--measure must be >= 1");
-    } else if (auto vr = opt_value(arg, "--repeat")) {
-      repeat = parse_uint<std::uint64_t>(*vr, "--repeat");
-      if (repeat == 0) throw ssq::ConfigError("--repeat must be >= 1");
-    } else if (auto v9 = opt_value(arg, "--seed")) {
-      config.seed = parse_uint<std::uint64_t>(*v9, "--seed");
-    } else if (auto v10 = opt_value(arg, "--arb-cycles")) {
-      config.arbitration_cycles =
-          parse_uint<std::uint32_t>(*v10, "--arb-cycles");
-    } else if (arg == "--no-fast-forward") {
-      config.fast_forward = false;
-    } else if (auto v11 = opt_value(arg, "--gsf")) {
-      config.gsf.enabled = true;
-      const auto comma = v11->find(',');
-      if (comma == std::string::npos) {
-        config.gsf.frame_cycles = parse_uint<Cycle>(*v11, "--gsf");
-      } else {
-        config.gsf.frame_cycles =
-            parse_uint<Cycle>(v11->substr(0, comma), "--gsf");
-        config.gsf.barrier_cycles =
-            parse_uint<Cycle>(v11->substr(comma + 1), "--gsf");
-      }
-    } else if (auto v12 = opt_value(arg, "--trace")) {
-      trace_path = *v12;
-      if (trace_path.empty()) usage(argv[0]);
-    } else if (auto v13 = opt_value(arg, "--trace-format")) {
-      if (*v13 != "chrome" && *v13 != "jsonl") usage(argv[0]);
-      trace_format = *v13;
-    } else if (auto v14 = opt_value(arg, "--trace-limit")) {
-      trace_limit = parse_uint<std::uint64_t>(*v14, "--trace-limit");
-    } else if (auto v15 = opt_value(arg, "--metrics")) {
-      metrics_path = *v15;
-      if (metrics_path.empty()) usage(argv[0]);
-    } else if (auto v16 = opt_value(arg, "--metrics-interval")) {
-      metrics_interval = parse_uint<Cycle>(*v16, "--metrics-interval");
-      if (metrics_interval == 0) {
-        throw ssq::ConfigError("--metrics-interval must be >= 1");
-      }
-    } else if (arg == "--monitor") {
-      monitor_on = true;
-    } else if (auto vmw = opt_value(arg, "--monitor-window")) {
-      monitor_window = parse_uint<Cycle>(*vmw, "--monitor-window");
-      if (monitor_window == 0) {
-        throw ssq::ConfigError("--monitor-window must be >= 1");
-      }
-    } else if (auto vmt = opt_value(arg, "--monitor-gb-tol")) {
-      monitor_gb_tol = parse_rate(*vmt, "--monitor-gb-tol");
-    } else if (auto vfr = opt_value(arg, "--flight-recorder")) {
-      flight_capacity = parse_uint<std::size_t>(*vfr, "--flight-recorder");
-      if (flight_capacity == 0) {
-        throw ssq::ConfigError("--flight-recorder must be >= 1");
-      }
-    } else if (auto vfd = opt_value(arg, "--flight-dump")) {
-      flight_path = *vfd;
-      if (flight_path.empty()) usage(argv[0]);
-    } else if (auto v17 = opt_value(arg, "--json")) {
-      json_path = *v17;
-      if (json_path.empty()) usage(argv[0]);
-    } else if (auto v18 = opt_value(arg, "--fault-seed")) {
-      plan.seed = parse_uint<std::uint64_t>(*v18, "--fault-seed");
-    } else if (auto v19 = opt_value(arg, "--fault-bitflip-rate")) {
-      plan.bitflip_rate = parse_rate(*v19, "--fault-bitflip-rate");
-    } else if (auto v20 = opt_value(arg, "--fault-stuck-lane")) {
-      const auto parts = split_commas(*v20);
-      if (parts.size() < 2 || parts.size() > 3 ||
-          (parts.size() == 3 && parts[2] != "low" && parts[2] != "high")) {
-        throw ssq::ConfigError(
-            "--fault-stuck-lane expects OUTPUT,LANE[,low|high]");
-      }
-      plan.stuck_lanes.push_back(
-          {.output = parse_uint<OutputId>(parts[0], "--fault-stuck-lane"),
-           .lane = parse_uint<std::uint32_t>(parts[1], "--fault-stuck-lane"),
-           .stuck_high = parts.size() < 3 || parts[2] == "high",
-           .at = 0});
-    } else if (auto v21 = opt_value(arg, "--fault-kill-port")) {
-      const auto parts = split_commas(*v21);
-      if (parts.empty() || parts.size() > 3) {
-        throw ssq::ConfigError(
-            "--fault-kill-port expects PORT[,AT[,RESTORE]]");
-      }
-      fault::PortKill kill;
-      kill.input = parse_uint<InputId>(parts[0], "--fault-kill-port");
-      if (parts.size() >= 2) {
-        kill.at = parse_uint<Cycle>(parts[1], "--fault-kill-port");
-      }
-      if (parts.size() >= 3) {
-        kill.restore_at = parse_uint<Cycle>(parts[2], "--fault-kill-port");
-        if (kill.restore_at <= kill.at) {
-          throw ssq::ConfigError(
-              "--fault-kill-port RESTORE must come after AT");
+  // Every option error is bad usage (exit 2) and names the option and its
+  // value; workload-file and configuration errors surface later (exit 1).
+  try {
+    for (int a = 1; a < argc; ++a) {
+      const std::string_view arg = argv[a];
+      if (arg == "--help" || arg == "-h") {
+        std::fputs(kHelp, stdout);
+        return 0;
+      } else if (arg == "--csv") {
+        csv = true;
+      } else if (arg == "--chaining") {
+        config.packet_chaining = true;
+      } else if (arg == "--from-creation") {
+        config.latency_from_creation = true;
+      } else if (auto v = opt_value(arg, "--mode")) {
+        if (*v == "ssvc") {
+          config.mode = sw::ArbitrationMode::SsvcQos;
+        } else {
+          config.mode = sw::ArbitrationMode::Baseline;
+          try {
+            config.baseline = arb::parse_kind(*v);
+          } catch (const ConfigError&) {
+            bad_value("--mode", *v,
+                      "ssvc, lrg, round_robin, age, tdm, wrr, dwrr, wfq, "
+                      "virtual_clock, multilevel, fixed_priority or pvc");
+          }
         }
+      } else if (auto v2 = opt_value(arg, "--policy")) {
+        if (*v2 == "subtract_real_clock") {
+          config.ssvc.policy = core::CounterPolicy::SubtractRealClock;
+        } else if (*v2 == "halve") {
+          config.ssvc.policy = core::CounterPolicy::Halve;
+        } else if (*v2 == "reset") {
+          config.ssvc.policy = core::CounterPolicy::Reset;
+        } else {
+          bad_value("--policy", *v2, "subtract_real_clock, halve or reset");
+        }
+      } else if (auto v3 = opt_value(arg, "--level-bits")) {
+        config.ssvc.level_bits = parse_uint<std::uint32_t>(*v3, "--level-bits");
+      } else if (auto v4 = opt_value(arg, "--lsb-bits")) {
+        config.ssvc.lsb_bits = parse_uint<std::uint32_t>(*v4, "--lsb-bits");
+      } else if (auto v5 = opt_value(arg, "--vtick-bits")) {
+        config.ssvc.vtick_bits = parse_uint<std::uint32_t>(*v5, "--vtick-bits");
+      } else if (auto v6 = opt_value(arg, "--vtick-shift")) {
+        config.ssvc.vtick_shift =
+            parse_uint<std::uint32_t>(*v6, "--vtick-shift");
+      } else if (auto v7 = opt_value(arg, "--warmup")) {
+        warmup = parse_uint<Cycle>(*v7, "--warmup");
+      } else if (auto v8 = opt_value(arg, "--measure")) {
+        measure = parse_positive<Cycle>(*v8, "--measure");
+      } else if (auto vr = opt_value(arg, "--repeat")) {
+        repeat = parse_positive<std::uint64_t>(*vr, "--repeat");
+      } else if (auto v9 = opt_value(arg, "--seed")) {
+        config.seed = parse_uint<std::uint64_t>(*v9, "--seed");
+      } else if (auto v10 = opt_value(arg, "--arb-cycles")) {
+        config.arbitration_cycles =
+            parse_uint<std::uint32_t>(*v10, "--arb-cycles");
+      } else if (arg == "--no-fast-forward") {
+        config.fast_forward = false;
+      } else if (auto v11 = opt_value(arg, "--gsf")) {
+        config.gsf.enabled = true;
+        const auto comma = v11->find(',');
+        if (comma == std::string::npos) {
+          config.gsf.frame_cycles = parse_uint<Cycle>(*v11, "--gsf");
+        } else {
+          config.gsf.frame_cycles =
+              parse_uint<Cycle>(v11->substr(0, comma), "--gsf");
+          config.gsf.barrier_cycles =
+              parse_uint<Cycle>(v11->substr(comma + 1), "--gsf");
+        }
+      } else if (auto v12 = opt_value(arg, "--trace")) {
+        trace_path = need_path(*v12, "--trace");
+      } else if (auto v13 = opt_value(arg, "--trace-format")) {
+        if (*v13 != "chrome" && *v13 != "jsonl") {
+          bad_value("--trace-format", *v13, "chrome or jsonl");
+        }
+        trace_format = *v13;
+      } else if (auto v14 = opt_value(arg, "--trace-limit")) {
+        trace_limit = parse_uint<std::uint64_t>(*v14, "--trace-limit");
+      } else if (auto v15 = opt_value(arg, "--metrics")) {
+        metrics_path = need_path(*v15, "--metrics");
+      } else if (auto v16 = opt_value(arg, "--metrics-interval")) {
+        metrics_interval = parse_positive<Cycle>(*v16, "--metrics-interval");
+      } else if (arg == "--monitor") {
+        monitor_on = true;
+      } else if (auto vmw = opt_value(arg, "--monitor-window")) {
+        monitor_window = parse_positive<Cycle>(*vmw, "--monitor-window");
+      } else if (auto vmt = opt_value(arg, "--monitor-gb-tol")) {
+        monitor_gb_tol = parse_rate(*vmt, "--monitor-gb-tol");
+      } else if (auto vfr = opt_value(arg, "--flight-recorder")) {
+        flight_capacity =
+            parse_positive<std::size_t>(*vfr, "--flight-recorder");
+      } else if (auto vfd = opt_value(arg, "--flight-dump")) {
+        flight_path = need_path(*vfd, "--flight-dump");
+      } else if (auto v17 = opt_value(arg, "--json")) {
+        json_path = need_path(*v17, "--json");
+      } else if (auto v18 = opt_value(arg, "--fault-seed")) {
+        plan.seed = parse_uint<std::uint64_t>(*v18, "--fault-seed");
+      } else if (auto v19 = opt_value(arg, "--fault-bitflip-rate")) {
+        plan.bitflip_rate = parse_rate(*v19, "--fault-bitflip-rate");
+      } else if (auto v20 = opt_value(arg, "--fault-stuck-lane")) {
+        const auto parts = split_commas(*v20);
+        if (parts.size() < 2 || parts.size() > 3 ||
+            (parts.size() == 3 && parts[2] != "low" && parts[2] != "high")) {
+          bad_value("--fault-stuck-lane", *v20, "OUTPUT,LANE[,low|high]");
+        }
+        plan.stuck_lanes.push_back(
+            {.output = parse_uint<OutputId>(parts[0], "--fault-stuck-lane"),
+             .lane = parse_uint<std::uint32_t>(parts[1], "--fault-stuck-lane"),
+             .stuck_high = parts.size() < 3 || parts[2] == "high",
+             .at = 0});
+      } else if (auto v21 = opt_value(arg, "--fault-kill-port")) {
+        const auto parts = split_commas(*v21);
+        if (parts.size() > 3) {
+          bad_value("--fault-kill-port", *v21, "PORT[,AT[,RESTORE]]");
+        }
+        fault::PortKill kill;
+        kill.input = parse_uint<InputId>(parts[0], "--fault-kill-port");
+        if (parts.size() >= 2) {
+          kill.at = parse_uint<Cycle>(parts[1], "--fault-kill-port");
+        }
+        if (parts.size() >= 3) {
+          kill.restore_at = parse_uint<Cycle>(parts[2], "--fault-kill-port");
+          if (kill.restore_at <= kill.at) {
+            bad_value("--fault-kill-port", *v21, "RESTORE after AT");
+          }
+        }
+        plan.port_kills.push_back(kill);
+      } else if (auto v22 = opt_value(arg, "--scrub-interval")) {
+        scrub_interval = parse_positive<Cycle>(*v22, "--scrub-interval");
+      } else if (!arg.empty() && arg[0] == '-') {
+        throw ConfigError("unknown option '" + std::string(arg) + "'");
+      } else if (workload_path.empty()) {
+        workload_path = std::string(arg);
+      } else {
+        throw ConfigError("unexpected argument '" + std::string(arg) +
+                          "' (one workload file)");
       }
-      plan.port_kills.push_back(kill);
-    } else if (auto v22 = opt_value(arg, "--scrub-interval")) {
-      scrub_interval = parse_uint<Cycle>(*v22, "--scrub-interval");
-      if (scrub_interval == 0) {
-        throw ssq::ConfigError("--scrub-interval must be >= 1");
-      }
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "ssq_sim: unknown option '%s'\n", argv[a]);
-      usage(argv[0]);
-    } else if (workload_path.empty()) {
-      workload_path = std::string(arg);
-    } else {
-      usage(argv[0]);
     }
+    if (workload_path.empty()) throw ConfigError("no workload file given");
+  } catch (const ConfigError& e) {
+    std::fprintf(stderr, "ssq_sim: %s\n", e.what());
+    usage(argv[0]);
   }
-  if (workload_path.empty()) usage(argv[0]);
 
   auto workload = traffic::load_workload(workload_path);
   config.radix = workload.radix();
