@@ -231,12 +231,12 @@ void DifferentialChecker::check_grant(const sw::CycleRecord& rec,
   granted_out_ |= 1ULL << o;
   granted_in_ |= 1ULL << i;
 
-  if (progress_guard_ && !g.chained) {
-    // Engine mode records every eligible (input, output) pair; a grant
-    // outside that set means the engine matched an ineligible pair.
+  if (!rec.eligible.empty() && !g.chained) {
+    // IterativeMatching (classic or engine) records every eligible (input,
+    // output) pair; a grant outside that set matched an ineligible pair.
     if (i >= rec.eligible.size() || ((rec.eligible[i] >> o) & 1ULL) == 0) {
       fail(t, o, "unrequested_grant",
-           "engine granted input " + std::to_string(i) +
+           "granted input " + std::to_string(i) +
                " at an output it never requested\n" + dump_requests(rec, o));
       return;
     }
@@ -437,7 +437,7 @@ std::string DifferentialChecker::dump_requests(const sw::CycleRecord& rec,
     os << " [in=" << i << ' ' << class_name(rec.pending[i].cls) << ']';
     any = true;
   }
-  // An engine's eligible pair names no class.
+  // A matching's eligible pair names no class.
   for (InputId i = 0; i < rec.eligible.size(); ++i) {
     if (((rec.eligible[i] >> o) & 1ULL) == 0) continue;
     os << " [in=" << i << ']';

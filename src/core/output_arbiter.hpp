@@ -66,6 +66,12 @@ struct ClassMasks {
     be &= keep;
   }
   [[nodiscard]] std::uint64_t any() const noexcept { return gl | gb | be; }
+  /// The class input i requests in (BE when its bit is in no mask).
+  [[nodiscard]] TrafficClass class_of(InputId i) const noexcept {
+    if (((gl >> i) & 1ULL) != 0) return TrafficClass::GuaranteedLatency;
+    if (((gb >> i) & 1ULL) != 0) return TrafficClass::GuaranteedBandwidth;
+    return TrafficClass::BestEffort;
+  }
 };
 
 class OutputQosArbiter {

@@ -26,7 +26,6 @@ CrossbarSwitch::CrossbarSwitch(const SwitchConfig& config,
   for (InputId i = 0; i < radix; ++i) {
     inputs_.emplace_back(i, radix, config_.buffers);
   }
-  output_free_at_.assign(radix, 0);
   transmissions_.resize(radix);
   usage_.resize(radix);
   preemptions_.assign(radix, 0);
@@ -156,8 +155,8 @@ const core::OutputQosArbiter& CrossbarSwitch::qos_arbiter(OutputId o) const {
 }
 
 bool CrossbarSwitch::output_idle(OutputId o) const {
-  SSQ_EXPECT(o < output_free_at_.size());
-  return output_free_at_[o] <= now_;
+  SSQ_EXPECT(o < config_.radix);
+  return ((idle_outputs() >> o) & 1ULL) != 0;
 }
 
 CrossbarSwitch::ChannelUsage CrossbarSwitch::channel_usage(OutputId o) const {
@@ -208,7 +207,7 @@ void CrossbarSwitch::preempt_scan() {
     const InputId src = t.pkt.src;
     Packet victim = std::move(t.pkt);
     victim.granted = kNoCycle;
-    if (inputs_[src].can_restore(victim.cls, victim.dst, transferred)) {
+    if (inputs_[src].can_accept(victim.cls, victim.dst, transferred)) {
       // Re-account the drained flits and retry from the buffer head.
       inputs_[src].push_front(std::move(victim), transferred);
     } else {
@@ -226,7 +225,6 @@ void CrossbarSwitch::preempt_scan() {
     inputs_[src].set_free_at(now_);
     reselect_ |= 1ULL << src;        // free this very cycle, heads changed
     admit_sleep_ &= ~(1ULL << src);  // its buffers drained
-    output_free_at_[o] = now_;
     active_out_ &= ~(1ULL << o);
   }
 }
@@ -342,16 +340,15 @@ void CrossbarSwitch::inject_admit() {
         all_full = false;  // the frame clock, not a drain, lifts this
         continue;  // GSF: out of frame quota, or inside the barrier window
       }
-      if (!inputs_[i].can_accept(source_q_[f].front())) {
+      const Packet& head = source_q_[f].front();
+      if (!inputs_[i].can_accept(head.cls, head.dst, head.length)) {
         if (obs_ != nullptr) {
-          const Packet& blocked = source_q_[f].front();
-          obs_->admit_blocked(now_, f, blocked.src, blocked.dst, blocked.cls,
-                              blocked.length);
+          obs_->admit_blocked(now_, f, head.src, head.dst, head.cls,
+                              head.length);
         }
         continue;
       }
       if (obs_ != nullptr) {
-        const Packet& head = source_q_[f].front();
         obs_->packet_buffered(now_, f, head.id, head.src, head.dst, head.cls,
                               head.length);
       }
@@ -419,28 +416,11 @@ void CrossbarSwitch::complete(Transmission& t, OutputId o) {
       return;
     }
     for (InputId i = 0; i < config_.radix; ++i) {
-      if (const Packet* h = inputs_[i].gl_head();
-          h != nullptr && h->dst == o) {
+      if (inputs_[i].head(TrafficClass::GuaranteedLatency, o) != nullptr) {
         return;  // yield the channel to a fresh (GL-winning) arbitration
       }
     }
-    const Packet* head = nullptr;
-    switch (cls) {
-      case TrafficClass::GuaranteedBandwidth:
-        head = inputs_[src].gb_head(o);
-        break;
-      case TrafficClass::BestEffort: {
-        const Packet* h = inputs_[src].be_head();
-        head = (h && h->dst == o) ? h : nullptr;
-        break;
-      }
-      case TrafficClass::GuaranteedLatency: {
-        const Packet* h = inputs_[src].gl_head();
-        head = (h && h->dst == o) ? h : nullptr;
-        break;
-      }
-    }
-    if (head != nullptr) {
+    if (const Packet* head = inputs_[src].head(cls, o); head != nullptr) {
       qos_[o]->advance_to(now_);
       // GL chaining is also policed: an over-budget GL class cannot chain.
       if (cls != TrafficClass::GuaranteedLatency ||
@@ -452,32 +432,12 @@ void CrossbarSwitch::complete(Transmission& t, OutputId o) {
   }
 }
 
-Packet CrossbarSwitch::pop_for(InputId i, TrafficClass cls, OutputId o) {
-  switch (cls) {
-    case TrafficClass::BestEffort: {
-      Packet p = inputs_[i].pop_be();
-      SSQ_ENSURE(p.dst == o);
-      return p;
-    }
-    case TrafficClass::GuaranteedBandwidth:
-      return inputs_[i].pop_gb(o);
-    case TrafficClass::GuaranteedLatency: {
-      Packet p = inputs_[i].pop_gl();
-      SSQ_ENSURE(p.dst == o);
-      return p;
-    }
-  }
-  SSQ_EXPECT(false);
-  return Packet{};
-}
-
 void CrossbarSwitch::start_transmission(Packet&& pkt, OutputId o,
                                         Cycle first_flit) {
   auto& t = transmissions_[o];
   SSQ_EXPECT((active_out_ & (1ULL << o)) == 0);
   const Cycle last = first_flit + pkt.length - 1;
   inputs_[pkt.src].set_free_at(last + 1);
-  output_free_at_[o] = last + 1;
   t.pkt = std::move(pkt);
   t.first_flit = first_flit;
   t.last_flit = last;
@@ -512,7 +472,9 @@ PendingRequest CrossbarSwitch::select_one(InputId i, std::uint64_t idle,
     for (std::uint64_t w : {occ & ~below, occ & below}) {
       for (; w != 0; w &= w - 1) {
         const auto o = static_cast<OutputId>(std::countr_zero(w));
-        if (link_ok(o)) return request(o, *port.gb_head(o));
+        if (link_ok(o)) {
+          return request(o, *port.head(TrafficClass::GuaranteedBandwidth, o));
+        }
       }
     }
   }
@@ -544,10 +506,8 @@ void CrossbarSwitch::select_requests() {
   // busy ports move only at admission, grants and completions, and an
   // output turning busy matters only to the inputs that requested it.
   StepScratch& s = scratch_;
-  // An output is busy while its transmission is active and through the
-  // cycle its last flit moves (free from output_free_at_ = last + 1). One
-  // that turned idle marks the inputs holding a head for it.
-  const std::uint64_t idle = all_ports_ & ~(active_out_ | done_out_);
+  // An output that turned idle marks the inputs holding a head for it.
+  const std::uint64_t idle = idle_outputs();
   for (std::uint64_t w = idle & ~s.idle; w != 0; w &= w - 1) {
     reselect_ |= s.wanted_by[static_cast<OutputId>(std::countr_zero(w))];
   }
@@ -589,12 +549,11 @@ void CrossbarSwitch::arbitrate() {
     }
   }
 
-  // Only requested outputs can grant; an un-requested output's SSVC
+  // Only requested idle outputs can grant; an un-requested output's SSVC
   // advance_to() stays lazy. Bit order == ascending o.
   const bool ssvc = config_.mode == ArbitrationMode::SsvcQos;
-  for (std::uint64_t w = s.requested; w != 0; w &= w - 1) {
+  for (std::uint64_t w = s.requested & s.idle; w != 0; w &= w - 1) {
     const auto o = static_cast<OutputId>(std::countr_zero(w));
-    if (!output_idle(o)) continue;
     InputId winner = kNoPort;
     if (ssvc) {
       // SSVC resolves the kept class masks in one pick_masked().
@@ -636,7 +595,7 @@ void CrossbarSwitch::charge_baseline(OutputId o, InputId winner,
 
 void CrossbarSwitch::commit_grant(InputId winner, OutputId o,
                                   TrafficClass cls, bool chained) {
-  Packet pkt = pop_for(winner, cls, o);
+  Packet pkt = inputs_[winner].pop(cls, o);
   pkt.granted = now_;
   scratch_.grants.push_back({winner, o, cls, chained});
   // Every requester of o, the winner included, selects again next cycle
@@ -664,139 +623,19 @@ void CrossbarSwitch::commit_grant(InputId winner, OutputId o,
 }
 
 const Packet* CrossbarSwitch::candidate_for(InputId i, OutputId o) const {
-  const auto& port = inputs_[i];
-  if (const Packet* h = port.gl_head(); h != nullptr && h->dst == o) return h;
-  if (const Packet* h = port.gb_head(o); h != nullptr) return h;
-  if (const Packet* h = port.be_head(); h != nullptr && h->dst == o) return h;
-  return nullptr;
+  SSQ_EXPECT(i < inputs_.size());
+  const InputPort& port = inputs_[i];
+  const Packet* h = port.head(TrafficClass::GuaranteedLatency, o);
+  if (h == nullptr) h = port.head(TrafficClass::GuaranteedBandwidth, o);
+  if (h == nullptr) h = port.head(TrafficClass::BestEffort, o);
+  return h;
 }
 
-void CrossbarSwitch::arbitrate_matched() {
-  // iSLIP-style request/grant/accept over the idle ports. Every iteration:
-  // each unmatched idle output runs its (QoS or baseline) arbitration over
-  // the unmatched idle inputs that have a ready head for it (the GRANT
-  // step); each input then ACCEPTS at most one grant — highest class first,
-  // then a rotating pointer over outputs — and the pair is committed
-  // immediately, so later iterations arbitrate against updated state.
+bool CrossbarSwitch::fill_view(bool voq) {
   const std::uint32_t radix = config_.radix;
   StepScratch& s = scratch_;
-  // Matching masks: bit i of in_matched == input i is matched (or may not
-  // request); bit o of out_done == output o is settled. One uint64_t word
-  // each — radix <= 64 — where the old code allocated two vector<bool>.
-  std::uint64_t in_matched = 0;
-  std::uint64_t out_done = 0;
-  for (OutputId o = 0; o < radix; ++o) {
-    if (!output_idle(o)) out_done |= 1ULL << o;
-  }
-  fault::FaultInjector* const fi = fault_;
-  for (InputId i = 0; i < radix; ++i) {
-    if (inputs_[i].busy(now_)) in_matched |= 1ULL << i;
-    if (fi != nullptr && fi->port_dead(i)) in_matched |= 1ULL << i;
-  }
-
-  const bool ssvc = config_.mode == ArbitrationMode::SsvcQos;
-  auto& base_reqs = s.base_reqs;
-  for (std::uint32_t iter = 0; iter < config_.match_iterations; ++iter) {
-    // GRANT step: every live output picks a winner among current requesters.
-    s.grant_to.assign(radix, kNoPort);     // per output
-    s.grant_cls.assign(radix, TrafficClass::BestEffort);
-    bool any_grant = false;
-    for (OutputId o = 0; o < radix; ++o) {
-      if ((out_done >> o) & 1ULL) continue;
-      core::ClassMasks masks;  // SSVC: this output's requests
-      base_reqs.clear();
-      for (InputId i = 0; i < radix; ++i) {
-        if ((in_matched >> i) & 1ULL) continue;
-        if (fi != nullptr && !fi->link_alive(i, o)) continue;
-        const Packet* h = candidate_for(i, o);
-        if (h == nullptr) continue;
-        // Matched mode exposes every ready head; report each (input, output)
-        // candidacy once, on the first matching round.
-        if (iter == 0 && obs_ != nullptr) {
-          obs_->request(now_, i, o, h->cls);
-        }
-        if (ssvc) {
-          masks.add(i, h->cls);
-        } else {
-          base_reqs.push_back({i, h->length, h->buffered,
-                               workload_.flow(h->flow).legacy_priority});
-        }
-      }
-      InputId w = kNoPort;
-      if (ssvc) {
-        if (masks.any() == 0) continue;
-        auto& arbiter = *qos_[o];
-        arbiter.advance_to(now_);
-        w = arbiter.pick_masked(masks, now_);
-        if (w == kNoPort) {  // stalled GL only
-          out_done |= 1ULL << o;
-          continue;
-        }
-        s.grant_cls[o] = arbiter.picked_class();
-      } else {
-        if (base_reqs.empty()) continue;
-        w = baseline_[o]->pick(base_reqs, now_);
-        if (w == kNoPort) continue;  // TDM off-slot
-        const Packet* h = candidate_for(w, o);
-        SSQ_ENSURE(h != nullptr);
-        s.grant_cls[o] = h->cls;
-      }
-      s.grant_to[o] = w;
-      any_grant = true;
-    }
-    if (!any_grant) break;
-
-    // ACCEPT step: each input takes its best grant.
-    for (InputId i = 0; i < radix; ++i) {
-      if ((in_matched >> i) & 1ULL) continue;
-      OutputId best = kNoPort;
-      for (std::uint32_t off = 0; off < radix; ++off) {
-        const OutputId o = (accept_out_ptr_[i] + off) % radix;
-        if (s.grant_to[o] != i) continue;
-        if (best == kNoPort ||
-            higher_priority(s.grant_cls[o], s.grant_cls[best])) {
-          best = o;
-        }
-      }
-      if (best == kNoPort) continue;
-
-      const TrafficClass cls = s.grant_cls[best];
-      const Packet* h = candidate_for(i, best);
-      SSQ_ENSURE(h != nullptr && h->cls == cls);
-      const std::uint32_t length = h->length;
-      if (ssvc) {
-        qos_[best]->on_grant(i, cls, length, now_);
-      } else {
-        // Restage the staged baselines (WRR/DWRR) on the accepted pair.
-        s.restage.clear();
-        s.restage.push_back({i, length, h->buffered,
-                             workload_.flow(h->flow).legacy_priority});
-        const InputId confirm = baseline_[best]->pick(s.restage, now_);
-        SSQ_ENSURE(confirm == i);
-        charge_baseline(best, i, length);
-      }
-      commit_grant(i, best, cls, /*chained=*/false);
-      in_matched |= 1ULL << i;
-      out_done |= 1ULL << best;
-      accept_out_ptr_[i] = (best + 1) % radix;
-    }
-  }
-}
-
-void CrossbarSwitch::arbitrate_engine() {
-  // Matching-engine allocation: build the switch-wide eligibility/backlog
-  // view once, hand it to the engine, commit the returned partial
-  // permutation. The per-output QoS arbiters stay idle — class priority
-  // survives only in candidate_for()'s head order (GL > GB > BE).
-  const std::uint32_t radix = config_.radix;
-  StepScratch& s = scratch_;
-  std::fill(s.eng_voq.begin(), s.eng_voq.end(), 0U);
-
-  std::uint64_t out_free = 0;
-  for (OutputId o = 0; o < radix; ++o) {
-    if (output_idle(o)) out_free |= 1ULL << o;
-  }
-
+  if (voq) std::fill(s.voq.begin(), s.voq.end(), 0U);
+  const std::uint64_t idle = idle_outputs();
   bool any_candidate = false;
   fault::FaultInjector* const fi = fault_;
   for (InputId i = 0; i < radix; ++i) {
@@ -811,30 +650,152 @@ void CrossbarSwitch::arbitrate_engine() {
         }
       }
     }
-    const std::uint64_t elig = port.busy(now_) ? 0 : (cand & out_free);
-    s.eng_candidates[i] = cand;
-    s.eng_eligible[i] = elig;
+    s.candidates[i] = cand;
+    s.eligible[i] = port.busy(now_) ? 0 : (cand & idle);
     any_candidate |= cand != 0;
+    if (!voq) continue;
     // Backlog in flits behind each candidate crosspoint: the crosspoint GB
     // queue, plus the (shared-FIFO) GL/BE buffers when their head points at
     // o. Sampling weight for QPS, retirement signal for SW-QPS.
     for (std::uint64_t w = cand; w != 0; w &= w - 1) {
       const auto o = static_cast<OutputId>(std::countr_zero(w));
       std::uint32_t backlog = port.gb_occupancy(o);
-      if (const Packet* h = port.gl_head(); h != nullptr && h->dst == o) {
+      if (port.head(TrafficClass::GuaranteedLatency, o) != nullptr) {
         backlog += port.gl_occupancy();
       }
-      if (const Packet* h = port.be_head(); h != nullptr && h->dst == o) {
+      if (port.head(TrafficClass::BestEffort, o) != nullptr) {
         backlog += port.be_occupancy();
       }
-      s.eng_voq[static_cast<std::size_t>(i) * radix + o] = backlog;
+      s.voq[static_cast<std::size_t>(i) * radix + o] = backlog;
     }
-    if (obs_ != nullptr) {
-      for (std::uint64_t w = elig; w != 0; w &= w - 1) {
+  }
+  return any_candidate;
+}
+
+void CrossbarSwitch::arbitrate_matched() {
+  // iSLIP-style request/grant/accept over the matching view. Every
+  // iteration: each unsettled idle output runs its (QoS or baseline)
+  // arbitration over the unmatched inputs eligible for it (the GRANT step);
+  // each input then ACCEPTS at most one grant — highest class first, then a
+  // rotating pointer over outputs — and the pair is committed immediately,
+  // so later iterations arbitrate against updated state. A commit pops only
+  // its own input's head, and a matched input leaves the transpose, so the
+  // view stays exact for every input still unmatched.
+  const std::uint32_t radix = config_.radix;
+  StepScratch& s = scratch_;
+  fill_view(/*voq=*/false);
+  // The view's transpose: bit i of requesters[o] == input i is eligible for
+  // o, in the class of its candidate head.
+  std::fill(s.requesters.begin(), s.requesters.end(), core::ClassMasks{});
+  for (InputId i = 0; i < radix; ++i) {
+    for (std::uint64_t w = s.eligible[i]; w != 0; w &= w - 1) {
+      const auto o = static_cast<OutputId>(std::countr_zero(w));
+      s.requesters[o].add(i, candidate_for(i, o)->cls);
+    }
+  }
+
+  std::uint64_t out_open = idle_outputs();  // idle and not yet settled
+  const bool ssvc = config_.mode == ArbitrationMode::SsvcQos;
+  for (std::uint32_t iter = 0; iter < config_.match_iterations; ++iter) {
+    // GRANT step: every open output picks a winner among its requesters
+    // (all unmatched) and offers it the grant.
+    std::uint64_t offered_to = 0;  // inputs holding >= 1 offer
+    for (std::uint64_t w = out_open; w != 0; w &= w - 1) {
+      const auto o = static_cast<OutputId>(std::countr_zero(w));
+      const core::ClassMasks& m = s.requesters[o];
+      if (m.any() == 0) continue;
+      // Matched mode exposes every ready head; report each (input, output)
+      // candidacy once, on the first matching round.
+      if (iter == 0 && obs_ != nullptr) {
+        for (std::uint64_t q = m.any(); q != 0; q &= q - 1) {
+          const auto i = static_cast<InputId>(std::countr_zero(q));
+          obs_->request(now_, i, o, m.class_of(i));
+        }
+      }
+      InputId winner = kNoPort;
+      if (ssvc) {
+        auto& arbiter = *qos_[o];
+        arbiter.advance_to(now_);
+        winner = arbiter.pick_masked(m, now_);
+        if (winner == kNoPort) {  // stalled GL only
+          out_open &= ~(1ULL << o);
+          continue;
+        }
+        s.grant_cls[o] = arbiter.picked_class();
+      } else {
+        s.base_reqs.clear();
+        for (std::uint64_t q = m.any(); q != 0; q &= q - 1) {
+          const auto i = static_cast<InputId>(std::countr_zero(q));
+          const Packet& h = *inputs_[i].head(m.class_of(i), o);
+          s.base_reqs.push_back({i, h.length, h.buffered,
+                                 workload_.flow(h.flow).legacy_priority});
+        }
+        winner = baseline_[o]->pick(s.base_reqs, now_);
+        if (winner == kNoPort) continue;  // TDM off-slot
+        s.grant_cls[o] = m.class_of(winner);
+      }
+      s.offered[winner] |= 1ULL << o;
+      offered_to |= 1ULL << winner;
+    }
+    if (offered_to == 0) break;
+
+    // ACCEPT step: each input takes its best offer, walking its offers from
+    // its accept pointer: the outputs at or above it first, then the ones
+    // below it.
+    for (std::uint64_t w = offered_to; w != 0; w &= w - 1) {
+      const auto i = static_cast<InputId>(std::countr_zero(w));
+      const std::uint64_t offers = s.offered[i];
+      s.offered[i] = 0;
+      const std::uint64_t below = (1ULL << accept_out_ptr_[i]) - 1;  // < 64
+      OutputId best = kNoPort;
+      for (std::uint64_t q : {offers & ~below, offers & below}) {
+        for (; q != 0; q &= q - 1) {
+          const auto o = static_cast<OutputId>(std::countr_zero(q));
+          if (best == kNoPort ||
+              higher_priority(s.grant_cls[o], s.grant_cls[best])) {
+            best = o;
+          }
+        }
+      }
+
+      const TrafficClass cls = s.grant_cls[best];
+      const Packet* h = inputs_[i].head(cls, best);
+      SSQ_ENSURE(h != nullptr);
+      const std::uint32_t length = h->length;
+      if (ssvc) {
+        qos_[best]->on_grant(i, cls, length, now_);
+      } else {
+        // Restage the staged baselines (WRR/DWRR) on the accepted pair.
+        s.restage.clear();
+        s.restage.push_back({i, length, h->buffered,
+                             workload_.flow(h->flow).legacy_priority});
+        const InputId confirm = baseline_[best]->pick(s.restage, now_);
+        SSQ_ENSURE(confirm == i);
+        charge_baseline(best, i, length);
+      }
+      commit_grant(i, best, cls, /*chained=*/false);
+      for (std::uint64_t q = s.eligible[i]; q != 0; q &= q - 1) {
+        s.requesters[static_cast<OutputId>(std::countr_zero(q))].remove(i);
+      }
+      out_open &= ~(1ULL << best);
+      accept_out_ptr_[i] = (best + 1) % radix;
+    }
+  }
+}
+
+void CrossbarSwitch::arbitrate_engine() {
+  // Matching-engine allocation: hand the matching view to the engine and
+  // commit the returned partial permutation. The per-output QoS arbiters
+  // stay idle — class priority survives only in candidate_for()'s head
+  // order (GL > GB > BE).
+  const std::uint32_t radix = config_.radix;
+  StepScratch& s = scratch_;
+  const bool any_candidate = fill_view(/*voq=*/true);
+  if (obs_ != nullptr) {
+    for (InputId i = 0; i < radix; ++i) {
+      for (std::uint64_t w = s.eligible[i]; w != 0; w &= w - 1) {
         const auto o = static_cast<OutputId>(std::countr_zero(w));
-        const Packet* h = candidate_for(i, o);
-        SSQ_ENSURE(h != nullptr);
-        obs_->request(now_, i, o, h->cls);
+        obs_->request(now_, i, o, candidate_for(i, o)->cls);
       }
     }
   }
@@ -843,21 +804,21 @@ void CrossbarSwitch::arbitrate_engine() {
   // SW-QPS retires drained window entries lazily at its next real call.
   if (!any_candidate) return;
 
-  std::fill(s.eng_match.begin(), s.eng_match.end(), kNoPort);
-  const arb::MatchView view{
-      radix, std::span<const std::uint64_t>(s.eng_eligible),
-      std::span<const std::uint64_t>(s.eng_candidates),
-      std::span<const std::uint32_t>(s.eng_voq)};
-  const std::uint32_t iters = engine_->match(view, s.eng_match);
+  std::fill(s.match.begin(), s.match.end(), kNoPort);
+  const arb::MatchView view{radix,
+                            std::span<const std::uint64_t>(s.eligible),
+                            std::span<const std::uint64_t>(s.candidates),
+                            std::span<const std::uint32_t>(s.voq)};
+  const std::uint32_t iters = engine_->match(view, s.match);
   ++engine_stats_.cycles;
   engine_stats_.iterations += iters;
 
   std::uint64_t in_used = 0;
   for (OutputId o = 0; o < radix; ++o) {
-    const InputId i = s.eng_match[o];
+    const InputId i = s.match[o];
     if (i == kNoPort) continue;
     SSQ_ENSURE(i < radix && "engine matched an out-of-range input");
-    SSQ_ENSURE(((s.eng_eligible[i] >> o) & 1ULL) != 0 &&
+    SSQ_ENSURE(((s.eligible[i] >> o) & 1ULL) != 0 &&
                "engine matched an ineligible pair");
     SSQ_ENSURE(((in_used >> i) & 1ULL) == 0 &&
                "engine matched an input twice");
@@ -872,7 +833,6 @@ void CrossbarSwitch::arbitrate_engine() {
 void CrossbarSwitch::step() {
   scratch_.cycle = now_;
   scratch_.grants.clear();
-  done_out_ = 0;
   if (fault_ != nullptr) {
     fault_->on_cycle(now_);
     reselect_ |= fault_->outage_edges();
@@ -891,6 +851,8 @@ void CrossbarSwitch::step() {
   } else {
     arbitrate();
   }
+  // Outputs whose last flit moved this cycle are idle from the next one.
+  done_out_ = 0;
   ++now_;
 }
 
@@ -906,8 +868,8 @@ CycleRecord CrossbarSwitch::last_cycle() const noexcept {
     r.masks = scratch_.masks;
     r.requested = scratch_.requested;
     r.idle = scratch_.idle;
-  } else if (engine_ != nullptr) {
-    r.eligible = scratch_.eng_eligible;
+  } else {
+    r.eligible = scratch_.eligible;
   }
   return r;
 }

@@ -16,7 +16,14 @@
 //                single-cycle arbitration (three-class SSVC, or a
 //                class-blind baseline arbiter) and the winner's packet
 //                seizes the channel for 1 arbitration cycle + `length`
-//                transfer cycles.
+//                transfer cycles. Under IterativeMatching every idle input
+//                instead exposes all its heads through the matching view
+//                (fill_view), which the classic matcher and the matching
+//                engines both read.
+//
+// An output is idle when it is neither transmitting (active_out_) nor
+// carrying the last flit of a transmission this cycle (done_out_): that one
+// idle set is what selection, every allocator and output_idle() read.
 //
 // Stepping does only the work an event makes due (the tick-on-event idiom).
 // Requests and their per-output class masks are kept across cycles: an
@@ -209,6 +216,10 @@ class CrossbarSwitch {
   [[nodiscard]] PendingRequest select_one(InputId i, std::uint64_t idle,
                                           Cycle now) const;
 
+  /// Highest-priority head input i holds for output o (GL, then GB, then
+  /// BE), or nullptr. The class a matching view's pair (i, o) carries.
+  [[nodiscard]] const Packet* candidate_for(InputId i, OutputId o) const;
+
   // ---- observability ----
   /// Attaches (or with nullptr detaches) the observability probe. While
   /// attached, every packet-lifecycle step and — in SSVC mode — every
@@ -262,9 +273,18 @@ class CrossbarSwitch {
   /// Single-request allocation: one arbitration per requested idle output,
   /// from the kept requests.
   void arbitrate();
+  /// The matching view both IterativeMatching allocators read, built from
+  /// scratch at now_: candidates[i] = the outputs input i holds a head for
+  /// over a live crosspoint (none while its port is dead), eligible[i] =
+  /// those idle this cycle (none while the port is busy), and with `voq`
+  /// (engines only) the backlog behind every candidate crosspoint. Returns
+  /// whether any input holds a candidate.
+  bool fill_view(bool voq);
+  /// Classic IterativeMatching: request/grant/accept rounds of the
+  /// per-output arbiters over the view's transpose.
   void arbitrate_matched();
-  /// Matching-engine allocation (config.engine != None): build the
-  /// eligibility/backlog view, let the engine compute a matching, commit it.
+  /// Matching-engine allocation (config.engine != None): hand the view to
+  /// the engine, commit the matching it returns.
   void arbitrate_engine();
   void preempt_scan();
   /// Charges output o's baseline arbiter with its grant (on_grant), first
@@ -275,11 +295,12 @@ class CrossbarSwitch {
   /// the arbitration cycles: its first flit moves next cycle.
   void commit_grant(InputId winner, OutputId o, TrafficClass cls,
                     bool chained);
-  /// Highest-priority ready head of input i for output o, or nullptr.
-  [[nodiscard]] const Packet* candidate_for(InputId i, OutputId o) const;
   void start_transmission(Packet&& pkt, OutputId o, Cycle first_flit);
   void complete(Transmission& t, OutputId o);
-  Packet pop_for(InputId i, TrafficClass cls, OutputId o);
+  /// The outputs that can start a transmission this cycle.
+  [[nodiscard]] std::uint64_t idle_outputs() const noexcept {
+    return all_ports_ & ~(active_out_ | done_out_);
+  }
 
   // Admit-mask bookkeeping; call right after pushing to / popping from
   // source_q_[f] (src == the flow's source input).
@@ -309,15 +330,15 @@ class CrossbarSwitch {
   std::uint64_t ff_skipped_cycles_ = 0;
 
   std::vector<InputPort> inputs_;
-  std::vector<Cycle> output_free_at_;
   std::vector<Transmission> transmissions_;  // per output
   // Bit o set <=> transmissions_[o] is live (granted, not yet completed or
   // preempted); lets transfer() and preempt_scan() visit only live
   // channels instead of scanning all `radix` transmissions every cycle.
   std::uint64_t active_out_ = 0;
   // Bit o set <=> output o's transmission completed this cycle: the channel
-  // is busy through the cycle of its last flit (output_free_at_ = last + 1),
-  // so the idle outputs are exactly those in neither mask.
+  // is busy through the cycle of its last flit and idle from the next (step()
+  // clears the mask as it ends), so the idle outputs are exactly those in
+  // neither mask.
   std::uint64_t done_out_ = 0;
 
   // QoS or baseline arbitration state, one per output.

@@ -1,115 +1,65 @@
 #include "switch/input_port.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace ssq::sw {
 
 InputPort::InputPort(InputId id, std::uint32_t radix,
                      const BufferConfig& buffers)
-    : id_(id), radix_(radix), buffers_(buffers) {
-  buffers_.validate();
-  gb_q_.resize(radix);
-  gb_occ_.assign(radix, 0);
+    : id_(id), radix_(radix) {
+  buffers.validate();
+  be_.cap = buffers.be_flits;
+  gb_.resize(radix);
+  for (Buffer& b : gb_) b.cap = buffers.gb_flits_per_output;
+  gl_.cap = buffers.gl_flits;
 }
 
 void InputPort::accept(Packet&& pkt, Cycle now) {
   SSQ_EXPECT(pkt.src == id_);
-  SSQ_EXPECT(can_accept(pkt));
+  SSQ_EXPECT(can_accept(pkt.cls, pkt.dst, pkt.length));
   pkt.buffered = now;
-  switch (pkt.cls) {
-    case TrafficClass::BestEffort:
-      be_occ_ += pkt.length;
-      if (be_occ_ > peak_be_) peak_be_ = be_occ_;
-      be_q_.push_back(std::move(pkt));
-      break;
-    case TrafficClass::GuaranteedBandwidth: {
-      const OutputId dst = pkt.dst;
-      gb_occ_[dst] += pkt.length;
-      if (gb_occ_[dst] > peak_gb_) peak_gb_ = gb_occ_[dst];
-      gb_q_[dst].push_back(std::move(pkt));
-      gb_nonempty_ |= 1ULL << dst;
-      break;
-    }
-    case TrafficClass::GuaranteedLatency:
-      gl_occ_ += pkt.length;
-      if (gl_occ_ > peak_gl_) peak_gl_ = gl_occ_;
-      gl_q_.push_back(std::move(pkt));
-      break;
+  Buffer& b = buffer(*this, pkt.cls, pkt.dst);
+  b.occ += pkt.length;
+  b.peak = std::max(b.peak, b.occ);
+  if (pkt.cls == TrafficClass::GuaranteedBandwidth) {
+    gb_nonempty_ |= 1ULL << pkt.dst;
   }
+  b.q.push_back(std::move(pkt));
 }
 
-Packet InputPort::pop_be() {
-  SSQ_EXPECT(!be_q_.empty());
-  Packet p = std::move(be_q_.front());
-  be_q_.pop_front();
-  return p;
-}
-
-Packet InputPort::pop_gb(OutputId dst) {
-  SSQ_EXPECT(dst < radix_);
-  SSQ_EXPECT(!gb_q_[dst].empty());
-  Packet p = std::move(gb_q_[dst].front());
-  gb_q_[dst].pop_front();
-  if (gb_q_[dst].empty()) gb_nonempty_ &= ~(1ULL << dst);
-  return p;
-}
-
-Packet InputPort::pop_gl() {
-  SSQ_EXPECT(!gl_q_.empty());
-  Packet p = std::move(gl_q_.front());
-  gl_q_.pop_front();
-  return p;
-}
-
-bool InputPort::can_restore(TrafficClass cls, OutputId dst,
-                            std::uint32_t flits) const {
-  switch (cls) {
-    case TrafficClass::BestEffort:
-      return be_occ_ + flits <= buffers_.be_flits;
-    case TrafficClass::GuaranteedBandwidth:
-      SSQ_EXPECT(dst < radix_);
-      return gb_occ_[dst] + flits <= buffers_.gb_flits_per_output;
-    case TrafficClass::GuaranteedLatency:
-      return gl_occ_ + flits <= buffers_.gl_flits;
+Packet InputPort::pop(TrafficClass cls, OutputId dst) {
+  SSQ_EXPECT(head(cls, dst) != nullptr);
+  RingQueue<Packet>& q = buffer(*this, cls, dst).q;
+  Packet p = std::move(q.front());
+  q.pop_front();
+  if (cls == TrafficClass::GuaranteedBandwidth && q.empty()) {
+    gb_nonempty_ &= ~(1ULL << dst);
   }
-  return false;
+  return p;
 }
 
 void InputPort::push_front(Packet&& pkt, std::uint32_t drained_flits) {
   SSQ_EXPECT(pkt.src == id_);
-  switch (pkt.cls) {
-    case TrafficClass::BestEffort:
-      SSQ_EXPECT(be_occ_ + drained_flits <= buffers_.be_flits);
-      be_occ_ += drained_flits;
-      be_q_.push_front(std::move(pkt));
-      break;
-    case TrafficClass::GuaranteedBandwidth: {
-      const OutputId dst = pkt.dst;
-      SSQ_EXPECT(dst < radix_);
-      SSQ_EXPECT(gb_occ_[dst] + drained_flits <=
-                 buffers_.gb_flits_per_output);
-      gb_occ_[dst] += drained_flits;
-      gb_q_[dst].push_front(std::move(pkt));
-      gb_nonempty_ |= 1ULL << dst;
-      break;
-    }
-    case TrafficClass::GuaranteedLatency:
-      SSQ_EXPECT(gl_occ_ + drained_flits <= buffers_.gl_flits);
-      gl_occ_ += drained_flits;
-      gl_q_.push_front(std::move(pkt));
-      break;
+  SSQ_EXPECT(can_accept(pkt.cls, pkt.dst, drained_flits));
+  Buffer& b = buffer(*this, pkt.cls, pkt.dst);
+  b.occ += drained_flits;
+  if (pkt.cls == TrafficClass::GuaranteedBandwidth) {
+    gb_nonempty_ |= 1ULL << pkt.dst;
   }
-}
-
-std::uint32_t InputPort::gb_occupancy(OutputId dst) const {
-  SSQ_EXPECT(dst < radix_);
-  return gb_occ_[dst];
+  b.q.push_front(std::move(pkt));
 }
 
 std::uint32_t InputPort::gb_total_occupancy() const noexcept {
   std::uint32_t total = 0;
-  for (const auto occ : gb_occ_) total += occ;
+  for (const Buffer& b : gb_) total += b.occ;
   return total;
+}
+
+std::uint32_t InputPort::peak_gb_occupancy() const noexcept {
+  std::uint32_t peak = 0;
+  for (const Buffer& b : gb_) peak = std::max(peak, b.peak);
+  return peak;
 }
 
 }  // namespace ssq::sw

@@ -9,9 +9,14 @@
 // Occupancy is accounted in flits: a packet needs `length` free flits to be
 // accepted and its flits drain one per transfer cycle while it transmits,
 // so buffer space frees exactly as the wires would.
+//
+// The layout is stated once: the private buffer() accessor maps a (class,
+// destination) pair to its buffer, and every per-class operation (fit,
+// head, pop, drain, accept, push_front) goes through it.
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "sim/contracts.hpp"
@@ -28,71 +33,52 @@ class InputPort {
 
   [[nodiscard]] InputId id() const noexcept { return id_; }
 
-  /// True iff the packet's class buffer has `length` free flits.
+  /// True iff `flits` more flits fit in the buffer holding class `cls`
+  /// packets for output `dst`: admission of a `flits`-long packet, or PVC
+  /// preemption re-accounting a victim's drained flits in place.
   /// (Inline: called for every admission attempt of every cycle.)
-  [[nodiscard]] bool can_accept(const Packet& pkt) const {
-    switch (pkt.cls) {
-      case TrafficClass::BestEffort:
-        return be_occ_ + pkt.length <= buffers_.be_flits;
-      case TrafficClass::GuaranteedBandwidth:
-        SSQ_EXPECT(pkt.dst < radix_);
-        return gb_occ_[pkt.dst] + pkt.length <= buffers_.gb_flits_per_output;
-      case TrafficClass::GuaranteedLatency:
-        return gl_occ_ + pkt.length <= buffers_.gl_flits;
-    }
-    return false;
+  [[nodiscard]] bool can_accept(TrafficClass cls, OutputId dst,
+                                std::uint32_t flits) const {
+    const Buffer& b = buffer(*this, cls, dst);
+    return b.occ + flits <= b.cap;
   }
 
   /// Moves a packet into its class buffer; stamps `buffered = now`.
   void accept(Packet&& pkt, Cycle now);
 
-  // Head-of-line visibility (nullptr when empty). Inline: the request
-  // selection scan consults heads for every non-busy input every cycle.
-  [[nodiscard]] const Packet* be_head() const {
-    return be_q_.empty() ? nullptr : &be_q_.front();
+  /// The head of the queue holding class `cls` packets for output `dst`,
+  /// when that head goes to `dst`; nullptr otherwise (the GL and BE FIFOs
+  /// are shared by every output). Inline: request selection and matching
+  /// consult heads for every non-busy input every cycle.
+  [[nodiscard]] const Packet* head(TrafficClass cls, OutputId dst) const {
+    const RingQueue<Packet>& q = buffer(*this, cls, dst).q;
+    return q.empty() || q.front().dst != dst ? nullptr : &q.front();
   }
-  [[nodiscard]] const Packet* gb_head(OutputId dst) const {
-    SSQ_EXPECT(dst < radix_);
-    return gb_q_[dst].empty() ? nullptr : &gb_q_[dst].front();
-  }
+  /// Heads of the shared GL and BE FIFOs, whatever their destination.
   [[nodiscard]] const Packet* gl_head() const {
-    return gl_q_.empty() ? nullptr : &gl_q_.front();
+    return gl_.q.empty() ? nullptr : &gl_.q.front();
+  }
+  [[nodiscard]] const Packet* be_head() const {
+    return be_.q.empty() ? nullptr : &be_.q.front();
   }
 
-  /// Pops the head of the given queue. The packet's flits remain accounted
-  /// in the buffer until drained via drain_flit.
-  Packet pop_be();
-  Packet pop_gb(OutputId dst);
-  Packet pop_gl();
+  /// Pops head(cls, dst), which must exist. The packet's flits remain
+  /// accounted in the buffer until drained via drain_flit.
+  Packet pop(TrafficClass cls, OutputId dst);
 
   /// Releases one flit of buffer space (called once per transfer cycle of a
   /// packet popped from the corresponding queue).
   void drain_flit(TrafficClass cls, OutputId dst) {
-    switch (cls) {
-      case TrafficClass::BestEffort:
-        SSQ_EXPECT(be_occ_ >= 1);
-        --be_occ_;
-        break;
-      case TrafficClass::GuaranteedBandwidth:
-        SSQ_EXPECT(dst < radix_);
-        SSQ_EXPECT(gb_occ_[dst] >= 1);
-        --gb_occ_[dst];
-        break;
-      case TrafficClass::GuaranteedLatency:
-        SSQ_EXPECT(gl_occ_ >= 1);
-        --gl_occ_;
-        break;
-    }
+    std::uint32_t& occ = buffer(*this, cls, dst).occ;
+    SSQ_EXPECT(occ >= 1 &&
+               "overdrain: the class occupancy (be_occ/gb_occ/gl_occ) is 0");
+    --occ;
   }
-
-  /// True iff `flits` more flits fit in the class buffer (PVC preemption:
-  /// can the victim's drained flits be re-accounted in place?).
-  [[nodiscard]] bool can_restore(TrafficClass cls, OutputId dst,
-                                 std::uint32_t flits) const;
 
   /// Returns a previously popped packet to the FRONT of its queue and
   /// re-accounts `drained_flits` of buffer space (PVC preemption: the
-  /// victim is retransmitted from the source buffer). Requires can_restore.
+  /// victim is retransmitted from the source buffer). Requires
+  /// can_accept(pkt.cls, pkt.dst, drained_flits).
   void push_front(Packet&& pkt, std::uint32_t drained_flits);
 
   // Single-transmitter constraint: the input bus carries one flit/cycle.
@@ -101,23 +87,24 @@ class InputPort {
   void set_free_at(Cycle c) noexcept { free_at_ = c; }
 
   // Occupancy introspection (flits currently held, queued or in flight).
-  [[nodiscard]] std::uint32_t be_occupancy() const noexcept { return be_occ_; }
-  [[nodiscard]] std::uint32_t gb_occupancy(OutputId dst) const;
-  [[nodiscard]] std::uint32_t gl_occupancy() const noexcept { return gl_occ_; }
+  [[nodiscard]] std::uint32_t be_occupancy() const noexcept { return be_.occ; }
+  [[nodiscard]] std::uint32_t gb_occupancy(OutputId dst) const {
+    return buffer(*this, TrafficClass::GuaranteedBandwidth, dst).occ;
+  }
+  [[nodiscard]] std::uint32_t gl_occupancy() const noexcept { return gl_.occ; }
   /// Flits across all GB crosspoint queues (snapshot sampling).
   [[nodiscard]] std::uint32_t gb_total_occupancy() const noexcept;
 
-  // High-water marks since construction (always maintained — three compares
+  // High-water marks since construction (always maintained — one compare
   // per accepted packet — so run summaries can report buffer pressure even
-  // without a probe attached).
+  // without a probe attached). The GB mark is the highest any crosspoint
+  // queue reached.
   [[nodiscard]] std::uint32_t peak_be_occupancy() const noexcept {
-    return peak_be_;
+    return be_.peak;
   }
-  [[nodiscard]] std::uint32_t peak_gb_occupancy() const noexcept {
-    return peak_gb_;
-  }
+  [[nodiscard]] std::uint32_t peak_gb_occupancy() const noexcept;
   [[nodiscard]] std::uint32_t peak_gl_occupancy() const noexcept {
-    return peak_gl_;
+    return gl_.peak;
   }
 
   /// Rotating preference pointer over GB output queues (used by the request
@@ -128,7 +115,7 @@ class InputPort {
   }
 
   /// Bitmask of outputs whose GB crosspoint queue is non-empty (bit o set ==
-  /// gb_head(o) != nullptr). Lets the request-selection scan visit only
+  /// head(GB, o) != nullptr). Lets the request-selection scan visit only
   /// occupied queues instead of all `radix` of them.
   [[nodiscard]] std::uint64_t gb_nonempty() const noexcept {
     return gb_nonempty_;
@@ -139,27 +126,45 @@ class InputPort {
   /// destination.
   [[nodiscard]] std::uint64_t head_outputs() const noexcept {
     std::uint64_t m = gb_nonempty_;
-    if (!gl_q_.empty()) m |= 1ULL << gl_q_.front().dst;
-    if (!be_q_.empty()) m |= 1ULL << be_q_.front().dst;
+    if (!gl_.q.empty()) m |= 1ULL << gl_.q.front().dst;
+    if (!be_.q.empty()) m |= 1ULL << be_.q.front().dst;
     return m;
   }
 
  private:
+  /// One class buffer: its FIFO, the flits it holds (queued or in flight),
+  /// its capacity and its high-water mark.
+  struct Buffer {
+    RingQueue<Packet> q;
+    std::uint32_t occ = 0;
+    std::uint32_t cap = 0;
+    std::uint32_t peak = 0;
+  };
+
+  /// The class-to-queue map (Table 1): the buffer holding class `cls`
+  /// packets for output `dst`. Every per-class operation goes through it.
+  template <typename Port>
+  static std::conditional_t<std::is_const_v<Port>, const Buffer, Buffer>&
+  buffer(Port& port, TrafficClass cls, OutputId dst) {
+    switch (cls) {
+      case TrafficClass::GuaranteedBandwidth:
+        SSQ_EXPECT(dst < port.radix_);
+        return port.gb_[dst];
+      case TrafficClass::GuaranteedLatency:
+        return port.gl_;
+      case TrafficClass::BestEffort:
+        break;
+    }
+    return port.be_;
+  }
+
   InputId id_;
   std::uint32_t radix_;
-  BufferConfig buffers_;
 
-  RingQueue<Packet> be_q_;
-  std::vector<RingQueue<Packet>> gb_q_;  // per output
-  RingQueue<Packet> gl_q_;
-  std::uint64_t gb_nonempty_ = 0;  // bit o == gb_q_[o] non-empty
-
-  std::uint32_t be_occ_ = 0;
-  std::vector<std::uint32_t> gb_occ_;
-  std::uint32_t gl_occ_ = 0;
-  std::uint32_t peak_be_ = 0;
-  std::uint32_t peak_gb_ = 0;  // per-crosspoint high-water mark
-  std::uint32_t peak_gl_ = 0;
+  Buffer be_;
+  std::vector<Buffer> gb_;  // per output: the crosspoint queues
+  Buffer gl_;
+  std::uint64_t gb_nonempty_ = 0;  // bit o == gb_[o].q non-empty
 
   Cycle free_at_ = 0;
   OutputId gb_ptr_ = 0;

@@ -5,16 +5,18 @@
 // no heap allocation (asserted by tests/hotpath_alloc_test.cpp). Ownership
 // rule: the arena belongs to exactly one CrossbarSwitch and only its step()
 // writes it. The part that describes the cycle — the asserted requests, the
-// engine's eligible pairs and the committed grants — is also the cycle
-// record (CrossbarSwitch::last_cycle()): read-only from the end of one
+// matching view's eligible pairs and the committed grants — is also the
+// cycle record (CrossbarSwitch::last_cycle()): read-only from the end of one
 // step() until the start of the next.
 //
 // Two kinds of state live here. The single-request mode's requests
 // (`pending`, `want`/`wanted_by`, `masks`, `requested`, `idle`) are kept
 // ACROSS cycles: step() re-selects only the inputs whose selection inputs
 // changed (see CrossbarSwitch::select_requests), so every entry is valid at
-// every cycle, not rebuilt per cycle. Everything else is per-cycle scratch,
-// dead once pick()/on_grant() return.
+// every cycle, not rebuilt per cycle. Everything else is per-cycle scratch:
+// the matching view (`eligible`, `candidates`, `voq`), which
+// CrossbarSwitch::fill_view() rebuilds for both IterativeMatching
+// allocators, and the buffers that die once pick()/on_grant() return.
 //
 // The matching masks are single uint64_t words: the Swizzle Switch tops out
 // at radix 64 (config.validate() enforces it), so one word replaces the
@@ -64,7 +66,8 @@ struct CycleRecord {
   std::span<const core::ClassMasks> masks;
   std::uint64_t requested = 0;
   std::uint64_t idle = 0;
-  /// Matching engines only: bit o of eligible[i] = input i may match o.
+  /// IterativeMatching only (classic matcher and engines): bit o of
+  /// eligible[i] = input i may match o this cycle.
   std::span<const std::uint64_t> eligible;
   std::span<const GrantRecord> grants;  // commit order
   /// Per-flow packet counts since construction.
@@ -82,13 +85,14 @@ struct StepScratch {
     wanted_by.resize(radix);
     masks.resize(radix);
     base_reqs.reserve(radix);
-    grant_to.reserve(radix);
-    grant_cls.reserve(radix);
+    eligible.resize(radix);
+    candidates.resize(radix);
+    voq.resize(static_cast<std::size_t>(radix) * radix);
+    requesters.resize(radix);
+    offered.resize(radix);
+    grant_cls.resize(radix);
     restage.reserve(1);
-    eng_eligible.resize(radix);
-    eng_candidates.resize(radix);
-    eng_voq.resize(static_cast<std::size_t>(radix) * radix);
-    eng_match.resize(radix);
+    match.resize(radix);
     grants.reserve(radix);
   }
 
@@ -118,18 +122,24 @@ struct StepScratch {
   // Also reused as the per-output gather buffer by the iterative matcher.
   std::vector<arb::Request> base_reqs;
 
-  // ---- iterative matching (arbitrate_matched) ----
-  std::vector<InputId> grant_to;         // per output
-  std::vector<TrafficClass> grant_cls;   // per output
-  std::vector<arb::Request> restage;     // 1-slot re-pick buffer
+  // ---- the matching view (fill_view, IterativeMatching) ----
+  // What arb::MatchView points into: per input, the outputs it may match
+  // this cycle and the outputs it holds a head for over a live crosspoint;
+  // the backlog matrix is filled for engines only.
+  std::vector<std::uint64_t> eligible;    // per input
+  std::vector<std::uint64_t> candidates;  // per input
+  std::vector<std::uint32_t> voq;         // radix x radix, row-major
+
+  // ---- classic iterative matching (arbitrate_matched) ----
+  /// The view's transpose: bit i of requesters[o] == input i is eligible
+  /// for output o, in the class of its candidate head, and not yet matched.
+  std::vector<core::ClassMasks> requesters;  // per output
+  std::vector<std::uint64_t> offered;  // per input: outputs offering a grant
+  std::vector<TrafficClass> grant_cls;  // per output: the offered class
+  std::vector<arb::Request> restage;    // 1-slot re-pick buffer
 
   // ---- matching engines (arbitrate_engine) ----
-  // The MatchView handed to the engine points into these; eng_match receives
-  // the per-output matched inputs back.
-  std::vector<std::uint64_t> eng_eligible;    // per input
-  std::vector<std::uint64_t> eng_candidates;  // per input
-  std::vector<std::uint32_t> eng_voq;         // radix x radix, row-major
-  std::vector<InputId> eng_match;             // per output
+  std::vector<InputId> match;  // per output: the matched input back
 };
 
 }  // namespace ssq::sw

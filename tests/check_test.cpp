@@ -605,8 +605,39 @@ TEST(ForgedCycle, AnEngineGrantOutsideTheEligiblePairsIsUnrequested) {
       {0, 2, TrafficClass::BestEffort, false}};
   rec.grants = stolen;
   EXPECT_EQ(expect_forged(checker, rec, "unrequested_grant", 2),
-            "engine granted input 0 at an output it never requested\n"
+            "granted input 0 at an output it never requested\n"
             "requests: [in=1]\n");
+}
+
+TEST(ForgedCycle, AClassicMatchedGrantOutsideTheEligiblePairsIsUnrequested) {
+  // Classic IterativeMatching (per-output arbiters, no engine) records its
+  // matching view too, so its grants are held to the eligible pairs.
+  sw::SwitchConfig config;
+  config.radix = 4;
+  config.allocation = sw::AllocationMode::IterativeMatching;
+  sw::CrossbarSwitch sim(config, traffic::Workload(4));
+  DifferentialChecker checker(sim, invariants_only());
+  // Input 2 may go to outputs 0 and 3; input 3 to output 0.
+  const std::vector<std::uint64_t> eligible = {0, 0, 0b1001, 0b0001};
+  sw::CycleRecord rec;
+  rec.cycle = kForgedCycle;
+  rec.eligible = eligible;
+
+  const std::vector<sw::GrantRecord> legal = {
+      {2, 3, TrafficClass::GuaranteedBandwidth, false},
+      {3, 0, TrafficClass::BestEffort, false}};
+  rec.grants = legal;
+  checker.check_cycle(rec);
+  ASSERT_FALSE(checker.divergence().has_value())
+      << checker.divergence()->kind;
+
+  const std::vector<sw::GrantRecord> stolen = {
+      {3, 0, TrafficClass::BestEffort, false},
+      {2, 1, TrafficClass::GuaranteedBandwidth, false}};
+  rec.grants = stolen;
+  EXPECT_EQ(expect_forged(checker, rec, "unrequested_grant", 1),
+            "granted input 2 at an output it never requested\n"
+            "requests: (none)\n");
 }
 
 TEST(ForgedCycle, BufferingMoreThanCreatedBreaksConservation) {

@@ -7,6 +7,8 @@
 #include <string>
 
 #include "check/scenario.hpp"
+#include "fault/injector.hpp"
+#include "fault/scrubber.hpp"
 #include "switch/crossbar.hpp"
 #include "switch/simulator.hpp"
 #include "traffic/workload.hpp"
@@ -1033,6 +1035,143 @@ TEST(SelectionSpec, IncrementalRequestsMatchFromScratch) {
       for (OutputId o = 0; o < 8; ++o) preemptions += sw.preemptions(o);
       EXPECT_GT(preemptions, 0u) << "the preemption leg would be vacuous";
     }
+  }
+}
+
+// -- Matching-view specification ---------------------------------------------
+//
+// Both IterativeMatching allocators read one matching view, built once per
+// cycle. Its specification: bit o of eligible[i] is set iff input i is
+// neither busy nor dead, output o is idle, the crosspoint (i, o) is alive
+// and candidate_for(i, o) finds a head. After every step the recorded view
+// must equal that from-scratch recomputation for every input the step did
+// not grant. A winner's head is gone by then, so its row is checked to hold
+// the granted pair and to stay within the idle outputs over live
+// crosspoints.
+
+/// `s` wired like check::instantiate(), but under IterativeMatching with
+/// `engine` (None: the classic per-output matcher, which no scenario file
+/// can select). Engines cannot chain, so chaining is dropped for them.
+check::ScenarioRun matched_run(check::Scenario s, arb::MatchKind engine) {
+  s.matching_engine = engine;
+  if (engine != arb::MatchKind::None) s.packet_chaining = false;
+  SwitchConfig c = s.build_config();
+  c.allocation = AllocationMode::IterativeMatching;
+  check::ScenarioRun run;
+  run.sim = std::make_unique<CrossbarSwitch>(c, s.build_workload());
+  if (s.has_faults()) {
+    run.injector = std::make_unique<fault::FaultInjector>(s.faults);
+    run.sim->attach_fault_injector(run.injector.get());
+  }
+  if (s.scrub_interval != 0) {
+    run.scrubber = std::make_unique<fault::StateScrubber>(s.scrub_interval);
+    run.sim->attach_scrubber(run.scrubber.get());
+  }
+  return run;
+}
+
+/// First disagreement between the recorded view and a from-scratch one, or
+/// "" when they agree. `idle` is the expected idle set.
+std::string view_mismatch(const CrossbarSwitch& sw, std::uint64_t idle) {
+  const CycleRecord rec = sw.last_cycle();
+  const std::uint32_t radix = sw.config().radix;
+  const fault::FaultInjector* fi = sw.fault_injector();
+  std::ostringstream why;
+  why << "cycle " << rec.cycle << ": ";
+  if (rec.eligible.size() != radix) {
+    why << "the record holds " << rec.eligible.size() << " view rows";
+    return why.str();
+  }
+  std::uint64_t winners = 0;
+  for (const GrantRecord& g : rec.grants) {
+    if (g.chained) continue;
+    winners |= 1ULL << g.input;
+    if (((rec.eligible[g.input] >> g.output) & 1ULL) == 0) {
+      why << "input " << g.input << " won output " << g.output
+          << " outside its view row";
+      return why.str();
+    }
+  }
+  for (InputId i = 0; i < radix; ++i) {
+    const bool dead = fi != nullptr && fi->port_dead(i);
+    const bool winner = ((winners >> i) & 1ULL) != 0;
+    std::uint64_t reachable = 0;  // idle outputs over live crosspoints
+    std::uint64_t expect = 0;
+    for (OutputId o = 0; o < radix; ++o) {
+      if (((idle >> o) & 1ULL) == 0) continue;
+      if (fi != nullptr && !fi->link_alive(i, o)) continue;
+      reachable |= 1ULL << o;
+      if (sw.candidate_for(i, o) != nullptr) expect |= 1ULL << o;
+    }
+    if (dead || (!winner && sw.input(i).busy(rec.cycle))) expect = 0;
+    const std::uint64_t got = rec.eligible[i];
+    if (winner ? (dead || (got & ~reachable) != 0) : got != expect) {
+      why << "input " << i << " view row 0x" << std::hex << got
+          << ", from scratch 0x" << expect << " (reachable 0x" << reachable
+          << ")";
+      return why.str();
+    }
+  }
+  return "";
+}
+
+/// Steps `cycles` cycles the way run() does and checks the view of every
+/// stepped cycle; returns the non-chained grants seen, stopping at the first
+/// mismatch.
+std::uint64_t expect_view_matches(CrossbarSwitch& sw, Cycle cycles,
+                                  const std::string& what) {
+  const Cycle end = sw.now() + cycles;
+  std::uint64_t grants = 0;
+  while (sw.now() < end) {
+    if (sw.fast_forward_eligible() && sw.quiescent()) {
+      sw.fast_forward(end);
+      if (sw.now() >= end) break;
+    }
+    const std::uint64_t idle = idle_outputs(sw);
+    sw.step();
+    const std::string why = view_mismatch(sw, idle);
+    if (!why.empty()) {
+      ADD_FAILURE() << what << ": " << why;
+      return grants;
+    }
+    for (const GrantRecord& g : sw.last_cycle().grants) grants += !g.chained;
+  }
+  return grants;
+}
+
+TEST(SelectionSpec, MatchingViewMatchesFromScratch) {
+  const arb::MatchKind kinds[] = {arb::MatchKind::None, arb::MatchKind::Islip,
+                                  arb::MatchKind::Qps, arb::MatchKind::SwQps,
+                                  arb::MatchKind::Ssvc};
+  check::Scenario outage = dense_scenario("outages");
+  outage.faults.port_kills.push_back({1, 300, 900});
+  outage.faults.port_kills.push_back({4, 1200, kNoCycle});
+  outage.faults.crosspoint_kills.push_back({2, 0, 200, 1500});
+  outage.faults.crosspoint_kills.push_back({5, 3, 700, 2600});
+  outage.faults.crosspoint_kills.push_back({3, 0, 900, 901});
+  for (const arb::MatchKind kind : kinds) {
+    const std::string name = kind == arb::MatchKind::None
+                                 ? std::string("classic")
+                                 : std::string(arb::match_kind_name(kind));
+    std::uint64_t faulted = 0;
+    for (std::uint64_t i = 0; i < 30; ++i) {
+      const check::Scenario s = check::generate_scenario(i, 516);
+      faulted += s.has_faults();
+      check::ScenarioRun run = matched_run(s, kind);
+      expect_view_matches(*run.sim, s.cycles, name + " " + s.name);
+    }
+    EXPECT_GT(faulted, 0u) << "no generated scenario carried faults";
+    check::ScenarioRun run = matched_run(outage, kind);
+    EXPECT_GT(expect_view_matches(*run.sim, outage.cycles,
+                                  name + " outages"),
+              1000u)
+        << name;
+    // A multi-round classic matcher accepts in later rounds too.
+    check::Scenario rounds = dense_scenario("three rounds");
+    rounds.match_iterations = 3;
+    rounds.packet_chaining = true;
+    check::ScenarioRun r3 = matched_run(rounds, kind);
+    expect_view_matches(*r3.sim, rounds.cycles, name + " three rounds");
   }
 }
 
