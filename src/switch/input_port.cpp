@@ -29,8 +29,8 @@ void InputPort::accept(Packet&& pkt, Cycle now) {
 }
 
 Packet InputPort::pop(TrafficClass cls, OutputId dst) {
-  SSQ_EXPECT(head(cls, dst) != nullptr);
   RingQueue<Packet>& q = buffer(*this, cls, dst).q;
+  SSQ_EXPECT(!q.empty() && q.front().dst == dst);  // head(cls, dst) exists
   Packet p = std::move(q.front());
   q.pop_front();
   if (cls == TrafficClass::GuaranteedBandwidth && q.empty()) {
