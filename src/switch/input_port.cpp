@@ -7,12 +7,11 @@ namespace ssq::sw {
 
 InputPort::InputPort(InputId id, std::uint32_t radix,
                      const BufferConfig& buffers)
-    : id_(id), radix_(radix) {
+    : id_(id),
+      radix_(radix),
+      cap_{buffers.be_flits, buffers.gb_flits_per_output, buffers.gl_flits},
+      gb_(radix) {
   buffers.validate();
-  be_.cap = buffers.be_flits;
-  gb_.resize(radix);
-  for (Buffer& b : gb_) b.cap = buffers.gb_flits_per_output;
-  gl_.cap = buffers.gl_flits;
 }
 
 void InputPort::accept(Packet&& pkt, Cycle now) {

@@ -15,6 +15,8 @@
 // head, pop, drain, accept, push_front) goes through it.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <type_traits>
 #include <vector>
@@ -39,8 +41,8 @@ class InputPort {
   /// (Inline: called for every admission attempt of every cycle.)
   [[nodiscard]] bool can_accept(TrafficClass cls, OutputId dst,
                                 std::uint32_t flits) const {
-    const Buffer& b = buffer(*this, cls, dst);
-    return b.occ + flits <= b.cap;
+    return buffer(*this, cls, dst).occ + flits <=
+           cap_[static_cast<std::size_t>(cls)];
   }
 
   /// Moves a packet into its class buffer; stamps `buffered = now`.
@@ -132,12 +134,11 @@ class InputPort {
   }
 
  private:
-  /// One class buffer: its FIFO, the flits it holds (queued or in flight),
-  /// its capacity and its high-water mark.
+  /// One class buffer: its FIFO, the flits it holds (queued or in flight)
+  /// and its high-water mark. Its capacity is its class's entry in cap_.
   struct Buffer {
     RingQueue<Packet> q;
     std::uint32_t occ = 0;
-    std::uint32_t cap = 0;
     std::uint32_t peak = 0;
   };
 
@@ -160,6 +161,9 @@ class InputPort {
 
   InputId id_;
   std::uint32_t radix_;
+  // Flit capacity of one buffer of each class, indexed by TrafficClass
+  // (BE, GB per crosspoint queue, GL).
+  std::array<std::uint32_t, kNumClasses> cap_;
 
   Buffer be_;
   std::vector<Buffer> gb_;  // per output: the crosspoint queues
