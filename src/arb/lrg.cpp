@@ -55,11 +55,9 @@ void LrgArbiter::on_grant(InputId input, std::uint32_t /*length*/,
                           Cycle /*now*/) {
   SSQ_EXPECT(input < radix());
   // Move-to-back: the winner now loses to everyone.
-  rows_[input] = 0;
   const std::uint64_t bit = 1ULL << input;
-  for (InputId j = 0; j < radix(); ++j) {
-    if (j != input) rows_[j] |= bit;
-  }
+  for (auto& r : rows_) r |= bit;
+  rows_[input] = 0;
 }
 
 void LrgArbiter::set_matrix(const std::vector<std::uint64_t>& rows) {

@@ -1,7 +1,5 @@
 #include "fault/injector.hpp"
 
-#include <algorithm>
-
 #include "core/output_arbiter.hpp"
 #include "obs/probe.hpp"
 #include "sim/contracts.hpp"
@@ -10,7 +8,9 @@
 namespace ssq::fault {
 
 FaultInjector::FaultInjector(FaultPlan plan)
-    : plan_(std::move(plan)), rng_(plan_.seed) {}
+    : plan_(std::move(plan)),
+      rng_(plan_.seed),
+      bitflip_(plan_.bitflip_rate) {}
 
 void FaultInjector::bind(std::vector<core::OutputQosArbiter*> arbiters,
                          std::uint32_t radix) {
@@ -92,14 +92,9 @@ void FaultInjector::apply_stuck_lanes(Cycle now) {
 }
 
 void FaultInjector::inject_bitflip(Cycle now) {
-  if (arbs_.empty()) return;
-  if (now < rolled_until_) {
-    // This cycle's Bernoulli was pre-rolled by scan_fire(); honour it.
-    if (pending_fire_ != now) return;
-    pending_fire_ = kNoCycle;
-  } else {
-    rolled_until_ = now + 1;
-    if (!rng_.bernoulli(plan_.bitflip_rate)) return;
+  // A cycle that scan_fire() rolled replays its outcome.
+  if (arbs_.empty() || !stream_.step(now, [&] { return bitflip_(rng_); })) {
+    return;
   }
   // Draw the victim. The draw order is fixed so equal plans replay equal
   // schedules regardless of what the faults do to the switch.
@@ -168,23 +163,14 @@ Cycle FaultInjector::next_event(Cycle now) const noexcept {
 }
 
 Cycle FaultInjector::scan_fire(Cycle now, Cycle limit) {
-  if (pending_fire_ != kNoCycle) {
-    return pending_fire_ >= now && pending_fire_ < limit ? pending_fire_
-                                                         : kNoCycle;
-  }
   // Roll forward from wherever the stream last stopped; cycles before `now`
-  // were already consumed by stepping. One Bernoulli per cycle, in cycle
-  // order — exactly the draws a stepped run would make, so a jumped run and
-  // a stepped run consume the same stream.
-  for (Cycle c = std::max(now, rolled_until_); c < limit; ++c) {
-    if (rng_.bernoulli(plan_.bitflip_rate)) {
-      pending_fire_ = c;
-      rolled_until_ = c + 1;
-      return c;
-    }
-  }
-  rolled_until_ = std::max(rolled_until_, limit);
-  return kNoCycle;
+  // were already consumed by stepping. One trial per cycle, in cycle order —
+  // exactly the draws a stepped run would make, so a jumped run and a
+  // stepped run consume the same stream.
+  const Cycle fire = stream_.roll(now, limit, [&](Cycle from, Cycle to) {
+    return bitflip_.first_success(rng_, from, to);
+  });
+  return fire >= now && fire < limit ? fire : kNoCycle;
 }
 
 }  // namespace ssq::fault

@@ -113,12 +113,10 @@ class FaultInjector {
   std::vector<std::uint64_t> dead_links_;  // per input: bitmask of outputs
   std::uint64_t outage_edges_ = 0;
   std::vector<InjectedFault> log_;
-  // Bitflip pre-roll state: every cycle < rolled_until_ has had its
-  // Bernoulli decided; pending_fire_ is the one undelivered firing cycle
-  // (kNoCycle if none). Invariant: pending_fire_ == kNoCycle or
-  // pending_fire_ < rolled_until_.
-  Cycle rolled_until_ = 0;
-  Cycle pending_fire_ = kNoCycle;
+  // The per-cycle bitflip trial, and what scan_fire() decided ahead of the
+  // clock.
+  BernoulliTrial bitflip_;
+  RolledStream stream_;
 };
 
 }  // namespace ssq::fault

@@ -10,10 +10,20 @@
 // the C++ UniformRandomBitGenerator requirements so it can be used with
 // <random> distributions, but the common draws (uniform double, Bernoulli,
 // bounded int, geometric) are provided directly with stable semantics.
+//
+// Per-cycle streams (traffic sources, the bitflip stream) prepare their
+// Bernoulli trials once (BernoulliTrial) and may roll them ahead of the
+// clock: first_success() is the one loop that does, and RolledStream keeps
+// what a stream has already decided.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+
+#include "sim/contracts.hpp"
+#include "sim/types.hpp"
 
 namespace ssq {
 
@@ -60,7 +70,8 @@ class Rng {
     return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
   }
 
-  /// Bernoulli trial: true with probability p (p clamped to [0,1]).
+  /// Bernoulli trial: true with probability p (p clamped to [0,1]). The
+  /// specification of BernoulliTrial, which per-cycle streams use.
   constexpr bool bernoulli(double p) noexcept {
     if (p <= 0.0) return false;
     if (p >= 1.0) return true;
@@ -98,6 +109,9 @@ class Rng {
     return n;
   }
 
+  /// Equal generators draw equal streams.
+  friend constexpr bool operator==(const Rng&, const Rng&) = default;
+
   /// Derives an independent child generator (stable: depends only on the
   /// parent's current state and `stream`).
   constexpr Rng fork(std::uint64_t stream) noexcept {
@@ -111,6 +125,102 @@ class Rng {
   }
 
   std::uint64_t state_[4]{};
+};
+
+/// The one roll-ahead loop: runs `trial()` once per cycle of [from, limit),
+/// in cycle order, and returns the first cycle whose trial succeeds, or
+/// `limit` when none does (no trial runs when from >= limit).
+template <class Trial>
+constexpr Cycle first_success(Cycle from, Cycle limit, Trial&& trial) {
+  for (Cycle c = from; c < limit; ++c) {
+    if (trial()) return c;
+  }
+  return limit;
+}
+
+/// A Bernoulli(p) trial prepared once from p: it answers and draws exactly
+/// as Rng::bernoulli(p) does, with one integer compare per trial. uniform()
+/// is (x >> 11) * 2^-53, so uniform() < p holds iff the integer x >> 11 is
+/// below ceil(p * 2^53). p <= 0 and p >= 1 decide without drawing.
+class BernoulliTrial {
+ public:
+  /// Precondition: p is not NaN.
+  explicit BernoulliTrial(double p = 0.0) {
+    SSQ_EXPECT(!std::isnan(p));
+    draws_ = p > 0.0 && p < 1.0;
+    if (draws_) {
+      threshold_ = static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
+    } else {
+      threshold_ = p >= 1.0 ? 1 : 0;
+    }
+  }
+
+  /// One trial. (Inline: on the per-cycle stream hot path.)
+  bool operator()(Rng& rng) const noexcept {
+    return draws_ ? (rng() >> 11) < threshold_ : threshold_ != 0;
+  }
+
+  /// The first cycle of [from, limit) whose trial succeeds, or `limit`,
+  /// running one trial per cycle in order; the outcome and draws equal
+  /// trial-by-trial stepping.
+  Cycle first_success(Rng& rng, Cycle from, Cycle limit) const noexcept {
+    if (!draws_) return threshold_ != 0 && from < limit ? from : limit;
+    const std::uint64_t threshold = threshold_;
+    return ssq::first_success(
+        from, limit, [&rng, threshold] { return (rng() >> 11) < threshold; });
+  }
+
+ private:
+  bool draws_ = false;
+  // Drawing: success iff the draw's top 53 bits are below it. Not drawing:
+  // nonzero iff the trial always succeeds.
+  std::uint64_t threshold_ = 0;
+};
+
+/// What a per-cycle trial stream rolled ahead of the clock has decided:
+/// every cycle below rolled() has had its trials drawn, and at most one
+/// rolled cycle that succeeded is pending until step() replays it. The
+/// stream is private, so rolling ahead draws the same values in the same
+/// order as stepping cycle by cycle. Query cycles never decrease.
+class RolledStream {
+ public:
+  /// Cycle `now`'s outcome: a rolled cycle replays without drawing, any
+  /// other cycle runs `trial()` once.
+  template <class Trial>
+  bool step(Cycle now, Trial&& trial) {
+    if (now < rolled_) {
+      if (pending_ != now) return false;
+      pending_ = kNoCycle;
+      return true;
+    }
+    rolled_ = now + 1;
+    return trial();
+  }
+
+  /// Rolls on from max(from, rolled()) up to `limit` with `scan(from,
+  /// limit)`, which returns the first succeeding cycle or `limit` (as
+  /// first_success() does). Returns the pending cycle, which a succeeding
+  /// roll sets; kNoCycle if none, with every cycle below `limit` rolled.
+  template <class Scan>
+  Cycle roll(Cycle from, Cycle limit, Scan&& scan) {
+    if (pending_ != kNoCycle) return pending_;
+    from = std::max(from, rolled_);
+    const Cycle c = scan(from, limit);
+    if (c < limit) {
+      pending_ = c;
+      rolled_ = c + 1;
+      return c;
+    }
+    rolled_ = std::max(from, limit);
+    return kNoCycle;
+  }
+
+  [[nodiscard]] Cycle rolled() const noexcept { return rolled_; }
+
+ private:
+  // Invariant: pending_ == kNoCycle or pending_ < rolled_.
+  Cycle rolled_ = 0;
+  Cycle pending_ = kNoCycle;
 };
 
 }  // namespace ssq

@@ -43,6 +43,7 @@ void InputPort::push_front(Packet&& pkt, std::uint32_t drained_flits) {
   SSQ_EXPECT(can_accept(pkt.cls, pkt.dst, drained_flits));
   Buffer& b = buffer(*this, pkt.cls, pkt.dst);
   b.occ += drained_flits;
+  b.peak = std::max(b.peak, b.occ);
   if (pkt.cls == TrafficClass::GuaranteedBandwidth) {
     gb_nonempty_ |= 1ULL << pkt.dst;
   }

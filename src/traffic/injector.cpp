@@ -12,20 +12,21 @@ Injector::Injector(const FlowSpec& spec, Rng rng)
   const double mean_len = static_cast<double>(spec_.mean_len());
   switch (spec_.inject) {
     case InjectKind::Bernoulli: {
-      p_inject_ = spec_.inject_rate / mean_len;
-      SSQ_EXPECT(p_inject_ <= 1.0 + 1e-12);
+      const double p = spec_.inject_rate / mean_len;
+      SSQ_EXPECT(p <= 1.0 + 1e-12);
+      inject_ = BernoulliTrial(p);
       break;
     }
     case InjectKind::OnOff: {
-      // Average rate = peak_rate * duty; duty = on / (on + off).
+      // Average rate = peak_rate * duty; duty = on / (on + off). A peak
+      // above one packet per cycle saturates the bursts.
       const double duty =
           spec_.mean_on_cycles / (spec_.mean_on_cycles + spec_.mean_off_cycles);
       const double peak = spec_.inject_rate / duty;
-      p_inject_ = peak / mean_len;
-      if (p_inject_ > 1.0) p_inject_ = 1.0;  // saturated bursts
-      p_leave_on_ = 1.0 / spec_.mean_on_cycles;
-      p_leave_off_ =
-          spec_.mean_off_cycles > 0.0 ? 1.0 / spec_.mean_off_cycles : 1.0;
+      inject_ = BernoulliTrial(peak / mean_len);
+      leave_on_ = BernoulliTrial(1.0 / spec_.mean_on_cycles);
+      leave_off_ = BernoulliTrial(
+          spec_.mean_off_cycles > 0.0 ? 1.0 / spec_.mean_off_cycles : 1.0);
       on_ = false;
       break;
     }
@@ -46,19 +47,17 @@ Cycle Injector::next_event(Cycle now, Cycle limit) {
   switch (spec_.inject) {
     case InjectKind::Bernoulli:
     case InjectKind::OnOff: {
-      if (pending_fire_ != kNoCycle) return pending_fire_;
-      // Roll on from wherever the stream last stopped; nothing is drawn
-      // before start_cycle.
-      const Cycle from = std::max({now, rolled_until_, spec_.start_cycle});
-      for (Cycle c = from; c < limit; ++c) {
-        if (roll()) {
-          pending_fire_ = c;
-          rolled_until_ = c + 1;
-          return c;
-        }
-      }
-      rolled_until_ = std::max(from, limit);
-      return rolled_until_;
+      // The kind is chosen once per roll, outside the loop.
+      const auto scan = [&](Cycle from, Cycle to) {
+        return spec_.inject == InjectKind::Bernoulli
+                   ? inject_.first_success(rng_, from, to)
+                   : first_success(from, to, [&] { return roll_on_off(); });
+      };
+      // Nothing is drawn before start_cycle. With no creating cycle before
+      // `limit`, the first unrolled cycle is the re-check point.
+      const Cycle fire =
+          stream_.roll(std::max(now, spec_.start_cycle), limit, scan);
+      return fire != kNoCycle ? fire : stream_.rolled();
     }
     case InjectKind::Periodic:
       return next_fire_ > now ? next_fire_ : now;

@@ -29,15 +29,14 @@ class Injector {
     std::uint32_t n = 0;
     switch (spec_.inject) {
       case InjectKind::Bernoulli:
+        n = stream_.step(now, [&] {
+          return now >= spec_.start_cycle && inject_(rng_);
+        });
+        break;
       case InjectKind::OnOff:
-        if (now < rolled_until_) {
-          if (pending_fire_ != now) return 0;
-          pending_fire_ = kNoCycle;
-          return 1;
-        }
-        if (now < spec_.start_cycle) return 0;
-        rolled_until_ = now + 1;
-        n = roll() ? 1 : 0;
+        n = stream_.step(now, [&] {
+          return now >= spec_.start_cycle && roll_on_off();
+        });
         break;
       case InjectKind::Periodic:
         // next_fire_ starts at start_cycle, so nothing fires before it.
@@ -75,7 +74,7 @@ class Injector {
   /// Deterministic kinds (Periodic, BurstOnce, Trace) report their exact
   /// next event and ignore `limit`; an exhausted source reports kNoCycle.
   /// Stochastic kinds (Bernoulli, OnOff) pre-roll their stream, one cycle's
-  /// full draws at a time, from the first cycle not yet rolled. They stop
+  /// full trials at a time, from the first cycle not yet rolled. They stop
   /// after the first cycle that creates and report it, or stop at `limit`
   /// and report the first unrolled cycle as a re-check point. A created
   /// packet's lengths are drawn after its cycle's trials, so call this only
@@ -85,37 +84,30 @@ class Injector {
   [[nodiscard]] const FlowSpec& spec() const noexcept { return spec_; }
 
  private:
-  /// One cycle's Bernoulli/OnOff trials (OnOff: the inject trial while on,
-  /// then the state-change trial). True when the cycle creates a packet.
-  bool roll() {
-    if (spec_.inject == InjectKind::Bernoulli) {
-      return rng_.bernoulli(p_inject_);
-    }
+  /// One OnOff cycle's trials: while on, the inject trial and then the
+  /// burst-exit trial; while off, the burst-entry trial. True when the cycle
+  /// creates a packet.
+  bool roll_on_off() {
     if (!on_) {
-      if (rng_.bernoulli(p_leave_off_)) on_ = true;
+      on_ = leave_off_(rng_);
       return false;
     }
-    const bool fire = rng_.bernoulli(p_inject_);
-    if (rng_.bernoulli(p_leave_on_)) on_ = false;
+    const bool fire = inject_(rng_);
+    if (leave_on_(rng_)) on_ = false;
     return fire;
   }
 
   FlowSpec spec_;
   Rng rng_;
 
-  // Bernoulli / OnOff: per-cycle packet probability; OnOff also its
-  // burst-exit / burst-entry probabilities.
-  double p_inject_ = 0.0;
+  // Bernoulli / OnOff: the per-cycle packet trial; OnOff also its
+  // burst-exit / burst-entry trials.
+  BernoulliTrial inject_;
   bool on_ = true;  // OnOff state
-  double p_leave_on_ = 0.0;
-  double p_leave_off_ = 0.0;
-  // Pre-roll state, as in fault::FaultInjector::scan_fire: every cycle
-  // < rolled_until_ has had its trials drawn; pending_fire_ is the one
-  // rolled cycle that creates and has not been replayed yet (kNoCycle if
-  // none). Invariant: pending_fire_ == kNoCycle or
-  // pending_fire_ < rolled_until_.
-  Cycle rolled_until_ = 0;
-  Cycle pending_fire_ = kNoCycle;
+  BernoulliTrial leave_on_;
+  BernoulliTrial leave_off_;
+  // The trials decided ahead of the clock by next_event().
+  RolledStream stream_;
 
   // Periodic.
   Cycle period_ = 0;

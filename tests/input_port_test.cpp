@@ -121,13 +121,8 @@ TEST(InputPortTest, GbPointerRotation) {
 // over all three classes, checked after every operation against a model that
 // keeps one packet list and one flit counter per class buffer (BE, GB per
 // output, GL): occupancy, high-water marks, every head, gb_nonempty() and
-// head_outputs().
-//
-// The model's high-water marks are the true ones: push_front raises them
-// too. InputPort::push_front does not raise its mark yet (a known defect,
-// listed as FOUND in CHANGES.md), so once a push_front has raised a queue's
-// true mark above what accepts reached, that queue's mark is only checked
-// not to exceed the model's; until then it must be equal.
+// head_outputs(). The model's high-water marks are the true ones, raised by
+// accept and push_front alike, and every mark must equal the model's.
 
 struct PortModel {
   static constexpr std::uint32_t kRadix = 4;
@@ -136,7 +131,6 @@ struct PortModel {
     std::uint32_t occ = 0;
     std::uint32_t cap = 0;
     std::uint32_t peak = 0;
-    bool raised_by_push_front = false;  // see the note above
   };
   Queue be, gl;
   std::array<Queue, kRadix> gb;
@@ -164,20 +158,12 @@ std::string port_mismatch(const InputPort& port, PortModel& m) {
         << port.gl_occupancy() << ", model " << m.be.occ << '/' << m.gl.occ;
     return why.str();
   }
-  // Equal, or at most the true mark once a push_front has raised it.
-  const auto mark_ok = [](std::uint32_t got, std::uint32_t want,
-                          bool raised_by_push_front) {
-    return raised_by_push_front ? got <= want : got == want;
-  };
-  if (!mark_ok(port.peak_be_occupancy(), m.be.peak,
-               m.be.raised_by_push_front) ||
-      !mark_ok(port.peak_gl_occupancy(), m.gl.peak,
-               m.gl.raised_by_push_front)) {
+  if (port.peak_be_occupancy() != m.be.peak ||
+      port.peak_gl_occupancy() != m.gl.peak) {
     return "BE/GL high-water marks differ";
   }
   std::uint32_t total = 0;
   std::uint32_t peak = 0;
-  bool gb_raised = false;
   std::uint64_t nonempty = 0;
   std::uint64_t heads = 0;
   for (OutputId o = 0; o < PortModel::kRadix; ++o) {
@@ -188,7 +174,6 @@ std::string port_mismatch(const InputPort& port, PortModel& m) {
     }
     total += m.gb[o].occ;
     peak = std::max(peak, m.gb[o].peak);
-    gb_raised = gb_raised || m.gb[o].raised_by_push_front;
     if (!m.gb[o].q.empty()) nonempty |= 1ULL << o;
     for (const TrafficClass cls :
          {TrafficClass::BestEffort, TrafficClass::GuaranteedBandwidth,
@@ -204,7 +189,7 @@ std::string port_mismatch(const InputPort& port, PortModel& m) {
     }
   }
   if (port.gb_total_occupancy() != total) return "GB total differs";
-  if (!mark_ok(port.peak_gb_occupancy(), peak, gb_raised)) {
+  if (port.peak_gb_occupancy() != peak) {
     return "GB high-water mark differs";
   }
   if (port.gb_nonempty() != nonempty) return "gb_nonempty() differs";
@@ -274,10 +259,7 @@ TEST(InputPortTest, RandomOperationsMatchPerClassCounters) {
             << "cycle " << t;
         if (!fits) continue;
         home.occ += drained;
-        if (home.occ > home.peak) {
-          home.peak = home.occ;
-          home.raised_by_push_front = true;
-        }
+        home.peak = std::max(home.peak, home.occ);
         home.q.push_front(p);
         port.push_front(Packet(p), drained);
         drained = p.length;  // back in its queue: drop it from the flight

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -77,6 +78,74 @@ TEST(RngTest, BernoulliEdges) {
     EXPECT_FALSE(rng.bernoulli(-1.0));
     EXPECT_TRUE(rng.bernoulli(2.0));
   }
+}
+
+// BernoulliTrial's specification is Rng::bernoulli: on twin generators it
+// gives the same answer from the same draws, so the generators stay equal
+// after every trial.
+TEST(BernoulliTrialTest, MatchesBernoulliOnTwinGenerators) {
+  Rng spec(5);
+  Rng fast(5);
+  const auto check = [&](double p, int trials) {
+    const BernoulliTrial trial(p);
+    for (int k = 0; k < trials; ++k) {
+      ASSERT_EQ(trial(fast), spec.bernoulli(p)) << "p=" << p;
+      ASSERT_TRUE(fast == spec) << "p=" << p;
+    }
+  };
+  for (double p : {-1.0, 0.0, 0x1p-60, 1e-300, 1e-4, 0.5, 1.0 - 0x1p-53,
+                   1.0, 1.5}) {
+    check(p, 10000);
+    if (HasFatalFailure()) return;
+  }
+  // Random p over every magnitude, and p on the next draw's exact boundary
+  // (uniform() == p fails, the next double up succeeds).
+  Rng pick(0xb3);
+  for (int i = 0; i < 1000000 && !HasFatalFailure(); ++i) {
+    const double u = pick.uniform();
+    check(std::ldexp(u, -static_cast<int>(pick.below(64))), 1);
+    Rng peek = spec;
+    check(peek.uniform(), 1);
+    peek = spec;
+    check(std::nextafter(peek.uniform(), 1.0), 1);
+  }
+}
+
+// first_success() equals running the trials one cycle at a time, both in
+// the cycle it reports and in the draws it makes.
+TEST(BernoulliTrialTest, FirstSuccessMatchesStepping) {
+  Rng windows(0x5c);
+  Rng spec(9);
+  Rng fast(9);
+  for (double p : {-1.0, 0.0, 1e-4, 0.01, 0.2, 0.5, 0.9, 1.0, 1.5}) {
+    const BernoulliTrial trial(p);
+    std::uint64_t misses = 0;
+    for (int k = 0; k < 2000; ++k) {
+      const Cycle from = windows.below(100);
+      // Some windows are empty or reversed (from >= limit): no draws.
+      const Cycle limit = windows.below(130);
+      Cycle want = limit;
+      for (Cycle c = from; c < limit; ++c) {
+        if (spec.bernoulli(p)) {
+          want = c;
+          break;
+        }
+      }
+      const Cycle got = trial.first_success(fast, from, limit);
+      ASSERT_EQ(got, want) << "p=" << p << " [" << from << ", " << limit
+                           << ")";
+      ASSERT_TRUE(fast == spec) << "p=" << p;
+      if (from < limit && got == limit) ++misses;
+    }
+    // Windows that reach their limit with no success occur for small p.
+    if (p > 0.0 && p <= 0.01) {
+      EXPECT_GT(misses, 100u) << "p=" << p;
+    }
+  }
+}
+
+TEST(BernoulliTrialDeathTest, NanAborts) {
+  EXPECT_DEATH(BernoulliTrial{std::nan("")}, "isnan");
 }
 
 TEST(RngTest, BelowIsUniformAndBounded) {
