@@ -165,6 +165,7 @@ class BernoulliTrial {
   /// trial-by-trial stepping.
   Cycle first_success(Rng& rng, Cycle from, Cycle limit) const noexcept {
     if (!draws_) return threshold_ != 0 && from < limit ? from : limit;
+    // A local: the generator's stores could alias the member.
     const std::uint64_t threshold = threshold_;
     return ssq::first_success(
         from, limit, [&rng, threshold] { return (rng() >> 11) < threshold; });
