@@ -1,7 +1,5 @@
 #include "campaign/report.hpp"
 
-#include <map>
-
 #include "obs/json.hpp"
 
 namespace ssq::campaign {
@@ -27,69 +25,61 @@ ShardState load_shard(const std::string& dir, const Manifest& m,
 
 }  // namespace
 
-Report merge_checkpoints(const std::string& dir, const Manifest& m) {
-  // Collect the first done-record per unit across shards. Each shard
-  // contributes only its own units, so cross-shard duplicates cannot
-  // happen; within a shard load_checkpoint already keeps the first record.
-  // Iterating the map gives canonical global-index order regardless of which shard finished when —
-  // this, not accumulation-time order, is what makes the report bytes
-  // independent of the execution schedule.
-  std::map<std::uint64_t, Record> done;
-  for (std::uint64_t k = 0; k < m.shards; ++k) {
-    const ShardState s = load_shard(dir, m, k);
-    for (const auto& [j, unit] : s.units) {
-      if (unit.done.has_value()) done.emplace(j, *unit.done);
-    }
+Report::Report(const Manifest& m)
+    : total(m.total_units()), skipped(m.total_units()) {
+  grid.resize(m.grid.size());
+  for (std::size_t g = 0; g < m.grid.size(); ++g) {
+    grid[g].label = m.grid[g].label;
+    grid[g].skipped = m.scenarios;
   }
+}
 
-  Report r;
-  r.total = m.total_units();
-  r.grid.resize(m.grid.size());
-  for (std::size_t g = 0; g < m.grid.size(); ++g) {
-    r.grid[g].label = m.grid[g].label;
+void Report::add(const Manifest& m, const Record& rec) {
+  GridTotals& gt = grid[m.grid_of(rec.j)];
+  ++completed;
+  --skipped;
+  --gt.skipped;
+  switch (rec.verdict) {
+    case Verdict::Ok:
+      ++ok;
+      ++gt.ok;
+      break;
+    case Verdict::Fail:
+      ++failed;
+      ++gt.failed;
+      break;
+    case Verdict::Quarantined:
+      ++quarantined;
+      ++gt.quarantined;
+      break;
   }
-  for (const auto& [j, rec] : done) {
-    Report::GridTotals& gt = r.grid[m.grid_of(j)];
-    ++r.completed;
-    switch (rec.verdict) {
-      case Verdict::Ok:
-        ++r.ok;
-        ++gt.ok;
-        break;
-      case Verdict::Fail:
-        ++r.failed;
-        ++gt.failed;
-        break;
-      case Verdict::Quarantined:
-        ++r.quarantined;
-        ++gt.quarantined;
-        break;
-    }
-    r.grants += rec.grants;
-    r.delivered += rec.delivered;
-    r.windows += rec.windows;
-    r.violations_gb += rec.violations_gb;
-    r.violations_gl += rec.violations_gl;
-    r.violations_be += rec.violations_be;
-    if (rec.faulted) ++r.faulted;
-    gt.grants += rec.grants;
-    gt.delivered += rec.delivered;
-    if (rec.verdict != Verdict::Ok) {
-      Report::Incident inc;
-      inc.index = j;
-      inc.scenario = m.scenario_of(j);
-      inc.grid_label = m.grid[m.grid_of(j)].label;
-      inc.kind = rec.kind;
-      inc.cycle = rec.fail_cycle;
-      (rec.verdict == Verdict::Fail ? r.failures : r.quarantines)
-          .push_back(std::move(inc));
-    }
+  grants += rec.grants;
+  delivered += rec.delivered;
+  windows += rec.windows;
+  violations_gb += rec.violations_gb;
+  violations_gl += rec.violations_gl;
+  violations_be += rec.violations_be;
+  if (rec.faulted) ++faulted;
+  gt.grants += rec.grants;
+  gt.delivered += rec.delivered;
+  if (rec.verdict != Verdict::Ok) {
+    (rec.verdict == Verdict::Fail ? failures : quarantines)
+        .push_back(Incident{rec.j, m.scenario_of(rec.j), gt.label, rec.kind,
+                            rec.fail_cycle});
   }
-  r.skipped = r.total - r.completed;
-  // Per-grid skipped: units of that grid point without a done record.
-  for (std::size_t g = 0; g < m.grid.size(); ++g) {
-    r.grid[g].skipped =
-        m.scenarios - (r.grid[g].ok + r.grid[g].failed + r.grid[g].quarantined);
+}
+
+Report merge_checkpoints(const std::string& dir, const Manifest& m) {
+  // Shards cover ascending contiguous ranges and each shard's units are
+  // keyed by index, so this visits every done unit in global index order,
+  // whichever shard finished when: the report bytes do not depend on the
+  // execution schedule. Each shard contributes only its own units, and
+  // within a shard load_checkpoint keeps the first done record.
+  Report r(m);
+  for (std::uint64_t k = 0; k < m.shards; ++k) {
+    for (const auto& [j, unit] : load_shard(dir, m, k).units) {
+      if (unit.done.has_value()) r.add(m, *unit.done);
+    }
   }
   return r;
 }

@@ -17,6 +17,9 @@
 // Work is never silently lost or double-counted: every unit of
 // manifest.total_units() lands in exactly one of ok / failed / quarantined
 // / skipped, and `skipped` is nonzero only in a partial (resumable) report.
+//
+// Report::add is the one place a done record is counted: merge_checkpoints
+// feeds it the journals, and ssq_fuzz feeds it each unit as it finishes.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +32,14 @@
 namespace ssq::campaign {
 
 struct Report {
+  /// An empty report over `m`: every unit skipped until add() counts it.
+  explicit Report(const Manifest& m);
+
+  /// Counts the done record of unit `rec.j` of `m`: verdict, totals, its
+  /// grid point and, unless ok, an incident. Call it once per unit, in
+  /// index order, so the incident lists stay sorted.
+  void add(const Manifest& m, const Record& rec);
+
   std::uint64_t total = 0;
   std::uint64_t completed = 0;  // ok + failed + quarantined
   std::uint64_t ok = 0;

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include <fcntl.h>
 #include <sys/file.h>
@@ -173,80 +174,104 @@ Record done_record(std::uint64_t j, std::uint32_t attempt,
 }  // namespace
 
 ShardOutcome run_shard(const std::string& dir, const Manifest& m,
-                       std::uint64_t k, const RunnerHooks& hooks) {
-  const std::string path = ckpt_path(dir, k);
-  ShardState state = load_checkpoint(path);
+                       std::uint64_t k, const RunnerHooks& hooks,
+                       exec::ThreadPool* pool) {
+  const bool journaled = !dir.empty();
+  ShardState state;
   CheckpointWriter journal;
-  if (!journal.open(path, state.valid_bytes)) {
-    return ShardOutcome::IoError;
+  if (journaled) {
+    const std::string path = ckpt_path(dir, k);
+    state = load_checkpoint(path);
+    if (!journal.open(path, state.valid_bytes)) return ShardOutcome::IoError;
   }
+  exec::ThreadPool inline_pool(1);
+  exec::ThreadPool& workers = pool != nullptr ? *pool : inline_pool;
+  const std::size_t round_size =
+      workers.threads() <= 1 ? 1 : 4 * std::size_t{workers.threads()};
 
-  for (std::uint64_t j = m.shard_begin(k); j < m.shard_end(k); ++j) {
-    if (state.is_done(j)) continue;
+  struct Unit {
+    Record start;
+    check::Scenario scenario;
+    check::RunResult result;
+  };
+  std::vector<Unit> round;
+  const std::uint64_t end = m.shard_end(k);
+  for (std::uint64_t j = m.shard_begin(k); j < end;) {
     if (hooks.drain && hooks.drain()) return ShardOutcome::Drained;
-    if (hooks.beat) hooks.beat();
-
-    const std::uint32_t attempts = state.attempts(j);
-
-    if (attempts >= m.max_attempts) {
-      // Every allowed attempt started and none finished: this unit wedges
-      // or kills whoever runs it. Fence it off and keep going — the
-      // campaign completes, the repro ships.
-      const Plant* plant = m.planted_at(j);
-      const std::string reason =
-          plant == nullptr
-              ? "unresponsive"  // real poison: it hung or killed the worker
-              : (plant->kind == Plant::Kind::Crash ? "crash" : "hang");
-      write_poisoned_repro(dir, m, j, reason, attempts);
-      Record q;
-      q.type = Record::Type::Done;
-      q.j = j;
-      q.attempt = attempts;
-      q.verdict = Verdict::Quarantined;
-      q.kind = reason;
-      if (!journal.append(q)) return ShardOutcome::IoError;
-      continue;
-    }
-
-    Record s;
-    s.type = Record::Type::Start;
-    s.j = j;
-    s.attempt = attempts + 1;
-    if (!journal.append(s)) return ShardOutcome::IoError;
-    state.units[j].attempts = attempts + 1;
-
-    if (const Plant* plant = m.planted_at(j)) {
-      // Robustness teeth (tests/CI only): this unit is poisoned by
-      // construction. Wedge silently — no heartbeat — so the watchdog has
-      // something real to catch, or die abruptly so the supervisor does.
-      if (plant->kind == Plant::Kind::Hang) {
-        for (;;) std::this_thread::sleep_for(std::chrono::milliseconds(250));
+    round.clear();
+    for (; j < end && round.size() < round_size; ++j) {
+      if (state.is_done(j)) continue;
+      if (hooks.beat) hooks.beat();
+      const std::uint32_t attempts = state.attempts(j);
+      if (attempts >= m.max_attempts) {
+        // Every allowed attempt started and none finished: this unit wedges
+        // or kills whoever runs it. Fence it off and keep going — the
+        // campaign completes, the repro ships.
+        const Plant* plant = m.planted_at(j);
+        const std::string reason =
+            plant == nullptr
+                ? "unresponsive"  // real poison: it hung or killed the worker
+                : (plant->kind == Plant::Kind::Crash ? "crash" : "hang");
+        write_poisoned_repro(dir, m, j, reason, attempts);
+        if (!journal.append({.type = Record::Type::Done,
+                             .j = j,
+                             .attempt = attempts,
+                             .verdict = Verdict::Quarantined,
+                             .kind = reason})) {
+          return ShardOutcome::IoError;
+        }
+        continue;
       }
-      std::abort();
-    }
-    if (m.throttle_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(m.throttle_ms));
+      Unit& u = round.emplace_back();
+      u.start.j = j;
+      u.start.attempt = attempts + 1;
+      if (journaled && !journal.append(u.start)) return ShardOutcome::IoError;
     }
 
-    // A failure ships its repro (and incident snapshot when one was
-    // recorded) immediately — the journal records the verdict, the files
-    // carry the evidence. The campaign keeps running: one divergence must
-    // not cost the other 999,999 scenarios of a nightly sweep.
-    const GridPoint& point = m.grid[m.grid_of(j)];
-    const check::Scenario run =
-        unit_scenario(point, m.base_seed, m.scenario_of(j));
-    const check::RunResult res = run_unit(point, run);
-    if (res.failed) {
-      (void)write_repro(dir + "/repro-" + std::to_string(m.base_seed) + "-" +
-                            std::to_string(j),
-                        run, res);
+    workers.run_indexed(round.size(), [&](std::size_t i) {
+      Unit& u = round[i];
+      if (const Plant* plant = m.planted_at(u.start.j)) {
+        // Robustness teeth (tests/CI only): this unit is poisoned by
+        // construction. Wedge silently — no heartbeat — so the watchdog has
+        // something real to catch, or die abruptly so the supervisor does.
+        if (plant->kind == Plant::Kind::Hang) {
+          for (;;) std::this_thread::sleep_for(std::chrono::milliseconds(250));
+        }
+        std::abort();
+      }
+      if (m.throttle_ms > 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(m.throttle_ms));
+      }
+      const GridPoint& point = m.grid[m.grid_of(u.start.j)];
+      u.scenario = unit_scenario(point, m.base_seed, m.scenario_of(u.start.j));
+      u.result = run_unit(point, u.scenario);
+    });
+
+    // The whole round is journaled even when a hook stops the run: every
+    // unit in it ran, so none may look like a crashed attempt.
+    bool stop = false;
+    for (const Unit& u : round) {
+      // A failure ships its repro (and incident snapshot when one was
+      // recorded) immediately — the journal records the verdict, the files
+      // carry the evidence. The campaign keeps running: one divergence must
+      // not cost the other 999,999 scenarios of a nightly sweep.
+      const Record done = done_record(u.start.j, u.start.attempt, u.result,
+                                      u.scenario.has_faults());
+      if (journaled) {
+        if (u.result.failed) {
+          (void)write_repro(dir + "/repro-" + std::to_string(m.base_seed) +
+                                "-" + std::to_string(u.start.j),
+                            u.scenario, u.result);
+        }
+        if (!journal.append(done)) return ShardOutcome::IoError;
+      }
+      stop = stop || (hooks.unit_done &&
+                      hooks.unit_done(done, u.scenario, u.result));
     }
-    if (!journal.append(done_record(j, attempts + 1, res, run.has_faults()))) {
-      return ShardOutcome::IoError;
-    }
-    state.units[j].done = Record{};  // only is_done() is consulted below
+    if (stop) return ShardOutcome::Drained;
   }
 
+  if (!journaled) return ShardOutcome::Completed;
   journal.close();
   // The marker is pure acceleration (claim scans skip finished shards
   // without replaying journals); the journal stays the source of truth.

@@ -1,5 +1,7 @@
-// Shard runner: claims shards and executes their work units, journaling
-// every step, under a drain flag and a heartbeat.
+// Shard runner: the one loop over work units. ssq_campaign's workers run
+// it journaled, claiming shards under a drain flag and a heartbeat;
+// ssq_fuzz runs it with no journal on its thread pool and keeps its own
+// policy (stop at the first failure, shrink, repro) in the hooks.
 //
 // Claiming uses flock(2) on a per-shard lock file: the lock dies with the
 // process (kill -9 included), so there are no stale locks to garbage-collect
@@ -9,7 +11,9 @@
 // progress concentrates at the front of the unit space and a `--status`
 // glance tells you how far the campaign is.
 //
-// Per unit, in order within the claimed shard:
+// Units run in index-ordered rounds on an exec::ThreadPool: one unit per
+// round on an inline pool, 4x threads on a threaded one. Per unit, in order
+// within the claimed shard:
 //   1. done in the journal? skip (this is what makes resume cheap);
 //   2. attempts exhausted? quarantine: write poisoned-*.scenario (atomic
 //      rename) and a quarantined done-record, and move on — a poisoned
@@ -17,7 +21,8 @@
 //   3. otherwise journal a start record, run the scenario under the
 //      differential checker, journal the done record. A crash or watchdog
 //      kill between start and done leaves exactly the evidence the next
-//      attempt needs.
+//      attempt needs. One unit per round keeps that blame per unit.
+// With no journal, only the current round is held in memory.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +33,7 @@
 #include "campaign/checkpoint.hpp"
 #include "campaign/manifest.hpp"
 #include "check/scenario.hpp"
+#include "exec/thread_pool.hpp"
 
 namespace ssq::campaign {
 
@@ -58,22 +64,32 @@ struct RunnerHooks {
   /// Invoked immediately before each unit starts (the liveness signal the
   /// supervisor's watchdog watches).
   std::function<void()> beat;
-  /// Checked between units; true = graceful drain (finish nothing new,
+  /// Checked before each round; true = graceful drain (start nothing new,
   /// leave the shard claimable and return).
   std::function<bool()> drain;
+  /// Invoked for every unit that ran, in index order, with its done record,
+  /// scenario and result; true stops the run after the current round, as a
+  /// drain does, and no later unit reaches the hook.
+  std::function<bool(const Record& done, const check::Scenario& s,
+                     const check::RunResult& r)>
+      unit_done;
 };
 
 enum class ShardOutcome : std::uint8_t {
   Completed,  // every unit has a done record; .done marker written
-  Drained,    // drain() asked us to stop; shard left resumable
+  Drained,    // drain() or unit_done() stopped us; shard left resumable
   IoError,    // journal write failed; shard left resumable
 };
 
-/// Runs shard `k` of the campaign in `dir` end to end. The caller must hold
-/// the shard's claim (see ShardClaim below).
+/// Runs shard `k` of the campaign in `dir` end to end on `pool` (inline
+/// when null). The caller must hold the shard's claim (see ShardClaim
+/// below). An empty `dir` runs with no journal: every unit of the shard
+/// runs, nothing is written and a failure ships no repro; the hooks own
+/// the results.
 [[nodiscard]] ShardOutcome run_shard(const std::string& dir, const Manifest& m,
                                      std::uint64_t k,
-                                     const RunnerHooks& hooks = {});
+                                     const RunnerHooks& hooks = {},
+                                     exec::ThreadPool* pool = nullptr);
 
 /// flock(2)-held claim on one shard; released on destruction or process
 /// death.

@@ -48,21 +48,6 @@ std::string hb_path(const std::string& dir, unsigned worker_id) {
   return dir + "/worker-" + std::to_string(worker_id) + ".hb";
 }
 
-/// True when at least one undone shard could be claimed right now (probed
-/// with a momentary flock, immediately released).
-bool any_claimable(const std::string& dir, const Manifest& m) {
-  ShardClaim probe;
-  for (std::uint64_t k = 0; k < m.shards; ++k) {
-    if (m.shard_begin(k) == m.shard_end(k)) continue;
-    if (fs::exists(done_marker_path(dir, k))) continue;
-    if (probe.try_claim(dir, k)) {
-      probe.release();
-      return true;
-    }
-  }
-  return false;
-}
-
 struct Slot {
   pid_t pid = -1;  // -1 = idle
   std::uint64_t restarts = 0;
@@ -310,7 +295,11 @@ int supervise(const std::string& dir, const Manifest& m,
     for (unsigned w = 0; w < workers; ++w) {
       Slot& s = slots[w];
       if (s.pid > 0 || Clock::now() < s.respawn_at) continue;
-      if (!any_claimable(dir, m)) break;
+      {
+        // A momentary claim, released before the worker is spawned.
+        ShardClaim probe;
+        if (!claim_lowest_undone(dir, m, probe).has_value()) break;
+      }
       spawn(w);
     }
 

@@ -19,6 +19,7 @@
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "check/scenario.hpp"
+#include "exec/thread_pool.hpp"
 #include "sim/atomic_file.hpp"
 #include "sim/error.hpp"
 
@@ -702,6 +703,51 @@ TEST_F(CampaignTest, PoisonedReproCarriesTheGridPointOverrides) {
   for (std::size_t f = 0; f < gen.flows.size(); ++f) {
     EXPECT_EQ(poisoned.flows[f].inject_rate, gen.flows[f].inject_rate * 0.05);
   }
+}
+
+TEST_F(CampaignTest, UnjournaledThreadedRunCountsTheJournaledReport) {
+  // ssq_fuzz's loop: no journal, rounds on a threaded pool, each done record
+  // handed to the hook in index order and counted by Report::add. Its
+  // report must equal the one merged from the journals of a plain run.
+  Manifest m = tiny_manifest();
+  m.grid = {parse_grid_point("default"), parse_grid_point("monitor")};
+  const std::string d = dir() + "/c";
+  init_campaign_dir(d, m);
+  for (std::uint64_t k = 0; k < m.shards; ++k) {
+    ASSERT_EQ(run_shard(d, m, k), ShardOutcome::Completed);
+  }
+  exec::ThreadPool pool(2);  // rounds of 8 units
+  Report r(m);
+  std::uint64_t next = 0;
+  RunnerHooks hooks;
+  hooks.unit_done = [&](const Record& done, const check::Scenario& s,
+                        const check::RunResult& res) {
+    EXPECT_EQ(done.j, next++);
+    EXPECT_EQ(done.grants, res.grants_checked);
+    EXPECT_EQ(done.faulted, s.has_faults());
+    r.add(m, done);
+    return false;
+  };
+  for (std::uint64_t k = 0; k < m.shards; ++k) {
+    ASSERT_EQ(run_shard("", m, k, hooks, &pool), ShardOutcome::Completed);
+  }
+  EXPECT_EQ(next, m.total_units());
+  EXPECT_EQ(render_report(r, m), render_report(merge_checkpoints(d, m), m));
+}
+
+TEST_F(CampaignTest, UnitHookStopsTheRunAtTheUnitItStopsOn) {
+  Manifest m = tiny_manifest();
+  m.shards = 1;
+  exec::ThreadPool pool(2);
+  std::vector<std::uint64_t> seen;
+  RunnerHooks hooks;
+  hooks.unit_done = [&](const Record& done, const check::Scenario&,
+                        const check::RunResult&) {
+    seen.push_back(done.j);
+    return done.j == 2;
+  };
+  EXPECT_EQ(run_shard("", m, 0, hooks, &pool), ShardOutcome::Drained);
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 1, 2}));
 }
 
 TEST_F(CampaignTest, RenderReportIsDeterministic) {

@@ -6,9 +6,10 @@
 // shrinks any failure to a minimal repro file, and exits nonzero. Replay a
 // repro with --replay=FILE; docs/TESTING.md walks through the workflow.
 //
-// The work unit (scenario construction, verdict, repro files) is
-// ssq_campaign's, reached through the grid token each checking flag maps to;
-// this file owns only the fuzzer's policy around it, without the journal.
+// The work unit (scenario construction, verdict, repro files) and the loop
+// over units (campaign::run_shard) are ssq_campaign's, reached through the
+// grid token each checking flag maps to; this file owns only the fuzzer's
+// policy around them, in the runner's hooks, without the journal.
 //
 // Exit codes: 0 all scenarios passed, 1 divergence found, 2 bad usage/config,
 // 130 interrupted by SIGINT/SIGTERM (partial totals reported; no repro).
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "campaign/manifest.hpp"
+#include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "check/scenario.hpp"
 #include "check/shrink.hpp"
@@ -36,7 +38,6 @@
 #include "sim/atomic_file.hpp"
 #include "sim/error.hpp"
 #include "stats/ascii_plot.hpp"
-#include "stats/streaming.hpp"
 #include "stats/table.hpp"
 
 #include "cli.hpp"
@@ -163,47 +164,32 @@ void report_failure(const check::Scenario& s, const check::RunResult& r) {
   std::cout << "\n" << r.detail << "\n";
 }
 
-/// Running campaign totals; per-scenario Streaming accumulators are merged
-/// in index order, so any --jobs value reports identical aggregates.
-struct CampaignStats {
-  stats::Streaming grants;
-  stats::Streaming delivered;
-  std::uint64_t violations_gb = 0;
-  std::uint64_t violations_gl = 0;
-  std::uint64_t violations_be = 0;
-  std::uint64_t windows = 0;
-  std::uint64_t faulted = 0;
-
-  void absorb(bool has_faults, const check::RunResult& r) {
-    grants.add(static_cast<double>(r.grants_checked));
-    delivered.add(static_cast<double>(r.delivered));
-    violations_gb += r.violations_gb;
-    violations_gl += r.violations_gl;
-    violations_be += r.violations_be;
-    windows += r.windows_checked;
-    if (has_faults) ++faulted;
-  }
-};
-
-void emit_heartbeat(const CampaignStats& c, std::uint64_t ran,
-                    double elapsed_s) {
+void emit_heartbeat(const campaign::Report& r, double elapsed_s) {
   const double rate = elapsed_s > 0.0
-                          ? static_cast<double>(ran) / elapsed_s
+                          ? static_cast<double>(r.completed) / elapsed_s
                           : 0.0;
   std::fprintf(stderr,
                "{\"schema\":\"ssq.fuzz.heartbeat.v1\",\"scenarios\":%llu,"
                "\"elapsed_s\":%.3f,\"scenarios_per_sec\":%.2f,"
-               "\"grants\":%.0f,\"delivered\":%.0f,\"faulted\":%llu,"
+               "\"grants\":%llu,\"delivered\":%llu,\"faulted\":%llu,"
                "\"windows\":%llu,\"violations\":{\"gb\":%llu,\"gl\":%llu,"
                "\"be\":%llu}}\n",
-               static_cast<unsigned long long>(ran), elapsed_s, rate,
-               c.grants.sum(), c.delivered.sum(),
-               static_cast<unsigned long long>(c.faulted),
-               static_cast<unsigned long long>(c.windows),
-               static_cast<unsigned long long>(c.violations_gb),
-               static_cast<unsigned long long>(c.violations_gl),
-               static_cast<unsigned long long>(c.violations_be));
+               static_cast<unsigned long long>(r.completed), elapsed_s, rate,
+               static_cast<unsigned long long>(r.grants),
+               static_cast<unsigned long long>(r.delivered),
+               static_cast<unsigned long long>(r.faulted),
+               static_cast<unsigned long long>(r.windows),
+               static_cast<unsigned long long>(r.violations_gb),
+               static_cast<unsigned long long>(r.violations_gl),
+               static_cast<unsigned long long>(r.violations_be));
 }
+
+/// What the summary shows beyond the Report's totals: grants per scenario
+/// in index order (for the profile plot) and the peak deliveries.
+struct Profile {
+  std::vector<double> grants;
+  std::uint64_t max_delivered = 0;
+};
 
 /// Means of `y` over at most `buckets` equal index ranges (campaign-profile
 /// downsampling for the ascii plot).
@@ -222,50 +208,47 @@ std::vector<double> bucket_means(const std::vector<double>& y,
   return out;
 }
 
-void render_campaign_summary(const CampaignStats& c, std::uint64_t ran,
-                             bool monitor,
-                             const std::vector<double>& grants_profile) {
+void render_campaign_summary(const campaign::Report& r, bool monitor,
+                             const Profile& p) {
+  const double denom = r.completed ? static_cast<double>(r.completed) : 1.0;
   stats::Table t("campaign conformance summary");
   t.header({"metric", "total", "mean/scenario", "max"});
   t.row()
       .cell(std::string("grants_checked"))
-      .cell(static_cast<std::uint64_t>(c.grants.sum()))
-      .cell(c.grants.mean(), 1)
-      .cell(c.grants.count() ? c.grants.max() : 0.0, 0);
+      .cell(r.grants)
+      .cell(static_cast<double>(r.grants) / denom, 1)
+      .cell(p.grants.empty()
+                ? 0.0
+                : *std::max_element(p.grants.begin(), p.grants.end()),
+            0);
   t.row()
       .cell(std::string("packets_delivered"))
-      .cell(static_cast<std::uint64_t>(c.delivered.sum()))
-      .cell(c.delivered.mean(), 1)
-      .cell(c.delivered.count() ? c.delivered.max() : 0.0, 0);
+      .cell(r.delivered)
+      .cell(static_cast<double>(r.delivered) / denom, 1)
+      .cell(static_cast<double>(p.max_delivered), 0);
   if (monitor) {
-    const double denom = ran ? static_cast<double>(ran) : 1.0;
-    t.row()
-        .cell(std::string("windows_checked"))
-        .cell(c.windows)
-        .cell(static_cast<double>(c.windows) / denom, 1)
-        .cell(std::string("-"));
-    t.row()
-        .cell(std::string("violations_gb"))
-        .cell(c.violations_gb)
-        .cell(static_cast<double>(c.violations_gb) / denom, 3)
-        .cell(std::string("-"));
-    t.row()
-        .cell(std::string("violations_gl"))
-        .cell(c.violations_gl)
-        .cell(static_cast<double>(c.violations_gl) / denom, 3)
-        .cell(std::string("-"));
-    t.row()
-        .cell(std::string("violations_be"))
-        .cell(c.violations_be)
-        .cell(static_cast<double>(c.violations_be) / denom, 3)
-        .cell(std::string("-"));
+    const struct {
+      const char* name;
+      std::uint64_t total;
+      int digits;
+    } rows[] = {{"windows_checked", r.windows, 1},
+                {"violations_gb", r.violations_gb, 3},
+                {"violations_gl", r.violations_gl, 3},
+                {"violations_be", r.violations_be, 3}};
+    for (const auto& row : rows) {
+      t.row()
+          .cell(std::string(row.name))
+          .cell(row.total)
+          .cell(static_cast<double>(row.total) / denom, row.digits)
+          .cell(std::string("-"));
+    }
   }
   t.render(std::cout, /*csv=*/false);
-  if (grants_profile.size() >= 2) {
+  if (p.grants.size() >= 2) {
     stats::AsciiPlot plot("campaign profile: grants checked per scenario", 8);
-    plot.add_series("grants", bucket_means(grants_profile, 48), '*');
+    plot.add_series("grants", bucket_means(p.grants, 48), '*');
     plot.x_labels("scenario 0",
-                  "scenario " + std::to_string(grants_profile.size() - 1));
+                  "scenario " + std::to_string(p.grants.size() - 1));
     plot.render(std::cout);
   }
 }
@@ -432,160 +415,128 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    // Campaign mode. Scenarios are processed in index-ordered blocks of
-    // jobs*4 on the pool (inline on this thread at --jobs=1). Scenario
-    // generation and execution depend only on (index, base_seed), results
-    // are reported in index order and a failing campaign acts on the LOWEST
-    // failing index, so verdicts, stdout, and repro files are byte-identical
-    // at any --jobs value.
-    const auto t0 = std::chrono::steady_clock::now();
+    // Campaign mode: one grid point as one shard of a campaign, run with
+    // no journal in index-ordered rounds on the pool. Scenario generation
+    // and execution depend only on (index, base_seed), the hooks see units
+    // in index order and the run stops at the first failure they see, the
+    // LOWEST failing index, so verdicts, stdout and repro files are
+    // byte-identical at any --jobs value.
+    campaign::Manifest m;
+    m.base_seed = base_seed;
+    m.scenarios = scenarios;
+    m.shards = 1;
+    m.grid = {point};
+    campaign::Report report(m);
+    Profile profile;  // filled only for the non-quiet summary
+    using Clock = std::chrono::steady_clock;
+    const auto t0 = Clock::now();
+    const auto seconds_since = [](Clock::time_point t) {
+      return std::chrono::duration<double>(Clock::now() - t).count();
+    };
+    campaign::RunnerHooks hooks;
+    // SIGINT/SIGTERM and the time budget stop the run between rounds; the
+    // units run so far are the index prefix, so partial totals stay
+    // deterministic in index order.
+    hooks.drain = [&] {
+      return g_cancel.cancelled() ||
+             (time_budget_s != 0 &&
+              seconds_since(t0) >= static_cast<double>(time_budget_s));
+    };
+    auto last_heartbeat = t0;
+    if (heartbeat_s != 0) {
+      hooks.beat = [&] {
+        if (seconds_since(last_heartbeat) < static_cast<double>(heartbeat_s)) {
+          return;
+        }
+        last_heartbeat = Clock::now();
+        emit_heartbeat(report, seconds_since(t0));
+      };
+    }
+    hooks.unit_done = [&](const campaign::Record& done,
+                          const check::Scenario& s,
+                          const check::RunResult& r) {
+      report.add(m, done);
+      if (!r.failed) {
+        if (!quiet) {
+          std::cout << "ok " << s.name << " radix=" << s.radix
+                    << " cycles=" << s.cycles
+                    << " grants=" << r.grants_checked << "\n";
+          profile.grants.push_back(static_cast<double>(r.grants_checked));
+          profile.max_delivered = std::max(profile.max_delivered, r.delivered);
+        }
+        return false;
+      }
+      // The lowest failing index: shrink serially, exactly as the serial
+      // campaign would have. A qos_violation or config_error is the unit's
+      // verdict, not run_scenario's, so the shrinker (whose predicate is
+      // "run_scenario fails") cannot reproduce it — that scenario ships as
+      // generated.
+      report_failure(s, r);
+      check::Scenario repro = s;
+      if (do_shrink && r.kind != "qos_violation" &&
+          r.kind != "config_error") {
+        const check::ShrinkResult sh = check::shrink(s, point.opts);
+        repro = sh.scenario;
+        std::cout << "shrunk to " << repro.cycles << " cycles, "
+                  << repro.flows.size() << " flows (" << sh.accepted << "/"
+                  << sh.attempts << " reductions accepted); failure now: "
+                  << sh.failure.kind << " at cycle " << sh.failure.fail_cycle
+                  << "\n";
+      }
+      // The incident snapshot comes from the *original* failing run (a
+      // shrunk repro re-fails on replay and produces its own).
+      const std::string stem = repro_dir + "/repro-" +
+                               std::to_string(base_seed) + "-" +
+                               std::to_string(done.j);
+      std::error_code ec;  // best-effort; the write below reports failure
+      std::filesystem::create_directories(repro_dir, ec);
+      if (campaign::write_repro(stem, repro, r)) {
+        std::cout << "repro written to " << stem << ".scenario (replay: "
+                  << "ssq_fuzz" << (point.opts.monitor ? " --monitor" : "")
+                  << " --replay=" << stem << ".scenario)\n";
+        if (!r.flight_dump.empty()) {
+          std::cout << "flight dump written to " << stem << ".flight.jsonl\n";
+        }
+      } else {
+        std::cerr << "warning: could not write repro to '" << stem
+                  << ".scenario'\n";
+      }
+      return true;
+    };
     install_cancel_handlers();
     exec::ThreadPool pool(static_cast<unsigned>(jobs));
-    const std::uint64_t block = jobs * 4;
-    std::uint64_t ran = 0;
-    bool interrupted = false;
-    CampaignStats campaign;
-    std::vector<double> grants_profile;  // per-scenario, index order
-    auto last_heartbeat = t0;
-    for (std::uint64_t start = 0; start < scenarios; start += block) {
-      if (g_cancel.cancelled()) {
-        interrupted = true;
-        break;
-      }
-      if (time_budget_s != 0) {
-        const auto elapsed = std::chrono::duration_cast<std::chrono::seconds>(
-                                 std::chrono::steady_clock::now() - t0)
-                                 .count();
-        if (elapsed >= 0 &&
-            static_cast<std::uint64_t>(elapsed) >= time_budget_s) {
-          if (!quiet) {
-            std::cout << "time budget reached after " << ran
-                      << " scenarios\n";
-          }
-          break;
-        }
-      }
-      const std::uint64_t count = std::min(block, scenarios - start);
-      struct Outcome {
-        check::RunResult result;
-        bool has_faults = false;
-        std::string line;  // buffered per-scenario "ok" report
-      };
-      // On SIGINT/SIGTERM the pool stops dispatching new scenarios; the
-      // completed set is always the index prefix [0, done), so partial
-      // totals stay deterministic in index order.
-      std::size_t done = 0;
-      const std::vector<Outcome> outcomes = exec::run_batch<Outcome>(
-          pool, static_cast<std::size_t>(count),
-          [&](std::size_t k) {
-            const check::Scenario s =
-                campaign::unit_scenario(point, base_seed, start + k);
-            Outcome o;
-            o.has_faults = s.has_faults();
-            o.result = campaign::run_unit(point, s);
-            if (!o.result.failed && !quiet) {
-              std::ostringstream os;
-              os << "ok " << s.name << " radix=" << s.radix
-                 << " cycles=" << s.cycles
-                 << " grants=" << o.result.grants_checked << "\n";
-              o.line = os.str();
-            }
-            return o;
-          },
-          &g_cancel, &done);
-      if (done < count) interrupted = true;
-      for (std::uint64_t k = 0; k < done; ++k) {
-        const std::uint64_t i = start + k;
-        const check::RunResult& r = outcomes[k].result;
-        ++ran;
-        campaign.absorb(outcomes[k].has_faults, r);
-        grants_profile.push_back(static_cast<double>(r.grants_checked));
-        if (!r.failed) {
-          if (!quiet) std::cout << outcomes[k].line;
-          continue;
-        }
-        // Lowest failing index: regenerate the scenario and shrink serially,
-        // exactly as the serial campaign would have. A qos_violation or
-        // config_error is the unit's verdict, not run_scenario's, so the
-        // shrinker (whose predicate is "run_scenario fails") cannot
-        // reproduce it — that scenario ships as generated.
-        const check::Scenario s = campaign::unit_scenario(point, base_seed, i);
-        report_failure(s, r);
-        check::Scenario repro = s;
-        if (do_shrink && r.kind != "qos_violation" &&
-            r.kind != "config_error") {
-          const check::ShrinkResult sh = check::shrink(s, point.opts);
-          repro = sh.scenario;
-          std::cout << "shrunk to " << repro.cycles << " cycles, "
-                    << repro.flows.size() << " flows ("
-                    << sh.accepted << "/" << sh.attempts
-                    << " reductions accepted); failure now: "
-                    << sh.failure.kind << " at cycle "
-                    << sh.failure.fail_cycle << "\n";
-        }
-        // The incident snapshot comes from the *original* failing run (a
-        // shrunk repro re-fails on replay and produces its own).
-        const std::string stem = repro_dir + "/repro-" +
-                                 std::to_string(base_seed) + "-" +
-                                 std::to_string(i);
-        std::error_code ec;  // best-effort; the write below reports failure
-        std::filesystem::create_directories(repro_dir, ec);
-        if (campaign::write_repro(stem, repro, r)) {
-          std::cout << "repro written to " << stem << ".scenario (replay: "
-                    << "ssq_fuzz" << (point.opts.monitor ? " --monitor" : "")
-                    << " --replay=" << stem << ".scenario)\n";
-          if (!r.flight_dump.empty()) {
-            std::cout << "flight dump written to " << stem << ".flight.jsonl\n";
-          }
-        } else {
-          std::cerr << "warning: could not write repro to '" << stem
-                    << ".scenario'\n";
-        }
-        return 1;
-      }
-      if (heartbeat_s != 0) {
-        const auto now = std::chrono::steady_clock::now();
-        if (std::chrono::duration_cast<std::chrono::seconds>(
-                now - last_heartbeat)
-                .count() >= static_cast<long>(heartbeat_s)) {
-          emit_heartbeat(campaign, ran,
-                         std::chrono::duration<double>(now - t0).count());
-          last_heartbeat = now;
-        }
-      }
-    }
-    const auto total_s = std::chrono::duration_cast<std::chrono::milliseconds>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-    if (heartbeat_s != 0) {
-      emit_heartbeat(campaign, ran,
-                     static_cast<double>(total_s) / 1000.0);
-    }
-    if (interrupted) {
-      std::cout << "interrupted after " << ran;
+    const bool stopped = campaign::run_shard("", m, 0, hooks, &pool) ==
+                         campaign::ShardOutcome::Drained;
+    if (report.failed != 0) return 1;
+    // Whole milliseconds, as the summary line has always printed them.
+    const auto total_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+        Clock::now() - t0);
+    const double total_s = static_cast<double>(total_ms.count()) / 1000.0;
+    if (heartbeat_s != 0) emit_heartbeat(report, total_s);
+    if (stopped && g_cancel.cancelled()) {
+      std::cout << "interrupted after " << report.completed;
       if (bounded) std::cout << "/" << scenarios;
-      std::cout << " scenarios (no failures found): "
-                << static_cast<std::uint64_t>(campaign.grants.sum())
-                << " grants checked, "
-                << static_cast<double>(total_s) / 1000.0 << "s\n";
+      std::cout << " scenarios (no failures found): " << report.grants
+                << " grants checked, " << total_s << "s\n";
       return 130;
     }
     if (!quiet) {
-      render_campaign_summary(campaign, ran, point.opts.monitor,
-                              grants_profile);
+      if (stopped) {
+        std::cout << "time budget reached after " << report.completed
+                  << " scenarios\n";
+      }
+      render_campaign_summary(report, point.opts.monitor, profile);
     }
-    std::cout << "all " << ran << " scenarios passed: "
-              << static_cast<std::uint64_t>(campaign.grants.sum())
-              << " grants checked, "
-              << static_cast<std::uint64_t>(campaign.delivered.sum())
+    std::cout << "all " << report.completed << " scenarios passed: "
+              << report.grants << " grants checked, " << report.delivered
               << " packets delivered";
     if (point.opts.monitor) {
-      std::cout << ", " << campaign.windows << " windows ("
-                << campaign.violations_gb + campaign.violations_gl +
-                       campaign.violations_be
+      std::cout << ", " << report.windows << " windows ("
+                << report.violations_gb + report.violations_gl +
+                       report.violations_be
                 << " violations)";
     }
-    std::cout << ", " << static_cast<double>(total_s) / 1000.0 << "s\n";
+    std::cout << ", " << total_s << "s\n";
     return 0;
   } catch (const ConfigError& e) {
     std::cerr << "ssq_fuzz: " << e.what() << "\n";
