@@ -21,8 +21,6 @@ class AgeArbiter final : public Arbiter {
     (void)length;
     (void)now;
   }
-  void reset() override {}
-  [[nodiscard]] std::string_view name() const noexcept override { return "Age"; }
 };
 
 }  // namespace ssq::arb

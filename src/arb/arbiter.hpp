@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string_view>
 
 #include "sim/contracts.hpp"
 #include "sim/types.hpp"
@@ -54,11 +53,6 @@ class Arbiter {
   /// its only clock: a cycle with no request leaves it untouched, which is
   /// what lets the switch jump idle cycles in every mode.
   virtual void on_grant(InputId input, std::uint32_t length, Cycle now) = 0;
-
-  /// Restores the freshly-constructed state.
-  virtual void reset() = 0;
-
-  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
   [[nodiscard]] std::uint32_t radix() const noexcept { return radix_; }
 

@@ -10,12 +10,6 @@ DwrrArbiter::DwrrArbiter(std::uint32_t radix, std::vector<std::uint32_t> quanta)
   staged_deficits_ = deficits_;
 }
 
-void DwrrArbiter::reset() {
-  deficits_.assign(radix(), 0);
-  pointer_ = 0;
-  staged_winner_ = kNoPort;
-}
-
 InputId DwrrArbiter::pick(std::span<const Request> requests, Cycle /*now*/) {
   check_requests(requests);
   staged_winner_ = kNoPort;

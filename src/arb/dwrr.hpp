@@ -25,10 +25,6 @@ class DwrrArbiter final : public Arbiter {
   [[nodiscard]] InputId pick(std::span<const Request> requests,
                              Cycle now) override;
   void on_grant(InputId input, std::uint32_t length, Cycle now) override;
-  void reset() override;
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "DWRR";
-  }
 
   [[nodiscard]] std::uint64_t deficit(InputId i) const {
     SSQ_EXPECT(i < radix());

@@ -29,10 +29,6 @@ class FixedPriorityArbiter final : public Arbiter {
     (void)length;
     (void)now;
   }
-  void reset() override {}
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "FixedPriority";
-  }
 
  private:
   std::vector<InputId> order_;

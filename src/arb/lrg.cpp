@@ -6,16 +6,11 @@
 
 namespace ssq::arb {
 
-LrgArbiter::LrgArbiter(std::uint32_t radix) : Arbiter(radix) {
-  rows_.resize(radix);
-  reset();
-}
-
-void LrgArbiter::reset() {
+LrgArbiter::LrgArbiter(std::uint32_t radix) : Arbiter(radix), rows_(radix) {
   // Initial total order: 0 beats 1 beats 2 ... (input 0 most-preferred).
-  for (InputId i = 0; i < radix(); ++i) {
+  for (InputId i = 0; i < radix; ++i) {
     std::uint64_t row = 0;
-    for (InputId j = i + 1; j < radix(); ++j) row |= 1ULL << j;
+    for (InputId j = i + 1; j < radix; ++j) row |= 1ULL << j;
     rows_[i] = row;
   }
 }

@@ -25,8 +25,6 @@ class LrgArbiter final : public Arbiter {
   [[nodiscard]] InputId pick(std::span<const Request> requests,
                              Cycle now) override;
   void on_grant(InputId input, std::uint32_t length, Cycle now) override;
-  void reset() override;
-  [[nodiscard]] std::string_view name() const noexcept override { return "LRG"; }
 
   /// True iff input `i` currently has priority over input `j` (i != j).
   [[nodiscard]] bool beats(InputId i, InputId j) const;

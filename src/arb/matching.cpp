@@ -83,11 +83,6 @@ IslipEngine::IslipEngine(std::uint32_t radix, std::uint32_t iterations)
   grant_to_.assign(radix, kNoPort);
 }
 
-void IslipEngine::reset() {
-  std::fill(grant_ptr_.begin(), grant_ptr_.end(), 0u);
-  std::fill(accept_ptr_.begin(), accept_ptr_.end(), 0u);
-}
-
 std::uint32_t IslipEngine::match(const MatchView& view,
                                  std::span<InputId> match_in) {
   const std::uint32_t radix = view.radix;
@@ -151,13 +146,11 @@ std::uint32_t IslipEngine::match(const MatchView& view,
 
 QpsEngine::QpsEngine(std::uint32_t radix, std::uint32_t iterations,
                      std::uint64_t seed)
-    : MatchingEngine(radix), iterations_(iterations), seed_(seed), rng_(seed) {
+    : MatchingEngine(radix), iterations_(iterations), rng_(seed) {
   SSQ_EXPECT(iterations >= 1);
   proposer_.assign(radix, kNoPort);
   prop_len_.assign(radix, 0);
 }
-
-void QpsEngine::reset() { rng_ = Rng(seed_); }
 
 std::uint32_t QpsEngine::match(const MatchView& view,
                                std::span<InputId> match_in) {
@@ -206,7 +199,7 @@ std::uint32_t QpsEngine::match(const MatchView& view,
 
 SwQpsEngine::SwQpsEngine(std::uint32_t radix, std::uint32_t window,
                          std::uint64_t seed)
-    : MatchingEngine(radix), seed_(seed), rng_(seed) {
+    : MatchingEngine(radix), rng_(seed) {
   SSQ_EXPECT(window >= 1);
   frames_.resize(window);
   for (auto& f : frames_) f.match_in.assign(radix, kNoPort);
@@ -216,11 +209,6 @@ void SwQpsEngine::clear_frame(Frame& f) {
   std::fill(f.match_in.begin(), f.match_in.end(), kNoPort);
   f.in_used = 0;
   f.out_used = 0;
-}
-
-void SwQpsEngine::reset() {
-  rng_ = Rng(seed_);
-  for (auto& f : frames_) clear_frame(f);
 }
 
 std::uint32_t SwQpsEngine::frame_size(std::uint32_t k) const {
@@ -289,12 +277,6 @@ SsvcSingleRequestEngine::SsvcSingleRequestEngine(std::uint32_t radix)
   request_ptr_.assign(radix, 0);
   last_grant_.assign(static_cast<std::size_t>(radix) * radix, 0);
   requests_.assign(radix, 0);
-}
-
-void SsvcSingleRequestEngine::reset() {
-  std::fill(request_ptr_.begin(), request_ptr_.end(), 0u);
-  std::fill(last_grant_.begin(), last_grant_.end(), 0ULL);
-  grant_seq_ = 0;
 }
 
 std::uint32_t SsvcSingleRequestEngine::match(const MatchView& view,

@@ -100,10 +100,6 @@ class MatchingEngine {
   virtual std::uint32_t match(const MatchView& view,
                               std::span<InputId> match_in) = 0;
 
-  /// Restores the freshly-constructed state (sampling engines reseed).
-  virtual void reset() = 0;
-
-  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
   [[nodiscard]] std::uint32_t radix() const noexcept { return radix_; }
 
  protected:
@@ -120,10 +116,6 @@ class IslipEngine final : public MatchingEngine {
   IslipEngine(std::uint32_t radix, std::uint32_t iterations);
   std::uint32_t match(const MatchView& view,
                       std::span<InputId> match_in) override;
-  void reset() override;
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "islip";
-  }
   [[nodiscard]] std::uint32_t grant_pointer(OutputId o) const {
     return grant_ptr_[o];
   }
@@ -141,14 +133,9 @@ class QpsEngine final : public MatchingEngine {
   QpsEngine(std::uint32_t radix, std::uint32_t iterations, std::uint64_t seed);
   std::uint32_t match(const MatchView& view,
                       std::span<InputId> match_in) override;
-  void reset() override;
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "qps";
-  }
 
  private:
   std::uint32_t iterations_;
-  std::uint64_t seed_;
   Rng rng_;
   std::vector<InputId> proposer_;        // scratch: per output
   std::vector<std::uint32_t> prop_len_;  // scratch: per output
@@ -160,10 +147,6 @@ class SwQpsEngine final : public MatchingEngine {
   SwQpsEngine(std::uint32_t radix, std::uint32_t window, std::uint64_t seed);
   std::uint32_t match(const MatchView& view,
                       std::span<InputId> match_in) override;
-  void reset() override;
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "swqps";
-  }
   [[nodiscard]] std::uint32_t window() const noexcept {
     return static_cast<std::uint32_t>(frames_.size());
   }
@@ -178,7 +161,6 @@ class SwQpsEngine final : public MatchingEngine {
   };
   void clear_frame(Frame& f);
 
-  std::uint64_t seed_;
   Rng rng_;
   std::vector<Frame> frames_;  // frames_[0] departs at the current cycle
 };
@@ -188,10 +170,6 @@ class SsvcSingleRequestEngine final : public MatchingEngine {
   explicit SsvcSingleRequestEngine(std::uint32_t radix);
   std::uint32_t match(const MatchView& view,
                       std::span<InputId> match_in) override;
-  void reset() override;
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "ssvc";
-  }
 
  private:
   std::vector<std::uint32_t> request_ptr_;  // per input, rotating over outputs
@@ -206,10 +184,6 @@ class StarvingEngine final : public MatchingEngine {
   std::uint32_t match(const MatchView&, std::span<InputId> match_in) override {
     for (auto& m : match_in) m = kNoPort;
     return 1;
-  }
-  void reset() override {}
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "starve";
   }
 };
 

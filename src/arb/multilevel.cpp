@@ -1,7 +1,5 @@
 #include "arb/multilevel.hpp"
 
-#include <vector>
-
 namespace ssq::arb {
 
 MultiLevelArbiter::MultiLevelArbiter(std::uint32_t radix,
@@ -10,10 +8,8 @@ MultiLevelArbiter::MultiLevelArbiter(std::uint32_t radix,
   SSQ_EXPECT(num_levels >= 2 && num_levels <= 16);
 }
 
-void MultiLevelArbiter::reset() { lrg_.reset(); }
-
 InputId MultiLevelArbiter::pick(std::span<const Request> requests,
-                                Cycle now) {
+                                Cycle /*now*/) {
   check_requests(requests);
   if (requests.empty()) return kNoPort;
   std::uint32_t best_level = 0;
@@ -21,11 +17,11 @@ InputId MultiLevelArbiter::pick(std::span<const Request> requests,
     SSQ_EXPECT(r.priority < num_levels_);
     if (r.priority > best_level) best_level = r.priority;
   }
-  std::vector<Request> bucket;
+  std::uint64_t top = 0;  // requesters at the highest level present
   for (const auto& r : requests) {
-    if (r.priority == best_level) bucket.push_back(r);
+    if (r.priority == best_level) top |= 1ULL << r.input;
   }
-  return lrg_.pick(bucket, now);
+  return lrg_.winner(top);
 }
 
 void MultiLevelArbiter::on_grant(InputId input, std::uint32_t length,

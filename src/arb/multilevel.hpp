@@ -28,10 +28,6 @@ class MultiLevelArbiter final : public Arbiter {
   [[nodiscard]] InputId pick(std::span<const Request> requests,
                              Cycle now) override;
   void on_grant(InputId input, std::uint32_t length, Cycle now) override;
-  void reset() override;
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "MultiLevel";
-  }
 
   [[nodiscard]] std::uint32_t num_levels() const noexcept {
     return num_levels_;

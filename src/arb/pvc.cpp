@@ -20,12 +20,6 @@ PvcArbiter::PvcArbiter(std::uint32_t radix, std::vector<double> shares,
   consumed_.assign(radix, 0);
 }
 
-void PvcArbiter::reset() {
-  consumed_.assign(radix(), 0);
-  frame_start_ = 0;
-  rr_ = 0;
-}
-
 void PvcArbiter::roll_frame(Cycle now) {
   while (now >= frame_start_ + frame_) {
     frame_start_ += frame_;

@@ -35,10 +35,6 @@ class PvcArbiter final : public Arbiter {
   [[nodiscard]] InputId pick(std::span<const Request> requests,
                              Cycle now) override;
   void on_grant(InputId input, std::uint32_t length, Cycle now) override;
-  void reset() override;
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "PVC";
-  }
 
   /// Priority level of input i at `now` (0 = highest). Advances the frame
   /// if `now` crossed a boundary.

@@ -15,10 +15,6 @@ class RoundRobinArbiter final : public Arbiter {
   [[nodiscard]] InputId pick(std::span<const Request> requests,
                              Cycle now) override;
   void on_grant(InputId input, std::uint32_t length, Cycle now) override;
-  void reset() override { pointer_ = 0; }
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "RoundRobin";
-  }
 
   [[nodiscard]] InputId pointer() const noexcept { return pointer_; }
 

@@ -37,10 +37,6 @@ class TdmArbiter final : public Arbiter {
   [[nodiscard]] InputId pick(std::span<const Request> requests,
                              Cycle now) override;
   void on_grant(InputId input, std::uint32_t length, Cycle now) override;
-  void reset() override {}
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "TDM";
-  }
 
   [[nodiscard]] std::size_t slot_at(Cycle now) const noexcept {
     return static_cast<std::size_t>((now / slot_cycles_) % table_.size());

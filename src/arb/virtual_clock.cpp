@@ -10,8 +10,6 @@ VirtualClockArbiter::VirtualClockArbiter(std::uint32_t radix,
   vc_.assign(radix, 0.0);
 }
 
-void VirtualClockArbiter::reset() { vc_.assign(radix(), 0.0); }
-
 InputId VirtualClockArbiter::pick(std::span<const Request> requests,
                                   Cycle /*now*/) {
   check_requests(requests);

@@ -33,10 +33,6 @@ class VirtualClockArbiter final : public Arbiter {
   [[nodiscard]] InputId pick(std::span<const Request> requests,
                              Cycle now) override;
   void on_grant(InputId input, std::uint32_t length, Cycle now) override;
-  void reset() override;
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "VirtualClock";
-  }
 
   [[nodiscard]] double aux_vc(InputId i) const {
     SSQ_EXPECT(i < radix());

@@ -11,13 +11,6 @@ WfqArbiter::WfqArbiter(std::uint32_t radix, std::vector<double> weights)
   pinned_.assign(radix, false);
 }
 
-void WfqArbiter::reset() {
-  last_tag_.assign(radix(), 0.0);
-  head_tag_.assign(radix(), 0.0);
-  pinned_.assign(radix(), false);
-  vtime_ = 0.0;
-}
-
 InputId WfqArbiter::pick(std::span<const Request> requests, Cycle /*now*/) {
   check_requests(requests);
   if (requests.empty()) return kNoPort;

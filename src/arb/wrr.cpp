@@ -10,12 +10,6 @@ WrrArbiter::WrrArbiter(std::uint32_t radix, std::vector<std::uint32_t> weights)
   staged_credits_ = credits_;
 }
 
-void WrrArbiter::reset() {
-  credits_ = weights_;
-  pointer_ = 0;
-  staged_winner_ = kNoPort;
-}
-
 InputId WrrArbiter::pick(std::span<const Request> requests, Cycle /*now*/) {
   check_requests(requests);
   staged_winner_ = kNoPort;

@@ -79,8 +79,6 @@ class GlTracker {
     vc_ = base + vtick_;
   }
 
-  void reset() noexcept { vc_ = 0; }
-
   // ---- fault injection / scrubbing (hardware DFT surface) ----
 
   /// Flips bit `bit` of the virtual-clock register — the fault.

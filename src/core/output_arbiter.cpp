@@ -274,18 +274,4 @@ std::uint32_t OutputQosArbiter::scrub(Cycle now) {
   return repairs;
 }
 
-void OutputQosArbiter::reset() {
-  ++version_;
-  lrg_.reset();
-  for (InputId i = 0; i < radix_; ++i) {
-    gb_vc_[i] = AuxVc(params_, gb_vtick(params_, alloc_, i));
-  }
-  gl_.reset();
-  live_ = 0;
-  epoch_base_ = 0;
-  rt_ = 0;
-  last_now_ = 0;
-  picked_class_ = TrafficClass::BestEffort;
-}
-
 }  // namespace ssq::core

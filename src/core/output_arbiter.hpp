@@ -113,8 +113,6 @@ class OutputQosArbiter {
   void on_grant(InputId input, TrafficClass cls, std::uint32_t length,
                 Cycle now);
 
-  void reset();
-
   /// Connects the observability probe; `self` is this arbiter's output id
   /// in trace events. Pass nullptr to detach. The arbiter then reports GL
   /// policer stalls, LRG lane tie-breaks, auxVC saturations, epoch wraps
@@ -151,7 +149,7 @@ class OutputQosArbiter {
   /// Epoch-relative real time at the last advance_to().
   [[nodiscard]] std::uint64_t epoch_rt() const noexcept { return rt_; }
   /// Cycle the current epoch began (a multiple of params().epoch_cycles();
-  /// moves only in the epoch wraps of advance_to, and reset). A wrap that
+  /// moves only in the epoch wraps of advance_to). A wrap that
   /// finds every counter a clean zero moves it without a version bump: the
   /// base is not per-input state, and the checker compares the `rt` it
   /// implies on every epoch sweep, outside the version gate.
@@ -159,9 +157,9 @@ class OutputQosArbiter {
   /// Mutation counter over every piece of state the differential checker
   /// compares: auxVC registers and codes, the quarantine remap, the LRG
   /// matrix and the GL clock. Every path that can write that state bumps it
-  /// (an epoch wrap of advance_to that changes a counter, on_grant, reset,
-  /// scrub, quarantine_lane, and handing out aux_vc_mut, gl_tracker_mut or
-  /// the mutable lrg()); nothing resets it. So an unchanged version means
+  /// (an epoch wrap of advance_to that changes a counter, on_grant, scrub,
+  /// quarantine_lane, and handing out aux_vc_mut, gl_tracker_mut or the
+  /// mutable lrg()); nothing resets it. So an unchanged version means
   /// unchanged state. A mutable reference counts once, when it is taken:
   /// write through it before the next compare, never hold it across one.
   [[nodiscard]] std::uint64_t state_version() const noexcept {
@@ -189,8 +187,8 @@ class OutputQosArbiter {
 
   /// Takes GB lane `lane` out of service: its occupants merge into the
   /// nearest healthy lane below, so arbitration keeps a total (if coarser)
-  /// priority order and LRG absorbs the lost resolution. Persists across
-  /// reset() — a quarantine models physically damaged bitlines. Idempotent.
+  /// priority order and LRG absorbs the lost resolution. It is permanent —
+  /// a quarantine models physically damaged bitlines. Idempotent.
   void quarantine_lane(std::uint32_t lane);
   /// Bitmask of quarantined GB lanes (bit l == lane l out of service).
   [[nodiscard]] std::uint64_t quarantined_lanes() const noexcept {

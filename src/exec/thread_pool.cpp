@@ -1,6 +1,5 @@
 #include "exec/thread_pool.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
@@ -24,7 +23,6 @@ struct ThreadPool::Impl {
   std::uint64_t generation = 0;  // bumped per batch
   std::size_t batch_n = 0;
   const std::function<void(std::size_t)>* batch_fn = nullptr;
-  const CancelToken* cancel = nullptr;  // optional cooperative stop
   std::atomic<std::size_t> next{0};
   std::atomic<bool> abort{false};  // an item threw: skip the rest
   std::size_t active = 0;          // workers still inside the current batch
@@ -35,11 +33,8 @@ struct ThreadPool::Impl {
   std::size_t error_index = 0;
 
   void drain(std::uint64_t gen) {
-    // Claim and run items until the batch is exhausted (or aborted, or
-    // cancelled — the token is checked before every claim, so no new work
-    // starts after it fires; claimed items always run to completion).
+    // Claim and run items until the batch is exhausted (or aborted).
     while (!abort.load(std::memory_order_relaxed)) {
-      if (cancel != nullptr && cancel->cancelled()) break;
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= batch_n) break;
       try {
@@ -91,16 +86,12 @@ ThreadPool::~ThreadPool() {
   delete impl_;
 }
 
-std::size_t ThreadPool::run_indexed(std::size_t n,
-                                    const std::function<void(std::size_t)>& fn,
-                                    const CancelToken* cancel) {
-  if (n == 0) return 0;
+void ThreadPool::run_indexed(std::size_t n,
+                             const std::function<void(std::size_t)>& fn) {
+  if (n == 0) return;
   if (impl_ == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (cancel != nullptr && cancel->cancelled()) return i;
-      fn(i);
-    }
-    return n;
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
   }
   std::uint64_t gen;
   {
@@ -108,7 +99,6 @@ std::size_t ThreadPool::run_indexed(std::size_t n,
     SSQ_EXPECT(impl_->active == 0 && "run_indexed is not re-entrant");
     impl_->batch_n = n;
     impl_->batch_fn = &fn;
-    impl_->cancel = cancel;
     impl_->next.store(0, std::memory_order_relaxed);
     impl_->abort.store(false, std::memory_order_relaxed);
     impl_->error = nullptr;
@@ -121,17 +111,12 @@ std::size_t ThreadPool::run_indexed(std::size_t n,
   std::unique_lock<std::mutex> lock(impl_->mu);
   impl_->done_cv.wait(lock, [&] { return impl_->active == 0; });
   impl_->batch_fn = nullptr;
-  impl_->cancel = nullptr;
   if (impl_->error != nullptr) {
     std::exception_ptr e = impl_->error;
     impl_->error = nullptr;
     lock.unlock();
     std::rethrow_exception(e);
   }
-  // Items are claimed in index order from the shared counter, so the set of
-  // executed indices is exactly [0, min(next, n)) — a clean prefix even
-  // when several workers raced the token.
-  return std::min(impl_->next.load(std::memory_order_relaxed), n);
 }
 
 unsigned ThreadPool::hardware_threads() noexcept {

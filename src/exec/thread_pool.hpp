@@ -19,31 +19,12 @@
 //     skipped once an exception is seen.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <exception>
 #include <functional>
 #include <vector>
 
 namespace ssq::exec {
-
-/// Cooperative cancellation flag for batch execution. cancel() is async-
-/// signal-safe (a relaxed store on a lock-free atomic), so a SIGINT/SIGTERM
-/// handler can request a prompt stop: workers finish the items they have
-/// already claimed but stop claiming new ones. Because items are claimed
-/// from an incrementing counter, the completed set is always a prefix
-/// [0, completed) of the batch — cancellation never leaves holes.
-class CancelToken {
- public:
-  void cancel() noexcept { flag_.store(true, std::memory_order_relaxed); }
-  [[nodiscard]] bool cancelled() const noexcept {
-    return flag_.load(std::memory_order_relaxed);
-  }
-  void reset() noexcept { flag_.store(false, std::memory_order_relaxed); }
-
- private:
-  std::atomic<bool> flag_{false};
-};
 
 class ThreadPool {
  public:
@@ -57,14 +38,8 @@ class ThreadPool {
   [[nodiscard]] unsigned threads() const noexcept { return threads_; }
 
   /// Runs fn(i) for every i in [0, n), blocking until all complete. Must not
-  /// be called re-entrantly from inside fn. With a cancel token, workers
-  /// stop claiming new indices once it fires; indices already claimed run to
-  /// completion. Returns the number of items executed — always n without a
-  /// token, and always a prefix length ([0, completed) ran, nothing above
-  /// it) with one.
-  std::size_t run_indexed(std::size_t n,
-                          const std::function<void(std::size_t)>& fn,
-                          const CancelToken* cancel = nullptr);
+  /// be called re-entrantly from inside fn.
+  void run_indexed(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// std::thread::hardware_concurrency with a sane floor of 1.
   [[nodiscard]] static unsigned hardware_threads() noexcept;
@@ -76,17 +51,11 @@ class ThreadPool {
 };
 
 /// Runs fn(i) for i in [0, n) on the pool and returns the results in index
-/// order. R must be default-constructible and movable. With a cancel token,
-/// only the prefix [0, *completed) holds results; the rest are default-
-/// constructed (completed == n when the batch was not cancelled).
+/// order. R must be default-constructible and movable.
 template <typename R, typename Fn>
-std::vector<R> run_batch(ThreadPool& pool, std::size_t n, Fn&& fn,
-                         const CancelToken* cancel = nullptr,
-                         std::size_t* completed = nullptr) {
+std::vector<R> run_batch(ThreadPool& pool, std::size_t n, Fn&& fn) {
   std::vector<R> out(n);
-  const std::size_t done =
-      pool.run_indexed(n, [&](std::size_t i) { out[i] = fn(i); }, cancel);
-  if (completed != nullptr) *completed = done;
+  pool.run_indexed(n, [&](std::size_t i) { out[i] = fn(i); });
   return out;
 }
 

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "sim/contracts.hpp"
 #include "sim/error.hpp"
@@ -26,8 +25,6 @@ enum class InjectKind : std::uint8_t {
   /// A single burst of `burst_packets` back-to-back packets at cycle
   /// `burst_start` (GL latency-bound experiments).
   BurstOnce,
-  /// Explicit injection-cycle list.
-  Trace,
 };
 
 struct FlowSpec {
@@ -60,9 +57,6 @@ struct FlowSpec {
   /// BurstOnce parameters.
   Cycle burst_start = 0;
   std::uint32_t burst_packets = 0;
-
-  /// Trace injection cycles (sorted non-decreasing).
-  std::vector<Cycle> trace;
 
   /// Message priority level for the legacy 4-level QoS baseline [14]
   /// (arb::Kind::MultiLevel); 0 = lowest, 3 = highest. Ignored by SSVC.
@@ -102,12 +96,6 @@ struct FlowSpec {
       case InjectKind::BurstOnce:
         detail::config_check(burst_packets >= 1,
                              "burst flow needs burst_packets >= 1");
-        break;
-      case InjectKind::Trace:
-        for (std::size_t i = 1; i < trace.size(); ++i) {
-          detail::config_check(trace[i] >= trace[i - 1],
-                               "flow trace cycles must be non-decreasing");
-        }
         break;
     }
   }

@@ -38,7 +38,6 @@ Injector::Injector(const FlowSpec& spec, Rng rng)
       break;
     }
     case InjectKind::BurstOnce:
-    case InjectKind::Trace:
       break;
   }
 }
@@ -64,9 +63,6 @@ Cycle Injector::next_event(Cycle now, Cycle limit) {
     case InjectKind::BurstOnce:
       if (burst_done_) return kNoCycle;
       return spec_.burst_start > now ? spec_.burst_start : now;
-    case InjectKind::Trace:
-      if (trace_pos_ >= spec_.trace.size()) return kNoCycle;
-      return spec_.trace[trace_pos_] > now ? spec_.trace[trace_pos_] : now;
   }
   return now;
 }

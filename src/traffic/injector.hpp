@@ -51,13 +51,6 @@ class Injector {
           burst_done_ = true;
         }
         break;
-      case InjectKind::Trace:
-        while (trace_pos_ < spec_.trace.size() &&
-               spec_.trace[trace_pos_] <= now) {
-          ++n;
-          ++trace_pos_;
-        }
-        break;
     }
     return n;
   }
@@ -71,7 +64,7 @@ class Injector {
 
   /// Earliest cycle >= `now` at which packets_at() may create a packet or
   /// must draw; every cycle before it creates nothing and may be skipped.
-  /// Deterministic kinds (Periodic, BurstOnce, Trace) report their exact
+  /// Deterministic kinds (Periodic, BurstOnce) report their exact
   /// next event and ignore `limit`; an exhausted source reports kNoCycle.
   /// Stochastic kinds (Bernoulli, OnOff) pre-roll their stream, one cycle's
   /// full trials at a time, from the first cycle not yet rolled. They stop
@@ -112,9 +105,6 @@ class Injector {
   // Periodic.
   Cycle period_ = 0;
   Cycle next_fire_ = 0;
-
-  // Trace.
-  std::size_t trace_pos_ = 0;
 
   bool burst_done_ = false;
 };

@@ -136,7 +136,6 @@ const char* inject_name(InjectKind k) {
     case InjectKind::OnOff: return "onoff";
     case InjectKind::Periodic: return "periodic";
     case InjectKind::BurstOnce: return "burst";
-    case InjectKind::Trace: return "trace";
   }
   return "?";
 }
@@ -185,8 +184,6 @@ void write_flow(std::ostream& out, const FlowSpec& f) {
       out << " burst_start=" << f.burst_start
           << " burst_packets=" << f.burst_packets;
       break;
-    case InjectKind::Trace:
-      break;  // traces are not serialised by the text format
   }
   if (f.start_cycle != 0) out << " start=" << f.start_cycle;
   if (f.legacy_priority != 0) out << " prio=" << f.legacy_priority;

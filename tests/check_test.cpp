@@ -424,8 +424,9 @@ sw::CrossbarSwitch gb_burst_switch(Cycle late) {
     traffic::FlowSpec be;
     be.src = 2;
     be.dst = 1;
-    be.inject = traffic::InjectKind::Trace;
-    be.trace = {late};
+    be.inject = traffic::InjectKind::BurstOnce;
+    be.burst_start = late;
+    be.burst_packets = 1;
     w.add_flow(be);
   }
   return sw::CrossbarSwitch(config, std::move(w));

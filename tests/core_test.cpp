@@ -484,18 +484,6 @@ TEST(OutputQosArbiterTest, HalvePolicyCompressesAll) {
   EXPECT_LT(arb.aux_vc(0).value(), v0_before);
 }
 
-TEST(OutputQosArbiterTest, ResetRestoresInitialState) {
-  auto arb = make_gb_arbiter();
-  arb.advance_to(5);
-  arb.on_grant(0, TrafficClass::GuaranteedBandwidth, 1, 5);
-  arb.reset();
-  EXPECT_EQ(arb.aux_vc(0).value(), 0u);
-  EXPECT_EQ(arb.epoch_rt(), 0u);
-  arb.advance_to(0);
-  const auto reqs = gb_requests(4);
-  EXPECT_EQ(arb.pick(reqs, 0), 0u);  // initial LRG order restored
-}
-
 // ---- the GB search under faults (hand-computed winners) ----
 
 TEST(OutputQosArbiterTest, QuarantineMergesLanesAndLrgResolvesTheTie) {

@@ -121,65 +121,5 @@ TEST(ThreadPool, HardwareThreadsIsAtLeastOne) {
   EXPECT_GE(ThreadPool::hardware_threads(), 1u);
 }
 
-TEST(CancelToken, PreCancelledBatchRunsNothing) {
-  CancelToken token;
-  token.cancel();
-  for (unsigned threads : {1u, 4u}) {
-    ThreadPool pool(threads);
-    std::atomic<std::uint64_t> ran{0};
-    const std::size_t done = pool.run_indexed(
-        100, [&](std::size_t) { ran.fetch_add(1); }, &token);
-    EXPECT_EQ(done, 0u) << threads << " threads";
-    EXPECT_EQ(ran.load(), 0u) << threads << " threads";
-  }
-}
-
-TEST(CancelToken, NullTokenAndUncancelledTokenRunEverything) {
-  ThreadPool pool(4);
-  CancelToken token;
-  std::size_t done = 0;
-  const auto out =
-      run_batch<std::uint64_t>(pool, 200, mix, &token, &done);
-  EXPECT_EQ(done, 200u);
-  for (std::uint64_t i = 0; i < 200; ++i) EXPECT_EQ(out[i], mix(i));
-}
-
-TEST(CancelToken, MidBatchCancelCompletesExactlyAPrefix) {
-  for (unsigned threads : {1u, 4u}) {
-    ThreadPool pool(threads);
-    CancelToken token;
-    // Distinct elements written by distinct indices: no data race, and the
-    // pool joins before we read.
-    std::vector<unsigned char> ran(1000, 0);
-    std::size_t done = 0;
-    run_batch<int>(
-        pool, 1000,
-        [&](std::size_t i) {
-          if (i == 37) token.cancel();
-          ran[i] = 1;
-          return 0;
-        },
-        &token, &done);
-    // Every index below the reported count ran, nothing at or above it —
-    // cancellation never leaves holes (claims come from one counter).
-    EXPECT_GE(done, 38u) << threads << " threads";
-    EXPECT_LT(done, 1000u) << threads << " threads";
-    for (std::size_t i = 0; i < 1000; ++i) {
-      EXPECT_EQ(ran[i] != 0, i < done)
-          << "index " << i << " at " << threads << " threads";
-    }
-  }
-}
-
-TEST(CancelToken, ResetMakesThePoolUsableAgain) {
-  ThreadPool pool(4);
-  CancelToken token;
-  token.cancel();
-  EXPECT_EQ(pool.run_indexed(10, [](std::size_t) {}, &token), 0u);
-  token.reset();
-  EXPECT_FALSE(token.cancelled());
-  EXPECT_EQ(pool.run_indexed(10, [](std::size_t) {}, &token), 10u);
-}
-
 }  // namespace
 }  // namespace ssq::exec

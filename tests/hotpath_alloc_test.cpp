@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <string>
 
+#include "arb/factory.hpp"
 #include "check/differential.hpp"
 #include "sim/alloc_hook.hpp"
 #include "sim/ring_queue.hpp"
@@ -196,10 +197,27 @@ TEST(HotPathAllocations, IterativeMatchingIsAllocationFree) {
 }
 
 TEST(HotPathAllocations, BaselineLrgIsAllocationFree) {
-  auto config = base_config(16);
-  config.mode = sw::ArbitrationMode::Baseline;
-  config.baseline = arb::Kind::Lrg;
-  expect_zero_alloc_steady_state(config, "baseline/lrg radix 16");
+  // LRG and every other baseline arbiter, under both allocation modes.
+  for (const arb::Kind kind :
+       {arb::Kind::Lrg, arb::Kind::RoundRobin, arb::Kind::FixedPriority,
+        arb::Kind::Age, arb::Kind::Wrr, arb::Kind::Dwrr, arb::Kind::Wfq,
+        arb::Kind::VirtualClock, arb::Kind::MultiLevel, arb::Kind::Tdm,
+        arb::Kind::Pvc}) {
+    for (const auto allocation : {sw::AllocationMode::SingleRequest,
+                                  sw::AllocationMode::IterativeMatching}) {
+      auto config = base_config(16);
+      config.mode = sw::ArbitrationMode::Baseline;
+      config.baseline = kind;
+      config.allocation = allocation;
+      expect_zero_alloc_steady_state(
+          config,
+          "baseline/" + std::string(arb::kind_name(kind)) +
+              (allocation == sw::AllocationMode::SingleRequest
+                   ? " single"
+                   : " matched") +
+              " radix 16");
+    }
+  }
 }
 
 /// Checked counterpart of expect_zero_alloc_steady_state. The checker reads

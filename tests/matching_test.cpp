@@ -253,33 +253,6 @@ TEST(Matching, StarvingEngineNeverMatches) {
   for (OutputId o = 0; o < kRadix; ++o) EXPECT_EQ(match[o], kNoPort);
 }
 
-TEST(Matching, ResetRestoresFreshState) {
-  constexpr std::uint32_t kRadix = 6;
-  Rng rng(7);
-  for (const MatchKind kind : {MatchKind::Islip, MatchKind::Qps,
-                               MatchKind::SwQps, MatchKind::Ssvc}) {
-    auto engine = make_engine(kind, kRadix, 2, /*seed=*/17);
-    auto fresh = make_engine(kind, kRadix, 2, /*seed=*/17);
-    std::vector<InputId> a(kRadix, kNoPort);
-    std::vector<InputId> b(kRadix, kNoPort);
-    for (int cycle = 0; cycle < 20; ++cycle) {
-      const ViewState v = random_view(rng, kRadix);
-      engine->match(v.view(), a);
-    }
-    engine->reset();
-    Rng replay(1234);
-    Rng replay2(1234);
-    for (int cycle = 0; cycle < 20; ++cycle) {
-      const ViewState v = random_view(replay, kRadix);
-      const ViewState v2 = random_view(replay2, kRadix);
-      engine->match(v.view(), a);
-      fresh->match(v2.view(), b);
-      EXPECT_EQ(a, b) << match_kind_name(kind) << " reset() is not fresh"
-                      << " (cycle " << cycle << ")";
-    }
-  }
-}
-
 TEST(MatchingFactory, ParseRoundTripsAndNamesOffendingToken) {
   for (const MatchKind kind : {MatchKind::None, MatchKind::Islip,
                                MatchKind::Qps, MatchKind::SwQps,

@@ -112,18 +112,6 @@ TEST(InjectorTest, BurstOnceFiresOnce) {
   EXPECT_EQ(total, 7u);
 }
 
-TEST(InjectorTest, TraceReplaysExactCycles) {
-  FlowSpec f;
-  f.inject = InjectKind::Trace;
-  f.trace = {5, 5, 9, 20};
-  Injector inj(f, Rng(7));
-  EXPECT_EQ(inj.packets_at(0), 0u);
-  EXPECT_EQ(inj.packets_at(5), 2u);
-  EXPECT_EQ(inj.packets_at(10), 1u);  // catch-up for cycle 9
-  EXPECT_EQ(inj.packets_at(20), 1u);
-  EXPECT_EQ(inj.packets_at(30), 0u);
-}
-
 TEST(InjectorTest, VariableLengthsUniform) {
   FlowSpec f = gb_flow(0, 0, 0.5, 1, 0.5);
   f.len_min = 2;

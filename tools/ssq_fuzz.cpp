@@ -14,6 +14,7 @@
 // Exit codes: 0 all scenarios passed, 1 divergence found, 2 bad usage/config,
 // 130 interrupted by SIGINT/SIGTERM (partial totals reported; no repro).
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -128,13 +129,16 @@ not read):
   --help                  print this message and exit
 )";
 
-/// Cooperative shutdown: SIGINT/SIGTERM set the token, the thread pool stops
-/// claiming new scenarios, and the campaign reports the completed prefix.
-/// CancelToken::cancel is a lock-free atomic store, so it is safe to call
-/// from a signal handler.
-exec::CancelToken g_cancel;
+/// Cooperative shutdown: SIGINT/SIGTERM set the flag, the run stops after
+/// the round in flight, and the campaign reports the completed prefix. The
+/// signal can land on a pool thread, so the flag is a lock-free atomic (a
+/// store to one is async-signal-safe), not a volatile sig_atomic_t.
+static_assert(std::atomic<bool>::is_always_lock_free);
+std::atomic<bool> g_interrupted{false};
 
-extern "C" void fuzz_on_signal(int) { g_cancel.cancel(); }
+extern "C" void fuzz_on_signal(int) {
+  g_interrupted.store(true, std::memory_order_relaxed);
+}
 
 void install_cancel_handlers() {
   struct sigaction sa = {};
@@ -438,7 +442,7 @@ int main(int argc, char** argv) {
     // units run so far are the index prefix, so partial totals stay
     // deterministic in index order.
     hooks.drain = [&] {
-      return g_cancel.cancelled() ||
+      return g_interrupted.load(std::memory_order_relaxed) ||
              (time_budget_s != 0 &&
               seconds_since(t0) >= static_cast<double>(time_budget_s));
     };
@@ -513,7 +517,7 @@ int main(int argc, char** argv) {
         Clock::now() - t0);
     const double total_s = static_cast<double>(total_ms.count()) / 1000.0;
     if (heartbeat_s != 0) emit_heartbeat(report, total_s);
-    if (stopped && g_cancel.cancelled()) {
+    if (stopped && g_interrupted.load(std::memory_order_relaxed)) {
       std::cout << "interrupted after " << report.completed;
       if (bounded) std::cout << "/" << scenarios;
       std::cout << " scenarios (no failures found): " << report.grants

@@ -60,9 +60,6 @@ Arbitration:
 Run control:
   --warmup=N              warmup cycles (default 5000)
   --measure=N             measured cycles, N >= 1 (default 100000)
-  --repeat=N              run the simulation N times (default 1); the extra
-                          passes are identical and untraced, and cycles/sec
-                          is aggregated over all measure phases
   --seed=N                RNG seed (default 1)
   --from-creation         measure latency from packet creation
 
@@ -173,8 +170,7 @@ std::uint64_t peak_rss_bytes() {
 }
 
 struct PerfSummary {
-  std::uint64_t repeat = 1;
-  double cycles_per_sec = 0.0;  // aggregated over every measure phase
+  double cycles_per_sec = 0.0;  // over the measure phase
   std::uint64_t rss_bytes = 0;
 };
 
@@ -192,7 +188,7 @@ void write_json_summary(std::ostream& os, const std::string& workload_path,
      << ",\"measured_cycles\":" << r.measured_cycles
      << ",\"total_accepted_rate\":"
      << obs::json_number(r.total_accepted_rate)
-     << ",\"perf\":{\"repeat\":" << perf.repeat << ",\"cycles_per_sec\":"
+     << ",\"perf\":{\"cycles_per_sec\":"
      << obs::json_number(perf.cycles_per_sec) << ",\"peak_rss_bytes\":"
      << perf.rss_bytes << "},\"flows\":[";
   for (std::size_t i = 0; i < r.flows.size(); ++i) {
@@ -250,7 +246,6 @@ int run(int argc, char** argv) {
   config.ssvc.vtick_shift = 2;
   Cycle warmup = 5000;
   Cycle measure = 100000;
-  std::uint64_t repeat = 1;
   bool csv = false;
   std::string trace_path;
   std::string trace_format;  // "", "chrome" or "jsonl"
@@ -316,8 +311,6 @@ int run(int argc, char** argv) {
         warmup = parse_uint<Cycle>(*v7, "--warmup");
       } else if (auto v8 = opt_value(arg, "--measure")) {
         measure = parse_positive<Cycle>(*v8, "--measure");
-      } else if (auto vr = opt_value(arg, "--repeat")) {
-        repeat = parse_positive<std::uint64_t>(*vr, "--repeat");
       } else if (auto v9 = opt_value(arg, "--seed")) {
         config.seed = parse_uint<std::uint64_t>(*v9, "--seed");
       } else if (auto v10 = opt_value(arg, "--arb-cycles")) {
@@ -429,21 +422,6 @@ int run(int argc, char** argv) {
   // Run manually so per-channel usage stays accessible afterwards.
   const auto radix = config.radix;
 
-  // Extra --repeat passes: identical fresh switches, no probes or faults,
-  // timed around the measure phase only. They contribute to cycles/sec
-  // (and perturb nothing else — the reported tables come from the final,
-  // fully instrumented run below).
-  double measure_wall_s = 0.0;
-  for (std::uint64_t rep = 1; rep < repeat; ++rep) {
-    sw::CrossbarSwitch pass(config, workload);
-    pass.warmup(warmup);
-    const auto p0 = std::chrono::steady_clock::now();
-    pass.measure(measure);
-    measure_wall_s +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - p0)
-            .count();
-  }
-
   sw::CrossbarSwitch sim(config, std::move(workload));
 
   // Fault injection and scrubbing attach like the probe: nullable pointers,
@@ -513,16 +491,13 @@ int run(int argc, char** argv) {
   const auto m0 = std::chrono::steady_clock::now();
   advance(measure);
   sim.measure(0);
-  measure_wall_s +=
+  const double measure_wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - m0)
           .count();
   PerfSummary perf;
-  perf.repeat = repeat;
-  perf.cycles_per_sec =
-      measure_wall_s > 0.0
-          ? static_cast<double>(measure) * static_cast<double>(repeat) /
-                measure_wall_s
-          : 0.0;
+  perf.cycles_per_sec = measure_wall_s > 0.0
+                            ? static_cast<double>(measure) / measure_wall_s
+                            : 0.0;
   perf.rss_bytes = peak_rss_bytes();
   if (monitor) {
     monitor->finalize(sim.now());
@@ -578,7 +553,7 @@ int run(int argc, char** argv) {
     std::cout << "total accepted: " << r.total_accepted_rate
               << " flits/cycle over " << r.measured_cycles << " cycles\n";
     std::cout << "perf: " << static_cast<long>(perf.cycles_per_sec)
-              << " cycles/s over " << repeat << " repeat(s), peak RSS "
+              << " cycles/s, peak RSS "
               << perf.rss_bytes / 1024 << " KiB\n";
   }
   if (monitor && !csv) {
