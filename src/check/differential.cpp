@@ -137,10 +137,14 @@ void DifferentialChecker::check_cycle(const sw::CycleRecord& rec) {
   if (divergence_.has_value()) return;
   const Cycle t = rec.cycle;
 
-  std::uint64_t requested = 0;  // outputs with >= 1 request
+  // Outputs with >= 1 request this cycle. A kept request may name a busy
+  // output, which asserts nothing, so the requests count on idle outputs
+  // only (rec.idle is 0 under IterativeMatching, whose rows are idle-only).
+  std::uint64_t requested = 0;
   for (const sw::PendingRequest& p : rec.pending) {
     if (p.out != kNoPort) requested |= 1ULL << p.out;
   }
+  requested &= rec.idle;
   for (const std::uint64_t e : rec.eligible) requested |= e;
 
   granted_out_ = 0;

@@ -75,7 +75,10 @@ CrossbarSwitch::CrossbarSwitch(const SwitchConfig& config,
   max_backlog_.assign(flows.size(), 0);
   created_.assign(flows.size(), 0);
   created_at_open_.assign(flows.size(), 0);
-  next_create_.assign(flows.size(), 0);
+  next_create_.assign(flows.size(), kNoCycle);
+  create_words_ = (flows.size() + 63) / 64;
+  wheel_.assign(kCreateWheel * create_words_, 0);
+  overflow_.assign(create_words_, 0);
   admitted_.assign(flows.size(), 0);
   delivered_.assign(flows.size(), 0);
   throughput_.resize(flows.size());
@@ -84,6 +87,7 @@ CrossbarSwitch::CrossbarSwitch(const SwitchConfig& config,
   nonempty_src_flows_.assign(radix, 0);
   for (FlowId f = 0; f < flows.size(); ++f) {
     injectors_.emplace_back(flows[f], rng_.fork(f));
+    arm_create(f, 0);  // every flow is visited at cycle 0
     input_flows_[flows[f].src].push_back(f);
     latency_.register_flow(flows[f].cls);
     wait_.register_flow(flows[f].cls);
@@ -249,48 +253,95 @@ std::size_t CrossbarSwitch::max_source_backlog(FlowId f) const {
   return max_backlog_[f];
 }
 
-void CrossbarSwitch::inject_create() {
-  // Packet creation into source queues, visiting only the flows whose
-  // creation calendar is due.
-  if (now_ < next_create_min_) return;
-  Cycle next_min = kNoCycle;
-  for (FlowId f = 0; f < injectors_.size(); ++f) {
-    if (next_create_[f] > now_) {
-      next_min = std::min(next_min, next_create_[f]);
-      continue;
-    }
-    auto& inj = injectors_[f];
-    const std::uint32_t n = inj.packets_at(now_);
-    for (std::uint32_t k = 0; k < n; ++k) {
-      Packet p;
-      p.id = next_packet_id_++;
-      p.flow = f;
-      p.src = inj.spec().src;
-      p.dst = inj.spec().dst;
-      p.cls = inj.spec().cls;
-      p.length = inj.draw_length();
-      p.created = now_;
-      if (obs_ != nullptr) {
-        obs_->packet_created(now_, f, p.id, p.src, p.dst, p.cls, p.length,
-                             source_q_[f].size() + 1);
-      }
-      source_q_[f].push_back(std::move(p));
-      note_source_push(f, inj.spec().src);
-    }
-    if (n != 0) {
-      // The backlog only grows at a push, so sampling after pushes (here and
-      // at the preempt re-queue) sees the same running maximum as sampling
-      // every cycle did.
-      created_[f] += n;
-      live_packets_ += n;
-      max_backlog_[f] = std::max(max_backlog_[f], source_q_[f].size());
-    }
-    // Re-arm after the length draws: they follow this cycle's trials in the
-    // flow's stream.
-    next_create_[f] = inj.next_event(now_ + 1, now_ + 1 + kCreatePreroll);
-    next_min = std::min(next_min, next_create_[f]);
+void CrossbarSwitch::arm_create(FlowId f, Cycle c) {
+  SSQ_EXPECT(c >= now_);
+  next_create_[f] = c;
+  if (c == kNoCycle) return;
+  const std::uint64_t bit = 1ULL << (f & 63);
+  if (c < now_ + kCreateWheel) {
+    wheel_slot(c)[f >> 6] |= bit;
+  } else {
+    overflow_[f >> 6] |= bit;
+    overflow_min_ = std::min(overflow_min_, c);
   }
-  next_create_min_ = next_min;
+}
+
+void CrossbarSwitch::disarm_create(FlowId f) {
+  const Cycle c = next_create_[f];
+  if (c == kNoCycle) return;
+  // overflow_min_ may now undershoot the earliest entry; a pull recomputes it.
+  const std::uint64_t bit = 1ULL << (f & 63);
+  std::uint64_t& over = overflow_[f >> 6];
+  if ((over & bit) != 0) {
+    over &= ~bit;
+  } else {
+    wheel_slot(c)[f >> 6] &= ~bit;
+  }
+}
+
+void CrossbarSwitch::inject_create() {
+  // Overflow entries that came within the wheel's reach move into it first:
+  // one may be due now.
+  if (overflow_min_ < now_ + kCreateWheel) {
+    Cycle rest = kNoCycle;
+    for (std::size_t k = 0; k < create_words_; ++k) {
+      for (std::uint64_t w = overflow_[k]; w != 0; w &= w - 1) {
+        const auto f = static_cast<FlowId>(k * 64) +
+                       static_cast<FlowId>(std::countr_zero(w));
+        const Cycle c = next_create_[f];
+        if (c < now_ + kCreateWheel) {
+          overflow_[k] &= ~(1ULL << (f & 63));
+          wheel_slot(c)[k] |= 1ULL << (f & 63);
+        } else {
+          rest = std::min(rest, c);
+        }
+      }
+    }
+    overflow_min_ = rest;
+  }
+  // Packet creation into source queues for the flows due now, in ascending
+  // flow order. A re-arm lands 1 .. kCreateWheel - 1 cycles ahead or in the
+  // overflow, never in this slot, so each word is cleared as it is taken.
+  std::uint64_t* const slot = wheel_slot(now_);
+  for (std::size_t k = 0; k < create_words_; ++k) {
+    std::uint64_t due = slot[k];
+    if (due == 0) continue;
+    slot[k] = 0;
+    for (; due != 0; due &= due - 1) {
+      const auto f = static_cast<FlowId>(k * 64) +
+                     static_cast<FlowId>(std::countr_zero(due));
+      SSQ_ENSURE(next_create_[f] == now_);
+      auto& inj = injectors_[f];
+      const std::uint32_t n = inj.packets_at(now_);
+      for (std::uint32_t j = 0; j < n; ++j) {
+        Packet p;
+        p.id = next_packet_id_++;
+        p.flow = f;
+        p.src = inj.spec().src;
+        p.dst = inj.spec().dst;
+        p.cls = inj.spec().cls;
+        p.length = inj.draw_length();
+        p.created = now_;
+        if (obs_ != nullptr) {
+          obs_->packet_created(now_, f, p.id, p.src, p.dst, p.cls, p.length,
+                               source_q_[f].size() + 1);
+        }
+        source_q_[f].push_back(std::move(p));
+        note_source_push(f, inj.spec().src);
+      }
+      if (n != 0) {
+        // The backlog only grows at a push, so sampling after pushes (here
+        // and at the preempt re-queue) sees the same running maximum as
+        // sampling every cycle did.
+        created_[f] += n;
+        live_packets_ += n;
+        max_backlog_[f] = std::max(max_backlog_[f], source_q_[f].size());
+      }
+      // Re-arm after the length draws: they follow this cycle's trials in
+      // the flow's stream.
+      arm_create(f, inj.next_event(now_ + 1, now_ + 1 + kCreatePreroll));
+    }
+  }
 }
 
 void CrossbarSwitch::inject_admit() {
@@ -488,17 +539,27 @@ PendingRequest CrossbarSwitch::select_one(InputId i, std::uint64_t idle,
 
 void CrossbarSwitch::select_requests() {
   // Requests are kept across cycles; only an input whose selection inputs
-  // changed is selected again. Each rule below marks input i in reselect_:
+  // changed is selected again. A kept request may name a busy output: every
+  // reader of pending, masks and requested intersects them with idle (the
+  // arbitration loop, the probe's request events, the checker), and such a
+  // request is the one select_one() asserts once that output is idle again.
+  // Each rule below marks input i in reselect_:
   //   - a packet was admitted into one of i's buffers (inject_admit), this
   //     cycle;
-  //   - i requested an output that was granted (commit_grant): the winner
-  //     turned busy and popped a head (and maybe moved its GB pointer), and
-  //     every other requester lost its chosen output; next cycle;
+  //   - i won an output (commit_grant): it turned busy and popped a head
+  //     (and maybe moved its GB pointer); next cycle;
+  //   - i lost an output that was granted and holds a head for another
+  //     output (commit_grant), which it may request instead; next cycle. A
+  //     loser whose heads all go to the granted output keeps its request:
+  //     from scratch it would assert none until that output is idle, and
+  //     then this same request;
   //   - i's transmission completed (complete()), next cycle — the port is
   //     busy through the current one; a preemption frees it this cycle. A
   //     chained grant needs no mark of its own: it pops i's head inside the
   //     same complete(), while i is still busy;
-  //   - an output turned idle that i holds a head for (wanted_by, below);
+  //   - an output turned idle that i holds a head for and does not request
+  //     (wanted_by, below): an input already requesting it holds the right
+  //     request;
   //   - a fault edge changed i's port or one of its crosspoints
   //     (FaultInjector::outage_edges()), or a fault injector was attached
   //     or detached (every input).
@@ -506,10 +567,12 @@ void CrossbarSwitch::select_requests() {
   // busy ports move only at admission, grants and completions, and an
   // output turning busy matters only to the inputs that requested it.
   StepScratch& s = scratch_;
-  // An output that turned idle marks the inputs holding a head for it.
+  // An output that turned idle marks the inputs holding a head for it that
+  // request something else or nothing.
   const std::uint64_t idle = idle_outputs();
   for (std::uint64_t w = idle & ~s.idle; w != 0; w &= w - 1) {
-    reselect_ |= s.wanted_by[static_cast<OutputId>(std::countr_zero(w))];
+    const auto o = static_cast<OutputId>(std::countr_zero(w));
+    reselect_ |= s.wanted_by[o] & ~s.masks[o].any();
   }
   s.idle = idle;
   for (std::uint64_t w = reselect_; w != 0; w &= w - 1) {
@@ -542,9 +605,11 @@ void CrossbarSwitch::arbitrate() {
   StepScratch& s = scratch_;
   select_requests();
   if (obs_ != nullptr) {
+    // A kept request on a busy output is not asserted this cycle.
     for (InputId i = 0; i < s.pending.size(); ++i) {
-      if (s.pending[i].out != kNoPort) {
-        obs_->request(now_, i, s.pending[i].out, s.pending[i].cls);
+      const OutputId o = s.pending[i].out;
+      if (o != kNoPort && ((s.idle >> o) & 1) != 0) {
+        obs_->request(now_, i, o, s.pending[i].cls);
       }
     }
   }
@@ -598,9 +663,16 @@ void CrossbarSwitch::commit_grant(InputId winner, OutputId o,
   Packet pkt = inputs_[winner].pop(cls, o);
   pkt.granted = now_;
   scratch_.grants.push_back({winner, o, cls, chained});
-  // Every requester of o, the winner included, selects again next cycle
-  // (the masks are empty outside single-request mode).
-  reselect_ |= scratch_.masks[o].any();
+  // The winner selects again next cycle, and so does every other requester
+  // of o that holds a head for another output; the rest keep their request
+  // on o (select_requests). The masks are empty outside single-request mode.
+  const std::uint64_t requesters = scratch_.masks[o].any();
+  std::uint64_t mark = requesters & (1ULL << winner);
+  for (std::uint64_t w = requesters & ~mark; w != 0; w &= w - 1) {
+    const auto i = static_cast<InputId>(std::countr_zero(w));
+    if ((inputs_[i].head_outputs() & ~(1ULL << o)) != 0) mark |= 1ULL << i;
+  }
+  reselect_ |= mark;
   // Arbitration occupies arbitration_cycles (1 for SSVC, 2 for the legacy
   // 4-level design [14]); flits flow once it completes. A chained packet
   // skips arbitration and follows its predecessor's last flit.
@@ -884,13 +956,17 @@ void CrossbarSwitch::fast_forward(Cycle end) {
   if (fault_ != nullptr) horizon.limit(fault_->next_event(now_));
   if (scrub_ != nullptr) horizon.limit(scrub_->next_event());
   // Injectors pre-roll their streams up to the horizon folded so far and
-  // report their next creation cycle; the calendar keeps the answer.
+  // report their next creation cycle; the calendar keeps the answer, and
+  // only a flow whose answer moved is filed again.
   Cycle next_min = kNoCycle;
   for (FlowId f = 0; f < injectors_.size(); ++f) {
-    next_create_[f] = injectors_[f].next_event(now_, horizon.target());
-    next_min = std::min(next_min, next_create_[f]);
+    const Cycle c = injectors_[f].next_event(now_, horizon.target());
+    if (c != next_create_[f]) {
+      disarm_create(f);
+      arm_create(f, c);
+    }
+    next_min = std::min(next_min, c);
   }
-  next_create_min_ = next_min;
   horizon.limit(next_min);
   if (fault_ != nullptr && fault_->has_bitflip_rng()) {
     // Pre-roll the bitflip Bernoulli stream over the cycles a jump would

@@ -26,7 +26,8 @@
 // idle set is what selection, every allocator and output_idle() read.
 //
 // Stepping does only the work an event makes due (the tick-on-event idiom).
-// Requests and their per-output class masks are kept across cycles: an
+// Creation visits only the flows a creation wheel files under the current
+// cycle. Requests and their per-output class masks are kept across cycles: an
 // input is selected again only when something its selection reads changed
 // (select_requests() lists the rules), and an input whose every queued
 // packet was refused for lack of buffer space sleeps in admission until a
@@ -39,6 +40,7 @@
 // Packet Chaining extension recovers.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -212,7 +214,8 @@ class CrossbarSwitch {
   /// idle output over a live crosspoint; none while the port is busy or
   /// dead. The one selection function: step() calls it for the inputs it
   /// re-selects, and it is the specification the kept requests must match
-  /// for every input.
+  /// for every input, read on the idle outputs: a kept request on a busy
+  /// output o counts as none, and equals select_one(i, idle | 1 << o).
   [[nodiscard]] PendingRequest select_one(InputId i, std::uint64_t idle,
                                           Cycle now) const;
 
@@ -256,13 +259,31 @@ class CrossbarSwitch {
     std::uint32_t granted_level = 0;  // PVC level at grant (preemption)
   };
 
-  /// Packet creation into source queues for the flows whose calendar entry
-  /// is due; re-arms each visited flow.
+  /// Packet creation into source queues for the flows filed in the creation
+  /// wheel's slot for now_ (after pulling in the overflow entries that came
+  /// within the wheel's reach); re-arms each visited flow.
   void inject_create();
   /// How far ahead inject_create() lets a stochastic injector pre-roll when
   /// re-arming: step() does not know where the run ends. Any value gives the
-  /// same bytes; it only bounds the draws made ahead of the clock.
+  /// same bytes; it only bounds the draws made ahead of the clock. It also
+  /// bounds where a stochastic source's re-arm lands: at most
+  /// kCreatePreroll + 1 cycles ahead, inside the creation wheel, unless its
+  /// start cycle or a roll a fast_forward() already made lies further out.
   static constexpr Cycle kCreatePreroll = 256;
+  /// Slots of the creation wheel: one per cycle of [now_, now_ + 512).
+  static constexpr Cycle kCreateWheel = 512;
+  static_assert(std::has_single_bit(kCreateWheel) &&
+                kCreateWheel > kCreatePreroll + 1);
+  /// Files flow f under next_create_[f] = c (kNoCycle: nowhere): a wheel
+  /// bit when c - now_ < kCreateWheel, an overflow bit otherwise. Requires
+  /// c >= now_ and f filed nowhere.
+  void arm_create(FlowId f, Cycle c);
+  /// Takes flow f out of wherever arm_create() filed it.
+  void disarm_create(FlowId f);
+  /// The creation wheel's bitmask words for cycle c's slot.
+  [[nodiscard]] std::uint64_t* wheel_slot(Cycle c) noexcept {
+    return wheel_.data() + (c & (kCreateWheel - 1)) * create_words_;
+  }
   /// GSF bookkeeping + per-input admission of created packets into buffers.
   void inject_admit();
   void transfer();
@@ -352,10 +373,20 @@ class CrossbarSwitch {
   // Traffic plumbing, indexed by FlowId.
   std::vector<traffic::Injector> injectors_;
   // Creation calendar: inject_create() visits flow f only once now_ reaches
-  // next_create_[f], the injector's next_event(); next_create_min_ is the
-  // earliest entry. Every cycle before it creates nothing and draws nothing.
+  // next_create_[f], the injector's next_event(); every cycle before it
+  // creates nothing and draws nothing for f. Each flow is filed in exactly
+  // one place (arm_create): bit f of the wheel slot for its cycle, which
+  // lies in [now_, now_ + kCreateWheel); bit f of the overflow, for a cycle
+  // further out; or nowhere, at kNoCycle. A mask is create_words_ words, one
+  // per 64 flows; the wheel holds kCreateWheel of them back to back.
+  // overflow_min_ is at most the earliest overflow entry (kNoCycle when
+  // empty); once it comes within the wheel's reach, inject_create() moves
+  // the entries that did into the wheel.
   std::vector<Cycle> next_create_;
-  Cycle next_create_min_ = 0;
+  std::size_t create_words_ = 0;
+  std::vector<std::uint64_t> wheel_;
+  std::vector<std::uint64_t> overflow_;
+  Cycle overflow_min_ = kNoCycle;
   std::vector<RingQueue<Packet>> source_q_;
   std::vector<std::size_t> max_backlog_;
   // Per-flow packet counts (a preempted packet retransmitted from its source

@@ -13,7 +13,10 @@
 // (`pending`, `want`/`wanted_by`, `masks`, `requested`, `idle`) are kept
 // ACROSS cycles: step() re-selects only the inputs whose selection inputs
 // changed (see CrossbarSwitch::select_requests), so every entry is valid at
-// every cycle, not rebuilt per cycle. Everything else is per-cycle scratch:
+// every cycle, not rebuilt per cycle. A kept request may name an output that
+// has turned busy: it is the request select_one() asserts once that output
+// is idle again, and it counts only on idle outputs. Everything else is
+// per-cycle scratch:
 // the matching view (`eligible`, `candidates`, `voq`), which
 // CrossbarSwitch::fill_view() rebuilds for both IterativeMatching
 // allocators, and the buffers that die once pick()/on_grant() return.
@@ -58,10 +61,12 @@ struct GrantRecord {
 /// the switch and stay valid until its next step().
 struct CycleRecord {
   Cycle cycle = 0;
-  /// Single-request mode only: pending[i] = input i's asserted request,
+  /// Single-request mode only: pending[i] = input i's kept request,
   /// masks[o] = the same requests packed per output and class, requested =
   /// the outputs with >= 1 request, idle = the outputs that could start a
-  /// transmission this cycle.
+  /// transmission this cycle. A kept request may name a busy output; it is
+  /// asserted only when its output is idle, so a reader intersects pending,
+  /// masks and requested with idle.
   std::span<const PendingRequest> pending;
   std::span<const core::ClassMasks> masks;
   std::uint64_t requested = 0;
@@ -103,7 +108,8 @@ struct StepScratch {
   std::vector<GrantRecord> grants;
 
   // ---- single-request mode: requests kept across cycles ----
-  /// pending[i] = input i's asserted request (out == kNoPort: none).
+  /// pending[i] = input i's kept request (out == kNoPort: none); asserted
+  /// this cycle only when its output is in `idle`.
   std::vector<PendingRequest> pending;
   /// want[i] = outputs input i holds a head for (InputPort::head_outputs())
   /// as of its last selection; wanted_by[o] = its transpose, the inputs

@@ -220,6 +220,40 @@ TEST(HotPathAllocations, BaselineLrgIsAllocationFree) {
   }
 }
 
+TEST(HotPathAllocations, SparseFastForwardWithOverflowIsAllocationFree) {
+  // A sparse run jumps most of its cycles. Each jump re-arms the creation
+  // calendar, and the Periodic sources' 2000-cycle periods and the jumps'
+  // far re-check points park flows in the overflow beyond the creation
+  // wheel; filing, pulling and stepping must allocate nothing. Every flow,
+  // the late starter included, has created a packet during the warm-up.
+  traffic::Workload w(16);
+  for (InputId i = 0; i < 16; ++i) {
+    traffic::FlowSpec f;
+    f.src = i;
+    f.dst = (i + 3) % 16;
+    f.len_min = 1;
+    f.len_max = 4;
+    f.inject_rate = 1e-3;
+    if (i % 4 == 0) {
+      f.inject = traffic::InjectKind::Periodic;
+      f.len_max = 1;
+      f.inject_rate = 1.0 / 2000.0;
+    }
+    if (i == 5) f.start_cycle = 3000;
+    w.add_flow(f);
+  }
+  sw::CrossbarSwitch sim(base_config(16), std::move(w));
+  sim.warmup(30000);
+  for (FlowId f = 0; f < 16; ++f) ASSERT_GT(sim.created_packets(f), 0u);
+  const std::uint64_t skipped = sim.ff_skipped_cycles();
+  alloc_hook::reset();
+  sim.run(40000);
+  EXPECT_EQ(alloc_hook::allocations(), 0u)
+      << "the fast-forwarding steady-state loop allocated";
+  EXPECT_GT(sim.ff_skipped_cycles() - skipped, 20000u)
+      << "the run hardly jumped";
+}
+
 /// Checked counterpart of expect_zero_alloc_steady_state. The checker reads
 /// the switch's cycle record, so no probe is ever attached either. The
 /// reference models start from reset state, so the checker is attached at

@@ -3,12 +3,15 @@
 // packet chaining, baseline arbiters, and determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "check/scenario.hpp"
 #include "fault/injector.hpp"
 #include "fault/scrubber.hpp"
+#include "obs/probe.hpp"
 #include "switch/crossbar.hpp"
 #include "switch/simulator.hpp"
 #include "traffic/workload.hpp"
@@ -840,11 +843,14 @@ TEST(SimulatorTest, SummaryFieldsConsistent) {
 // The switch keeps every input's request, the per-output class masks and the
 // requested-output set across cycles, and selects again only the inputs an
 // event marked. select_one() is the specification: after every step, each
-// kept request must equal a from-scratch selection at that cycle, and the
-// masks and requested set must be exactly those the requests imply. A grant
-// winner's head is gone by then, so its kept request is checked against the
-// grant instead. The idle outputs the selection saw are checked too: those
-// idle before the step, plus those a preemption freed during it.
+// kept request, read on the idle outputs, must equal a from-scratch
+// selection at that cycle, and the masks and requested set must be exactly
+// those the requests imply. A kept request on a busy output o asserts
+// nothing: it reads as none, its input must hold heads for o only, and it
+// must be the request select_one() asserts once o is idle. A grant winner's
+// head is gone by then, so its kept request is checked against the grant
+// instead. The idle outputs the selection saw are checked too: those idle
+// before the step, plus those a preemption freed during it.
 
 /// Bit o set <=> output o can start a transmission at sw.now().
 std::uint64_t idle_outputs(const CrossbarSwitch& sw) {
@@ -882,12 +888,29 @@ std::string selection_mismatch(const CrossbarSwitch& sw, std::uint64_t idle) {
   std::uint64_t requested = 0;
   for (InputId i = 0; i < radix; ++i) {
     const PendingRequest& p = rec.pending[i];
-    if (((winners >> i) & 1) == 0 &&
-        p != sw.select_one(i, rec.idle, rec.cycle)) {
-      why << "input " << i << " keeps a request for output " << p.out
-          << ", a fresh selection asserts one for output "
-          << sw.select_one(i, rec.idle, rec.cycle).out;
-      return why.str();
+    const bool busy_out = p.out != kNoPort && ((rec.idle >> p.out) & 1) == 0;
+    if (((winners >> i) & 1) == 0) {
+      const PendingRequest asserted = busy_out ? PendingRequest{} : p;
+      const PendingRequest fresh = sw.select_one(i, rec.idle, rec.cycle);
+      if (asserted != fresh) {
+        why << "input " << i << " asserts a request for output "
+            << asserted.out << ", a fresh selection asserts one for output "
+            << fresh.out;
+        return why.str();
+      }
+    }
+    if (busy_out) {
+      if (sw.input(i).head_outputs() != 1ULL << p.out) {
+        why << "input " << i << " keeps a request for busy output " << p.out
+            << " but holds heads for outputs 0x" << std::hex
+            << sw.input(i).head_outputs();
+        return why.str();
+      }
+      if (p != sw.select_one(i, rec.idle | 1ULL << p.out, rec.cycle)) {
+        why << "input " << i << " keeps a request for busy output " << p.out
+            << " that differs from the one it asserts once it is idle";
+        return why.str();
+      }
     }
     if (p.out == kNoPort) continue;
     masks[p.out].add(i, p.cls);
@@ -1172,6 +1195,195 @@ TEST(SelectionSpec, MatchingViewMatchesFromScratch) {
     rounds.packet_chaining = true;
     check::ScenarioRun r3 = matched_run(rounds, kind);
     expect_view_matches(*r3.sim, rounds.cycles, name + " three rounds");
+  }
+}
+
+/// Records the events of one kind the switch reports.
+class KindSink final : public obs::TraceSink {
+ public:
+  explicit KindSink(obs::EventKind kind) : kind_(kind) {}
+  void on_event(const obs::Event& e) override {
+    if (e.kind == kind_) events.push_back(e);
+  }
+  std::vector<obs::Event> events;
+
+ private:
+  obs::EventKind kind_;
+};
+
+TEST(SelectionSpec, ProbeRequestsAreKeptRequestsOnIdleOutputs) {
+  // A kept request may name an output that has turned busy. The probe
+  // reports only the requests asserted this cycle: those on idle outputs.
+  const check::Scenario s = dense_scenario("probe");
+  check::ScenarioRun rig = check::instantiate(s);
+  CrossbarSwitch& sw = *rig.sim;
+  obs::SwitchProbe probe(s.radix);
+  KindSink sink(obs::EventKind::Request);
+  probe.set_extra_sink(&sink);
+  sw.attach_probe(&probe);
+  std::uint64_t busy_kept = 0;  // cycles with a request kept on a busy output
+  std::uint64_t reported = 0;
+  const Cycle end = sw.now() + s.cycles;
+  while (sw.now() < end) {
+    if (sw.fast_forward_eligible() && sw.quiescent()) {
+      sw.fast_forward(end);
+      if (sw.now() >= end) break;
+    }
+    const std::uint64_t idle = idle_outputs(sw);
+    sink.events.clear();
+    sw.step();
+    const CycleRecord rec = sw.last_cycle();
+    std::vector<std::pair<InputId, OutputId>> expect;
+    bool kept_on_busy = false;
+    for (InputId i = 0; i < s.radix; ++i) {
+      const PendingRequest& p = rec.pending[i];
+      if (p.out == kNoPort) continue;
+      if (((rec.idle >> p.out) & 1) == 0) {
+        kept_on_busy = true;
+        continue;
+      }
+      expect.emplace_back(i, p.out);
+    }
+    busy_kept += kept_on_busy;
+    ASSERT_EQ(sink.events.size(), expect.size()) << "cycle " << rec.cycle;
+    for (std::size_t k = 0; k < expect.size(); ++k) {
+      const obs::Event& e = sink.events[k];
+      ASSERT_EQ(e.cycle, rec.cycle);
+      ASSERT_NE((idle >> e.output) & 1, 0U)
+          << "cycle " << rec.cycle << ": input " << e.input
+          << " reported a request for busy output " << e.output;
+      ASSERT_EQ(e.input, expect[k].first) << "cycle " << rec.cycle;
+      ASSERT_EQ(e.output, expect[k].second) << "cycle " << rec.cycle;
+      ASSERT_EQ(e.cls, rec.pending[e.input].cls) << "cycle " << rec.cycle;
+    }
+    reported += expect.size();
+  }
+  EXPECT_GT(busy_kept, 100u) << "no request was kept on a busy output";
+  EXPECT_GT(reported, 1000u);
+}
+
+// -- Creation specification ---------------------------------------------------
+//
+// The switch visits a flow only at the cycle its creation calendar files it
+// under: a slot of the creation wheel, or the overflow beyond the wheel's
+// reach. The specification is a twin traffic::Injector per flow, on the same
+// spec and the same fork of the switch's Rng, polled with packets_at() on
+// every cycle: the switch must create the packets the twins create, at the
+// same cycles, with the same lengths, and number them in (cycle, flow)
+// order.
+
+/// A packet the twins create.
+struct Creation {
+  Cycle cycle = 0;
+  FlowId flow = 0;
+  std::uint32_t length = 0;
+};
+
+/// The packets per-cycle twins of `w`'s injectors create in [0, end), in
+/// (cycle, flow) order, for a switch seeded with `seed`.
+std::vector<Creation> twin_creations(const Workload& w, std::uint64_t seed,
+                                     Cycle end) {
+  Rng rng(seed);
+  std::vector<traffic::Injector> twins;
+  for (FlowId f = 0; f < w.flows().size(); ++f) {
+    twins.emplace_back(w.flows()[f], rng.fork(f));
+  }
+  std::vector<Creation> out;
+  for (Cycle t = 0; t < end; ++t) {
+    for (FlowId f = 0; f < twins.size(); ++f) {
+      const std::uint32_t n = twins[f].packets_at(t);
+      for (std::uint32_t k = 0; k < n; ++k) {
+        out.push_back({t, f, twins[f].draw_length()});
+      }
+    }
+  }
+  return out;
+}
+
+/// More than 64 flows (two wheel words), every source kind: sparse
+/// Bernoulli and OnOff flows leave the switch empty for stretches longer
+/// than the wheel, Periodic periods exceed it, and late start cycles and
+/// burst starts lie beyond it. Flows past index 63 carry the far events.
+Workload far_event_workload() {
+  constexpr std::uint32_t kRadix = 8;
+  Workload w(kRadix);
+  for (FlowId f = 0; f < 40; ++f) {
+    FlowSpec b = be_flow(f % kRadix, (f * 3 + 1) % kRadix, 1, 4e-6);
+    b.len_max = 3;
+    w.add_flow(b);
+  }
+  for (FlowId f = 0; f < 12; ++f) {
+    FlowSpec o = be_flow(f % kRadix, (f + 2) % kRadix, 2, 4e-5);
+    o.inject = InjectKind::OnOff;
+    o.mean_on_cycles = 16.0;
+    o.mean_off_cycles = 6000.0;
+    w.add_flow(o);
+  }
+  for (FlowId f = 0; f < 18; ++f) {
+    const InputId src = (f + 5) % kRadix;
+    const OutputId dst = (f * 5 + 2) % kRadix;
+    switch (f % 3) {
+      case 0: {  // a period of 1500 .. 12000 cycles, some starting late
+        FlowSpec p = be_flow(src, dst, 2, 0.0);
+        p.inject = InjectKind::Periodic;
+        p.inject_rate = 2.0 / static_cast<double>(1500 + 700 * f);
+        p.start_cycle = f % 2 == 0 ? 0 : 700 + 313 * f;
+        w.add_flow(p);
+        break;
+      }
+      case 1: {  // a burst far beyond the wheel
+        FlowSpec b = be_flow(src, dst, 1, 0.0);
+        b.inject = InjectKind::BurstOnce;
+        b.burst_start = 2000 + 2777 * f;
+        b.burst_packets = 1 + f % 4;
+        w.add_flow(b);
+        break;
+      }
+      default: {  // a Bernoulli source that starts late
+        FlowSpec b = be_flow(src, dst, 1, 2e-4);
+        b.len_max = 4;
+        b.start_cycle = 1500 + 1999 * f;
+        w.add_flow(b);
+        break;
+      }
+    }
+  }
+  return w;
+}
+
+TEST(CreationSpec, WheelCreatesWhatPerCycleInjectorsCreate) {
+  constexpr Cycle kCycles = 60000;
+  const Workload w = far_event_workload();
+  ASSERT_GT(w.flows().size(), 64u);
+  for (const bool ff : {true, false}) {
+    SwitchConfig c = base_config(8);
+    c.fast_forward = ff;
+    CrossbarSwitch sw(c, w);
+    obs::SwitchProbe probe(8);
+    KindSink sink(obs::EventKind::PacketCreated);
+    probe.set_extra_sink(&sink);
+    sw.attach_probe(&probe);
+    Cycle longest_jump = 0;
+    sw.run(
+        kCycles, [] { return true; },
+        [&](Cycle from, Cycle to) {
+          longest_jump = std::max(longest_jump, to - from);
+        });
+    const std::vector<Creation> expect =
+        twin_creations(w, c.seed, kCycles);
+    const std::string what = ff ? "fast-forward" : "stepped";
+    ASSERT_GT(expect.size(), 100u);
+    ASSERT_EQ(sink.events.size(), expect.size()) << what;
+    for (std::size_t k = 0; k < expect.size(); ++k) {
+      const obs::Event& e = sink.events[k];
+      ASSERT_EQ(e.packet, k) << what;
+      ASSERT_EQ(e.cycle, expect[k].cycle) << what << ", packet " << k;
+      ASSERT_EQ(e.flow, expect[k].flow) << what << ", packet " << k;
+      ASSERT_EQ(e.length, expect[k].length) << what << ", packet " << k;
+    }
+    if (ff) {
+      EXPECT_GT(longest_jump, 2 * 512u) << "no jump passed the wheel";
+    }
   }
 }
 
