@@ -7,12 +7,10 @@
 namespace ssq::arb {
 
 LrgArbiter::LrgArbiter(std::uint32_t radix) : Arbiter(radix), rows_(radix) {
-  // Initial total order: 0 beats 1 beats 2 ... (input 0 most-preferred).
-  for (InputId i = 0; i < radix; ++i) {
-    std::uint64_t row = 0;
-    for (InputId j = i + 1; j < radix; ++j) row |= 1ULL << j;
-    rows_[i] = row;
-  }
+  // Initial total order: 0 beats 1 beats 2 ... (input 0 most-preferred),
+  // so row i holds the inputs above i (~1 << i: bits i + 1 .. 63).
+  const std::uint64_t all = radix == 64 ? ~0ULL : (1ULL << radix) - 1;
+  for (InputId i = 0; i < radix; ++i) rows_[i] = all & (~1ULL << i);
 }
 
 bool LrgArbiter::beats(InputId i, InputId j) const {

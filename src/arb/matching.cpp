@@ -80,7 +80,7 @@ IslipEngine::IslipEngine(std::uint32_t radix, std::uint32_t iterations)
   grant_ptr_.assign(radix, 0);
   accept_ptr_.assign(radix, 0);
   requests_.assign(radix, 0);
-  grant_to_.assign(radix, kNoPort);
+  offered_.assign(radix, 0);
 }
 
 std::uint32_t IslipEngine::match(const MatchView& view,
@@ -91,10 +91,13 @@ std::uint32_t IslipEngine::match(const MatchView& view,
   if (in_free == 0) return 1;
 
   // Transpose eligibility into per-output request masks once; iterations
-  // shrink them via in_free.
+  // shrink them via in_free. out_open = the unmatched outputs with a
+  // requester left.
   std::fill(requests_.begin(), requests_.end(), 0ULL);
+  std::uint64_t out_open = 0;
   for (std::uint64_t w = in_free; w != 0; w &= w - 1) {
     const auto i = static_cast<InputId>(std::countr_zero(w));
+    out_open |= view.eligible[i];
     for (std::uint64_t e = view.eligible[i]; e != 0; e &= e - 1) {
       requests_[static_cast<std::size_t>(std::countr_zero(e))] |= 1ULL << i;
     }
@@ -103,41 +106,40 @@ std::uint32_t IslipEngine::match(const MatchView& view,
   std::uint32_t used = 0;
   for (std::uint32_t iter = 0; iter < iterations_; ++iter) {
     ++used;
-    // GRANT: each unmatched output grants the first unmatched requester at
-    // or after its pointer.
-    bool any_grant = false;
-    for (OutputId o = 0; o < radix; ++o) {
-      grant_to_[o] = kNoPort;
-      if (match_in[o] != kNoPort) continue;
+    // GRANT: each open output grants the first unmatched requester at or
+    // after its pointer, into that input's offer mask.
+    std::uint64_t granted = 0;  // inputs holding >= 1 offer
+    for (std::uint64_t w = out_open; w != 0; w &= w - 1) {
+      const auto o = static_cast<OutputId>(std::countr_zero(w));
       const std::uint64_t req = requests_[o] & in_free;
-      if (req == 0) continue;
-      grant_to_[o] = rotate_pick(req, grant_ptr_[o]);
-      any_grant = true;
+      if (req == 0) {
+        out_open &= ~(1ULL << o);  // in_free only shrinks
+        continue;
+      }
+      const std::uint32_t i = rotate_pick(req, grant_ptr_[o]);
+      offered_[i] |= 1ULL << o;
+      granted |= 1ULL << i;
     }
-    if (!any_grant) break;
+    if (granted == 0) break;
 
-    // ACCEPT: each unmatched input takes the first grant at or after its
+    // ACCEPT: each granted input takes the first offer at or after its
     // pointer. Pointers move only on first-iteration accepts — the update
     // rule behind iSLIP's pointer desynchronisation and its 100% throughput
     // under saturated uniform traffic.
-    bool any_accept = false;
-    for (std::uint64_t w = in_free; w != 0; w &= w - 1) {
+    for (std::uint64_t w = granted; w != 0; w &= w - 1) {
       const auto i = static_cast<InputId>(std::countr_zero(w));
-      std::uint64_t offered = 0;
-      for (OutputId o = 0; o < radix; ++o) {
-        if (grant_to_[o] == i) offered |= 1ULL << o;
-      }
-      if (offered == 0) continue;
-      const auto o = static_cast<OutputId>(rotate_pick(offered, accept_ptr_[i]));
+      const auto o =
+          static_cast<OutputId>(rotate_pick(offered_[i], accept_ptr_[i]));
+      offered_[i] = 0;
       match_in[o] = i;
       in_free &= ~(1ULL << i);
-      any_accept = true;
+      out_open &= ~(1ULL << o);
       if (iter == 0) {
         grant_ptr_[o] = (i + 1) % radix;
         accept_ptr_[i] = (o + 1) % radix;
       }
     }
-    if (!any_accept || in_free == 0) break;
+    if (in_free == 0) break;
   }
   return used;
 }

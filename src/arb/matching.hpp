@@ -125,7 +125,7 @@ class IslipEngine final : public MatchingEngine {
   std::vector<std::uint32_t> grant_ptr_;   // per output
   std::vector<std::uint32_t> accept_ptr_;  // per input
   std::vector<std::uint64_t> requests_;    // scratch: per output, input bits
-  std::vector<InputId> grant_to_;          // scratch: per output
+  std::vector<std::uint64_t> offered_;     // scratch: per input, output bits
 };
 
 class QpsEngine final : public MatchingEngine {

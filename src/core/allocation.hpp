@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/contracts.hpp"
@@ -45,11 +46,19 @@ struct OutputAllocation {
 
   /// True iff admissible: every rate in range and ΣGB + GL <= 1 (+eps).
   [[nodiscard]] bool admissible(std::uint32_t radix) const noexcept {
-    if (gb_rate.size() != radix) return false;
+    return gb_rate.size() == radix && admissible(gb_rate, gl_rate);
+  }
+  /// The same test on rates held elsewhere (Workload::validate() sums them
+  /// into a stack array rather than build an allocation per output).
+  [[nodiscard]] static bool admissible(std::span<const double> gb_rate,
+                                       double gl_rate) noexcept {
     if (gl_rate < 0.0 || gl_rate > 1.0) return false;
-    for (double r : gb_rate)
+    double sum = 0.0;
+    for (double r : gb_rate) {
       if (r < 0.0 || r > 1.0) return false;
-    return gb_total() + gl_rate <= 1.0 + 1e-9;
+      sum += r;
+    }
+    return sum + gl_rate <= 1.0 + 1e-9;
   }
 
   /// Throws ssq::ConfigError: the allocation is user configuration (workload

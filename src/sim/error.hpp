@@ -11,6 +11,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace ssq {
 
@@ -22,9 +23,11 @@ class ConfigError : public std::runtime_error {
 namespace detail {
 
 /// Throws ConfigError(message) when `ok` is false. Used by the validate()
-/// methods of every user-reachable configuration struct.
-inline void config_check(bool ok, const std::string& message) {
-  if (!ok) throw ConfigError(message);
+/// methods of every user-reachable configuration struct. A passing check
+/// allocates nothing: the std::string is built only on the throwing path, so
+/// a switch can validate its radix² counter parameters on every construction.
+inline void config_check(bool ok, std::string_view message) {
+  if (!ok) throw ConfigError(std::string(message));
 }
 
 }  // namespace detail

@@ -11,6 +11,24 @@
 
 namespace ssq::sw {
 
+namespace {
+
+/// The matching view's backlog of crosspoint (port, o) in flits: the
+/// crosspoint GB queue, plus the (shared-FIFO) GL/BE buffers when their head
+/// points at o. Sampling weight for QPS, retirement signal for SW-QPS.
+std::uint32_t view_backlog(const InputPort& port, OutputId o) {
+  std::uint32_t backlog = port.gb_occupancy(o);
+  if (port.head(TrafficClass::GuaranteedLatency, o) != nullptr) {
+    backlog += port.gl_occupancy();
+  }
+  if (port.head(TrafficClass::BestEffort, o) != nullptr) {
+    backlog += port.be_occupancy();
+  }
+  return backlog;
+}
+
+}  // namespace
+
 CrossbarSwitch::CrossbarSwitch(const SwitchConfig& config,
                                traffic::Workload workload)
     : config_(config), workload_(std::move(workload)), rng_(config.seed) {
@@ -42,8 +60,11 @@ CrossbarSwitch::CrossbarSwitch(const SwitchConfig& config,
           radix, config_.ssvc, std::move(alloc), config_.gl_policing,
           config_.gl_allowance_packets));
     } else {
-      // Rate-parameterised baselines receive the GB reservations; inputs
-      // with no reservation get a nominal unit share.
+      // Rate-parameterised baselines receive the GB reservations; an input
+      // with no reservation gets a nominal 1e-3 share where another input
+      // holds one (a unit share where none does). Under TDM that share
+      // rounds to no slot at small radix, so such an input starves on an
+      // output that carries a reservation (TdmTest pins this).
       std::vector<double> rates(radix, 0.0);
       bool any = false;
       for (InputId i = 0; i < radix; ++i) {
@@ -425,6 +446,7 @@ void CrossbarSwitch::transfer() {
     SSQ_ENSURE(now_ <= t.last_flit);
     throughput_.record_flit(t.pkt.flow, now_);
     inputs_[t.pkt.src].drain_flit(t.pkt.cls, t.pkt.dst);
+    if (engine_ != nullptr) drain_view_cell(t.pkt.src, t.pkt.cls, t.pkt.dst);
     admit_sleep_ &= ~(1ULL << t.pkt.src);  // room for a refused head, maybe
     if (now_ == t.last_flit) complete(t, o);
   }
@@ -547,16 +569,15 @@ void CrossbarSwitch::select_requests() {
   //   - a packet was admitted into one of i's buffers (inject_admit), this
   //     cycle;
   //   - i won an output (commit_grant): it turned busy and popped a head
-  //     (and maybe moved its GB pointer); next cycle;
+  //     (and maybe moved its GB pointer); next cycle, or this one for a
+  //     chained grant (made inside complete(), while i is still busy);
   //   - i lost an output that was granted and holds a head for another
   //     output (commit_grant), which it may request instead; next cycle. A
   //     loser whose heads all go to the granted output keeps its request:
   //     from scratch it would assert none until that output is idle, and
   //     then this same request;
   //   - i's transmission completed (complete()), next cycle — the port is
-  //     busy through the current one; a preemption frees it this cycle. A
-  //     chained grant needs no mark of its own: it pops i's head inside the
-  //     same complete(), while i is still busy;
+  //     busy through the current one; a preemption frees it this cycle;
   //   - an output turned idle that i holds a head for and does not request
   //     (wanted_by, below): an input already requesting it holds the right
   //     request;
@@ -663,12 +684,13 @@ void CrossbarSwitch::commit_grant(InputId winner, OutputId o,
   Packet pkt = inputs_[winner].pop(cls, o);
   pkt.granted = now_;
   scratch_.grants.push_back({winner, o, cls, chained});
-  // The winner selects again next cycle, and so does every other requester
-  // of o that holds a head for another output; the rest keep their request
-  // on o (select_requests). The masks are empty outside single-request mode.
-  const std::uint64_t requesters = scratch_.masks[o].any();
-  std::uint64_t mark = requesters & (1ULL << winner);
-  for (std::uint64_t w = requesters & ~mark; w != 0; w &= w - 1) {
+  // The winner selects again, and its matching-view row is rebuilt, from the
+  // next selection or view on; so does every other requester of o that holds
+  // a head for another output, while the rest keep their request on o
+  // (select_requests). The masks are empty outside single-request mode.
+  std::uint64_t mark = 1ULL << winner;
+  for (std::uint64_t w = scratch_.masks[o].any() & ~mark; w != 0;
+       w &= w - 1) {
     const auto i = static_cast<InputId>(std::countr_zero(w));
     if ((inputs_[i].head_outputs() & ~(1ULL << o)) != 0) mark |= 1ULL << i;
   }
@@ -703,45 +725,76 @@ const Packet* CrossbarSwitch::candidate_for(InputId i, OutputId o) const {
   return h;
 }
 
-bool CrossbarSwitch::fill_view(bool voq) {
+void CrossbarSwitch::drain_view_cell(InputId i, TrafficClass cls,
+                                     OutputId dst) {
+  // The drained buffer counts toward one cell of row i: its own crosspoint's
+  // for a GB queue, the head's crosspoint for a shared FIFO. A row marked
+  // for a rebuild is rewritten by fill_view() anyway.
+  const InputPort& port = inputs_[i];
+  OutputId o = dst;
+  if (cls != TrafficClass::GuaranteedBandwidth) {
+    const Packet* h = cls == TrafficClass::GuaranteedLatency ? port.gl_head()
+                                                             : port.be_head();
+    if (h == nullptr) return;
+    o = h->dst;
+  }
+  StepScratch& s = scratch_;
+  if (((s.candidates[i] >> o) & 1ULL) == 0) return;  // the cell reads 0
+  s.voq[static_cast<std::size_t>(i) * config_.radix + o] =
+      view_backlog(port, o);
+}
+
+bool CrossbarSwitch::fill_view() {
   const std::uint32_t radix = config_.radix;
   StepScratch& s = scratch_;
-  if (voq) std::fill(s.voq.begin(), s.voq.end(), 0U);
-  const std::uint64_t idle = idle_outputs();
-  bool any_candidate = false;
+  const bool voq = engine_ != nullptr;
   fault::FaultInjector* const fi = fault_;
-  for (InputId i = 0; i < radix; ++i) {
+  // Rebuild the rows of the inputs whose heads or crosspoints changed since
+  // the last view: the reselect_ marks of admission, a grant's winner, a
+  // preemption and a fault edge or attach. A completion's mark (the port
+  // turns free) changes only busy(), which eligible reads below.
+  for (std::uint64_t w = reselect_; w != 0; w &= w - 1) {
+    const auto i = static_cast<InputId>(std::countr_zero(w));
     const InputPort& port = inputs_[i];
     std::uint64_t cand = 0;
     if (fi == nullptr || !fi->port_dead(i)) {
       cand = port.head_outputs();
       if (fi != nullptr) {
-        for (std::uint64_t w = cand; w != 0; w &= w - 1) {
-          const auto o = static_cast<OutputId>(std::countr_zero(w));
+        for (std::uint64_t m = cand; m != 0; m &= m - 1) {
+          const auto o = static_cast<OutputId>(std::countr_zero(m));
           if (!fi->link_alive(i, o)) cand &= ~(1ULL << o);
         }
       }
     }
+    const std::uint64_t left = s.candidates[i] & ~cand;
     s.candidates[i] = cand;
-    s.eligible[i] = port.busy(now_) ? 0 : (cand & idle);
-    any_candidate |= cand != 0;
+    if (cand != 0) {
+      s.candidate_rows |= 1ULL << i;
+    } else {
+      s.candidate_rows &= ~(1ULL << i);
+      s.eligible[i] = 0;  // rows without candidates are not derived below
+    }
     if (!voq) continue;
-    // Backlog in flits behind each candidate crosspoint: the crosspoint GB
-    // queue, plus the (shared-FIFO) GL/BE buffers when their head points at
-    // o. Sampling weight for QPS, retirement signal for SW-QPS.
-    for (std::uint64_t w = cand; w != 0; w &= w - 1) {
-      const auto o = static_cast<OutputId>(std::countr_zero(w));
-      std::uint32_t backlog = port.gb_occupancy(o);
-      if (port.head(TrafficClass::GuaranteedLatency, o) != nullptr) {
-        backlog += port.gl_occupancy();
-      }
-      if (port.head(TrafficClass::BestEffort, o) != nullptr) {
-        backlog += port.be_occupancy();
-      }
-      s.voq[static_cast<std::size_t>(i) * radix + o] = backlog;
+    // A cell that left the candidate set reads 0 again: SW-QPS reads the
+    // backlog of window pairs that are no longer candidates.
+    std::uint32_t* const row =
+        s.voq.data() + static_cast<std::size_t>(i) * radix;
+    for (std::uint64_t m = left; m != 0; m &= m - 1) {
+      row[std::countr_zero(m)] = 0;
+    }
+    for (std::uint64_t m = cand; m != 0; m &= m - 1) {
+      const auto o = static_cast<OutputId>(std::countr_zero(m));
+      row[o] = view_backlog(port, o);
     }
   }
-  return any_candidate;
+  reselect_ = 0;
+  reselect_next_ = 0;
+  const std::uint64_t idle = idle_outputs();
+  for (std::uint64_t w = s.candidate_rows; w != 0; w &= w - 1) {
+    const auto i = static_cast<InputId>(std::countr_zero(w));
+    s.eligible[i] = inputs_[i].busy(now_) ? 0 : (s.candidates[i] & idle);
+  }
+  return s.candidate_rows != 0;
 }
 
 void CrossbarSwitch::arbitrate_matched() {
@@ -755,7 +808,7 @@ void CrossbarSwitch::arbitrate_matched() {
   // view stays exact for every input still unmatched.
   const std::uint32_t radix = config_.radix;
   StepScratch& s = scratch_;
-  fill_view(/*voq=*/false);
+  fill_view();
   // The view's transpose: bit i of requesters[o] == input i is eligible for
   // o, in the class of its candidate head.
   std::fill(s.requesters.begin(), s.requesters.end(), core::ClassMasks{});
@@ -862,7 +915,7 @@ void CrossbarSwitch::arbitrate_engine() {
   // order (GL > GB > BE).
   const std::uint32_t radix = config_.radix;
   StepScratch& s = scratch_;
-  const bool any_candidate = fill_view(/*voq=*/true);
+  const bool any_candidate = fill_view();
   if (obs_ != nullptr) {
     for (InputId i = 0; i < radix; ++i) {
       for (std::uint64_t w = s.eligible[i]; w != 0; w &= w - 1) {
@@ -876,7 +929,6 @@ void CrossbarSwitch::arbitrate_engine() {
   // SW-QPS retires drained window entries lazily at its next real call.
   if (!any_candidate) return;
 
-  std::fill(s.match.begin(), s.match.end(), kNoPort);
   const arb::MatchView view{radix,
                             std::span<const std::uint64_t>(s.eligible),
                             std::span<const std::uint64_t>(s.candidates),
@@ -942,6 +994,8 @@ CycleRecord CrossbarSwitch::last_cycle() const noexcept {
     r.idle = scratch_.idle;
   } else {
     r.eligible = scratch_.eligible;
+    r.candidates = scratch_.candidates;
+    if (engine_ != nullptr) r.voq = scratch_.voq;
   }
   return r;
 }

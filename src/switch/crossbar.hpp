@@ -29,9 +29,11 @@
 // Creation visits only the flows a creation wheel files under the current
 // cycle. Requests and their per-output class masks are kept across cycles: an
 // input is selected again only when something its selection reads changed
-// (select_requests() lists the rules), and an input whose every queued
-// packet was refused for lack of buffer space sleeps in admission until a
-// flit of its buffers drains or a new flow of it turns non-empty.
+// (select_requests() lists the rules). The matching view is kept too: only
+// the rows of inputs whose heads or crosspoints changed are rebuilt
+// (fill_view()). An input whose every queued packet was refused for lack of
+// buffer space sleeps in admission until a flit of its buffers drains or a
+// new flow of it turns non-empty.
 //
 // The 1-cycle arbitration occupancy is intrinsic: the Swizzle Switch
 // repurposes the output data bus for arbitration, so a channel cannot
@@ -294,13 +296,19 @@ class CrossbarSwitch {
   /// Single-request allocation: one arbitration per requested idle output,
   /// from the kept requests.
   void arbitrate();
-  /// The matching view both IterativeMatching allocators read, built from
-  /// scratch at now_: candidates[i] = the outputs input i holds a head for
-  /// over a live crosspoint (none while its port is dead), eligible[i] =
-  /// those idle this cycle (none while the port is busy), and with `voq`
-  /// (engines only) the backlog behind every candidate crosspoint. Returns
-  /// whether any input holds a candidate.
-  bool fill_view(bool voq);
+  /// Brings the matching view both IterativeMatching allocators read up to
+  /// now_. candidates[i] = the outputs input i holds a head for over a live
+  /// crosspoint (none while its port is dead) and, with an engine attached,
+  /// `voq` = the backlog behind every candidate crosspoint (0 elsewhere) are
+  /// kept across cycles: only the rows of the inputs marked in reselect_ are
+  /// rebuilt, and transfer() keeps each drained cell current
+  /// (drain_view_cell). eligible[i] = the candidates idle this cycle (none
+  /// while the port is busy) is derived afresh. Returns whether any input
+  /// holds a candidate.
+  bool fill_view();
+  /// Recomputes the one `voq` cell of input i that a flit drained from its
+  /// (cls, dst) buffer changed.
+  void drain_view_cell(InputId i, TrafficClass cls, OutputId dst);
   /// Classic IterativeMatching: request/grant/accept rounds of the
   /// per-output arbiters over the view's transpose.
   void arbitrate_matched();
@@ -409,8 +417,9 @@ class CrossbarSwitch {
   // a flow of it turns non-empty (note_source_push). Never set while a
   // probe is attached: each refused visit is an admit_blocked event.
   std::uint64_t admit_sleep_ = 0;
-  // Request re-selection marks (single-request mode): reselect_ = inputs
-  // select_requests() re-selects this cycle; reselect_next_ = marks made
+  // Request re-selection marks: reselect_ = inputs select_requests()
+  // re-selects this cycle (single-request mode), or whose matching-view row
+  // fill_view() rebuilds (IterativeMatching); reselect_next_ = marks made
   // before this cycle's selection that apply from the next one (a port
   // freed by a completing transmission is busy through this cycle).
   std::uint64_t reselect_ = 0;
@@ -423,7 +432,7 @@ class CrossbarSwitch {
   Cycle gsf_frame_start_ = 0;
   // IterativeMatching: per-input rotating accept pointer over outputs.
   std::vector<OutputId> accept_out_ptr_;
-  // Per-cycle scratch arena: sized at construction, reused every step so the
+  // The cycle arena: sized at construction, reused every step so the
   // steady-state cycle loop never touches the heap.
   StepScratch scratch_;
 

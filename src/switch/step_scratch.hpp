@@ -5,21 +5,25 @@
 // no heap allocation (asserted by tests/hotpath_alloc_test.cpp). Ownership
 // rule: the arena belongs to exactly one CrossbarSwitch and only its step()
 // writes it. The part that describes the cycle — the asserted requests, the
-// matching view's eligible pairs and the committed grants — is also the
+// matching view and the committed grants — is also the
 // cycle record (CrossbarSwitch::last_cycle()): read-only from the end of one
 // step() until the start of the next.
 //
-// Two kinds of state live here. The single-request mode's requests
-// (`pending`, `want`/`wanted_by`, `masks`, `requested`, `idle`) are kept
-// ACROSS cycles: step() re-selects only the inputs whose selection inputs
-// changed (see CrossbarSwitch::select_requests), so every entry is valid at
-// every cycle, not rebuilt per cycle. A kept request may name an output that
-// has turned busy: it is the request select_one() asserts once that output
-// is idle again, and it counts only on idle outputs. Everything else is
-// per-cycle scratch:
-// the matching view (`eligible`, `candidates`, `voq`), which
-// CrossbarSwitch::fill_view() rebuilds for both IterativeMatching
-// allocators, and the buffers that die once pick()/on_grant() return.
+// Two kinds of state live here. State kept ACROSS cycles, valid at every
+// cycle rather than rebuilt per cycle:
+//   - the single-request mode's requests (`pending`, `want`/`wanted_by`,
+//     `masks`, `requested`, `idle`): step() re-selects only the inputs whose
+//     selection inputs changed (see CrossbarSwitch::select_requests). A kept
+//     request may name an output that has turned busy: it is the request
+//     select_one() asserts once that output is idle again, and it counts only
+//     on idle outputs;
+//   - the IterativeMatching view's `candidates`, `candidate_rows` and `voq`
+//     (engines only): CrossbarSwitch::fill_view() rebuilds only the rows of
+//     the inputs whose heads or crosspoints changed, and a drained flit
+//     updates its one `voq` cell.
+// Everything else is per-cycle scratch: the view's `eligible`, derived each
+// cycle from the kept candidates, busy ports and the idle set, and the
+// buffers that die once pick()/on_grant()/match() return.
 //
 // The matching masks are single uint64_t words: the Swizzle Switch tops out
 // at radix 64 (config.validate() enforces it), so one word replaces the
@@ -72,8 +76,13 @@ struct CycleRecord {
   std::uint64_t requested = 0;
   std::uint64_t idle = 0;
   /// IterativeMatching only (classic matcher and engines): bit o of
-  /// eligible[i] = input i may match o this cycle.
+  /// eligible[i] = input i may match o this cycle; bit o of candidates[i] =
+  /// input i holds a head for o over a live crosspoint. With an engine
+  /// attached (empty otherwise), voq[i * radix + o] = the backlog in flits
+  /// behind each candidate crosspoint, 0 off the candidates.
   std::span<const std::uint64_t> eligible;
+  std::span<const std::uint64_t> candidates;
+  std::span<const std::uint32_t> voq;
   std::span<const GrantRecord> grants;  // commit order
   /// Per-flow packet counts since construction.
   std::span<const std::uint64_t> created, admitted, delivered;
@@ -130,10 +139,12 @@ struct StepScratch {
 
   // ---- the matching view (fill_view, IterativeMatching) ----
   // What arb::MatchView points into: per input, the outputs it may match
-  // this cycle and the outputs it holds a head for over a live crosspoint;
-  // the backlog matrix is filled for engines only.
+  // this cycle (derived per cycle) and the outputs it holds a head for over
+  // a live crosspoint (kept); the kept backlog matrix is maintained for
+  // engines only. candidate_rows has bit i set iff candidates[i] != 0.
   std::vector<std::uint64_t> eligible;    // per input
   std::vector<std::uint64_t> candidates;  // per input
+  std::uint64_t candidate_rows = 0;
   std::vector<std::uint32_t> voq;         // radix x radix, row-major
 
   // ---- classic iterative matching (arbitrate_matched) ----

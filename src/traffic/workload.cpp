@@ -1,6 +1,7 @@
 #include "traffic/workload.hpp"
 
 #include <algorithm>
+#include <array>
 #include <string>
 
 #include "sim/contracts.hpp"
@@ -38,16 +39,21 @@ const FlowSpec& Workload::flow(FlowId id) const {
   return flows_[id];
 }
 
-core::OutputAllocation Workload::allocation_for(OutputId dst) const {
-  SSQ_EXPECT(dst < radix_);
-  core::OutputAllocation alloc = core::OutputAllocation::none(radix_);
+std::uint32_t Workload::sum_gb_rates(OutputId dst,
+                                     std::span<double> rate) const {
   std::uint32_t gb_len = 1;
   for (const auto& f : flows_) {
     if (f.dst != dst || f.cls != TrafficClass::GuaranteedBandwidth) continue;
-    alloc.gb_rate[f.src] += f.reserved_rate;
+    rate[f.src] += f.reserved_rate;
     gb_len = std::max(gb_len, f.mean_len());
   }
-  alloc.gb_packet_len = gb_len;
+  return gb_len;
+}
+
+core::OutputAllocation Workload::allocation_for(OutputId dst) const {
+  SSQ_EXPECT(dst < radix_);
+  core::OutputAllocation alloc = core::OutputAllocation::none(radix_);
+  alloc.gb_packet_len = sum_gb_rates(dst, alloc.gb_rate);
   alloc.gl_rate = gl_rate_[dst];
   alloc.gl_packet_len = gl_packet_len_[dst];
   return alloc;
@@ -59,23 +65,27 @@ void Workload::validate() const {
       crosspoints_exclusive(),
       "two GB flows share one (src,dst) crosspoint; each crosspoint carries "
       "one flow");
+  // A passing validation allocates nothing: the rates of one output are
+  // summed on the stack, and the message naming it is built only on failure.
+  std::array<double, 64> rate{};  // radix <= 64
+  const std::span<double> rates(rate.data(), radix_);
   for (OutputId o = 0; o < radix_; ++o) {
-    const auto alloc = allocation_for(o);
-    ssq::detail::config_check(
-        alloc.admissible(radix_),
-        "output " + std::to_string(o) +
-            " over-subscribed: sum of GB rates + GL rate > 1");
+    std::fill(rates.begin(), rates.end(), 0.0);
+    sum_gb_rates(o, rates);
+    if (!core::OutputAllocation::admissible(rates, gl_rate_[o])) {
+      throw ConfigError("output " + std::to_string(o) +
+                        " over-subscribed: sum of GB rates + GL rate > 1");
+    }
   }
 }
 
 bool Workload::crosspoints_exclusive() const {
-  std::vector<std::uint8_t> gb_count(
-      static_cast<std::size_t>(radix_) * radix_, 0);
+  std::array<std::uint64_t, 64> gb_dsts{};  // per source: outputs seen
   for (const auto& f : flows_) {
     if (f.cls != TrafficClass::GuaranteedBandwidth) continue;
-    auto& n = gb_count[static_cast<std::size_t>(f.src) * radix_ + f.dst];
-    if (n != 0) return false;
-    n = 1;
+    const std::uint64_t bit = 1ULL << f.dst;
+    if ((gb_dsts[f.src] & bit) != 0) return false;
+    gb_dsts[f.src] |= bit;
   }
   return true;
 }

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/allocation.hpp"
@@ -58,6 +59,11 @@ class Workload {
   [[nodiscard]] bool crosspoints_exclusive() const;
 
  private:
+  /// Adds each GB flow's reservation into output `dst` to rate[src] (size
+  /// radix, in flow order) and returns the largest mean packet length among
+  /// those flows (1 when none).
+  std::uint32_t sum_gb_rates(OutputId dst, std::span<double> rate) const;
+
   std::uint32_t radix_;
   std::vector<FlowSpec> flows_;
   std::vector<double> gl_rate_;                 // per output

@@ -610,6 +610,26 @@ TEST(TdmTest, SaturatedSharesMatchTable) {
   EXPECT_NEAR(static_cast<double>(wins[2]) / 2000.0, 0.2, 0.01);
 }
 
+TEST(TdmTest, UnreservedInputsStarveBesideAReservation) {
+  // The switch hands a baseline the GB reservations of one output and a
+  // nominal 1e-3 share to every input without one. Under the factory's
+  // period (max(16, 4 * radix) slots) that share rounds to nothing: the
+  // unreserved inputs hold only what largest-remainder rounding leaves over,
+  // no slot at radix 4 and one slot among seven inputs at radix 8. The rest
+  // starve on an output that carries a reservation.
+  for (const std::uint32_t radix : {4u, 8u}) {
+    std::vector<double> shares(radix, 1e-3);
+    shares[0] = 0.2;
+    const auto arbiter = make_arbiter(Kind::Tdm, radix, shares, 8);
+    const auto& tdm = dynamic_cast<const TdmArbiter&>(*arbiter);
+    ASSERT_EQ(tdm.table().size(), std::max(16u, 4 * radix));
+    const auto unreserved_slots =
+        std::count_if(tdm.table().begin(), tdm.table().end(),
+                      [](InputId owner) { return owner != 0; });
+    EXPECT_EQ(unreserved_slots, radix == 4 ? 0 : 1) << "radix " << radix;
+  }
+}
+
 // ---------------------------------------------------------------- PVC ----
 
 TEST(PvcTest, LevelTracksFrameConsumption) {

@@ -13,9 +13,13 @@
 
 #include "arb/factory.hpp"
 #include "check/differential.hpp"
+#include "core/allocation.hpp"
+#include "core/params.hpp"
 #include "sim/alloc_hook.hpp"
 #include "sim/ring_queue.hpp"
+#include "switch/config.hpp"
 #include "switch/crossbar.hpp"
+#include "traffic/flow.hpp"
 #include "traffic/workload.hpp"
 
 namespace ssq {
@@ -287,14 +291,49 @@ TEST(HotPathAllocations, DifferentialCheckerWithCircuitLegIsAllocationFree) {
 TEST(HotPathAllocations, EngineModeCheckerIsAllocationFree) {
   // Under a matching engine the checker reads the engine's eligible pairs
   // (unrequested-grant and progress checks) straight from the cycle record.
-  auto config = base_config(16);
-  config.allocation = sw::AllocationMode::IterativeMatching;
-  config.engine = arb::MatchKind::Islip;
-  config.match_iterations = 2;
-  sw::CrossbarSwitch sim(config, stable_workload(16));
-  check::DifferentialChecker checker(sim);
-  ASSERT_FALSE(checker.options().differential);
-  expect_zero_alloc_checked_steady_state(sim, checker);
+  // The kept view, its drained-cell updates and each engine's own scratch
+  // must allocate nothing either.
+  for (const arb::MatchKind kind :
+       {arb::MatchKind::Islip, arb::MatchKind::Qps, arb::MatchKind::SwQps}) {
+    SCOPED_TRACE(std::string(arb::match_kind_name(kind)));
+    auto config = base_config(16);
+    config.allocation = sw::AllocationMode::IterativeMatching;
+    config.engine = kind;
+    config.match_iterations = 2;
+    sw::CrossbarSwitch sim(config, stable_workload(16));
+    check::DifferentialChecker checker(sim);
+    ASSERT_FALSE(checker.options().differential);
+    expect_zero_alloc_checked_steady_state(sim, checker);
+  }
+}
+
+TEST(HotPathAllocations, PassingConfigValidationIsAllocationFree) {
+  // A switch validates its SSVC parameters once per counter (radix² times)
+  // on every construction: a check that passes must not build its message.
+  const core::SsvcParams ssvc;
+  const sw::BufferConfig buffers;
+  traffic::FlowSpec gb;
+  gb.src = 1;
+  gb.dst = 2;
+  gb.cls = TrafficClass::GuaranteedBandwidth;
+  gb.reserved_rate = 0.25;
+  gb.inject_rate = 0.2;
+  core::OutputAllocation alloc = core::OutputAllocation::none(8);
+  alloc.gb_rate[1] = 0.25;
+  alloc.gl_rate = 0.1;
+  traffic::Workload workload = stable_workload(8);
+  workload.add_flow(gb);
+  workload.set_gl_reservation(2, 0.1, 4);
+  alloc_hook::reset();
+  for (int k = 0; k < 10; ++k) {
+    ssvc.validate();
+    buffers.validate();
+    gb.validate(8);
+    alloc.validate(8);
+    workload.validate();
+  }
+  EXPECT_EQ(alloc_hook::allocations(), 0u)
+      << "a passing validate() allocated";
 }
 
 }  // namespace

@@ -1093,16 +1093,36 @@ check::ScenarioRun matched_run(check::Scenario s, arb::MatchKind engine) {
   return run;
 }
 
+/// Backlog in flits behind crosspoint (i, o), from the port's buffers: the
+/// GB crosspoint queue, plus the GL and BE FIFOs when their head goes to o.
+std::uint32_t backlog_from_scratch(const InputPort& port, OutputId o) {
+  std::uint32_t backlog = port.gb_occupancy(o);
+  if (port.head(TrafficClass::GuaranteedLatency, o) != nullptr) {
+    backlog += port.gl_occupancy();
+  }
+  if (port.head(TrafficClass::BestEffort, o) != nullptr) {
+    backlog += port.be_occupancy();
+  }
+  return backlog;
+}
+
 /// First disagreement between the recorded view and a from-scratch one, or
-/// "" when they agree. `idle` is the expected idle set.
+/// "" when they agree. `idle` is the expected idle set. A non-chained
+/// winner popped its head after the view was taken, so its row is checked
+/// only for holding its eligible pairs; every other row is compared cell by
+/// cell: candidates, eligible and (engines) the backlog matrix.
 std::string view_mismatch(const CrossbarSwitch& sw, std::uint64_t idle) {
   const CycleRecord rec = sw.last_cycle();
   const std::uint32_t radix = sw.config().radix;
+  const bool engine = sw.config().engine != arb::MatchKind::None;
   const fault::FaultInjector* fi = sw.fault_injector();
   std::ostringstream why;
   why << "cycle " << rec.cycle << ": ";
-  if (rec.eligible.size() != radix) {
-    why << "the record holds " << rec.eligible.size() << " view rows";
+  if (rec.eligible.size() != radix || rec.candidates.size() != radix ||
+      rec.voq.size() != (engine ? std::size_t{radix} * radix : 0)) {
+    why << "the record holds " << rec.eligible.size() << " eligible rows, "
+        << rec.candidates.size() << " candidate rows and " << rec.voq.size()
+        << " backlog cells";
     return why.str();
   }
   std::uint64_t winners = 0;
@@ -1133,6 +1153,37 @@ std::string view_mismatch(const CrossbarSwitch& sw, std::uint64_t idle) {
           << ", from scratch 0x" << expect << " (reachable 0x" << reachable
           << ")";
       return why.str();
+    }
+    const std::uint64_t cand = rec.candidates[i];
+    if ((got & ~cand) != 0) {
+      why << "input " << i << " eligible 0x" << std::hex << got
+          << " outside its candidates 0x" << cand;
+      return why.str();
+    }
+    if (winner) continue;
+    std::uint64_t expect_cand = 0;
+    if (!dead) {
+      for (OutputId o = 0; o < radix; ++o) {
+        if (fi != nullptr && !fi->link_alive(i, o)) continue;
+        if (sw.candidate_for(i, o) != nullptr) expect_cand |= 1ULL << o;
+      }
+    }
+    if (cand != expect_cand) {
+      why << "input " << i << " candidates 0x" << std::hex << cand
+          << ", from scratch 0x" << expect_cand;
+      return why.str();
+    }
+    if (!engine) continue;
+    for (OutputId o = 0; o < radix; ++o) {
+      const std::uint32_t cell = rec.voq[std::size_t{i} * radix + o];
+      const std::uint32_t want =
+          ((cand >> o) & 1ULL) != 0 ? backlog_from_scratch(sw.input(i), o)
+                                    : 0;
+      if (cell != want) {
+        why << "input " << i << " backlog toward output " << o << " reads "
+            << cell << ", from scratch " << want;
+        return why.str();
+      }
     }
   }
   return "";
