@@ -90,6 +90,7 @@ TwoStageNetwork::TwoStageNetwork(const TwoStageConfig& config,
   source_q_.resize(flows_.size());
   delivered_.assign(flows_.size(), 0);
   throughput_.resize(flows_.size());
+  latency_.resize(flows_.size());
   injectors_.reserve(flows_.size());
   for (std::size_t f = 0; f < flows_.size(); ++f) {
     traffic::FlowSpec spec;
@@ -101,7 +102,6 @@ TwoStageNetwork::TwoStageNetwork(const TwoStageConfig& config,
     spec.inject = flows_[f].inject;
     spec.inject_rate = flows_[f].inject_rate;
     injectors_.emplace_back(spec, rng_.fork(static_cast<std::uint64_t>(f)));
-    latency_.register_flow(flows_[f].cls);
   }
   throughput_.open_window(0);
 }

@@ -1,15 +1,14 @@
-// Per-flow and per-class packet latency recording.
+// Per-flow packet latency recording.
 //
-// A LatencyRecorder owns one Streaming accumulator and one Histogram per flow
-// plus per-class aggregates. Flows register once (at workload build time);
-// the hot path is an index into a flat vector.
+// A LatencyRecorder owns one Streaming accumulator and one Histogram per flow,
+// sized once (at workload build time); the hot path is an index into a flat
+// vector.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "sim/contracts.hpp"
-#include "sim/types.hpp"
 #include "stats/histogram.hpp"
 #include "stats/streaming.hpp"
 
@@ -17,17 +16,14 @@ namespace ssq::stats {
 
 class LatencyRecorder {
  public:
-  /// `hist_bin_width` / `hist_bins` size every per-flow histogram.
-  explicit LatencyRecorder(double hist_bin_width = 4.0,
-                           std::size_t hist_bins = 512)
-      : bin_width_(hist_bin_width), bins_(hist_bins) {}
+  /// Every per-flow histogram has kHistBins bins kHistBinWidth cycles wide.
+  static constexpr double kHistBinWidth = 4.0;
+  static constexpr std::size_t kHistBins = 512;
 
-  /// Registers a flow; returns its dense index (== FlowId if registered in
-  /// FlowId order, which Workload guarantees).
-  std::size_t register_flow(TrafficClass cls) {
-    flows_.push_back(FlowSlot{Streaming{}, Histogram{bin_width_, bins_}, cls});
-    return flows_.size() - 1;
-  }
+  explicit LatencyRecorder(std::size_t num_flows = 0) { resize(num_flows); }
+
+  /// One empty slot per flow, indexed by FlowId.
+  void resize(std::size_t num_flows) { flows_.assign(num_flows, FlowSlot{}); }
 
   [[nodiscard]] std::size_t num_flows() const noexcept { return flows_.size(); }
 
@@ -36,8 +32,6 @@ class LatencyRecorder {
     auto& slot = flows_[flow];
     slot.summary.add(latency_cycles);
     slot.histogram.add(latency_cycles);
-    by_class_[static_cast<std::size_t>(slot.cls)].add(latency_cycles);
-    all_.add(latency_cycles);
   }
 
   [[nodiscard]] const Streaming& flow_summary(std::size_t flow) const {
@@ -48,36 +42,21 @@ class LatencyRecorder {
     SSQ_EXPECT(flow < flows_.size());
     return flows_[flow].histogram;
   }
-  [[nodiscard]] TrafficClass flow_class(std::size_t flow) const {
-    SSQ_EXPECT(flow < flows_.size());
-    return flows_[flow].cls;
-  }
-  [[nodiscard]] const Streaming& class_summary(TrafficClass cls) const noexcept {
-    return by_class_[static_cast<std::size_t>(cls)];
-  }
-  [[nodiscard]] const Streaming& overall() const noexcept { return all_; }
 
   void reset() noexcept {
     for (auto& f : flows_) {
       f.summary.reset();
       f.histogram.reset();
     }
-    for (auto& c : by_class_) c.reset();
-    all_.reset();
   }
 
  private:
   struct FlowSlot {
     Streaming summary;
-    Histogram histogram;
-    TrafficClass cls;
+    Histogram histogram{kHistBinWidth, kHistBins};
   };
 
-  double bin_width_;
-  std::size_t bins_;
   std::vector<FlowSlot> flows_;
-  Streaming by_class_[kNumClasses];
-  Streaming all_;
 };
 
 }  // namespace ssq::stats

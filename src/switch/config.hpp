@@ -128,11 +128,13 @@ struct SwitchConfig {
   /// Matching engine (iSLIP / QPS-r / SW-QPS / ...) replacing the per-output
   /// arbiter grant step under IterativeMatching allocation. None (default)
   /// keeps the classic path: SSVC/baseline arbiters arbitrate each output.
-  /// An engine ignores QoS state entirely — class priority survives only in
-  /// head selection (GL > GB > BE per input), so engine runs are checked
+  /// An engine is the whole arbitration state: the switch builds no
+  /// per-output arbiter under one, so there is no QoS state for faults to
+  /// corrupt or a scrubber to repair. Class priority survives only in head
+  /// selection (GL > GB > BE per input), so engine runs are checked
   /// invariants-only by the differential harness. Requires SsvcQos mode,
   /// IterativeMatching allocation and no packet chaining (chaining charges
-  /// the per-output arbiters an engine bypasses).
+  /// a per-output arbiter, which an engine does not have).
   arb::MatchKind engine = arb::MatchKind::None;
 
   /// Cycles consumed by output arbitration before the first flit moves.

@@ -48,23 +48,30 @@ CrossbarSwitch::CrossbarSwitch(const SwitchConfig& config,
   usage_.resize(radix);
   preemptions_.assign(radix, 0);
 
-  if (config_.mode == ArbitrationMode::SsvcQos) {
+  if (config_.engine != arb::MatchKind::None) {
+    // A matching engine is the whole arbitration state: it reads the matching
+    // view alone, so no per-output arbiter of either kind is built. The
+    // engine stream must be independent of the per-flow injector forks
+    // (rng_.fork(f) below) — derive it by hashing the seed once.
+    std::uint64_t sm = config_.seed ^ 0x6d61746368ULL;  // "match"
+    engine_ = arb::make_engine(config_.engine, radix, config_.match_iterations,
+                               splitmix64(sm));
+  } else if (config_.mode == ArbitrationMode::SsvcQos) {
     qos_.reserve(radix);
+    for (OutputId o = 0; o < radix; ++o) {
+      qos_.push_back(std::make_unique<core::OutputQosArbiter>(
+          radix, config_.ssvc, workload_.allocation_for(o),
+          config_.gl_policing, config_.gl_allowance_packets));
+    }
   } else {
     baseline_.reserve(radix);
-  }
-  for (OutputId o = 0; o < radix; ++o) {
-    auto alloc = workload_.allocation_for(o);
-    if (config_.mode == ArbitrationMode::SsvcQos) {
-      qos_.push_back(std::make_unique<core::OutputQosArbiter>(
-          radix, config_.ssvc, std::move(alloc), config_.gl_policing,
-          config_.gl_allowance_packets));
-    } else {
+    for (OutputId o = 0; o < radix; ++o) {
       // Rate-parameterised baselines receive the GB reservations; an input
       // with no reservation gets a nominal 1e-3 share where another input
       // holds one (a unit share where none does). Under TDM that share
       // rounds to no slot at small radix, so such an input starves on an
       // output that carries a reservation (TdmTest pins this).
+      const auto alloc = workload_.allocation_for(o);
       std::vector<double> rates(radix, 0.0);
       bool any = false;
       for (InputId i = 0; i < radix; ++i) {
@@ -77,14 +84,6 @@ CrossbarSwitch::CrossbarSwitch(const SwitchConfig& config,
       baseline_.push_back(arb::make_arbiter(config_.baseline, radix, rates,
                                             alloc.gb_packet_len));
     }
-  }
-
-  if (config_.engine != arb::MatchKind::None) {
-    // The engine stream must be independent of the per-flow injector forks
-    // (rng_.fork(f) below) — derive it by hashing the seed once.
-    std::uint64_t sm = config_.seed ^ 0x6d61746368ULL;  // "match"
-    engine_ = arb::make_engine(config_.engine, radix, config_.match_iterations,
-                               splitmix64(sm));
   }
 
   input_flows_.resize(radix);
@@ -103,6 +102,8 @@ CrossbarSwitch::CrossbarSwitch(const SwitchConfig& config,
   admitted_.assign(flows.size(), 0);
   delivered_.assign(flows.size(), 0);
   throughput_.resize(flows.size());
+  latency_.resize(flows.size());
+  wait_.resize(flows.size());
   gsf_quota_.assign(flows.size(), 0);
   gsf_used_.assign(flows.size(), 0);
   nonempty_src_flows_.assign(radix, 0);
@@ -110,8 +111,6 @@ CrossbarSwitch::CrossbarSwitch(const SwitchConfig& config,
     injectors_.emplace_back(flows[f], rng_.fork(f));
     arm_create(f, 0);  // every flow is visited at cycle 0
     input_flows_[flows[f].src].push_back(f);
-    latency_.register_flow(flows[f].cls);
-    wait_.register_flow(flows[f].cls);
     if (config_.gsf.enabled &&
         flows[f].cls == TrafficClass::GuaranteedBandwidth) {
       const double per_frame =
@@ -137,7 +136,7 @@ void CrossbarSwitch::attach_probe(obs::SwitchProbe* probe) {
   // is attached.
   admit_sleep_ = 0;
   // SSVC arbiters report their internals into the same probe; the class-blind
-  // baselines have no QoS state worth tracing.
+  // baselines have no QoS state worth tracing, and an engine has no arbiters.
   for (OutputId o = 0; o < qos_.size(); ++o) {
     qos_[o]->set_probe(probe, o);
   }
@@ -168,13 +167,13 @@ void CrossbarSwitch::attach_scrubber(fault::StateScrubber* scrubber) {
 }
 
 core::OutputQosArbiter& CrossbarSwitch::qos_arbiter(OutputId o) {
-  SSQ_EXPECT(config_.mode == ArbitrationMode::SsvcQos);
+  SSQ_EXPECT(config_.mode == ArbitrationMode::SsvcQos && engine_ == nullptr);
   SSQ_EXPECT(o < qos_.size());
   return *qos_[o];
 }
 
 const core::OutputQosArbiter& CrossbarSwitch::qos_arbiter(OutputId o) const {
-  SSQ_EXPECT(config_.mode == ArbitrationMode::SsvcQos);
+  SSQ_EXPECT(config_.mode == ArbitrationMode::SsvcQos && engine_ == nullptr);
   SSQ_EXPECT(o < qos_.size());
   return *qos_[o];
 }
@@ -910,9 +909,9 @@ void CrossbarSwitch::arbitrate_matched() {
 
 void CrossbarSwitch::arbitrate_engine() {
   // Matching-engine allocation: hand the matching view to the engine and
-  // commit the returned partial permutation. The per-output QoS arbiters
-  // stay idle — class priority survives only in candidate_for()'s head
-  // order (GL > GB > BE).
+  // commit the returned partial permutation. No per-output arbiter exists
+  // under an engine — class priority survives only in candidate_for()'s
+  // head order (GL > GB > BE).
   const std::uint32_t radix = config_.radix;
   StepScratch& s = scratch_;
   const bool any_candidate = fill_view();

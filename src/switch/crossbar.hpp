@@ -206,6 +206,8 @@ class CrossbarSwitch {
 
   // ---- introspection ----
   [[nodiscard]] const InputPort& input(InputId i) const;
+  /// Output o's SSVC arbiter. Requires SsvcQos mode and no matching engine
+  /// (an engine is the whole arbitration state: no per-output arbiter).
   [[nodiscard]] core::OutputQosArbiter& qos_arbiter(OutputId o);
   [[nodiscard]] const core::OutputQosArbiter& qos_arbiter(OutputId o) const;
   [[nodiscard]] bool output_idle(OutputId o) const;
@@ -239,15 +241,18 @@ class CrossbarSwitch {
   /// runs at the top of every step() and its port/crosspoint outages gate
   /// request selection; the LRG arbiters switch to fault-tolerant (graceful
   /// degradation) mode. Detached, each hook site costs a single branch on
-  /// this pointer. SSVC mode only for state corruption; outages apply in
-  /// every mode. The injector must outlive the switch or be detached first.
+  /// this pointer. State corruption (bitflips, stuck lanes) targets the SSVC
+  /// arbiters, so it acts only in SsvcQos mode without a matching engine;
+  /// outages apply in every mode. The injector must outlive the switch or be
+  /// detached first.
   void attach_fault_injector(fault::FaultInjector* injector);
   [[nodiscard]] fault::FaultInjector* fault_injector() const noexcept {
     return fault_;
   }
 
   /// Attaches (or with nullptr detaches) the periodic state scrubber, which
-  /// then runs at its interval from inside step(). Same lifetime rule.
+  /// then runs at its interval from inside step() over the SSVC arbiters
+  /// (none in baseline mode or under an engine). Same lifetime rule.
   void attach_scrubber(fault::StateScrubber* scrubber);
   [[nodiscard]] fault::StateScrubber* scrubber() const noexcept {
     return scrub_;
@@ -370,11 +375,12 @@ class CrossbarSwitch {
   // neither mask.
   std::uint64_t done_out_ = 0;
 
-  // QoS or baseline arbitration state, one per output.
+  // The arbitration state, exactly one kind per switch: one QoS or one
+  // baseline arbiter per output, or (config.engine != None) a matching engine
+  // that replaces the per-output grant step wholesale and leaves both
+  // vectors empty.
   std::vector<std::unique_ptr<core::OutputQosArbiter>> qos_;
   std::vector<std::unique_ptr<arb::Arbiter>> baseline_;
-  // Matching engine (config.engine != None): replaces the per-output grant
-  // step wholesale; the qos_ arbiters stay idle.
   std::unique_ptr<arb::MatchingEngine> engine_;
   EngineStats engine_stats_;
 

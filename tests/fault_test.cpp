@@ -1,15 +1,18 @@
 // Tests for src/fault: exhaustive single-bit-upset detection (every auxVC
 // register bit and every thermometer cell), scrub repair semantics and
-// latency, stuck-lane quarantine, LRG/GL-clock recovery, port outages, and
-// golden replay (equal plans realise bit-identical fault schedules).
+// latency, stuck-lane quarantine, LRG/GL-clock recovery, port outages,
+// golden replay (equal plans realise bit-identical fault schedules), and
+// plans under a matching engine (only outages act).
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "arb/matching.hpp"
 #include "core/output_arbiter.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "fault/scrubber.hpp"
+#include "obs/event.hpp"
 #include "sim/error.hpp"
 #include "switch/crossbar.hpp"
 #include "traffic/workload.hpp"
@@ -316,6 +319,53 @@ TEST(GoldenReplayTest, EqualPlansReplayIdentically) {
   EXPECT_EQ(a.log, b.log);
   EXPECT_EQ(a.repairs, b.repairs);
   EXPECT_EQ(a.delivered, b.delivered);
+}
+
+// --------------------------------------------------- engines and faults ----
+
+// A matching engine is the whole arbitration state: the switch builds no
+// per-output arbiter under one, so bitflips and stuck lanes have no target
+// and only outages act. Under every engine the injector logs the port kill
+// alone, the scrubber repairs nothing, and every flow delivers exactly what a
+// twin run with the outages alone delivers.
+TEST(EngineFaultTest, OnlyOutagesActUnderEveryEngine) {
+  const auto run = [](arb::MatchKind kind, const FaultPlan& plan,
+                      std::vector<fault::InjectedFault>& log) {
+    sw::SwitchConfig cfg = fault_config();
+    cfg.allocation = sw::AllocationMode::IterativeMatching;
+    cfg.engine = kind;
+    sw::CrossbarSwitch sim(cfg, replay_workload());
+    FaultInjector injector(plan);
+    StateScrubber scrubber(/*interval=*/128);
+    sim.attach_fault_injector(&injector);
+    sim.attach_scrubber(&scrubber);
+    sim.warmup(500);
+    sim.measure(4000);
+    EXPECT_EQ(scrubber.repairs(), 0u);
+    log = injector.log();
+    std::vector<std::uint64_t> delivered;
+    for (FlowId f = 0; f < sim.workload().num_flows(); ++f) {
+      delivered.push_back(sim.delivered_packets(f));
+    }
+    return delivered;
+  };
+  const FaultPlan faulted = replay_plan();
+  ASSERT_GT(faulted.bitflip_rate, 0.0);
+  ASSERT_FALSE(faulted.stuck_lanes.empty());
+  FaultPlan outages;
+  outages.port_kills = faulted.port_kills;
+  const fault::InjectedFault kill{1000, obs::kTargetPortKill, kNoPort, 3, 1};
+  for (const arb::MatchKind kind :
+       {arb::MatchKind::Islip, arb::MatchKind::Qps, arb::MatchKind::SwQps,
+        arb::MatchKind::Ssvc}) {
+    SCOPED_TRACE(arb::match_kind_name(kind));
+    std::vector<fault::InjectedFault> log;
+    const std::vector<std::uint64_t> delivered = run(kind, faulted, log);
+    EXPECT_EQ(log, std::vector<fault::InjectedFault>{kill});
+    std::vector<fault::InjectedFault> twin_log;
+    EXPECT_EQ(delivered, run(kind, outages, twin_log));
+    EXPECT_EQ(twin_log, log);
+  }
 }
 
 // ----------------------------------------------------------- bad plans ----

@@ -117,32 +117,24 @@ TEST(HistogramTest, MergeAddsCounts) {
   EXPECT_DOUBLE_EQ(a.max_seen(), 15.0);
 }
 
-TEST(LatencyRecorderTest, PerFlowAndPerClass) {
-  LatencyRecorder rec;
-  const auto f0 = rec.register_flow(TrafficClass::GuaranteedBandwidth);
-  const auto f1 = rec.register_flow(TrafficClass::BestEffort);
-  rec.record(f0, 10.0);
-  rec.record(f0, 20.0);
-  rec.record(f1, 100.0);
+TEST(LatencyRecorderTest, PerFlow) {
+  LatencyRecorder rec(2);
+  rec.record(0, 10.0);
+  rec.record(0, 20.0);
+  rec.record(1, 100.0);
   EXPECT_EQ(rec.num_flows(), 2u);
-  EXPECT_DOUBLE_EQ(rec.flow_summary(f0).mean(), 15.0);
-  EXPECT_DOUBLE_EQ(rec.flow_summary(f1).mean(), 100.0);
-  EXPECT_DOUBLE_EQ(
-      rec.class_summary(TrafficClass::GuaranteedBandwidth).mean(), 15.0);
-  EXPECT_DOUBLE_EQ(rec.class_summary(TrafficClass::BestEffort).mean(), 100.0);
-  EXPECT_EQ(rec.class_summary(TrafficClass::GuaranteedLatency).count(), 0u);
-  EXPECT_EQ(rec.overall().count(), 3u);
-  EXPECT_EQ(rec.flow_class(f1), TrafficClass::BestEffort);
+  EXPECT_DOUBLE_EQ(rec.flow_summary(0).mean(), 15.0);
+  EXPECT_DOUBLE_EQ(rec.flow_summary(1).mean(), 100.0);
+  EXPECT_EQ(rec.flow_histogram(0).total(), 2u);
+  EXPECT_EQ(rec.flow_histogram(1).total(), 1u);
 }
 
 TEST(LatencyRecorderTest, ResetClearsEverything) {
-  LatencyRecorder rec;
-  const auto f = rec.register_flow(TrafficClass::GuaranteedLatency);
-  rec.record(f, 5.0);
+  LatencyRecorder rec(1);
+  rec.record(0, 5.0);
   rec.reset();
-  EXPECT_EQ(rec.flow_summary(f).count(), 0u);
-  EXPECT_EQ(rec.overall().count(), 0u);
-  EXPECT_EQ(rec.flow_histogram(f).total(), 0u);
+  EXPECT_EQ(rec.flow_summary(0).count(), 0u);
+  EXPECT_EQ(rec.flow_histogram(0).total(), 0u);
 }
 
 TEST(ThroughputMeterTest, WindowedRates) {
