@@ -35,7 +35,9 @@
 
 namespace ssq::arb {
 
-/// Matching-engine selector. None = the classic per-output Arbiter path.
+/// Matching-engine selector. None = no engine: single-request allocation,
+/// each idle input asserts one request and every requested output runs its
+/// own SSVC or baseline arbiter.
 enum class MatchKind : std::uint8_t {
   None = 0,
   /// iSLIP [McKeown '99]: per-output round-robin grant pointers, per-input

@@ -43,10 +43,10 @@ DifferentialChecker::DifferentialChecker(sw::CrossbarSwitch& sim,
   progress_guard_ = cfg.engine != arb::MatchKind::None;
 
   // The differential legs predict SSVC state exactly; anything else (baseline
-  // arbiters, iterative matching, fault injection) falls back to
+  // arbiters, a matching engine, fault injection) falls back to
   // invariants-only checking.
   if (cfg.mode != sw::ArbitrationMode::SsvcQos ||
-      cfg.allocation != sw::AllocationMode::SingleRequest ||
+      cfg.engine != arb::MatchKind::None ||
       sim_.fault_injector() != nullptr) {
     opts_.differential = false;
   }
@@ -139,7 +139,7 @@ void DifferentialChecker::check_cycle(const sw::CycleRecord& rec) {
 
   // Outputs with >= 1 request this cycle. A kept request may name a busy
   // output, which asserts nothing, so the requests count on idle outputs
-  // only (rec.idle is 0 under IterativeMatching, whose rows are idle-only).
+  // only (rec.idle is 0 under an engine, whose view rows are idle-only).
   std::uint64_t requested = 0;
   for (const sw::PendingRequest& p : rec.pending) {
     if (p.out != kNoPort) requested |= 1ULL << p.out;
@@ -236,8 +236,8 @@ void DifferentialChecker::check_grant(const sw::CycleRecord& rec,
   granted_in_ |= 1ULL << i;
 
   if (!rec.eligible.empty() && !g.chained) {
-    // IterativeMatching (classic or engine) records every eligible (input,
-    // output) pair; a grant outside that set matched an ineligible pair.
+    // An engine's cycle records every eligible (input, output) pair; a grant
+    // outside that set matched an ineligible pair.
     if (i >= rec.eligible.size() || ((rec.eligible[i] >> o) & 1ULL) == 0) {
       fail(t, o, "unrequested_grant",
            "granted input " + std::to_string(i) +

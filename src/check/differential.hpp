@@ -48,8 +48,8 @@
 namespace ssq::check {
 
 struct CheckOptions {
-  /// Reference-model + circuit comparisons. Requires SsvcQos mode with
-  /// SingleRequest allocation and no fault injection (faults legitimately
+  /// Reference-model + circuit comparisons. Requires SsvcQos mode without a
+  /// matching engine and no fault injection (faults legitimately
   /// corrupt the state the oracle predicts). Invariants always run.
   bool differential = true;
   /// Third leg: bit-level circuit arbitration per grant (differential only).
@@ -162,8 +162,8 @@ class DifferentialChecker {
   // consecutive cycles with >= 1 request but zero grants switch-wide. An
   // honest engine matches at least one eligible pair per cycle (SW-QPS's
   // window gaps are bounded by T + the longest packet), so a streak past the
-  // threshold means the engine starves the switch. NOT armed for the classic
-  // paths: GL Stall policing under SingleRequest can legitimately hold an
+  // threshold means the engine starves the switch. NOT armed for the
+  // single-request path: GL Stall policing there can legitimately hold an
   // output for thousands of cycles.
   bool progress_guard_ = false;
   Cycle stall_streak_ = 0;

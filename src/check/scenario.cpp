@@ -42,9 +42,6 @@ sw::SwitchConfig Scenario::build_config() const {
   config.ssvc = ssvc;
   config.buffers = buffers;
   config.mode = sw::ArbitrationMode::SsvcQos;
-  config.allocation = matching_engine == arb::MatchKind::None
-                          ? sw::AllocationMode::SingleRequest
-                          : sw::AllocationMode::IterativeMatching;
   config.engine = matching_engine;
   config.match_iterations = match_iterations;
   config.gl_policing = gl_policing;
@@ -242,7 +239,7 @@ Scenario generate_scenario(std::uint64_t index, std::uint64_t base_seed) {
   // ~1 in 4 scenarios swaps the arbiters for a matching engine (checked
   // invariants-only plus the progress guard). Sampled LAST so the draw
   // sequence — and thus every scenario generated before this knob existed —
-  // is unchanged for the classic path.
+  // is unchanged for the single-request path.
   const std::uint64_t eng = rng.below(16);
   if (eng >= 12) {
     s.matching_engine = eng == 12   ? arb::MatchKind::Islip

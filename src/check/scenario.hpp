@@ -44,7 +44,7 @@ struct Scenario {
   std::uint32_t gl_allowance = 32;
   bool packet_chaining = false;
   std::uint32_t arbitration_cycles = 1;
-  /// Matching engine replacing the per-output arbiters (None = the classic
+  /// Matching engine replacing the per-output arbiters (None = the
   /// single-request path). Engine scenarios run invariants-only, plus the
   /// checker's progress guard and unrequested-grant checks.
   arb::MatchKind matching_engine = arb::MatchKind::None;
@@ -69,10 +69,9 @@ struct Scenario {
 
   [[nodiscard]] bool has_faults() const noexcept { return !faults.empty(); }
 
-  /// Switch configuration implied by this scenario: SsvcQos + SingleRequest
-  /// (the differential-checkable configuration), or SsvcQos +
-  /// IterativeMatching when a matching engine is set. Validates; throws
-  /// ssq::ConfigError.
+  /// Switch configuration implied by this scenario: SsvcQos, single-request
+  /// (the differential-checkable configuration) or under the matching engine
+  /// when one is set. Validates; throws ssq::ConfigError.
   [[nodiscard]] sw::SwitchConfig build_config() const;
   /// Workload implied by this scenario. Validates; throws ssq::ConfigError.
   [[nodiscard]] traffic::Workload build_workload() const;

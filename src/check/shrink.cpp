@@ -131,7 +131,7 @@ struct Shrinker {
     if (best.gsf.enabled) try_flag([](Scenario& c) { c.gsf.enabled = false; });
     if (best.matching_engine != arb::MatchKind::None) {
       // Engine-independent failures (conservation, double grants) shrink to
-      // the classic path; engine-specific ones keep the engine but try the
+      // the single-request path; engine-specific ones keep the engine but try the
       // smallest iteration budget.
       try_flag([](Scenario& c) { c.matching_engine = arb::MatchKind::None; });
       if (best.match_iterations > 1) {

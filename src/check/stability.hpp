@@ -1,6 +1,5 @@
 // Stability lab — cell-based throughput/delay measurement for the matching
-// engines (bench/stability_lab drives it; matching_test.cpp leans on it for
-// property checks).
+// engines (bench/stability_lab is its one user).
 //
 // The crossbar model (sw::CrossbarSwitch) carries packets, arbitration
 // cycles, finite buffers and QoS state; the scheduling literature's

@@ -59,22 +59,6 @@ enum class ArbitrationMode : std::uint8_t {
   Baseline = 1,
 };
 
-/// How inputs present requests to the outputs each cycle.
-enum class AllocationMode : std::uint8_t {
-  /// Each idle input asserts exactly ONE request (the Swizzle Switch model:
-  /// one input bus, requests raised by the port logic). Simple, but an
-  /// input whose chosen output loses arbitration idles the cycle even if
-  /// another of its queues could have been served.
-  SingleRequest = 0,
-  /// iSLIP-style iterative matching (extension): inputs expose every ready
-  /// head; unmatched outputs run their (QoS or baseline) arbitration as the
-  /// grant step; inputs accept one grant (class priority, then a rotating
-  /// pointer); unmatched ports retry for `match_iterations` rounds. Improves
-  /// utilisation under multi-destination traffic at the cost of a more
-  /// complex allocator than the paper's single-cycle story.
-  IterativeMatching = 1,
-};
-
 struct SwitchConfig {
   std::uint32_t radix = 8;
   core::SsvcParams ssvc{};
@@ -119,21 +103,20 @@ struct SwitchConfig {
   };
   PvcConfig pvc{};
 
-  /// Input-request presentation policy (see AllocationMode).
-  AllocationMode allocation = AllocationMode::SingleRequest;
-  /// Matching rounds when allocation == IterativeMatching; doubles as the
-  /// window size T for the SW-QPS engine.
+  /// Matching rounds of the engine below; doubles as the window size T for
+  /// the SW-QPS engine. Read only under an engine.
   std::uint32_t match_iterations = 2;
-
-  /// Matching engine (iSLIP / QPS-r / SW-QPS / ...) replacing the per-output
-  /// arbiter grant step under IterativeMatching allocation. None (default)
-  /// keeps the classic path: SSVC/baseline arbiters arbitrate each output.
-  /// An engine is the whole arbitration state: the switch builds no
-  /// per-output arbiter under one, so there is no QoS state for faults to
-  /// corrupt or a scrubber to repair. Class priority survives only in head
-  /// selection (GL > GB > BE per input), so engine runs are checked
-  /// invariants-only by the differential harness. Requires SsvcQos mode,
-  /// IterativeMatching allocation and no packet chaining (chaining charges
+  /// Matching engine (iSLIP / QPS-r / SW-QPS / ...). None (default): each
+  /// idle input asserts exactly ONE request (the Swizzle Switch model: one
+  /// input bus, requests raised by the port logic) and every requested idle
+  /// output runs its SSVC or baseline arbiter. With an engine, every idle
+  /// input instead exposes all its heads through the matching view and the
+  /// engine computes the input-output matching. An engine is the whole
+  /// arbitration state: the switch builds no per-output arbiter under one,
+  /// so there is no QoS state for faults to corrupt or a scrubber to repair.
+  /// Class priority survives only in head selection (GL > GB > BE per
+  /// input), so engine runs are checked invariants-only by the differential
+  /// harness. Requires SsvcQos mode and no packet chaining (chaining charges
   /// a per-output arbiter, which an engine does not have).
   arb::MatchKind engine = arb::MatchKind::None;
 
@@ -165,9 +148,6 @@ struct SwitchConfig {
     detail::config_check(match_iterations >= 1 && match_iterations <= 8,
                          "match_iterations out of range [1,8]");
     if (engine != arb::MatchKind::None) {
-      detail::config_check(allocation == AllocationMode::IterativeMatching,
-                           "a matching engine requires IterativeMatching "
-                           "allocation");
       detail::config_check(mode == ArbitrationMode::SsvcQos,
                            "a matching engine requires SsvcQos mode");
       detail::config_check(!packet_chaining,

@@ -88,7 +88,6 @@ CrossbarSwitch::CrossbarSwitch(const SwitchConfig& config,
 
   input_flows_.resize(radix);
   accept_ptr_.assign(radix, 0);
-  accept_out_ptr_.assign(radix, 0);
   const auto& flows = workload_.flows();
   injectors_.reserve(flows.size());
   source_q_.resize(flows.size());
@@ -658,24 +657,20 @@ void CrossbarSwitch::arbitrate() {
         s.base_reqs.push_back({i, p.length, p.buffered,
                                workload_.flow(p.flow).legacy_priority});
       }
-      winner = baseline_[o]->pick(s.base_reqs, now_);
+      arb::Arbiter& arbiter = *baseline_[o];
+      winner = arbiter.pick(s.base_reqs, now_);
       if (winner == kNoPort) continue;  // TDM: off-slot or idle slot owner
-      charge_baseline(o, winner, s.pending[winner].length);
+      if (config_.pvc.preemption) {
+        // validate() admits preemption only over the PVC arbiter. Read the
+        // level preempt_scan() compares challengers against before
+        // on_grant() raises it.
+        transmissions_[o].granted_level =
+            static_cast<arb::PvcArbiter&>(arbiter).level(winner, now_);
+      }
+      arbiter.on_grant(winner, s.pending[winner].length, now_);
     }
     commit_grant(winner, o, s.pending[winner].cls, /*chained=*/false);
   }
-}
-
-void CrossbarSwitch::charge_baseline(OutputId o, InputId winner,
-                                    std::uint32_t length) {
-  arb::Arbiter& arbiter = *baseline_[o];
-  if (config_.pvc.preemption) {
-    // validate() admits preemption only over the PVC arbiter. Read the
-    // level before on_grant() raises it.
-    transmissions_[o].granted_level =
-        static_cast<arb::PvcArbiter&>(arbiter).level(winner, now_);
-  }
-  arbiter.on_grant(winner, length, now_);
 }
 
 void CrossbarSwitch::commit_grant(InputId winner, OutputId o,
@@ -686,7 +681,7 @@ void CrossbarSwitch::commit_grant(InputId winner, OutputId o,
   // The winner selects again, and its matching-view row is rebuilt, from the
   // next selection or view on; so does every other requester of o that holds
   // a head for another output, while the rest keep their request on o
-  // (select_requests). The masks are empty outside single-request mode.
+  // (select_requests). The masks are empty under an engine.
   std::uint64_t mark = 1ULL << winner;
   for (std::uint64_t w = scratch_.masks[o].any() & ~mark; w != 0;
        w &= w - 1) {
@@ -746,7 +741,6 @@ void CrossbarSwitch::drain_view_cell(InputId i, TrafficClass cls,
 bool CrossbarSwitch::fill_view() {
   const std::uint32_t radix = config_.radix;
   StepScratch& s = scratch_;
-  const bool voq = engine_ != nullptr;
   fault::FaultInjector* const fi = fault_;
   // Rebuild the rows of the inputs whose heads or crosspoints changed since
   // the last view: the reselect_ marks of admission, a grant's winner, a
@@ -773,7 +767,6 @@ bool CrossbarSwitch::fill_view() {
       s.candidate_rows &= ~(1ULL << i);
       s.eligible[i] = 0;  // rows without candidates are not derived below
     }
-    if (!voq) continue;
     // A cell that left the candidate set reads 0 again: SW-QPS reads the
     // backlog of window pairs that are no longer candidates.
     std::uint32_t* const row =
@@ -794,117 +787,6 @@ bool CrossbarSwitch::fill_view() {
     s.eligible[i] = inputs_[i].busy(now_) ? 0 : (s.candidates[i] & idle);
   }
   return s.candidate_rows != 0;
-}
-
-void CrossbarSwitch::arbitrate_matched() {
-  // iSLIP-style request/grant/accept over the matching view. Every
-  // iteration: each unsettled idle output runs its (QoS or baseline)
-  // arbitration over the unmatched inputs eligible for it (the GRANT step);
-  // each input then ACCEPTS at most one grant — highest class first, then a
-  // rotating pointer over outputs — and the pair is committed immediately,
-  // so later iterations arbitrate against updated state. A commit pops only
-  // its own input's head, and a matched input leaves the transpose, so the
-  // view stays exact for every input still unmatched.
-  const std::uint32_t radix = config_.radix;
-  StepScratch& s = scratch_;
-  fill_view();
-  // The view's transpose: bit i of requesters[o] == input i is eligible for
-  // o, in the class of its candidate head.
-  std::fill(s.requesters.begin(), s.requesters.end(), core::ClassMasks{});
-  for (InputId i = 0; i < radix; ++i) {
-    for (std::uint64_t w = s.eligible[i]; w != 0; w &= w - 1) {
-      const auto o = static_cast<OutputId>(std::countr_zero(w));
-      s.requesters[o].add(i, candidate_for(i, o)->cls);
-    }
-  }
-
-  std::uint64_t out_open = idle_outputs();  // idle and not yet settled
-  const bool ssvc = config_.mode == ArbitrationMode::SsvcQos;
-  for (std::uint32_t iter = 0; iter < config_.match_iterations; ++iter) {
-    // GRANT step: every open output picks a winner among its requesters
-    // (all unmatched) and offers it the grant.
-    std::uint64_t offered_to = 0;  // inputs holding >= 1 offer
-    for (std::uint64_t w = out_open; w != 0; w &= w - 1) {
-      const auto o = static_cast<OutputId>(std::countr_zero(w));
-      const core::ClassMasks& m = s.requesters[o];
-      if (m.any() == 0) continue;
-      // Matched mode exposes every ready head; report each (input, output)
-      // candidacy once, on the first matching round.
-      if (iter == 0 && obs_ != nullptr) {
-        for (std::uint64_t q = m.any(); q != 0; q &= q - 1) {
-          const auto i = static_cast<InputId>(std::countr_zero(q));
-          obs_->request(now_, i, o, m.class_of(i));
-        }
-      }
-      InputId winner = kNoPort;
-      if (ssvc) {
-        auto& arbiter = *qos_[o];
-        arbiter.advance_to(now_);
-        winner = arbiter.pick_masked(m, now_);
-        if (winner == kNoPort) {  // stalled GL only
-          out_open &= ~(1ULL << o);
-          continue;
-        }
-        s.grant_cls[o] = arbiter.picked_class();
-      } else {
-        s.base_reqs.clear();
-        for (std::uint64_t q = m.any(); q != 0; q &= q - 1) {
-          const auto i = static_cast<InputId>(std::countr_zero(q));
-          const Packet& h = *inputs_[i].head(m.class_of(i), o);
-          s.base_reqs.push_back({i, h.length, h.buffered,
-                                 workload_.flow(h.flow).legacy_priority});
-        }
-        winner = baseline_[o]->pick(s.base_reqs, now_);
-        if (winner == kNoPort) continue;  // TDM off-slot
-        s.grant_cls[o] = m.class_of(winner);
-      }
-      s.offered[winner] |= 1ULL << o;
-      offered_to |= 1ULL << winner;
-    }
-    if (offered_to == 0) break;
-
-    // ACCEPT step: each input takes its best offer, walking its offers from
-    // its accept pointer: the outputs at or above it first, then the ones
-    // below it.
-    for (std::uint64_t w = offered_to; w != 0; w &= w - 1) {
-      const auto i = static_cast<InputId>(std::countr_zero(w));
-      const std::uint64_t offers = s.offered[i];
-      s.offered[i] = 0;
-      const std::uint64_t below = (1ULL << accept_out_ptr_[i]) - 1;  // < 64
-      OutputId best = kNoPort;
-      for (std::uint64_t q : {offers & ~below, offers & below}) {
-        for (; q != 0; q &= q - 1) {
-          const auto o = static_cast<OutputId>(std::countr_zero(q));
-          if (best == kNoPort ||
-              higher_priority(s.grant_cls[o], s.grant_cls[best])) {
-            best = o;
-          }
-        }
-      }
-
-      const TrafficClass cls = s.grant_cls[best];
-      const Packet* h = inputs_[i].head(cls, best);
-      SSQ_ENSURE(h != nullptr);
-      const std::uint32_t length = h->length;
-      if (ssvc) {
-        qos_[best]->on_grant(i, cls, length, now_);
-      } else {
-        // Restage the staged baselines (WRR/DWRR) on the accepted pair.
-        s.restage.clear();
-        s.restage.push_back({i, length, h->buffered,
-                             workload_.flow(h->flow).legacy_priority});
-        const InputId confirm = baseline_[best]->pick(s.restage, now_);
-        SSQ_ENSURE(confirm == i);
-        charge_baseline(best, i, length);
-      }
-      commit_grant(i, best, cls, /*chained=*/false);
-      for (std::uint64_t q = s.eligible[i]; q != 0; q &= q - 1) {
-        s.requesters[static_cast<OutputId>(std::countr_zero(q))].remove(i);
-      }
-      out_open &= ~(1ULL << best);
-      accept_out_ptr_[i] = (best + 1) % radix;
-    }
-  }
 }
 
 void CrossbarSwitch::arbitrate_engine() {
@@ -965,12 +847,8 @@ void CrossbarSwitch::step() {
   inject_admit();
   transfer();
   if (config_.pvc.preemption) preempt_scan();
-  if (config_.allocation == AllocationMode::IterativeMatching) {
-    if (engine_ != nullptr) {
-      arbitrate_engine();
-    } else {
-      arbitrate_matched();
-    }
+  if (engine_ != nullptr) {
+    arbitrate_engine();
   } else {
     arbitrate();
   }
@@ -986,15 +864,15 @@ CycleRecord CrossbarSwitch::last_cycle() const noexcept {
   r.created = created_;
   r.admitted = admitted_;
   r.delivered = delivered_;
-  if (config_.allocation == AllocationMode::SingleRequest) {
+  if (engine_ != nullptr) {
+    r.eligible = scratch_.eligible;
+    r.candidates = scratch_.candidates;
+    r.voq = scratch_.voq;
+  } else {
     r.pending = scratch_.pending;
     r.masks = scratch_.masks;
     r.requested = scratch_.requested;
     r.idle = scratch_.idle;
-  } else {
-    r.eligible = scratch_.eligible;
-    r.candidates = scratch_.candidates;
-    if (engine_ != nullptr) r.voq = scratch_.voq;
   }
   return r;
 }

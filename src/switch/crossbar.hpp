@@ -16,10 +16,9 @@
 //                single-cycle arbitration (three-class SSVC, or a
 //                class-blind baseline arbiter) and the winner's packet
 //                seizes the channel for 1 arbitration cycle + `length`
-//                transfer cycles. Under IterativeMatching every idle input
+//                transfer cycles. Under a matching engine every idle input
 //                instead exposes all its heads through the matching view
-//                (fill_view), which the classic matcher and the matching
-//                engines both read.
+//                (fill_view), which the engine reads.
 //
 // An output is idle when it is neither transmitting (active_out_) nor
 // carrying the last flit of a transmission this cycle (done_out_): that one
@@ -298,32 +297,26 @@ class CrossbarSwitch {
   /// those holding a head for an output that turned idle, moving their bits
   /// in the per-output class masks. The .cpp lists the reselect rules.
   void select_requests();
-  /// Single-request allocation: one arbitration per requested idle output,
-  /// from the kept requests.
+  /// Single-request allocation (no engine): one arbitration per requested
+  /// idle output, from the kept requests; a baseline grant first records the
+  /// PVC level preempt_scan() compares challengers against.
   void arbitrate();
-  /// Brings the matching view both IterativeMatching allocators read up to
-  /// now_. candidates[i] = the outputs input i holds a head for over a live
-  /// crosspoint (none while its port is dead) and, with an engine attached,
-  /// `voq` = the backlog behind every candidate crosspoint (0 elsewhere) are
-  /// kept across cycles: only the rows of the inputs marked in reselect_ are
-  /// rebuilt, and transfer() keeps each drained cell current
-  /// (drain_view_cell). eligible[i] = the candidates idle this cycle (none
-  /// while the port is busy) is derived afresh. Returns whether any input
-  /// holds a candidate.
+  /// Brings the matching view the engine reads up to now_. candidates[i] =
+  /// the outputs input i holds a head for over a live crosspoint (none while
+  /// its port is dead) and `voq` = the backlog behind every candidate
+  /// crosspoint (0 elsewhere) are kept across cycles: only the rows of the
+  /// inputs marked in reselect_ are rebuilt, and transfer() keeps each
+  /// drained cell current (drain_view_cell). eligible[i] = the candidates
+  /// idle this cycle (none while the port is busy) is derived afresh.
+  /// Returns whether any input holds a candidate.
   bool fill_view();
   /// Recomputes the one `voq` cell of input i that a flit drained from its
   /// (cls, dst) buffer changed.
   void drain_view_cell(InputId i, TrafficClass cls, OutputId dst);
-  /// Classic IterativeMatching: request/grant/accept rounds of the
-  /// per-output arbiters over the view's transpose.
-  void arbitrate_matched();
   /// Matching-engine allocation (config.engine != None): hand the view to
   /// the engine, commit the matching it returns.
   void arbitrate_engine();
   void preempt_scan();
-  /// Charges output o's baseline arbiter with its grant (on_grant), first
-  /// recording the PVC level preempt_scan() compares challengers against.
-  void charge_baseline(OutputId o, InputId winner, std::uint32_t length);
   /// The one grant commit: pops the winner's packet, charges usage, seizes
   /// the channel. A chained grant (Packet Chaining, from complete()) skips
   /// the arbitration cycles: its first flit moves next cycle.
@@ -425,7 +418,7 @@ class CrossbarSwitch {
   std::uint64_t admit_sleep_ = 0;
   // Request re-selection marks: reselect_ = inputs select_requests()
   // re-selects this cycle (single-request mode), or whose matching-view row
-  // fill_view() rebuilds (IterativeMatching); reselect_next_ = marks made
+  // fill_view() rebuilds (under an engine); reselect_next_ = marks made
   // before this cycle's selection that apply from the next one (a port
   // freed by a completing transmission is busy through this cycle).
   std::uint64_t reselect_ = 0;
@@ -436,8 +429,6 @@ class CrossbarSwitch {
   std::vector<std::uint32_t> gsf_quota_;   // 0 = unregulated (BE/GL)
   std::vector<std::uint32_t> gsf_used_;
   Cycle gsf_frame_start_ = 0;
-  // IterativeMatching: per-input rotating accept pointer over outputs.
-  std::vector<OutputId> accept_out_ptr_;
   // The cycle arena: sized at construction, reused every step so the
   // steady-state cycle loop never touches the heap.
   StepScratch scratch_;

@@ -49,8 +49,8 @@ obs::ConformanceConfig make_conformance_config(
   cfg.arbitration_cycles = config.arbitration_cycles;
   const std::uint32_t radix = config.radix;
 
-  // GB applicability mirrors the GL gate below: under SingleRequest an
-  // input raises one request per cycle, so two guaranteed flows sharing an
+  // GB applicability mirrors the GL gate below: under single-request
+  // allocation an input raises one request per cycle, so two guaranteed flows sharing an
   // input serialize *before* the output arbiter and neither can be held to
   // its per-output reservation (Fig. 4's setup is one guaranteed flow per
   // input). Judge a GB flow only when it is its input's sole guaranteed
@@ -95,7 +95,7 @@ obs::ConformanceConfig make_conformance_config(
   }
 
   // Eq. (1) applicability: the bound assumes a GL packet is head-of-line at
-  // its input the whole time it waits. Under SingleRequest allocation an
+  // its input the whole time it waits. Under single-request allocation an
   // input raises ONE request, and the GL request is only raised while the
   // destination output is idle — so an input mixing GL with other classes
   // (or spreading GL over several outputs) serializes its GL packets behind

@@ -17,8 +17,8 @@
 //     request may name an output that has turned busy: it is the request
 //     select_one() asserts once that output is idle again, and it counts only
 //     on idle outputs;
-//   - the IterativeMatching view's `candidates`, `candidate_rows` and `voq`
-//     (engines only): CrossbarSwitch::fill_view() rebuilds only the rows of
+//   - the matching view's `candidates`, `candidate_rows` and `voq` (under
+//     an engine): CrossbarSwitch::fill_view() rebuilds only the rows of
 //     the inputs whose heads or crosspoints changed, and a drained flit
 //     updates its one `voq` cell.
 // Everything else is per-cycle scratch: the view's `eligible`, derived each
@@ -75,11 +75,10 @@ struct CycleRecord {
   std::span<const core::ClassMasks> masks;
   std::uint64_t requested = 0;
   std::uint64_t idle = 0;
-  /// IterativeMatching only (classic matcher and engines): bit o of
-  /// eligible[i] = input i may match o this cycle; bit o of candidates[i] =
-  /// input i holds a head for o over a live crosspoint. With an engine
-  /// attached (empty otherwise), voq[i * radix + o] = the backlog in flits
-  /// behind each candidate crosspoint, 0 off the candidates.
+  /// Matching engines only: bit o of eligible[i] = input i may match o this
+  /// cycle; bit o of candidates[i] = input i holds a head for o over a live
+  /// crosspoint; voq[i * radix + o] = the backlog in flits behind each
+  /// candidate crosspoint, 0 off the candidates.
   std::span<const std::uint64_t> eligible;
   std::span<const std::uint64_t> candidates;
   std::span<const std::uint32_t> voq;
@@ -102,10 +101,6 @@ struct StepScratch {
     eligible.resize(radix);
     candidates.resize(radix);
     voq.resize(static_cast<std::size_t>(radix) * radix);
-    requesters.resize(radix);
-    offered.resize(radix);
-    grant_cls.resize(radix);
-    restage.reserve(1);
     match.resize(radix);
     grants.reserve(radix);
   }
@@ -134,26 +129,17 @@ struct StepScratch {
   std::uint64_t idle = 0;               // outputs idle at the last selection
 
   // ---- baseline request list of one output, input order preserved ----
-  // Also reused as the per-output gather buffer by the iterative matcher.
   std::vector<arb::Request> base_reqs;
 
-  // ---- the matching view (fill_view, IterativeMatching) ----
+  // ---- the matching view (fill_view, engines only) ----
   // What arb::MatchView points into: per input, the outputs it may match
-  // this cycle (derived per cycle) and the outputs it holds a head for over
-  // a live crosspoint (kept); the kept backlog matrix is maintained for
-  // engines only. candidate_rows has bit i set iff candidates[i] != 0.
+  // this cycle (derived per cycle), the outputs it holds a head for over a
+  // live crosspoint (kept) and the kept backlog matrix. candidate_rows has
+  // bit i set iff candidates[i] != 0.
   std::vector<std::uint64_t> eligible;    // per input
   std::vector<std::uint64_t> candidates;  // per input
   std::uint64_t candidate_rows = 0;
   std::vector<std::uint32_t> voq;         // radix x radix, row-major
-
-  // ---- classic iterative matching (arbitrate_matched) ----
-  /// The view's transpose: bit i of requesters[o] == input i is eligible
-  /// for output o, in the class of its candidate head, and not yet matched.
-  std::vector<core::ClassMasks> requesters;  // per output
-  std::vector<std::uint64_t> offered;  // per input: outputs offering a grant
-  std::vector<TrafficClass> grant_cls;  // per output: the offered class
-  std::vector<arb::Request> restage;    // 1-slot re-pick buffer
 
   // ---- matching engines (arbitrate_engine) ----
   std::vector<InputId> match;  // per output: the matched input back

@@ -210,6 +210,24 @@ TEST(Scenario, ParserRejectsGarbageWithContext) {
   rejects(head + "flow src=0 dst=3 load=0.1 src=6\n", "'src' given twice");
 }
 
+TEST(Scenario, ParserRefusesChainingUnderAnEngineNamingTheScenario) {
+  // Each line parses on its own; the switch configuration they imply does
+  // not validate, because chaining charges a per-output arbiter an engine
+  // does not have.
+  std::istringstream in("scenario name=x seed=1 cycles=10\nradix 8\n"
+                        "switch chaining=1\nmatch engine=islip\n");
+  try {
+    [[maybe_unused]] auto s = parse_scenario(in, "chained-engine");
+    ADD_FAILURE() << "accepted chaining under a matching engine";
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("scenario 'chained-engine'"), std::string::npos)
+        << "message was: " << what;
+    EXPECT_NE(what.find("packet chaining"), std::string::npos)
+        << "message was: " << what;
+  }
+}
+
 TEST(Reference, LrgStartsInPortOrderAndMovesToBack) {
   core::SsvcParams params;
   ReferenceOutput ref(4, params, core::OutputAllocation::none(4),
@@ -585,7 +603,6 @@ TEST(ForgedCycle, TwoGrantsToOneInputAreADoubleGrant) {
 TEST(ForgedCycle, AnEngineGrantOutsideTheEligiblePairsIsUnrequested) {
   sw::SwitchConfig config;
   config.radix = 4;
-  config.allocation = sw::AllocationMode::IterativeMatching;
   config.engine = arb::MatchKind::Islip;
   sw::CrossbarSwitch sim(config, traffic::Workload(4));
   DifferentialChecker checker(sim);
@@ -608,37 +625,6 @@ TEST(ForgedCycle, AnEngineGrantOutsideTheEligiblePairsIsUnrequested) {
   EXPECT_EQ(expect_forged(checker, rec, "unrequested_grant", 2),
             "granted input 0 at an output it never requested\n"
             "requests: [in=1]\n");
-}
-
-TEST(ForgedCycle, AClassicMatchedGrantOutsideTheEligiblePairsIsUnrequested) {
-  // Classic IterativeMatching (per-output arbiters, no engine) records its
-  // matching view too, so its grants are held to the eligible pairs.
-  sw::SwitchConfig config;
-  config.radix = 4;
-  config.allocation = sw::AllocationMode::IterativeMatching;
-  sw::CrossbarSwitch sim(config, traffic::Workload(4));
-  DifferentialChecker checker(sim, invariants_only());
-  // Input 2 may go to outputs 0 and 3; input 3 to output 0.
-  const std::vector<std::uint64_t> eligible = {0, 0, 0b1001, 0b0001};
-  sw::CycleRecord rec;
-  rec.cycle = kForgedCycle;
-  rec.eligible = eligible;
-
-  const std::vector<sw::GrantRecord> legal = {
-      {2, 3, TrafficClass::GuaranteedBandwidth, false},
-      {3, 0, TrafficClass::BestEffort, false}};
-  rec.grants = legal;
-  checker.check_cycle(rec);
-  ASSERT_FALSE(checker.divergence().has_value())
-      << checker.divergence()->kind;
-
-  const std::vector<sw::GrantRecord> stolen = {
-      {3, 0, TrafficClass::BestEffort, false},
-      {2, 1, TrafficClass::GuaranteedBandwidth, false}};
-  rec.grants = stolen;
-  EXPECT_EQ(expect_forged(checker, rec, "unrequested_grant", 1),
-            "granted input 2 at an output it never requested\n"
-            "requests: (none)\n");
 }
 
 TEST(ForgedCycle, BufferingMoreThanCreatedBreaksConservation) {

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -282,11 +281,10 @@ struct BaselineRun {
 
 /// `s` through run() under baseline arbiter `kind` (PVC with preemption on).
 BaselineRun run_baseline(const Scenario& s, arb::Kind kind,
-                         sw::AllocationMode allocation, bool fast_forward) {
+                         bool fast_forward) {
   sw::SwitchConfig c = s.build_config();
   c.mode = sw::ArbitrationMode::Baseline;
   c.baseline = kind;
-  c.allocation = allocation;
   c.pvc.preemption = kind == arb::Kind::Pvc;
   c.fast_forward = fast_forward;
   sw::CrossbarSwitch sim(c, s.build_workload());
@@ -312,33 +310,24 @@ BaselineRun run_baseline(const Scenario& s, arb::Kind kind,
 }
 
 TEST(KernelInvariance, BaselineFastForwardMatchesSteppedRun) {
-  // Every baseline arbiter under both allocation modes jumps the quiescent
-  // stretches of a sparse, bursty, contended workload: no arbiter changes
-  // state on a cycle without requests, so the jumped run must equal the
-  // stepped one.
+  // Every baseline arbiter jumps the quiescent stretches of a sparse,
+  // bursty, contended workload: no arbiter changes state on a cycle without
+  // requests, so the jumped run must equal the stepped one.
   const Scenario s = sparse_bursty_scenario();
   for (const arb::Kind kind :
        {arb::Kind::Lrg, arb::Kind::RoundRobin, arb::Kind::FixedPriority,
         arb::Kind::Age, arb::Kind::Wrr, arb::Kind::Dwrr, arb::Kind::Wfq,
         arb::Kind::VirtualClock, arb::Kind::MultiLevel, arb::Kind::Tdm,
         arb::Kind::Pvc}) {
-    for (const sw::AllocationMode alloc :
-         {sw::AllocationMode::SingleRequest,
-          sw::AllocationMode::IterativeMatching}) {
-      SCOPED_TRACE(std::string(arb::kind_name(kind)) +
-                   (alloc == sw::AllocationMode::SingleRequest
-                        ? " single-request"
-                        : " iterative"));
-      const BaselineRun stepped = run_baseline(s, kind, alloc, false);
-      const BaselineRun jumped = run_baseline(s, kind, alloc, true);
-      EXPECT_GT(stepped.grants, 20u) << "too few grants — vacuous";
-      EXPECT_EQ(stepped.skipped, 0u);
-      EXPECT_GT(jumped.skipped, s.cycles / 2)
-          << "fast-forward never engaged";
-      EXPECT_EQ(stepped.trace, jumped.trace);
-      EXPECT_EQ(stepped.counts, jumped.counts);
-      if (HasFailure()) return;  // one divergent arbiter floods the log
-    }
+    SCOPED_TRACE(arb::kind_name(kind));
+    const BaselineRun stepped = run_baseline(s, kind, false);
+    const BaselineRun jumped = run_baseline(s, kind, true);
+    EXPECT_GT(stepped.grants, 20u) << "too few grants — vacuous";
+    EXPECT_EQ(stepped.skipped, 0u);
+    EXPECT_GT(jumped.skipped, s.cycles / 2) << "fast-forward never engaged";
+    EXPECT_EQ(stepped.trace, jumped.trace);
+    EXPECT_EQ(stepped.counts, jumped.counts);
+    if (HasFailure()) return;  // one divergent arbiter floods the log
   }
 }
 
@@ -669,8 +658,8 @@ struct Fnv {
 /// Per-flow outcome hash of one warmed-up, measured run of the baseline
 /// workload; with a probe, the probe's admission-blocked and request
 /// counters are folded in.
-std::uint64_t outcome_hash(const sw::SwitchConfig& config, bool with_probe) {
-  sw::CrossbarSwitch sim(config, baseline_workload());
+std::uint64_t baseline_hash(arb::Kind kind, bool with_probe) {
+  sw::CrossbarSwitch sim(baseline_config(kind), baseline_workload());
   obs::SwitchProbe probe(16);
   if (with_probe) sim.attach_probe(&probe);
   sim.warmup(2000);
@@ -691,10 +680,6 @@ std::uint64_t outcome_hash(const sw::SwitchConfig& config, bool with_probe) {
     sim.attach_probe(nullptr);
   }
   return h.h;
-}
-
-std::uint64_t baseline_hash(arb::Kind kind, bool with_probe) {
-  return outcome_hash(baseline_config(kind), with_probe);
 }
 
 TEST(Determinism, BaselineArbitersMatchPinnedHashes) {
@@ -718,77 +703,6 @@ TEST(Determinism, BaselineArbitersMatchPinnedHashes) {
     EXPECT_EQ(baseline_hash(p.kind, true), p.probed)
         << arb::kind_name(p.kind) << std::hex << " probed 0x"
         << baseline_hash(p.kind, true);
-  }
-}
-
-// -- Classic iterative-matching pins ----------------------------------------
-//
-// No golden trace or generated scenario reaches the classic
-// IterativeMatching path: per-output SSVC or baseline arbiters inside the
-// request/grant/accept loop. The baseline workload pins it the same way, at
-// one and three matching rounds: SSVC with and without Packet Chaining, and
-// the baselines whose grant paths differ (WRR/DWRR restage on the accepted
-// pair, TDM declines off-slot, PVC preempts). With a probe the request
-// counter pins the per-candidacy request events. The hashes were recorded
-// once and must never be edited to follow a change in matching.
-
-struct MatchedPin {
-  const char* what;
-  std::optional<arb::Kind> baseline;  // nullopt: SSVC
-  bool chaining;
-  std::uint32_t iterations;
-  std::uint64_t bare;
-  std::uint64_t probed;
-};
-
-sw::SwitchConfig matched_config(const MatchedPin& p) {
-  sw::SwitchConfig c = baseline_config(p.baseline.value_or(arb::Kind::Lrg));
-  if (!p.baseline) c.mode = sw::ArbitrationMode::SsvcQos;
-  c.packet_chaining = p.chaining;
-  c.allocation = sw::AllocationMode::IterativeMatching;
-  c.match_iterations = p.iterations;
-  return c;
-}
-
-TEST(Determinism, IterativeMatchingMatchesPinnedHashes) {
-  const MatchedPin pins[] = {
-      {"ssvc", std::nullopt, false, 1, 0x2166d10a03cd300cULL,
-       0xefbcc393a86033eeULL},
-      {"ssvc", std::nullopt, false, 3, 0xe4429a8d102a2f0aULL,
-       0x5a2a08b8be7606a8ULL},
-      {"ssvc+chaining", std::nullopt, true, 1, 0x1e33b1689785e859ULL,
-       0xc386104118781ce4ULL},
-      {"ssvc+chaining", std::nullopt, true, 3, 0xb31f5d3bdc475a90ULL,
-       0xac8ab05e29dab6fdULL},
-      {"lrg", arb::Kind::Lrg, false, 1, 0x8bef1d57686d582cULL,
-       0xfff8937f023f67f1ULL},
-      {"lrg", arb::Kind::Lrg, false, 3, 0x4f525b3037781155ULL,
-       0xb150686f923a7e49ULL},
-      {"wrr", arb::Kind::Wrr, false, 1, 0xd23ca81b086041f4ULL,
-       0x2010cdd48685b70aULL},
-      {"wrr", arb::Kind::Wrr, false, 3, 0x444400da5887d58eULL,
-       0x4bd19d779c985b2cULL},
-      {"dwrr", arb::Kind::Dwrr, false, 1, 0x4428da4e1a27120aULL,
-       0x4c85861d8fe958dbULL},
-      {"dwrr", arb::Kind::Dwrr, false, 3, 0x7b6a043dd7f4af7dULL,
-       0x7fd4062c4526bfb1ULL},
-      {"tdm", arb::Kind::Tdm, false, 1, 0xcfb952dcd9d7a75cULL,
-       0x87785ae5cf90c792ULL},
-      {"tdm", arb::Kind::Tdm, false, 3, 0xcfb952dcd9d7a75cULL,
-       0x87785ae5cf90c792ULL},
-      {"pvc+preemption", arb::Kind::Pvc, false, 1, 0xc1f8e0082cbc8358ULL,
-       0xaecb2630bd2fd2e4ULL},
-      {"pvc+preemption", arb::Kind::Pvc, false, 3, 0xf55bf385facd2df4ULL,
-       0x1be361c909ee08a7ULL},
-  };
-  for (const MatchedPin& p : pins) {
-    const sw::SwitchConfig c = matched_config(p);
-    const std::uint64_t bare = outcome_hash(c, false);
-    const std::uint64_t probed = outcome_hash(c, true);
-    EXPECT_EQ(bare, p.bare) << p.what << " x" << p.iterations << std::hex
-                            << " bare 0x" << bare;
-    EXPECT_EQ(probed, p.probed) << p.what << " x" << p.iterations
-                                << std::hex << " probed 0x" << probed;
   }
 }
 

@@ -332,7 +332,6 @@ TEST(EngineFaultTest, OnlyOutagesActUnderEveryEngine) {
   const auto run = [](arb::MatchKind kind, const FaultPlan& plan,
                       std::vector<fault::InjectedFault>& log) {
     sw::SwitchConfig cfg = fault_config();
-    cfg.allocation = sw::AllocationMode::IterativeMatching;
     cfg.engine = kind;
     sw::CrossbarSwitch sim(cfg, replay_workload());
     FaultInjector injector(plan);

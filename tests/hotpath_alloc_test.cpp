@@ -193,34 +193,19 @@ TEST(HotPathAllocations, SsvcGsfRadix64IsAllocationFree) {
   expect_zero_alloc_steady_state(config, "ssvc/gsf radix 64");
 }
 
-TEST(HotPathAllocations, IterativeMatchingIsAllocationFree) {
-  auto config = base_config(16);
-  config.allocation = sw::AllocationMode::IterativeMatching;
-  config.match_iterations = 3;
-  expect_zero_alloc_steady_state(config, "ssvc/matched radix 16");
-}
-
 TEST(HotPathAllocations, BaselineLrgIsAllocationFree) {
-  // LRG and every other baseline arbiter, under both allocation modes.
+  // LRG and every other baseline arbiter.
   for (const arb::Kind kind :
        {arb::Kind::Lrg, arb::Kind::RoundRobin, arb::Kind::FixedPriority,
         arb::Kind::Age, arb::Kind::Wrr, arb::Kind::Dwrr, arb::Kind::Wfq,
         arb::Kind::VirtualClock, arb::Kind::MultiLevel, arb::Kind::Tdm,
         arb::Kind::Pvc}) {
-    for (const auto allocation : {sw::AllocationMode::SingleRequest,
-                                  sw::AllocationMode::IterativeMatching}) {
-      auto config = base_config(16);
-      config.mode = sw::ArbitrationMode::Baseline;
-      config.baseline = kind;
-      config.allocation = allocation;
-      expect_zero_alloc_steady_state(
-          config,
-          "baseline/" + std::string(arb::kind_name(kind)) +
-              (allocation == sw::AllocationMode::SingleRequest
-                   ? " single"
-                   : " matched") +
-              " radix 16");
-    }
+    auto config = base_config(16);
+    config.mode = sw::ArbitrationMode::Baseline;
+    config.baseline = kind;
+    expect_zero_alloc_steady_state(
+        config,
+        "baseline/" + std::string(arb::kind_name(kind)) + " radix 16");
   }
 }
 
@@ -297,7 +282,6 @@ TEST(HotPathAllocations, EngineModeCheckerIsAllocationFree) {
        {arb::MatchKind::Islip, arb::MatchKind::Qps, arb::MatchKind::SwQps}) {
     SCOPED_TRACE(std::string(arb::match_kind_name(kind)));
     auto config = base_config(16);
-    config.allocation = sw::AllocationMode::IterativeMatching;
     config.engine = kind;
     config.match_iterations = 2;
     sw::CrossbarSwitch sim(config, stable_workload(16));

@@ -10,7 +10,6 @@
 
 #include "check/scenario.hpp"
 #include "fault/injector.hpp"
-#include "fault/scrubber.hpp"
 #include "obs/probe.hpp"
 #include "switch/crossbar.hpp"
 #include "switch/simulator.hpp"
@@ -78,6 +77,18 @@ TEST(SwitchConfigTest, ValidateRefusesChainingAndPreemptionOffTheirArbiter) {
   EXPECT_NO_THROW(c.validate());
   c.mode = ArbitrationMode::SsvcQos;
   EXPECT_THROW(c.validate(), ConfigError);
+  // A matching engine replaces the per-output arbiters: it refuses a
+  // baseline mode and chaining, which both need a per-output arbiter.
+  c = base_config();
+  c.engine = arb::MatchKind::Islip;
+  EXPECT_NO_THROW(c.validate());
+  c.mode = ArbitrationMode::Baseline;
+  EXPECT_THROW(c.validate(), ConfigError);
+  EXPECT_THROW(CrossbarSwitch(c, Workload(8)), ConfigError);
+  c.mode = ArbitrationMode::SsvcQos;
+  c.packet_chaining = true;
+  EXPECT_THROW(c.validate(), ConfigError);
+  EXPECT_THROW(CrossbarSwitch(c, Workload(8)), ConfigError);
 }
 
 TEST(CrossbarTest, UncontendedLatencyIsPacketLength) {
@@ -513,108 +524,6 @@ TEST(CrossbarTest, LegacyFourLevelCannotPartitionBandwidth) {
   EXPECT_NEAR(sw.throughput().rate(a_id), sw.throughput().rate(b_id), 0.02);
 }
 
-TEST(CrossbarTest, MatchedModeDegeneratesToSingleOutputArbitration) {
-  // With one contended output, iterative matching and single-request make
-  // the same per-flow decisions (the matching only matters when an input
-  // has alternatives).
-  auto run = [](AllocationMode alloc) {
-    Workload w(4);
-    w.add_flow(gb_flow(0, 1, 0.6, 8, 0.9));
-    w.add_flow(gb_flow(1, 1, 0.3, 8, 0.9));
-    SwitchConfig c = base_config(4);
-    c.allocation = alloc;
-    CrossbarSwitch sw(c, std::move(w));
-    sw.warmup(2000);
-    sw.measure(40000);
-    return std::pair{sw.throughput().rate(0), sw.throughput().rate(1)};
-  };
-  const auto single = run(AllocationMode::SingleRequest);
-  const auto matched = run(AllocationMode::IterativeMatching);
-  EXPECT_NEAR(matched.first, single.first, 0.01);
-  EXPECT_NEAR(matched.second, single.second, 0.01);
-  EXPECT_NEAR(matched.first + matched.second, 8.0 / 9.0, 0.01);
-}
-
-TEST(CrossbarTest, MatchedModeImprovesUniformTrafficUtilisation) {
-  // All-to-all GB traffic (per-output queues = virtual output queues):
-  // matching lets an input that lost one output serve another in the same
-  // cycle, where the single-request model idles.
-  auto run = [](AllocationMode alloc) {
-    Workload w(4);
-    for (InputId i = 0; i < 4; ++i) {
-      for (OutputId o = 0; o < 4; ++o) {
-        if (i == o) continue;
-        w.add_flow(gb_flow(i, o, 0.25, 8, 0.5));
-      }
-    }
-    SwitchConfig c = base_config(4);
-    c.allocation = alloc;
-    c.match_iterations = 3;
-    CrossbarSwitch sw(c, std::move(w));
-    sw.warmup(2000);
-    sw.measure(30000);
-    double total = 0.0;
-    for (FlowId f = 0; f < 12; ++f) total += sw.throughput().rate(f);
-    return total;
-  };
-  const double single = run(AllocationMode::SingleRequest);
-  const double matched = run(AllocationMode::IterativeMatching);
-  EXPECT_GE(matched, single - 0.02);
-  EXPECT_GT(matched, 2.0);  // well past half the 4-output aggregate
-}
-
-TEST(CrossbarTest, MatchedModeConservesPackets) {
-  Workload w(4);
-  std::vector<std::uint32_t> bursts;
-  for (InputId i = 0; i < 4; ++i) {
-    for (OutputId o = 0; o < 4; ++o) {
-      FlowSpec f;
-      f.src = i;
-      f.dst = o;
-      f.cls = (i + o) % 2 ? TrafficClass::BestEffort
-                          : TrafficClass::GuaranteedBandwidth;
-      if (f.cls == TrafficClass::GuaranteedBandwidth) f.reserved_rate = 0.2;
-      f.len_min = f.len_max = 3;
-      f.inject = InjectKind::BurstOnce;
-      f.burst_start = 10 * i + o;
-      f.burst_packets = 5 + i + o;
-      w.add_flow(f);
-      bursts.push_back(f.burst_packets);
-    }
-  }
-  SwitchConfig c = base_config(4);
-  c.allocation = AllocationMode::IterativeMatching;
-  CrossbarSwitch sw(c, std::move(w));
-  sw.warmup(0);
-  sw.measure(10000);
-  for (FlowId f = 0; f < bursts.size(); ++f) {
-    EXPECT_EQ(sw.delivered_packets(f), bursts[f]) << "flow " << f;
-  }
-}
-
-TEST(CrossbarTest, MatchedModeGlStillOverridesGb) {
-  Workload w(4);
-  const FlowId gbid = w.add_flow(gb_flow(1, 0, 0.8, 8, 1.0));
-  FlowSpec gl;
-  gl.src = 0;
-  gl.dst = 0;
-  gl.cls = TrafficClass::GuaranteedLatency;
-  gl.len_min = gl.len_max = 1;
-  gl.inject = InjectKind::Bernoulli;
-  gl.inject_rate = 0.02;
-  const FlowId glid = w.add_flow(gl);
-  w.set_gl_reservation(0, 0.05, 1);
-  SwitchConfig c = base_config(4);
-  c.allocation = AllocationMode::IterativeMatching;
-  c.buffers.gl_flits = 4;
-  CrossbarSwitch sw(c, std::move(w));
-  sw.warmup(1000);
-  sw.measure(40000);
-  EXPECT_GT(sw.delivered_packets(glid), 100u);
-  EXPECT_LE(sw.wait().flow_summary(glid).max(), 16.0);  // Eq. (1) bound
-  EXPECT_GT(sw.throughput().rate(gbid), 0.7);
-}
-
 TEST(CrossbarTest, DeterministicForSameSeed) {
   auto run = [](std::uint64_t seed) {
     Workload w(4);
@@ -728,36 +637,29 @@ TEST(CrossbarTest, PvcPreemptionAbortsAndRetransmits) {
   // A heavy flow monopolises the output; a light flow's packets arrive
   // rarely. With preemption the light flow's packets cut in (its PVC level
   // is 0, the heavy flow's is high); the victims are retransmitted and
-  // every packet is still delivered exactly once. Both allocation modes
-  // record the grant-time level preemption compares against.
-  for (const AllocationMode alloc :
-       {AllocationMode::SingleRequest, AllocationMode::IterativeMatching}) {
-    SCOPED_TRACE(alloc == AllocationMode::SingleRequest ? "single-request"
-                                                        : "iterative");
-    Workload w(4);
-    const FlowId heavy = w.add_flow(gb_flow(0, 1, 0.7, 8, 1.0));
-    auto light_spec = gb_flow(1, 1, 0.2, 2, 0.0);
-    light_spec.inject = InjectKind::Periodic;
-    light_spec.inject_rate = 0.02;  // one 2-flit packet per 100 cycles
-    const FlowId light = w.add_flow(light_spec);
-    SwitchConfig c = base_config(4);
-    c.mode = ArbitrationMode::Baseline;
-    c.baseline = arb::Kind::Pvc;
-    c.allocation = alloc;
-    c.pvc.preemption = true;
-    c.pvc.preempt_margin = 2;
-    CrossbarSwitch sw(c, std::move(w));
-    sw.warmup(2000);
-    sw.measure(40000);
-    EXPECT_GT(sw.preemptions(1), 50u);
-    EXPECT_GT(sw.wasted_flits(), 50u);
-    // The light flow's wait is short thanks to preemption.
-    EXPECT_LT(sw.wait().flow_summary(light).mean(), 6.0);
-    // Work conservation still holds minus the waste.
-    const double total =
-        sw.throughput().rate(heavy) + sw.throughput().rate(light);
-    EXPECT_GT(total, 0.8);
-  }
+  // every packet is still delivered exactly once.
+  Workload w(4);
+  const FlowId heavy = w.add_flow(gb_flow(0, 1, 0.7, 8, 1.0));
+  auto light_spec = gb_flow(1, 1, 0.2, 2, 0.0);
+  light_spec.inject = InjectKind::Periodic;
+  light_spec.inject_rate = 0.02;  // one 2-flit packet per 100 cycles
+  const FlowId light = w.add_flow(light_spec);
+  SwitchConfig c = base_config(4);
+  c.mode = ArbitrationMode::Baseline;
+  c.baseline = arb::Kind::Pvc;
+  c.pvc.preemption = true;
+  c.pvc.preempt_margin = 2;
+  CrossbarSwitch sw(c, std::move(w));
+  sw.warmup(2000);
+  sw.measure(40000);
+  EXPECT_GT(sw.preemptions(1), 50u);
+  EXPECT_GT(sw.wasted_flits(), 50u);
+  // The light flow's wait is short thanks to preemption.
+  EXPECT_LT(sw.wait().flow_summary(light).mean(), 6.0);
+  // Work conservation still holds minus the waste.
+  const double total =
+      sw.throughput().rate(heavy) + sw.throughput().rate(light);
+  EXPECT_GT(total, 0.8);
 }
 
 TEST(CrossbarTest, PvcPreemptionConservesPackets) {
@@ -1063,7 +965,7 @@ TEST(SelectionSpec, IncrementalRequestsMatchFromScratch) {
 
 // -- Matching-view specification ---------------------------------------------
 //
-// Both IterativeMatching allocators read one matching view, built once per
+// A matching engine reads the matching view, brought up to date once per
 // cycle. Its specification: bit o of eligible[i] is set iff input i is
 // neither busy nor dead, output o is idle, the crosspoint (i, o) is alive
 // and candidate_for(i, o) finds a head. After every step the recorded view
@@ -1072,25 +974,12 @@ TEST(SelectionSpec, IncrementalRequestsMatchFromScratch) {
 // the granted pair and to stay within the idle outputs over live
 // crosspoints.
 
-/// `s` wired like check::instantiate(), but under IterativeMatching with
-/// `engine` (None: the classic per-output matcher, which no scenario file
-/// can select). Engines cannot chain, so chaining is dropped for them.
+/// `s` instantiated under `engine`. Engines cannot chain, so chaining is
+/// dropped.
 check::ScenarioRun matched_run(check::Scenario s, arb::MatchKind engine) {
   s.matching_engine = engine;
-  if (engine != arb::MatchKind::None) s.packet_chaining = false;
-  SwitchConfig c = s.build_config();
-  c.allocation = AllocationMode::IterativeMatching;
-  check::ScenarioRun run;
-  run.sim = std::make_unique<CrossbarSwitch>(c, s.build_workload());
-  if (s.has_faults()) {
-    run.injector = std::make_unique<fault::FaultInjector>(s.faults);
-    run.sim->attach_fault_injector(run.injector.get());
-  }
-  if (s.scrub_interval != 0) {
-    run.scrubber = std::make_unique<fault::StateScrubber>(s.scrub_interval);
-    run.sim->attach_scrubber(run.scrubber.get());
-  }
-  return run;
+  s.packet_chaining = false;
+  return check::instantiate(s);
 }
 
 /// Backlog in flits behind crosspoint (i, o), from the port's buffers: the
@@ -1110,16 +999,15 @@ std::uint32_t backlog_from_scratch(const InputPort& port, OutputId o) {
 /// "" when they agree. `idle` is the expected idle set. A non-chained
 /// winner popped its head after the view was taken, so its row is checked
 /// only for holding its eligible pairs; every other row is compared cell by
-/// cell: candidates, eligible and (engines) the backlog matrix.
+/// cell: candidates, eligible and the backlog matrix.
 std::string view_mismatch(const CrossbarSwitch& sw, std::uint64_t idle) {
   const CycleRecord rec = sw.last_cycle();
   const std::uint32_t radix = sw.config().radix;
-  const bool engine = sw.config().engine != arb::MatchKind::None;
   const fault::FaultInjector* fi = sw.fault_injector();
   std::ostringstream why;
   why << "cycle " << rec.cycle << ": ";
   if (rec.eligible.size() != radix || rec.candidates.size() != radix ||
-      rec.voq.size() != (engine ? std::size_t{radix} * radix : 0)) {
+      rec.voq.size() != std::size_t{radix} * radix) {
     why << "the record holds " << rec.eligible.size() << " eligible rows, "
         << rec.candidates.size() << " candidate rows and " << rec.voq.size()
         << " backlog cells";
@@ -1173,7 +1061,6 @@ std::string view_mismatch(const CrossbarSwitch& sw, std::uint64_t idle) {
           << ", from scratch 0x" << expect_cand;
       return why.str();
     }
-    if (!engine) continue;
     for (OutputId o = 0; o < radix; ++o) {
       const std::uint32_t cell = rec.voq[std::size_t{i} * radix + o];
       const std::uint32_t want =
@@ -1214,9 +1101,8 @@ std::uint64_t expect_view_matches(CrossbarSwitch& sw, Cycle cycles,
 }
 
 TEST(SelectionSpec, MatchingViewMatchesFromScratch) {
-  const arb::MatchKind kinds[] = {arb::MatchKind::None, arb::MatchKind::Islip,
-                                  arb::MatchKind::Qps, arb::MatchKind::SwQps,
-                                  arb::MatchKind::Ssvc};
+  const arb::MatchKind kinds[] = {arb::MatchKind::Islip, arb::MatchKind::Qps,
+                                  arb::MatchKind::SwQps, arb::MatchKind::Ssvc};
   check::Scenario outage = dense_scenario("outages");
   outage.faults.port_kills.push_back({1, 300, 900});
   outage.faults.port_kills.push_back({4, 1200, kNoCycle});
@@ -1224,9 +1110,7 @@ TEST(SelectionSpec, MatchingViewMatchesFromScratch) {
   outage.faults.crosspoint_kills.push_back({5, 3, 700, 2600});
   outage.faults.crosspoint_kills.push_back({3, 0, 900, 901});
   for (const arb::MatchKind kind : kinds) {
-    const std::string name = kind == arb::MatchKind::None
-                                 ? std::string("classic")
-                                 : std::string(arb::match_kind_name(kind));
+    const std::string name(arb::match_kind_name(kind));
     std::uint64_t faulted = 0;
     for (std::uint64_t i = 0; i < 30; ++i) {
       const check::Scenario s = check::generate_scenario(i, 516);
@@ -1240,10 +1124,9 @@ TEST(SelectionSpec, MatchingViewMatchesFromScratch) {
                                   name + " outages"),
               1000u)
         << name;
-    // A multi-round classic matcher accepts in later rounds too.
+    // Three matching rounds (a three-cycle SW-QPS window).
     check::Scenario rounds = dense_scenario("three rounds");
     rounds.match_iterations = 3;
-    rounds.packet_chaining = true;
     check::ScenarioRun r3 = matched_run(rounds, kind);
     expect_view_matches(*r3.sim, rounds.cycles, name + " three rounds");
   }
