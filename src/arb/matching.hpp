@@ -7,9 +7,9 @@
 // the iterative input-queued schedulers of the literature — iSLIP
 // (round-robin grant/accept pointers that desynchronise under contention),
 // QPS-r (queue-proportional sampling, r rounds), and SW-QPS (sliding-window
-// batch matching that keeps refining the matchings of the next T cycles) —
-// and lets the stability lab (src/check/stability.hpp) and the crossbar
-// (SwitchConfig::engine) drive the exact same algorithm objects.
+// batch matching that keeps refining the matchings of the next T cycles).
+// The crossbar (SwitchConfig::engine) is their one driver outside tests; it
+// builds the view each cycle and commits the matching returned.
 //
 // Contract highlights:
 //  * match() fills `match_in[o]` with the matched input for output o (or
@@ -20,7 +20,7 @@
 //    no observable trace (SW-QPS retires drained window entries first), so
 //    idle-cycle fast-forward stays exact.
 //  * The return value is the number of matching iterations actually used —
-//    the convergence metric of the stability lab.
+//    the convergence metric of CrossbarSwitch::engine_stats().
 #pragma once
 
 #include <cstdint>
@@ -51,9 +51,9 @@ enum class MatchKind : std::uint8_t {
   /// future cycles; each frame's matching only ever grows while it waits.
   SwQps,
   /// Single-request emulation of the paper's switch: one rotating request
-  /// per input, least-recently-granted winner per output. The stability
-  /// lab's stand-in for SSVC (which needs reservations the cell model
-  /// does not have).
+  /// per input, least-recently-granted winner per output. The engine-path
+  /// twin of single-request allocation (no per-output QoS state: no GL
+  /// policing, no GB virtual clocks), drawn like the other engines.
   Ssvc,
   /// Test-only: never matches anything. Planted-bug teeth for the
   /// differential checker's work-conservation (starvation) guard.

@@ -60,9 +60,4 @@ constexpr std::string_view to_string(TrafficClass c) noexcept {
   return "??";
 }
 
-/// Priority comparison: GL > GB > BE.
-constexpr bool higher_priority(TrafficClass a, TrafficClass b) noexcept {
-  return static_cast<std::uint8_t>(a) > static_cast<std::uint8_t>(b);
-}
-
 }  // namespace ssq

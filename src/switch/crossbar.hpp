@@ -192,8 +192,8 @@ class CrossbarSwitch {
 
   /// Matching-engine convergence counters (all 0 unless config.engine):
   /// arbitration cycles run, iterations the engine reported across them,
-  /// and pairs committed — avg iterations/cycle is the stability-lab
-  /// convergence metric on live-switch runs.
+  /// and pairs committed — avg iterations/cycle is the engine's
+  /// convergence metric.
   struct EngineStats {
     std::uint64_t cycles = 0;
     std::uint64_t iterations = 0;

@@ -14,19 +14,6 @@
 namespace ssq {
 namespace {
 
-TEST(TrafficClassTest, PriorityOrdering) {
-  EXPECT_TRUE(higher_priority(TrafficClass::GuaranteedLatency,
-                              TrafficClass::GuaranteedBandwidth));
-  EXPECT_TRUE(higher_priority(TrafficClass::GuaranteedBandwidth,
-                              TrafficClass::BestEffort));
-  EXPECT_TRUE(higher_priority(TrafficClass::GuaranteedLatency,
-                              TrafficClass::BestEffort));
-  EXPECT_FALSE(higher_priority(TrafficClass::BestEffort,
-                               TrafficClass::GuaranteedLatency));
-  EXPECT_FALSE(higher_priority(TrafficClass::BestEffort,
-                               TrafficClass::BestEffort));
-}
-
 TEST(TrafficClassTest, Names) {
   EXPECT_EQ(to_string(TrafficClass::BestEffort), "BE");
   EXPECT_EQ(to_string(TrafficClass::GuaranteedBandwidth), "GB");

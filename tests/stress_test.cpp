@@ -1,7 +1,8 @@
 // Chaos suite: long random runs across the feature matrix with run-time
 // invariant audits. Each case draws a random workload (classes, sizes,
 // processes) and random switch features (counter policy, matching engine,
-// chaining, GSF), runs 60k cycles, and audits:
+// chaining, GSF), runs 60k cycles, and audits (a second leg forces each seed
+// onto one of the four matching engines):
 //   * per-output goodput never exceeds capacity,
 //   * delivered <= created for every flow,
 //   * compliant GL waits respect a generous structural bound (no engine: an
@@ -39,7 +40,9 @@ struct ChaosSetup {
   std::vector<std::uint32_t> gl_flows;
 };
 
-ChaosSetup make_setup(std::uint64_t seed) {
+// `engine_leg` forces seed s onto kEngines[s % 4]: the 30 % draw reaches an
+// engine at none of the default seeds. Without it the draws are unchanged.
+ChaosSetup make_setup(std::uint64_t seed, bool engine_leg) {
   Rng rng(seed * 977 + 3);
   const std::uint32_t radix = 4 + 2 * static_cast<std::uint32_t>(rng.below(3));
 
@@ -51,7 +54,7 @@ ChaosSetup make_setup(std::uint64_t seed) {
   config.ssvc.policy = static_cast<core::CounterPolicy>(rng.below(3));
   // An engine cannot chain; which engine is drawn last, so the draws of the
   // single-request seeds are unchanged.
-  const bool engine = rng.bernoulli(0.3);
+  const bool engine = rng.bernoulli(0.3) || engine_leg;
   config.packet_chaining = !engine && rng.bernoulli(0.25);
   if (rng.bernoulli(0.2)) {
     config.gsf.enabled = true;
@@ -117,16 +120,16 @@ ChaosSetup make_setup(std::uint64_t seed) {
     constexpr arb::MatchKind kEngines[] = {
         arb::MatchKind::Islip, arb::MatchKind::Qps, arb::MatchKind::SwQps,
         arb::MatchKind::Ssvc};
-    config.engine = kEngines[rng.below(4)];
+    config.engine = kEngines[engine_leg ? seed % 4 : rng.below(4)];
   }
   return {config, std::move(w), std::move(gl_flows)};
 }
 
-class ChaosP : public ::testing::TestWithParam<int> {};
-
-TEST_P(ChaosP, InvariantsHoldUnderRandomFeatureMix) {
-  const auto seed = static_cast<std::uint64_t>(GetParam());
-  ChaosSetup setup = make_setup(seed);
+void run_chaos(std::uint64_t seed, bool engine_leg) {
+  ChaosSetup setup = make_setup(seed, engine_leg);
+  if (engine_leg) {
+    ASSERT_NE(setup.config.engine, arb::MatchKind::None);
+  }
   const auto flows = setup.workload.flows();  // copy for later inspection
   sw::CrossbarSwitch sim(setup.config, std::move(setup.workload));
   sim.warmup(kWarmupCycles);
@@ -160,13 +163,23 @@ TEST_P(ChaosP, InvariantsHoldUnderRandomFeatureMix) {
   }
 
   // Bit-exact reproducibility.
-  ChaosSetup again = make_setup(seed);
+  ChaosSetup again = make_setup(seed, engine_leg);
   sw::CrossbarSwitch sim2(again.config, std::move(again.workload));
   sim2.warmup(kWarmupCycles);
   sim2.measure(kMeasureCycles);
   for (FlowId f = 0; f < flows.size(); ++f) {
     ASSERT_EQ(sim2.delivered_packets(f), sim.delivered_packets(f));
   }
+}
+
+class ChaosP : public ::testing::TestWithParam<int> {};
+
+TEST_P(ChaosP, InvariantsHoldUnderRandomFeatureMix) {
+  run_chaos(static_cast<std::uint64_t>(GetParam()), false);
+}
+
+TEST_P(ChaosP, InvariantsHoldOnEveryMatchingEngine) {
+  run_chaos(static_cast<std::uint64_t>(GetParam()), true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosP, ::testing::Range(0, kNumSeeds),
